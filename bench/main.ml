@@ -24,6 +24,11 @@
     replay time within 5% of the solve time; spliced into
     [BENCH_table1.json] under a ["certify"] key.
 
+    [bench/main.exe absint] measures the abstract-interpretation
+    pre-solver discharge off vs on per Table-1 workload, plus a
+    crosscheck sweep; spliced into [BENCH_table1.json] under an
+    ["absint"] key.
+
     [bench/main.exe daemon] measures the [fluxd] daemon: cold CLI
     end-to-end time (process start + parse + verify, fresh cache) vs.
     warm daemon request latency (socket round trip answered from the
@@ -49,16 +54,16 @@ let fresh_caches () =
   Flux_fixpoint.Solve.reset_stats ();
   Profile.reset ()
 
-let time_flux src =
+let time_flux ?config src =
   fresh_caches ();
   let t0 = Unix.gettimeofday () in
-  let r = Checker.check_source src in
+  let r = Checker.check_source ?config src in
   (Unix.gettimeofday () -. t0, Checker.report_ok r)
 
-let time_prusti src =
+let time_prusti ?config src =
   fresh_caches ();
   let t0 = Unix.gettimeofday () in
-  let r = Wp.verify_source src in
+  let r = Wp.verify_source ?config src in
   (Unix.gettimeofday () -. t0, Wp.report_ok r)
 
 (* Like [time_flux]/[time_prusti], but also snapshot the profiler
@@ -169,12 +174,30 @@ let json_engine (e : engine_meas) ~seq_time =
 (* and slice-cache replay after a spec edit                            *)
 (* ------------------------------------------------------------------ *)
 
-let with_schedule inc f =
-  let saved = !Flux_fixpoint.Solve.incremental_enabled in
-  Flux_fixpoint.Solve.incremental_enabled := inc;
-  Fun.protect
-    ~finally:(fun () -> Flux_fixpoint.Solve.incremental_enabled := saved)
-    f
+(* Check [src] with the incremental schedule verification runs, or
+   with the reference sweep ([Solve.solve_clauses_full]) it is measured
+   against; true when every function verifies. *)
+let with_schedule inc src =
+  if inc then Checker.report_ok (Checker.check_source src)
+  else
+    let prog = Flux_syntax.Parser.parse_program src in
+    Flux_syntax.Typeck.check_program prog;
+    let genv = Flux_check.Genv.build prog in
+    let check (fd : Flux_syntax.Ast.fn_def) =
+      match Flux_check.Genv.find_body genv fd.fn_name with
+      | Some body when not fd.fn_trusted -> (
+          let pr = Checker.prepare genv fd body in
+          (not (Checker.prepared_early pr))
+          &&
+          match
+            Flux_fixpoint.Solve.solve_clauses_full
+              ~kvars:(Checker.prepared_kvars pr) (Checker.prepared_clauses pr)
+          with
+          | Flux_fixpoint.Solve.Sat _ -> true
+          | Flux_fixpoint.Solve.Unsat _ -> false)
+      | _ -> true
+    in
+    List.for_all Fun.id (List.map check (Flux_syntax.Ast.program_fns prog))
 
 (* Two sequential loops whose join κs land in distinct SCC slices; the
    return postcondition only reaches the later slice, so editing it
@@ -215,15 +238,14 @@ type inc_meas = {
 
 let incremental_bench () =
   let measure inc src =
-    with_schedule inc (fun () ->
-        fresh_caches ();
-        let t0 = Unix.gettimeofday () in
-        let ok = Checker.report_ok (Checker.check_source src) in
-        ( Unix.gettimeofday () -. t0,
-          ok,
-          profile_count "fixpoint.weaken_checks",
-          profile_count "fixpoint.reweaken_skipped",
-          profile_count "fixpoint.scc_count" ))
+    fresh_caches ();
+    let t0 = Unix.gettimeofday () in
+    let ok = with_schedule inc src in
+    ( Unix.gettimeofday () -. t0,
+      ok,
+      profile_count "fixpoint.weaken_checks",
+      profile_count "fixpoint.reweaken_skipped",
+      profile_count "fixpoint.scc_count" )
   in
   let nt, nok, nwc, _, _ = measure false Workloads.rmat_flux in
   let it, iok, iwc, iskip, isccs = measure true Workloads.rmat_flux in
@@ -824,25 +846,20 @@ type absint_row = {
 let absint_bench ~jobs:_ () =
   let module Discharge = Flux_absint.Discharge in
   let run ~absint ~crosscheck src =
-    let saved_e = !Discharge.enabled and saved_c = !Discharge.crosscheck in
-    Fun.protect
-      ~finally:(fun () ->
-        Discharge.enabled := saved_e;
-        Discharge.crosscheck := saved_c)
-      (fun () ->
-        Discharge.enabled := absint;
-        Discharge.crosscheck := crosscheck;
-        fresh_caches ();
-        Discharge.reset ();
-        let t0 = Unix.gettimeofday () in
-        let r = Checker.check_source src in
-        let t = Unix.gettimeofday () -. t0 in
-        ( t,
-          absint_render r,
-          profile_count "solver.queries",
-          profile_count "absint.discharged",
-          profile_count "absint.fallthrough",
-          profile_count "absint.crosscheck_fail" ))
+    let config =
+      { Flux_smt.Config.default with absint; absint_crosscheck = crosscheck }
+    in
+    fresh_caches ();
+    Discharge.reset ();
+    let t0 = Unix.gettimeofday () in
+    let r = Checker.check_source ~config src in
+    let t = Unix.gettimeofday () -. t0 in
+    ( t,
+      absint_render r,
+      profile_count "solver.queries",
+      profile_count "absint.discharged",
+      profile_count "absint.fallthrough",
+      profile_count "absint.crosscheck_fail" )
   in
   let cases =
     List.map
@@ -1018,11 +1035,12 @@ let ablations () =
   List.iter
     (fun name ->
       let b = Option.get (Workloads.find name) in
-      Flux_fixpoint.Solve.slice_enabled := true;
       let t1, _ = time_flux b.Workloads.bm_flux in
-      Flux_fixpoint.Solve.slice_enabled := false;
-      let t2, _ = time_flux b.Workloads.bm_flux in
-      Flux_fixpoint.Solve.slice_enabled := true;
+      let t2, _ =
+        time_flux
+          ~config:{ Flux_smt.Config.default with slice = false }
+          b.Workloads.bm_flux
+      in
       Printf.printf "  %-10s %9.2f  %11.2f\n" name t1 t2)
     [ "bsearch"; "kmp"; "simplex" ];
 
@@ -1032,11 +1050,13 @@ let ablations () =
   let b = Option.get (Workloads.find "kmp") in
   List.iter
     (fun rounds ->
-      Wp.inst_rounds := rounds;
-      let t, ok = time_prusti b.Workloads.bm_prusti in
+      let t, ok =
+        time_prusti
+          ~config:{ Flux_smt.Config.default with inst_rounds = rounds }
+          b.Workloads.bm_prusti
+      in
       Printf.printf "  %6d  %7.2f  %8b\n" rounds t ok)
-    [ 0; 1; 2 ];
-  Wp.inst_rounds := 2
+    [ 0; 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Daemon latency: cold CLI end-to-end vs. warm daemon requests        *)
@@ -1386,6 +1406,6 @@ let () =
   | m ->
       Printf.eprintf
         "unknown mode %s (expected table1 | smoke | fuzz | lint | certify | \
-         daemon | ablations | micro | all)\n"
+         absint | daemon | ablations | micro | all)\n"
         m;
       exit 2

@@ -62,13 +62,7 @@ let run_tool ~daemon ~socket ~deadline (opts : Exec.opts) ~file =
 (* ------------------------------------------------------------------ *)
 
 let check_cmd_run file dump_mir dump_solution quiet jobs cache cache_dir times
-    daemon socket deadline fixpoint certify format absint absint_crosscheck =
-  Flux_fixpoint.Solve.incremental_enabled := fixpoint = `Incremental;
-  (* The schedule ref lives in this process; a daemon started earlier
-     would not see the flip, so `--fixpoint naive` always runs
-     in-process (both schedules produce byte-identical output — the
-     flag exists precisely so CI can verify that). *)
-  let daemon = daemon && fixpoint = `Incremental in
+    daemon socket deadline certify format absint absint_crosscheck =
   let opts =
     {
       Exec.tool = Exec.Flux_check;
@@ -215,18 +209,6 @@ let dump_solution_flag =
   Arg.(value & flag & info [ "dump-solution" ]
          ~doc:"Print the inferred κ solutions (disables the cache)")
 
-let fixpoint_arg =
-  Arg.(
-    value
-    & opt (enum [ ("incremental", `Incremental); ("naive", `Naive) ]) `Incremental
-    & info [ "fixpoint" ] ~docv:"SCHEDULE"
-        ~doc:
-          "Fixpoint schedule: $(b,incremental) (default; SCC-sliced \
-           dependency-aware weakening) or $(b,naive) (the reference full \
-           sweep). Output is byte-identical either way; $(b,naive) exists \
-           for differential testing and always runs in-process (a daemon \
-           would not see the flag)")
-
 let quiet_flag = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only print errors")
 
 let jobs_arg =
@@ -353,7 +335,7 @@ let check_cmd =
     Term.(
       const check_cmd_run $ file_arg $ dump_mir_flag $ dump_solution_flag
       $ quiet_flag $ jobs_arg $ cache_flag $ cache_dir_arg $ times_flag
-      $ daemon_flag $ socket_arg $ deadline_arg $ fixpoint_arg $ certify_flag
+      $ daemon_flag $ socket_arg $ deadline_arg $ certify_flag
       $ format_arg $ absint_flag $ absint_crosscheck_flag)
 
 let lint_cmd =

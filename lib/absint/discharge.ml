@@ -23,9 +23,6 @@
 
 open Flux_smt
 
-let enabled = ref true
-let crosscheck = ref false
-
 (* lhs → environment memo, domain-local like the solver's own caches:
    worker domains in the engine pool each build their own (terms are
    hash-consed per domain, and the weaken loop reuses one lhs across
@@ -44,10 +41,11 @@ let env_of_lhs (lhs : Term.t) : Env.t =
       Term.Tbl.add tbl lhs e;
       e
 
-(** [try_valid f]: [true] means [f] is definitely valid (and was
-    counted as discharged); [false] means "ask the solver". *)
-let try_valid (f : Term.t) : bool =
-  if not !enabled then false
+(** [try_valid config f]: [true] means [f] is definitely valid (and was
+    counted as discharged); [false] means "ask the solver" — always so
+    when [config.absint] is off. *)
+let try_valid (config : Config.t) (f : Term.t) : bool =
+  if not config.absint then false
   else
     let ok =
       match f with
@@ -59,12 +57,13 @@ let try_valid (f : Term.t) : bool =
     ok
 
 (** Drop-in replacement for {!Flux_smt.Solver.valid}: abstract
-    environment first, solver on fallthrough. Under [crosscheck] the
-    solver is consulted even for discharged clauses and its verdict
-    wins (disagreements are counted, never masked). *)
-let valid (f : Term.t) : bool =
-  if try_valid f then
-    if !crosscheck then begin
+    environment first, solver on fallthrough. Under
+    [config.absint_crosscheck] the solver is consulted even for
+    discharged clauses and its verdict wins (disagreements are counted,
+    never masked). *)
+let valid (config : Config.t) (f : Term.t) : bool =
+  if try_valid config f then
+    if config.absint_crosscheck then begin
       let v = Solver.valid f in
       if not v then Profile.incr "absint.crosscheck_fail";
       v

@@ -6,7 +6,7 @@
     independent verification tasks, so misses are scheduled on the
     engine's domain pool ([--jobs]). The cache reuses the engine's
     content-addressed key ({!Flux_engine.Cache.flux_key}) with the
-    enabled pass set folded into the configuration string; only {e
+    enabled pass set folded into the configuration salt; only {e
     clean} results — zero findings, verification OK — are stored, so a
     hit soundly replays "nothing to report" without a single SMT query,
     and anything that produced findings (whose messages carry source
@@ -35,9 +35,9 @@ let default_config =
 (* The lint cache key extends the verification configuration with the
    pass set: a verification verdict never answers for a lint result,
    and enabling a pass re-lints everything. *)
-let lint_config_string (passes : string list) =
+let lint_config_string (config : Flux_smt.Config.t) (passes : string list) =
   Printf.sprintf "%s;lint=%s"
-    (Engine.flux_config_string ())
+    (Flux_smt.Config.fingerprint config)
     (String.concat "," (List.sort String.compare passes))
 
 (** Per-function lint outcome, in declaration order. *)
@@ -64,10 +64,10 @@ let run_clean (r : run) = run_diags r = []
 
 (** Lint several programs through one shared pool schedule (mirrors
     {!Flux_engine.Engine.check_programs}). *)
-let lint_programs ?cancel (cfg : config) (progs : Ast.program list) :
-    run list =
+let lint_programs ?cancel ?(config = Flux_smt.Config.default) (cfg : config)
+    (progs : Ast.program list) : run list =
   let t0 = Unix.gettimeofday () in
-  let config = lint_config_string cfg.passes in
+  let salt = lint_config_string config cfg.passes in
   let quals_fp = Cache.qualifiers_fingerprint Qualifier.default in
   let tasks = ref [] in
   let n_tasks = ref 0 in
@@ -89,7 +89,7 @@ let lint_programs ?cancel (cfg : config) (progs : Ast.program list) :
                   let key =
                     Option.map
                       (fun _dir ->
-                        Cache.flux_key ~config ~senv_fp ~quals_fp
+                        Cache.flux_key ~config:salt ~senv_fp ~quals_fp
                           ~lookup:(Genv.find_sig genv) fd body)
                       cfg.cache_dir
                   in
@@ -126,7 +126,7 @@ let lint_programs ?cancel (cfg : config) (progs : Ast.program list) :
   let fns =
     Array.map
       (fun (genv, fd, body, _) () ->
-        Passes.run_function ~passes:cfg.passes genv fd body)
+        Passes.run_function ~config ~passes:cfg.passes genv fd body)
       task_arr
   in
   let results = Engine.run_pool ?cancel ~jobs:cfg.jobs ~sizes fns in
@@ -173,15 +173,16 @@ let lint_programs ?cancel (cfg : config) (progs : Ast.program list) :
       })
     slots
 
-let lint_program_ast ?cancel (cfg : config) (prog : Ast.program) : run =
-  match lint_programs ?cancel cfg [ prog ] with
+let lint_program_ast ?cancel ?config (cfg : config) (prog : Ast.program) :
+    run =
+  match lint_programs ?cancel ?config cfg [ prog ] with
   | [ r ] -> r
   | _ -> assert false
 
-let lint_source ?cancel (cfg : config) (src : string) : run =
+let lint_source ?cancel ?config (cfg : config) (src : string) : run =
   let prog = Flux_syntax.Parser.parse_program src in
   Flux_syntax.Typeck.check_program prog;
-  lint_program_ast ?cancel cfg prog
+  lint_program_ast ?cancel ?config cfg prog
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -351,14 +351,15 @@ let index_bounds (fd : Ast.fn_def) (body : Ir.body) (a : Absint.analysis) :
     the solver on clauses the environment cannot settle, so the sharper
     ranges inferred by the absint layer discharge most side conditions
     with no SMT at all. *)
-let overflow (fd : Ast.fn_def) (li : Checker.lint_info)
+let overflow ?config (fd : Ast.fn_def) (li : Checker.lint_info)
     (sol : Solve.solution option) : diag list =
   match sol with
   | None -> []
   | Some sol ->
       List.filter_map
         (fun (sp, msg, clause) ->
-          if Solve.check_clause ~kvars:li.Checker.li_kvars sol clause then None
+          if Solve.check_clause ?config ~kvars:li.Checker.li_kvars sol clause
+          then None
           else
             Option.map
               (fun sp ->
@@ -384,10 +385,11 @@ let span_order (a : diag) (b : diag) =
 (** Verify one function with the lint side channel on and run the
     enabled [passes] over the recorded facts. The verification report
     rides along so the caller can distinguish lint findings from
-    refinement errors. *)
-let run_function ~(passes : string list) (genv : Flux_check.Genv.t)
+    refinement errors. Verification and the overflow side conditions
+    run under [config] (default {!Flux_smt.Config.default}). *)
+let run_function ?config ~(passes : string list) (genv : Flux_check.Genv.t)
     (fd : Ast.fn_def) (body : Ir.body) : Checker.fn_report * diag list =
-  let fr, li = Checker.check_body_lint genv fd body in
+  let fr, li = Checker.check_body_lint ?config genv fd body in
   let on p = List.mem p passes in
   (* one abstract fixpoint serves both absint-backed passes *)
   let absint =
@@ -407,6 +409,7 @@ let run_function ~(passes : string list) (genv : Flux_check.Genv.t)
           @ if on "index-bounds" then index_bounds fd body a else []
       | None -> [])
     @
-    if on "overflow" then overflow fd li fr.Checker.fr_solution else []
+    if on "overflow" then overflow ?config fd li fr.Checker.fr_solution
+    else []
   in
   (fr, List.stable_sort span_order diags)

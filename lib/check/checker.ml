@@ -60,14 +60,6 @@ type fn_report = {
 
 let fn_ok r = r.fr_errors = []
 
-(** Check that usize subtractions cannot underflow. The paper's
-    evaluation runs with overflow checking off, but our operational
-    model is mathematical integers: without underflow checks, the
-    assumed usize invariant [0 <= v] would be unsound (the soundness
-    fuzzer in test/test_soundness.ml finds the counterexample). This
-    mirrors Flux's [check_overflow] for subtraction. *)
-let check_underflow = ref true
-
 (* ------------------------------------------------------------------ *)
 (* Environments                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -426,7 +418,12 @@ let check_rvalue ck (env : env) span (dest : Ir.place) (rv : Ir.rvalue) :
               overflow_candidate res;
               (env, TBase (BInt k, Ix [ res ]))
           | Ast.Sub ->
-              if k = Ast.Usize && !check_underflow then begin
+              (* usize subtraction must not underflow: our model is
+                 mathematical integers, so the assumed usize invariant
+                 [0 <= v] would be unsound without this obligation
+                 (DESIGN.md decision 6; the soundness fuzzer finds the
+                 counterexample). *)
+              if k = Ast.Usize then begin
                 let tag =
                   new_tag ck span
                     (Format.asprintf
@@ -1446,7 +1443,7 @@ let finish ?(solve_s = 0.) ?(certify = false) (pr : prepared)
           in
           mk errors (Some sol))
 
-let check_body_gen ~(lint : bool) (genv : Genv.t) (fd : Ast.fn_def)
+let check_body_gen ?config ~(lint : bool) (genv : Genv.t) (fd : Ast.fn_def)
     (body : Ir.body) : fn_report * lint_info option =
   let pr = prepare ~lint genv fd body in
   if pr.pr_early <> None then (finish pr None, pr.pr_lint)
@@ -1454,17 +1451,18 @@ let check_body_gen ~(lint : bool) (genv : Genv.t) (fd : Ast.fn_def)
     let t0 = Unix.gettimeofday () in
     let result =
       Profile.with_fn fd.Ast.fn_name @@ fun () ->
-      Solve.solve_clauses ~kvars:pr.pr_kvars pr.pr_clauses
+      Solve.solve_clauses_incremental ?config ~kvars:pr.pr_kvars pr.pr_clauses
     in
     let solve_s = Unix.gettimeofday () -. t0 in
     (finish ~solve_s pr (Some result), pr.pr_lint)
 
-let check_body (genv : Genv.t) (fd : Ast.fn_def) (body : Ir.body) : fn_report =
-  fst (check_body_gen ~lint:false genv fd body)
+let check_body ?config (genv : Genv.t) (fd : Ast.fn_def) (body : Ir.body) :
+    fn_report =
+  fst (check_body_gen ?config ~lint:false genv fd body)
 
-let check_body_lint (genv : Genv.t) (fd : Ast.fn_def) (body : Ir.body) :
-    fn_report * lint_info =
-  match check_body_gen ~lint:true genv fd body with
+let check_body_lint ?config (genv : Genv.t) (fd : Ast.fn_def)
+    (body : Ir.body) : fn_report * lint_info =
+  match check_body_gen ?config ~lint:true genv fd body with
   | fr, Some li -> (fr, li)
   | _, None -> assert false
 
@@ -1482,7 +1480,7 @@ let report_ok (r : report) = List.for_all fn_ok r.rp_fns
 let report_errors (r : report) =
   List.concat_map (fun fr -> fr.fr_errors) r.rp_fns
 
-let check_program_ast (prog : Ast.program) : report =
+let check_program_ast ?config (prog : Ast.program) : report =
   let t0 = Unix.gettimeofday () in
   let genv = Genv.build prog in
   let fns =
@@ -1491,14 +1489,14 @@ let check_program_ast (prog : Ast.program) : report =
         if fd.Ast.fn_trusted then None
         else
           match Genv.find_body genv fd.Ast.fn_name with
-          | Some body -> Some (check_body genv fd body)
+          | Some body -> Some (check_body ?config genv fd body)
           | None -> None)
       (Ast.program_fns prog)
   in
   { rp_fns = fns; rp_time = Unix.gettimeofday () -. t0 }
 
 (** Parse, typecheck, lower and refine-check a source string. *)
-let check_source (src : string) : report =
+let check_source ?config (src : string) : report =
   let prog = Flux_syntax.Parser.parse_program src in
   Flux_syntax.Typeck.check_program prog;
-  check_program_ast prog
+  check_program_ast ?config prog

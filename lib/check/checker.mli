@@ -46,18 +46,22 @@ exception Check_error of string * Ast.span
     it can still escape from programs that fail before checking
     starts. *)
 
-val check_underflow : bool ref
-(** Check that usize subtractions cannot underflow (default [true]; see
-    DESIGN.md decision 6). *)
-
 (** Whole-program report. *)
 type report = { rp_fns : fn_report list; rp_time : float }
 
 val report_ok : report -> bool
 val report_errors : report -> error list
 
-val check_body : Genv.t -> Ast.fn_def -> Flux_mir.Ir.body -> fn_report
-(** Check one lowered function against its resolved signature. *)
+val check_body :
+  ?config:Flux_smt.Config.t ->
+  Genv.t ->
+  Ast.fn_def ->
+  Flux_mir.Ir.body ->
+  fn_report
+(** Check one lowered function against its resolved signature, solving
+    its constraints with the incremental schedule under [config]
+    (default {!Flux_smt.Config.default}). Usize subtractions are always
+    checked for underflow (DESIGN.md decision 6). *)
 
 (** Facts recorded for the lint passes as the checker walks a body (see
     [lib/analysis]). Recording never adds clauses or tags, so the
@@ -82,7 +86,11 @@ type lint_info = {
 }
 
 val check_body_lint :
-  Genv.t -> Ast.fn_def -> Flux_mir.Ir.body -> fn_report * lint_info
+  ?config:Flux_smt.Config.t ->
+  Genv.t ->
+  Ast.fn_def ->
+  Flux_mir.Ir.body ->
+  fn_report * lint_info
 (** Like {!check_body}, with the lint side channel enabled. *)
 
 (** {2 Split-phase checking}
@@ -123,10 +131,10 @@ val finish :
     counterexample assignment in [err_witness] (when the solver can
     produce one). *)
 
-val check_program_ast : Ast.program -> report
+val check_program_ast : ?config:Flux_smt.Config.t -> Ast.program -> report
 (** Check every non-trusted function of a parsed, typechecked program. *)
 
-val check_source : string -> report
+val check_source : ?config:Flux_smt.Config.t -> string -> report
 (** Parse, typecheck, lower and refine-check a source string. Raises the
     frontend's exceptions ({!Flux_syntax.Parser.Error},
     {!Flux_syntax.Typeck.Error}, {!Flux_syntax.Lexer.Error}) on

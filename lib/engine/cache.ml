@@ -121,7 +121,7 @@ let qualifiers_fingerprint (qs : Qualifier.t list) : string =
     (Format.asprintf "%a|limit:%d"
        (Format.pp_print_list Qualifier.pp)
        qs
-       !Qualifier.multi_wildcard_scope_limit)
+       Qualifier.multi_wildcard_scope_limit)
 
 (** A function's Prusti-side interface: plain types plus contract. *)
 let contract_fingerprint (fd : Ast.fn_def) : string =

@@ -14,12 +14,12 @@
       errors, κ/clause counts — are byte-identical to a sequential run
       regardless of [jobs]. Worker profiles are merged back into the
       calling domain in declaration order ({!Flux_smt.Profile.absorb}).
-      Under the (default) incremental fixpoint schedule, Flux checking
-      is split finer still: constraint generation is one pooled phase,
-      then the SCC slices of {e all} functions' κ-dependency graphs are
-      pooled level by level ({!Flux_fixpoint.Solve}'s slice API), so
-      independent SCCs of one heavyweight function spread across the
-      pool instead of serializing on it.
+      Flux checking is split finer still: constraint generation is one
+      pooled phase, then the SCC slices of {e all} functions'
+      κ-dependency graphs are pooled level by level
+      ({!Flux_fixpoint.Solve}'s slice API), so independent SCCs of one
+      heavyweight function spread across the pool instead of
+      serializing on it.
 
     - {b Incrementality}: before scheduling, each function is probed in
       the content-addressed on-disk cache ({!Cache}); hits return the
@@ -33,7 +33,12 @@
     The engine accepts a {e list} of programs and pools all their
     functions into one schedule: for a suite (the Table-1 benchmarks),
     the makespan is governed by the single largest function rather than
-    the largest per-program sum. *)
+    the largest per-program sum.
+
+    Every entry point takes an optional verification [config] (default
+    {!Flux_smt.Config.default}), passed down to the checkers and the
+    fixpoint solver and folded into every cache key through
+    {!Flux_smt.Config.fingerprint}. *)
 
 module Ast = Flux_syntax.Ast
 module Ir = Flux_mir.Ir
@@ -53,17 +58,8 @@ type config = {
 let default_cache_dir = ".flux-cache"
 let default_config = { jobs = 0; cache_dir = Some default_cache_dir }
 
-(* Flag state a check runs under; part of the cache key so toggling a
-   flag cannot replay verdicts obtained under another configuration. *)
-let flux_config_string () =
-  Printf.sprintf "underflow=%b;slice=%b;incremental=%b;absint=%b;xcheck=%b"
-    !Checker.check_underflow !Solve.slice_enabled !Solve.incremental_enabled
-    !Flux_absint.Discharge.enabled !Flux_absint.Discharge.crosscheck
-
-let wp_config_string () =
-  Printf.sprintf "underflow=%b;rounds=%d;cap=%d;absint=%b;xcheck=%b"
-    !Wp.check_underflow !Wp.inst_rounds !Wp.inst_cap
-    !Flux_absint.Discharge.enabled !Flux_absint.Discharge.crosscheck
+(** The cache salt of the default configuration. *)
+let flux_config_string () = Config.fingerprint Config.default
 
 (* ------------------------------------------------------------------ *)
 (* The pooled scheduler                                                *)
@@ -198,13 +194,13 @@ let save_cert_entries ~dir key (entries : (int * Proof.t) list option) : unit
       Profile.add "cert.emitted" (List.length entries)
   | None -> Profile.incr "cert.incomplete"
 
-let emit_flux_cert ~dir key ~(kvars : Horn.kvar list)
+let emit_flux_cert ?config ~dir key ~(kvars : Horn.kvar list)
     (sol : Solve.solution) (clauses : Horn.clause list) : unit =
   Profile.time "cert.emit_s" @@ fun () ->
   let rec go acc = function
     | [] -> Some (List.rev acc)
     | cl :: rest -> (
-        match Solver.certify (Solve.clause_query ~kvars sol cl) with
+        match Solver.certify (Solve.clause_query ?config ~kvars sol cl) with
         | Some p -> go ((cl.Horn.tag, p) :: acc) rest
         | None -> None)
   in
@@ -239,11 +235,12 @@ let emit_wp_cert ~dir key (goals : (int * Term.t) list) : unit =
     the slice schedule converges to the same strongest fixpoint, and
     {!Flux_fixpoint.Solve.finish} restores input-clause failure
     order. *)
-let check_split ?cancel ~(certify : bool) (cfg : config) ~(config : string)
+let check_split ?cancel ~(certify : bool) (cfg : config) ~(config : Config.t)
     ~(quals_fp : string) ~(sizes : int array)
     (task_arr : (Genv.t * Ast.fn_def * Ir.body * string option) array) :
     (Checker.fn_report * (Horn.kvar list * Horn.clause list) option) array =
   let n = Array.length task_arr in
+  let salt = Config.fingerprint config in
   (* Phase A: pooled constraint generation, plus solver prep (initial κ
      instantiation + dependency graph). The prep is built on whichever
      worker ran the task and only read by others afterwards: its tables
@@ -259,7 +256,7 @@ let check_split ?cancel ~(certify : bool) (cfg : config) ~(config : string)
              let t0 = Unix.gettimeofday () in
              let sp =
                Profile.with_fn fd.Ast.fn_name @@ fun () ->
-               Solve.prepare
+               Solve.prepare ~config
                  ~kvars:(Checker.prepared_kvars p)
                  (Checker.prepared_clauses p)
              in
@@ -304,7 +301,7 @@ let check_split ?cancel ~(certify : bool) (cfg : config) ~(config : string)
           match cfg.cache_dir with
           | Some dir when Solve.slice_size p s > 0 -> (
               let key =
-                Cache.slice_key ~config ~quals_fp
+                Cache.slice_key ~config:salt ~quals_fp
                   (Solve.slice_fingerprint p s)
               in
               match Cache.slice_load ~dir key with
@@ -378,10 +375,10 @@ let check_split ?cancel ~(certify : bool) (cfg : config) ~(config : string)
 (** Check several programs through one shared schedule. Genvs are built
     sequentially on the calling domain and are read-only afterwards, so
     worker domains may read them concurrently. *)
-let check_programs ?cancel ?(certify = false) (cfg : config)
-    (progs : Ast.program list) : run list =
+let check_programs ?cancel ?(certify = false) ?(config = Config.default)
+    (cfg : config) (progs : Ast.program list) : run list =
   let t0 = Unix.gettimeofday () in
-  let config = flux_config_string () in
+  let salt = Config.fingerprint config in
   let quals_fp = Cache.qualifiers_fingerprint Qualifier.default in
   let tasks = ref [] in
   let n_tasks = ref 0 in
@@ -403,7 +400,7 @@ let check_programs ?cancel ?(certify = false) (cfg : config)
                   let key =
                     Option.map
                       (fun _dir ->
-                        Cache.flux_key ~config ~senv_fp ~quals_fp
+                        Cache.flux_key ~config:salt ~senv_fp ~quals_fp
                           ~lookup:(Genv.find_sig genv) fd body)
                       cfg.cache_dir
                   in
@@ -446,34 +443,7 @@ let check_programs ?cancel ?(certify = false) (cfg : config)
   let task_arr = Array.of_list (List.rev !tasks) in
   let sizes = Array.map (fun (_, _, body, _) -> body_size body) task_arr in
   let results =
-    if !Solve.incremental_enabled then
-      check_split ?cancel ~certify cfg ~config ~quals_fp ~sizes task_arr
-    else
-      (* Naive schedule (--fixpoint naive): monolithic per-function
-         checks, the pre-slicing engine path — unrolled from
-         [Checker.check_body] so the constraint payload stays available
-         for certificate emission. *)
-      run_pool ?cancel ~jobs:cfg.jobs ~sizes
-        (Array.map
-           (fun (genv, fd, body, _) () ->
-             let pr = Checker.prepare genv fd body in
-             if Checker.prepared_early pr then
-               (Checker.finish ~certify pr None, None)
-             else begin
-               let t0 = Unix.gettimeofday () in
-               let result =
-                 Profile.with_fn fd.Ast.fn_name @@ fun () ->
-                 Solve.solve_clauses
-                   ~kvars:(Checker.prepared_kvars pr)
-                   (Checker.prepared_clauses pr)
-               in
-               let solve_s = Unix.gettimeofday () -. t0 in
-               ( Checker.finish ~solve_s ~certify pr (Some result),
-                 Some
-                   (Checker.prepared_kvars pr, Checker.prepared_clauses pr)
-               )
-             end)
-           task_arr)
+    check_split ?cancel ~certify cfg ~config ~quals_fp ~sizes task_arr
   in
   (match cfg.cache_dir with
   | Some dir ->
@@ -491,7 +461,7 @@ let check_programs ?cancel ?(certify = false) (cfg : config)
               if certify then begin
                 match (payload, r.Checker.fr_solution) with
                 | Some (kvars, clauses), Some sol ->
-                    emit_flux_cert ~dir k ~kvars sol clauses
+                    emit_flux_cert ~config ~dir k ~kvars sol clauses
                 | _ -> ()
               end
           | _ -> ())
@@ -519,16 +489,17 @@ let check_programs ?cancel ?(certify = false) (cfg : config)
       })
     slots
 
-let check_program_ast ?cancel ?certify (cfg : config) (prog : Ast.program) :
-    run =
-  match check_programs ?cancel ?certify cfg [ prog ] with
+let check_program_ast ?cancel ?certify ?config (cfg : config)
+    (prog : Ast.program) : run =
+  match check_programs ?cancel ?certify ?config cfg [ prog ] with
   | [ r ] -> r
   | _ -> assert false
 
-let check_source ?cancel ?certify (cfg : config) (src : string) : run =
+let check_source ?cancel ?certify ?config (cfg : config) (src : string) : run
+    =
   let prog = Flux_syntax.Parser.parse_program src in
   Flux_syntax.Typeck.check_program prog;
-  check_program_ast ?cancel ?certify cfg prog
+  check_program_ast ?cancel ?certify ?config cfg prog
 
 (* ------------------------------------------------------------------ *)
 (* WP (Prusti baseline)                                                *)
@@ -551,10 +522,10 @@ let wp_report_of_run (r : wp_run) : Wp.report =
 
 let wp_run_ok (r : wp_run) = List.for_all (fun o -> Wp.fn_ok o.wo_report) r.wr_fns
 
-let verify_programs ?cancel ?(certify = false) (cfg : config)
-    (progs : Ast.program list) : wp_run list =
+let verify_programs ?cancel ?(certify = false) ?(config = Config.default)
+    (cfg : config) (progs : Ast.program list) : wp_run list =
   let t0 = Unix.gettimeofday () in
-  let config = wp_config_string () in
+  let salt = Config.fingerprint config in
   let tasks = ref [] in
   let n_tasks = ref 0 in
   let slots =
@@ -571,7 +542,8 @@ let verify_programs ?cancel ?(certify = false) (cfg : config)
                   let key =
                     Option.map
                       (fun _dir ->
-                        Cache.wp_key ~config ~lookup:(Ast.find_fn prog) fd body)
+                        Cache.wp_key ~config:salt ~lookup:(Ast.find_fn prog)
+                          fd body)
                       cfg.cache_dir
                   in
                   let hit =
@@ -610,7 +582,8 @@ let verify_programs ?cancel ?(certify = false) (cfg : config)
   let sizes = Array.map (fun (_, _, body, _) -> body_size body) task_arr in
   let fns =
     Array.map
-      (fun (prog, fd, body, _) () -> Wp.verify_body ~certify prog fd body)
+      (fun (prog, fd, body, _) () ->
+        Wp.verify_body ~config ~certify prog fd body)
       task_arr
   in
   let results = run_pool ?cancel ~jobs:cfg.jobs ~sizes fns in
@@ -650,13 +623,14 @@ let verify_programs ?cancel ?(certify = false) (cfg : config)
       })
     slots
 
-let verify_program_ast ?cancel ?certify (cfg : config) (prog : Ast.program) :
-    wp_run =
-  match verify_programs ?cancel ?certify cfg [ prog ] with
+let verify_program_ast ?cancel ?certify ?config (cfg : config)
+    (prog : Ast.program) : wp_run =
+  match verify_programs ?cancel ?certify ?config cfg [ prog ] with
   | [ r ] -> r
   | _ -> assert false
 
-let verify_source ?cancel ?certify (cfg : config) (src : string) : wp_run =
+let verify_source ?cancel ?certify ?config (cfg : config) (src : string) :
+    wp_run =
   let prog = Flux_syntax.Parser.parse_program src in
   Flux_syntax.Typeck.check_program prog;
-  verify_program_ast ?cancel ?certify cfg prog
+  verify_program_ast ?cancel ?certify ?config cfg prog

@@ -103,7 +103,7 @@ let default : t list =
     quadratic instantiation only pays off in small scopes (growth loops,
     window bounds), while in large join environments it dominates solve
     time without adding solutions the suite needs. *)
-let multi_wildcard_scope_limit = ref 9
+let multi_wildcard_scope_limit = 9
 
 (** Instantiate qualifier [q] for a κ with formals [params] (the first
     formal is the value position). Returns concrete predicates over the
@@ -113,7 +113,7 @@ let instantiate (q : t) (params : (string * Sort.t) list) : Term.t list =
   | [] -> []
   | _
     when List.length q.qwild >= 2
-         && List.length params > !multi_wildcard_scope_limit ->
+         && List.length params > multi_wildcard_scope_limit ->
       []
   | (v0, s0) :: rest ->
       if not (Sort.equal s0 (snd q.qvv)) then []

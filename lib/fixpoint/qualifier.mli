@@ -24,9 +24,9 @@ val default : t list
     against a variable or small constant, off-by-one variants, halving
     and two-variable-sum patterns, and boolean-iff templates. *)
 
-val multi_wildcard_scope_limit : int ref
+val multi_wildcard_scope_limit : int
 (** Multi-wildcard qualifiers are skipped for κs whose scope exceeds
-    this bound (default 9) — their quadratic instantiation only pays
+    this bound (9) — their quadratic instantiation only pays
     off in small scopes. *)
 
 val instantiate : t -> (string * Sort.t) list -> Term.t list

@@ -10,9 +10,10 @@
 
     Two equivalent schedules drive the weakening. The reference
     schedule ({!solve_clauses_full}) sweeps every κ-headed clause until
-    nothing changes. The incremental schedule
-    ({!solve_clauses_incremental}, the default) decomposes the system
-    along the κ-dependency graph ({!Kgraph}): SCCs are solved in
+    nothing changes; it is kept only as the baseline the tests and the
+    fuzzer compare against. The incremental schedule
+    ({!solve_clauses_incremental}, the one verification runs)
+    decomposes the system along the κ-dependency graph ({!Kgraph}): SCCs are solved in
     topological order, a clause is re-weakened only when the solution of
     a κ in its hypotheses shrank since its last evaluation, and
     concrete-head clauses are final-checked as soon as their last κ
@@ -80,8 +81,6 @@ let reset_stats () =
   stats.scc_count <- 0;
   stats.reweaken_skipped <- 0
 
-let incremental_enabled = ref true
-
 let subst_kapp (kv : Horn.kvar) (conjuncts : Term.t list) k
     (args : Term.t list) : Term.t =
   let m =
@@ -130,14 +129,6 @@ let check_heads (kenv : (string, Horn.kvar) Hashtbl.t)
       | _ -> ())
     clauses
 
-(** Cone-of-influence slicing: keep only the hypotheses transitively
-    sharing a variable with the goal. Dropping hypotheses weakens the
-    left-hand side, so slicing is sound (it can only make the validity
-    check fail, never succeed spuriously). Disabled for variable-free
-    goals (e.g. [false] for unreachable code), which depend on the whole
-    path condition. *)
-let slice_enabled = ref true
-
 (** Pre-expand and flatten a clause's hypotheses under the current
     solution, tagging each conjunct with its free variables; shared by
     all the per-qualifier slices of one clause. *)
@@ -146,18 +137,24 @@ let prepare_hyps kenv sol (c : Horn.clause) : (Term.t * Term.VarSet.t) list =
   |> List.concat_map (function Term.And ts -> ts | t -> [ t ])
   |> List.map (fun h -> (h, Term.free_vars h))
 
-(** Cone-of-influence slice of prepared hypotheses w.r.t. [rhs], via
-    the shared {!Term.cone_of_influence} worklist. *)
-let slice_prepared (hyps : (Term.t * Term.VarSet.t) list) (rhs : Term.t) :
-    Term.t =
-  if not !slice_enabled then Term.mk_and (List.map fst hyps)
+(** Cone-of-influence slicing of prepared hypotheses w.r.t. [rhs], via
+    the shared {!Term.cone_of_influence} worklist: keep only the
+    hypotheses transitively sharing a variable with the goal. Dropping
+    hypotheses weakens the left-hand side, so slicing is sound (it can
+    only make the validity check fail, never succeed spuriously).
+    Disabled for variable-free goals (e.g. [false] for unreachable
+    code), which depend on the whole path condition, and when
+    [config.slice] is off. *)
+let slice_prepared (config : Config.t) (hyps : (Term.t * Term.VarSet.t) list)
+    (rhs : Term.t) : Term.t =
+  if not config.slice then Term.mk_and (List.map fst hyps)
   else
     let seed = Term.free_vars rhs in
     if Term.VarSet.is_empty seed then Term.mk_and (List.map fst hyps)
     else Term.mk_and (Term.cone_of_influence hyps seed)
 
-let sliced_lhs kenv sol (c : Horn.clause) (rhs : Term.t) : Term.t =
-  slice_prepared (prepare_hyps kenv sol c) rhs
+let sliced_lhs config kenv sol (c : Horn.clause) (rhs : Term.t) : Term.t =
+  slice_prepared config (prepare_hyps kenv sol c) rhs
 
 (** Build the initial environment and solution (every κ at its full
     qualifier instantiation) for a clause system. *)
@@ -179,7 +176,7 @@ let init_system ~qualifiers ~(kvars : Horn.kvar list)
 (** One weakening step for a κ-headed clause against [sol]: knock out
     the head κ's conjuncts not implied by the hypotheses. Returns
     whether the κ's solution shrank. *)
-let weaken_clause stats kenv (sol : solution) (cl : Horn.clause) : bool =
+let weaken_clause config stats kenv (sol : solution) (cl : Horn.clause) : bool =
   match cl.Horn.head with
   | Horn.Conc _ -> false
   | Horn.Kapp (k, args) -> (
@@ -202,7 +199,7 @@ let weaken_clause stats kenv (sol : solution) (cl : Horn.clause) : bool =
             with
             | Some (_, lhs) -> lhs
             | None ->
-                let lhs = slice_prepared prepared rhs in
+                let lhs = slice_prepared config prepared rhs in
                 slices := (seed, lhs) :: !slices;
                 lhs
           in
@@ -212,7 +209,7 @@ let weaken_clause stats kenv (sol : solution) (cl : Horn.clause) : bool =
                 stats.weaken_checks <- stats.weaken_checks + 1;
                 Profile.incr "fixpoint.weaken_checks";
                 let rhs = Term.subst m q in
-                Discharge.valid (Term.mk_imp (slice_for rhs) rhs))
+                Discharge.valid config (Term.mk_imp (slice_for rhs) rhs))
               conjuncts
           in
           if List.length keep <> List.length conjuncts then begin
@@ -241,7 +238,7 @@ let weaken_clause stats kenv (sol : solution) (cl : Horn.clause) : bool =
       down to exactly the reference's single-conjunct queries.
       First-time conjuncts are checked individually: initial sweeps
       mostly {e knock out}, where batching only adds queries. *)
-let weaken_clause_memo stats kenv (sol : solution)
+let weaken_clause_memo config stats kenv (sol : solution)
     ~(qmemo : bool Term.Tbl.t) (memo : (Term.t, Term.t * bool) Hashtbl.t)
     (cl : Horn.clause) : bool =
   match cl.Horn.head with
@@ -262,7 +259,7 @@ let weaken_clause_memo stats kenv (sol : solution)
             with
             | Some (_, lhs) -> lhs
             | None ->
-                let lhs = slice_prepared prepared rhs in
+                let lhs = slice_prepared config prepared rhs in
                 slices := (seed, lhs) :: !slices;
                 lhs
           in
@@ -354,8 +351,8 @@ let weaken_clause_memo stats kenv (sol : solution)
             List.filter
               (fun (q, rhs) ->
                 let f = Term.mk_imp lhs rhs in
-                if Discharge.try_valid f then begin
-                  (if !Discharge.crosscheck then begin
+                if Discharge.try_valid config f then begin
+                  (if config.Config.absint_crosscheck then begin
                      let v = Solver.valid f in
                      if not v then Profile.incr "absint.crosscheck_fail";
                      settle lhs (q, rhs) v
@@ -413,22 +410,23 @@ let weaken_clause_memo stats kenv (sol : solution)
           else false)
 
 (** Final-check one concrete-head clause under the (final) solution. *)
-let final_check stats kenv (sol : solution) (cl : Horn.clause) :
+let final_check config stats kenv (sol : solution) (cl : Horn.clause) :
     failure option =
   match cl.Horn.head with
   | Horn.Kapp _ -> None
   | Horn.Conc rhs ->
       stats.final_checks <- stats.final_checks + 1;
       Profile.incr "fixpoint.final_checks";
-      let lhs = sliced_lhs kenv sol cl rhs in
-      if Discharge.valid (Term.mk_imp lhs rhs) then None
+      let lhs = sliced_lhs config kenv sol cl rhs in
+      if Discharge.valid config (Term.mk_imp lhs rhs) then None
       else Some { f_tag = cl.Horn.tag; f_clause = cl; f_lhs = lhs; f_rhs = rhs }
 
 (** The reference schedule: sweep every κ-headed clause until no
     solution changes, then check all concrete heads. Retained verbatim
     as the differential baseline for the incremental schedule. *)
-let solve_clauses_full ?(qualifiers = Qualifier.default)
-    ~(kvars : Horn.kvar list) (clauses : Horn.clause list) : result =
+let solve_clauses_full ?(config = Config.default)
+    ?(qualifiers = Qualifier.default) ~(kvars : Horn.kvar list)
+    (clauses : Horn.clause list) : result =
   Profile.time "fixpoint.solve_s" @@ fun () ->
   let stats = stats () in
   let kenv, sol = init_system ~qualifiers ~kvars clauses in
@@ -443,10 +441,13 @@ let solve_clauses_full ?(qualifiers = Qualifier.default)
     stats.iterations <- stats.iterations + 1;
     Profile.incr "fixpoint.iterations";
     List.iter
-      (fun cl -> if weaken_clause stats kenv sol cl then changed := true)
+      (fun cl ->
+        if weaken_clause config stats kenv sol cl then changed := true)
       kclauses
   done;
-  let failures = List.filter_map (final_check stats kenv sol) cclauses in
+  let failures =
+    List.filter_map (final_check config stats kenv sol) cclauses
+  in
   if failures = [] then Sat sol else Unsat (failures, sol)
 
 (* -------------------------------------------------------------------- *)
@@ -454,6 +455,7 @@ let solve_clauses_full ?(qualifiers = Qualifier.default)
 (* -------------------------------------------------------------------- *)
 
 type prep = {
+  p_config : Config.t;
   p_kenv : (string, Horn.kvar) Hashtbl.t;
   p_sol : solution;
       (** authoritative solution; extended slice by slice via
@@ -471,15 +473,21 @@ type slice_result = {
   sr_failures : (int * failure) list;
 }
 
-let prepare ?(qualifiers = Qualifier.default) ~(kvars : Horn.kvar list)
-    (clauses : Horn.clause list) : prep =
+let prepare ?(config = Config.default) ?(qualifiers = Qualifier.default)
+    ~(kvars : Horn.kvar list) (clauses : Horn.clause list) : prep =
   Profile.time "fixpoint.solve_s" @@ fun () ->
   let kenv, sol = init_system ~qualifiers ~kvars clauses in
   let graph = Kgraph.build ~kvars clauses in
   let stats = stats () in
   stats.scc_count <- stats.scc_count + graph.Kgraph.n_sccs;
   Profile.add "fixpoint.scc_count" graph.Kgraph.n_sccs;
-  { p_kenv = kenv; p_sol = sol; p_graph = graph; p_failures = ref [] }
+  {
+    p_config = config;
+    p_kenv = kenv;
+    p_sol = sol;
+    p_graph = graph;
+    p_failures = ref [];
+  }
 
 let slice_count (p : prep) : int = Array.length p.p_graph.Kgraph.slices
 let slice_level (p : prep) (i : int) : int =
@@ -582,7 +590,9 @@ let run_slice (p : prep) (i : int) : slice_result =
           Profile.incr "fixpoint.reweaken_skipped"
       | _ ->
           last.(j) <- Some cur;
-          if weaken_clause_memo stats p.p_kenv wsol ~qmemo memos.(j) cl
+          if
+            weaken_clause_memo p.p_config stats p.p_kenv wsol ~qmemo
+              memos.(j) cl
           then begin
             (match cl.Horn.head with
             | Horn.Kapp (k, _) -> Hashtbl.replace version k (ver k + 1)
@@ -596,7 +606,7 @@ let run_slice (p : prep) (i : int) : slice_result =
       (fun (idx, cl) ->
         Option.map
           (fun f -> (idx, f))
-          (final_check stats p.p_kenv wsol cl))
+          (final_check p.p_config stats p.p_kenv wsol cl))
       sl.Kgraph.sl_cclauses
   in
   {
@@ -625,26 +635,18 @@ let finish (p : prep) : result =
 
 (** The incremental schedule, run to completion in-process: solve the
     slices sequentially in topological order. *)
-let solve_clauses_incremental ?(qualifiers = Qualifier.default)
-    ~(kvars : Horn.kvar list) (clauses : Horn.clause list) : result =
-  let p = prepare ~qualifiers ~kvars clauses in
+let solve_clauses_incremental ?config ?qualifiers ~(kvars : Horn.kvar list)
+    (clauses : Horn.clause list) : result =
+  let p = prepare ?config ?qualifiers ~kvars clauses in
   for i = 0 to slice_count p - 1 do
     apply_slice p (run_slice p i)
   done;
   finish p
 
-(** Solve a set of flat clauses over the given κ declarations,
-    dispatching on {!incremental_enabled}. *)
-let solve_clauses ?(qualifiers = Qualifier.default)
-    ~(kvars : Horn.kvar list) (clauses : Horn.clause list) : result =
-  if !incremental_enabled then
-    solve_clauses_incremental ~qualifiers ~kvars clauses
-  else solve_clauses_full ~qualifiers ~kvars clauses
-
 (** Solve a nested constraint (flattens first). *)
-let solve ?(qualifiers = Qualifier.default) ~(kvars : Horn.kvar list)
-    (c : Horn.cstr) : result =
-  solve_clauses ~qualifiers ~kvars (Horn.flatten c)
+let solve ?config ?qualifiers ~(kvars : Horn.kvar list) (c : Horn.cstr) :
+    result =
+  solve_clauses_incremental ?config ?qualifiers ~kvars (Horn.flatten c)
 
 (** Evaluate a single clause under a (final) solution, without touching
     it: substitute the solution into hypotheses and head, slice, and ask
@@ -652,21 +654,21 @@ let solve ?(qualifiers = Qualifier.default) ~(kvars : Horn.kvar list)
     test side conditions (e.g. overflow bounds) against the fixpoint
     solution the checker already computed. Raises {!Unbound_kvar} if the
     head applies a κ missing from the declarations or solution. *)
-let clause_query ~(kvars : Horn.kvar list) (sol : solution)
-    (cl : Horn.clause) : Term.t =
+let clause_query ?(config = Config.default) ~(kvars : Horn.kvar list)
+    (sol : solution) (cl : Horn.clause) : Term.t =
   let kenv = Hashtbl.create 16 in
   List.iter (fun kv -> Hashtbl.replace kenv kv.Horn.kname kv) kvars;
   let rhs = apply_head kenv sol cl.Horn.head in
-  let lhs = sliced_lhs kenv sol cl rhs in
+  let lhs = sliced_lhs config kenv sol cl rhs in
   Term.mk_imp lhs rhs
 
-let check_clause ~(kvars : Horn.kvar list) (sol : solution)
-    (cl : Horn.clause) : bool =
-  Discharge.valid (clause_query ~kvars sol cl)
+let check_clause ?(config = Config.default) ~(kvars : Horn.kvar list)
+    (sol : solution) (cl : Horn.clause) : bool =
+  Discharge.valid config (clause_query ~config ~kvars sol cl)
 
 (** Re-check every clause of a system under a claimed solution,
     returning the ones that fail. This is the fixpoint self-check the
-    fuzzer's third oracle runs: a [Sat] answer from {!solve_clauses}
+    fuzzer's third oracle runs: a [Sat] answer from either schedule
     promises that substituting the solution into each clause yields a
     valid implication, and this function re-establishes that promise
     clause by clause, independently of the weakening loop's bookkeeping

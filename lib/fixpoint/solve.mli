@@ -7,12 +7,20 @@
     reached (the strongest solution in the qualifier lattice); the
     remaining concrete-head clauses are then checked under it.
 
-    Two equivalent schedules are provided: the reference full sweep
-    ({!solve_clauses_full}) and the default incremental one
-    ({!solve_clauses_incremental}) that solves the κ-dependency graph
-    SCC by SCC in topological order ({!Kgraph}), re-weakening a clause
-    only when a κ hypothesis shrank. Both converge to the same fixpoint
-    and report identical verdicts, solutions and failure order. *)
+    Two equivalent schedules are provided: the incremental one
+    ({!solve_clauses_incremental} and the slice API below), which
+    verification runs, solves the κ-dependency graph SCC by SCC in
+    topological order ({!Kgraph}), re-weakening a clause only when a κ
+    hypothesis shrank; the reference full sweep ({!solve_clauses_full})
+    is kept as the baseline tests and the fuzzer compare it against.
+    Both converge to the same fixpoint and report identical verdicts,
+    solutions and failure order.
+
+    The solving and clause-checking entry points take an optional
+    [config] (default
+    {!Flux_smt.Config.default}); its [slice], [absint] and
+    [absint_crosscheck] fields govern hypothesis slicing and the
+    pre-solver discharge ({!Flux_absint.Discharge}). *)
 
 open Flux_smt
 
@@ -50,25 +58,8 @@ val stats : unit -> stats
 
 val reset_stats : unit -> unit
 
-val slice_enabled : bool ref
-(** Cone-of-influence slicing of clause hypotheses (default [true];
-    sound either way, large speedup on join-heavy constraints). *)
-
-val incremental_enabled : bool ref
-(** Schedule selector for {!solve_clauses} (default [true] =
-    incremental). Read once per solve; flip it only from a single
-    domain (CLI flag, benchmarks, tests) — parallel fuzz/engine code
-    must instead call the two schedules explicitly. *)
-
-val solve_clauses :
-  ?qualifiers:Qualifier.t list ->
-  kvars:Horn.kvar list ->
-  Horn.clause list ->
-  result
-(** Solve flat clauses with the schedule selected by
-    {!incremental_enabled}. *)
-
 val solve_clauses_full :
+  ?config:Config.t ->
   ?qualifiers:Qualifier.t list ->
   kvars:Horn.kvar list ->
   Horn.clause list ->
@@ -77,6 +68,7 @@ val solve_clauses_full :
     changes. Retained as the differential baseline. *)
 
 val solve_clauses_incremental :
+  ?config:Config.t ->
   ?qualifiers:Qualifier.t list ->
   kvars:Horn.kvar list ->
   Horn.clause list ->
@@ -85,8 +77,13 @@ val solve_clauses_incremental :
     in-process. *)
 
 val solve :
-  ?qualifiers:Qualifier.t list -> kvars:Horn.kvar list -> Horn.cstr -> result
-(** Solve a nested constraint (flattens first). *)
+  ?config:Config.t ->
+  ?qualifiers:Qualifier.t list ->
+  kvars:Horn.kvar list ->
+  Horn.cstr ->
+  result
+(** Solve a nested constraint (flattens first) with the incremental
+    schedule. *)
 
 (** {2 Slice-level API}
 
@@ -110,11 +107,13 @@ type slice_result = {
 }
 
 val prepare :
+  ?config:Config.t ->
   ?qualifiers:Qualifier.t list ->
   kvars:Horn.kvar list ->
   Horn.clause list ->
   prep
-(** Initialize the solution and build the κ-dependency graph. Raises
+(** Initialize the solution and build the κ-dependency graph. The prep
+    carries [config] to every {!run_slice} on it. Raises
     {!Unbound_kvar} on undeclared head κs. *)
 
 val slice_count : prep -> int
@@ -144,7 +143,8 @@ val finish : prep -> result
 (** Assemble the verdict; failures are sorted back into input-clause
     order, matching the reference schedule exactly. *)
 
-val clause_query : kvars:Horn.kvar list -> solution -> Horn.clause -> Term.t
+val clause_query :
+  ?config:Config.t -> kvars:Horn.kvar list -> solution -> Horn.clause -> Term.t
 (** The exact implication {!check_clause} decides for this clause under
     this solution — hypotheses with the solution substituted in, sliced
     to the head's cone of influence. Exposed so certifying callers
@@ -152,7 +152,8 @@ val clause_query : kvars:Horn.kvar list -> solution -> Horn.clause -> Term.t
     later replay the stored proof against it. Raises {!Unbound_kvar} on
     an undeclared head κ. *)
 
-val check_clause : kvars:Horn.kvar list -> solution -> Horn.clause -> bool
+val check_clause :
+  ?config:Config.t -> kvars:Horn.kvar list -> solution -> Horn.clause -> bool
 (** Evaluate one clause under a (final) solution without altering it:
     substitute the solution into hypotheses and head, slice, and report
     whether the implication is valid. Lets lint passes test side

@@ -121,12 +121,7 @@ let fingerprint (s : summary) : string =
 
 (** Run a campaign. The optional [check]/[valid]/[sat]/[solve]/
     [incremental] arguments substitute broken implementations for the
-    bug-seeding meta-tests; production callers omit them. Note the
-    incremental oracle calls the two schedules {e explicitly}
-    ({!Flux_fixpoint.Solve.solve_clauses_full} vs
-    [solve_clauses_incremental]) — it never flips
-    [Solve.incremental_enabled], which would race across the pool's
-    worker domains. *)
+    bug-seeding meta-tests; production callers omit them. *)
 let run ?(check : (Ast.program -> bool) option)
     ?(valid : (Term.t -> bool) option) ?(sat : (Term.t -> bool) option)
     ?(counterexample :

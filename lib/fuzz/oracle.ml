@@ -389,7 +389,8 @@ let cert_case ?(valid = Solver.valid) ?(certify = Solver.certify)
 (* Fixpoint self-check                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let default_solve ~kvars clauses = Solve.solve_clauses ~kvars clauses
+let default_solve ~kvars clauses =
+  Solve.solve_clauses_incremental ~kvars clauses
 
 (** A violated fixpoint invariant for this κ system, if any: a [Sat]
     solution failing re-validation, or an [Unsat] failure list that
@@ -470,8 +471,7 @@ let render_result (r : Solve.result) : string =
            (List.map (fun f -> string_of_int f.Solve.f_tag) failures))
         Solve.pp_solution sol
 
-let default_incremental ~kvars clauses =
-  Solve.solve_clauses_incremental ~kvars clauses
+let default_incremental = default_solve
 
 (** A divergence between the reference full sweep and the incremental
     schedule on this κ system, if any. Exceptions count as outcomes:
@@ -617,7 +617,7 @@ let absint_containment ?contains ~(input_rng : Rng.t) (src : string) :
     answers must be solver-valid — [try_valid t = true] with
     [valid t = false] means the pre-solver would silently change a
     verdict, the one thing {!Flux_absint.Discharge} must never do. *)
-let discharge_mismatch ?(try_valid = fun t -> Discharge.try_valid t)
+let discharge_mismatch ?(try_valid = Discharge.try_valid Config.default)
     ?(valid = Solver.valid) (t : Term.t) : string option =
   if try_valid t && not (valid t) then
     Some "abstract environment discharged a clause the solver refutes"

@@ -29,7 +29,6 @@ module Cache = Flux_engine.Cache
 module Pool = Flux_engine.Pool
 module Lint = Flux_analysis.Lint
 module Passes = Flux_analysis.Passes
-module Discharge = Flux_absint.Discharge
 
 type tool = Flux_check | Prusti_check | Flux_lint
 
@@ -143,18 +142,13 @@ let run ?deadline_ms ?(check_alive = fun () -> true) (o : opts)
             tool msg;
           None
   in
-  (* The discharge switches are process globals (read by engine worker
-     domains); daemon requests are serialized, so set-for-the-request /
-     restore-after keeps concurrent-free semantics identical to a fresh
-     CLI process with the same flags. *)
-  let saved_absint = !Discharge.enabled
-  and saved_xcheck = !Discharge.crosscheck in
-  Discharge.enabled := o.absint;
-  Discharge.crosscheck := o.absint_crosscheck;
-  Fun.protect ~finally:(fun () ->
-      Discharge.enabled := saved_absint;
-      Discharge.crosscheck := saved_xcheck)
-  @@ fun () ->
+  let config =
+    {
+      Flux_smt.Config.default with
+      absint = o.absint;
+      absint_crosscheck = o.absint_crosscheck;
+    }
+  in
   try
     match o.tool with
     | Flux_check ->
@@ -181,7 +175,8 @@ let run ?deadline_ms ?(check_alive = fun () -> true) (o : opts)
         in
         let before = Profile.snapshot () in
         let run =
-          Engine.check_program_ast ~cancel ~certify:o.certify cfg prog
+          Engine.check_program_ast ~cancel ~certify:o.certify ~config cfg
+            prog
         in
         (* executable counterexample replay for failures that carry a
            verified model ([--certify] only) *)
@@ -296,7 +291,8 @@ let run ?deadline_ms ?(check_alive = fun () -> true) (o : opts)
         let cfg = { Engine.jobs = o.jobs; cache_dir = cache_dir_if o.cache } in
         let before = Profile.snapshot () in
         let run =
-          Engine.verify_program_ast ~cancel ~certify:o.certify cfg prog
+          Engine.verify_program_ast ~cancel ~certify:o.certify ~config cfg
+            prog
         in
         List.iter
           (fun (wo : Engine.wp_outcome) ->
@@ -347,7 +343,7 @@ let run ?deadline_ms ?(check_alive = fun () -> true) (o : opts)
             let cfg =
               { Lint.jobs = o.jobs; cache_dir = cache_dir_if o.cache; passes }
             in
-            let run = Lint.lint_source ~cancel cfg src in
+            let run = Lint.lint_source ~cancel ~config cfg src in
             if o.format_json then begin
               Format.pp_print_flush out ();
               Buffer.add_string out_buf (Lint.json_of_run ~file run)

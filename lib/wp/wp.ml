@@ -58,15 +58,8 @@ type fn_report = {
 
 let fn_ok r = r.fr_errors = []
 
-(** Instantiation rounds for universal facts. *)
-let inst_rounds = ref 2
-
 (** Cap on ground candidate terms per VC. *)
-let inst_cap = ref 24
-
-(** Check usize subtractions for underflow (see the matching flag in
-    the Flux checker; both verifiers share the math-integer model). *)
-let check_underflow = ref true
+let inst_cap = 24
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic values and state                                           *)
@@ -117,6 +110,8 @@ type ck = {
   mutable entry_env : (string * Term.t) list option;
       (** parameter values at entry, for [old(..)] in postconditions *)
   certify : bool;
+  config : Config.t;
+      (** discharge switches and quantifier-instantiation rounds *)
   mutable goals : (int * Term.t) list;  (** discharged VCs, certify only *)
 }
 
@@ -297,7 +292,7 @@ let check_vc ck (st : state) span ~(what : string) (goal : Term.t) : unit =
       let instantiate_round () =
         let cands =
           Hashtbl.fold (fun _ t acc -> t :: acc) candidates []
-          |> List.filteri (fun i _ -> i < !inst_cap)
+          |> List.filteri (fun i _ -> i < inst_cap)
         in
         List.iter
           (fun (binders, body) ->
@@ -328,8 +323,9 @@ let check_vc ck (st : state) span ~(what : string) (goal : Term.t) : unit =
         let hyps = grounds @ !instantiated in
         (* same implication [entails_sliced] decides, but the abstract
            environment gets first crack at it (zero SMT when it hits) *)
-        if Discharge.valid (Solver.sliced_implication hyps goal) then Some hyps
-        else if round < !inst_rounds && foralls <> [] then begin
+        if Discharge.valid ck.config (Solver.sliced_implication hyps goal)
+        then Some hyps
+        else if round < ck.config.inst_rounds && foralls <> [] then begin
           instantiate_round ();
           attempt (round + 1)
         end
@@ -994,7 +990,10 @@ and exec_assign ck (st : state) span (dest : Ir.place) (rv : Ir.rvalue) : state
         match op with
         | Ast.Add -> Term.add ta tb
         | Ast.Sub ->
-            if dest_is_usize && !check_underflow then
+            (* both verifiers share the math-integer model, so usize
+               subtraction is checked for underflow here as in the
+               Flux checker *)
+            if dest_is_usize then
               check_vc ck st span ~what:"usize subtraction (underflow)"
                 (Term.le tb ta);
             Term.sub ta tb
@@ -1073,8 +1072,8 @@ and exec_term ck (st : state) (term : Ir.terminator) : unit =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let verify_body ?(certify = false) (prog : Ast.program) (fd : Ast.fn_def)
-    (body : Ir.body) : fn_report =
+let verify_body ?(config = Config.default) ?(certify = false)
+    (prog : Ast.program) (fd : Ast.fn_def) (body : Ir.body) : fn_report =
   Profile.with_fn fd.Ast.fn_name @@ fun () ->
   Profile.time "wp.fn_s" @@ fun () ->
   let t0 = Unix.gettimeofday () in
@@ -1101,6 +1100,7 @@ let verify_body ?(certify = false) (prog : Ast.program) (fd : Ast.fn_def)
       processed_headers = Hashtbl.create 8;
       entry_env = None;
       certify;
+      config;
       goals = [];
     }
   in
@@ -1143,7 +1143,7 @@ type report = { rp_fns : fn_report list; rp_time : float }
 let report_ok r = List.for_all fn_ok r.rp_fns
 let report_errors r = List.concat_map (fun fr -> fr.fr_errors) r.rp_fns
 
-let verify_program_ast ?certify (prog : Ast.program) : report =
+let verify_program_ast ?config ?certify (prog : Ast.program) : report =
   let t0 = Unix.gettimeofday () in
   let bodies = Flux_mir.Lower.lower_program prog in
   let fns =
@@ -1152,7 +1152,7 @@ let verify_program_ast ?certify (prog : Ast.program) : report =
         if fd.Ast.fn_trusted then None
         else
           match List.assoc_opt fd.Ast.fn_name bodies with
-          | Some body -> Some (verify_body ?certify prog fd body)
+          | Some body -> Some (verify_body ?config ?certify prog fd body)
           | None -> None)
       (Ast.program_fns prog)
   in
@@ -1160,7 +1160,7 @@ let verify_program_ast ?certify (prog : Ast.program) : report =
 
 (** Parse, typecheck, lower and verify a source string with the
     Prusti-style baseline. *)
-let verify_source ?certify (src : string) : report =
+let verify_source ?config ?certify (src : string) : report =
   let prog = Flux_syntax.Parser.parse_program src in
   Flux_syntax.Typeck.check_program prog;
-  verify_program_ast ?certify prog
+  verify_program_ast ?config ?certify prog

@@ -35,28 +35,26 @@ exception Wp_error of string * Ast.span
 (** Structural problems (constructs the baseline does not model);
     converted into error reports by [verify_body]. *)
 
-val inst_rounds : int ref
-(** Quantifier-instantiation rounds per VC (default 2). *)
-
-val inst_cap : int ref
-(** Cap on candidate trigger terms per VC (default 24). *)
-
-val check_underflow : bool ref
-(** Check usize subtractions for underflow (default [true]), matching
-    the Flux checker's configuration. *)
-
 type report = { rp_fns : fn_report list; rp_time : float }
 
 val report_ok : report -> bool
 val report_errors : report -> error list
 
 val verify_body :
-  ?certify:bool -> Ast.program -> Ast.fn_def -> Flux_mir.Ir.body -> fn_report
-(** With [~certify:true], additionally record the discharged implication
+  ?config:Flux_smt.Config.t ->
+  ?certify:bool ->
+  Ast.program ->
+  Ast.fn_def ->
+  Flux_mir.Ir.body ->
+  fn_report
+(** [config] (default {!Flux_smt.Config.default}) selects the
+    pre-solver discharge and the quantifier-instantiation rounds per VC
+    ([inst_rounds]). With [~certify:true], additionally record the discharged implication
     of every non-trivial VC in [fr_goals] and attach a verified
     counterexample assignment ([err_witness]) to each failure. *)
 
-val verify_program_ast : ?certify:bool -> Ast.program -> report
+val verify_program_ast :
+  ?config:Flux_smt.Config.t -> ?certify:bool -> Ast.program -> report
 
-val verify_source : ?certify:bool -> string -> report
+val verify_source : ?config:Flux_smt.Config.t -> ?certify:bool -> string -> report
 (** Parse, typecheck, lower and verify a source string. *)

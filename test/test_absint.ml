@@ -206,7 +206,8 @@ let env_entailment () =
 let prop_discharge_sound =
   QCheck.Test.make ~name:"env entailment implies solver validity" ~count:300
     (QCheck.make Test_smt.gen_term) (fun t ->
-      if Discharge.try_valid t then Solver.valid t else true)
+      if Discharge.try_valid Config.default t then Solver.valid t
+      else true)
 
 (* ------------------------------------------------------------------ *)
 (* Byte-identity: --absint vs --no-absint                              *)
@@ -229,16 +230,12 @@ let render (r : Checker.report) : string =
        r.Checker.rp_fns)
 
 let run_rendered ~absint ~crosscheck src =
-  let saved_e = !Discharge.enabled and saved_c = !Discharge.crosscheck in
-  Fun.protect
-    ~finally:(fun () ->
-      Discharge.enabled := saved_e;
-      Discharge.crosscheck := saved_c)
-    (fun () ->
-      Discharge.enabled := absint;
-      Discharge.crosscheck := crosscheck;
-      Discharge.reset ();
-      render (Checker.check_source src))
+  Discharge.reset ();
+  render
+    (Checker.check_source
+       ~config:
+         { Config.default with absint; absint_crosscheck = crosscheck }
+       src)
 
 let discharge_byte_identity () =
   let b = Option.get (Workloads.find "bsearch") in

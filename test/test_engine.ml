@@ -8,6 +8,9 @@ module Checker = Flux_check.Checker
 module Wp = Flux_wp.Wp
 module Engine = Flux_engine.Engine
 module Profile = Flux_smt.Profile
+module Config = Flux_smt.Config
+module Lint = Flux_analysis.Lint
+module Passes = Flux_analysis.Passes
 module Workloads = Flux_workloads.Workloads
 
 let tmp_counter = ref 0
@@ -257,6 +260,59 @@ let cache_fresh_state =
       in
       Alcotest.(check int) "warm run issues no solver queries" 0 queries)
 
+(* Every single-field change of the verification configuration. *)
+let config_variants =
+  let d = Config.default in
+  [
+    ("absint", { d with absint = not d.absint });
+    ("absint_crosscheck", { d with absint_crosscheck = not d.absint_crosscheck });
+    ("slice", { d with slice = not d.slice });
+    ("inst_rounds", { d with inst_rounds = d.inst_rounds + 1 });
+  ]
+
+(** [tool ~dir config] runs one tool on {!cache_src_v1} against the
+    cache in [dir] and returns (cache hits, functions). After a cold
+    default run, no single-field variant may replay an entry written
+    under another configuration; a final default rerun still hits
+    everything, so the entries were there to be (wrongly) hit. *)
+let cache_config_salt name (tool : dir:string -> Config.t -> int * int) =
+  Alcotest.test_case (name ^ ": any Config.t field change re-keys") `Quick
+    (fun () ->
+      let dir = fresh_cache_dir () in
+      let hits, fns = tool ~dir Config.default in
+      Alcotest.(check int) "cold run misses everything" 0 hits;
+      List.iter
+        (fun (field, config) ->
+          let hits, _ = tool ~dir config in
+          Alcotest.(check int) (field ^ " changed: nothing replayed") 0 hits)
+        config_variants;
+      let hits, _ = tool ~dir Config.default in
+      Alcotest.(check int) "default rerun hits everything" fns hits)
+
+let flux_salt ~dir config =
+  let r =
+    Engine.check_source ~config
+      { Engine.jobs = 1; cache_dir = Some dir }
+      cache_src_v1
+  in
+  (r.Engine.run_hits, List.length r.Engine.run_fns)
+
+let wp_salt ~dir config =
+  let r =
+    Engine.verify_source ~config
+      { Engine.jobs = 1; cache_dir = Some dir }
+      cache_src_v1
+  in
+  (r.Engine.wr_hits, List.length r.Engine.wr_fns)
+
+let lint_salt ~dir config =
+  let r =
+    Lint.lint_source ~config
+      { Lint.jobs = 1; cache_dir = Some dir; passes = Passes.default_passes }
+      cache_src_v1
+  in
+  (r.Lint.lr_hits, List.length r.Lint.lr_fns)
+
 let cache_disabled =
   Alcotest.test_case "--no-cache never hits" `Quick (fun () ->
       let r1 =
@@ -395,6 +451,45 @@ let profile_capture_absorb =
       | Some (1, v, true) when abs_float (v -. 0.5) < 1e-9 -> ()
       | _ -> Alcotest.fail "expected timer t_s = 0.5s (timed)")
 
+(* ------------------------------------------------------------------ *)
+(* Concurrent configurations                                           *)
+(* ------------------------------------------------------------------ *)
+
+(** Two domains check bsearch side by side, one with the pre-solver
+    discharge off and one with it on. Each check must run under its
+    own configuration on every iteration — no setting leaks between
+    concurrent checks — and both must report the same verdicts. *)
+let concurrent_configs =
+  Alcotest.test_case "concurrent checks keep their own absint setting" `Slow
+    (fun () ->
+      let src = (Option.get (Workloads.find "bsearch")).Workloads.bm_flux in
+      let loop absint () =
+        let config = { Config.default with absint } in
+        List.init 3 (fun _ ->
+            Profile.reset ();
+            let r =
+              Engine.check_source ~config
+                { Engine.jobs = 1; cache_dir = None }
+                src
+            in
+            (run_fingerprints r, counter "absint.discharged"))
+      in
+      let off = Domain.spawn (loop false) in
+      let on = Domain.spawn (loop true) in
+      let off = Domain.join off and on = Domain.join on in
+      List.iteri
+        (fun i ((off_fps, off_n), (on_fps, on_n)) ->
+          Alcotest.(check int)
+            (Printf.sprintf "iteration %d: absint off discharges nothing" i)
+            0 off_n;
+          Alcotest.(check bool)
+            (Printf.sprintf "iteration %d: absint on discharges" i)
+            true (on_n > 0);
+          Alcotest.(check sl)
+            (Printf.sprintf "iteration %d: same verdicts" i)
+            off_fps on_fps)
+        (List.combine off on))
+
 let tests =
   ( "engine",
     [
@@ -408,6 +503,10 @@ let tests =
       cache_disabled;
       cache_failing_not_stored;
       cache_slice_reuse;
+      cache_config_salt "flux" flux_salt;
+      cache_config_salt "wp" wp_salt;
+      cache_config_salt "lint" lint_salt;
+      concurrent_configs;
       parallel_determinism "failing-program" failing_src;
       wp_parallel_determinism;
       workload_determinism "dotprod";

@@ -87,7 +87,7 @@ let test_binder_sort_clash () =
 (* ------------------------------------------------------------------ *)
 
 let solve_clauses clauses kvars =
-  match Solve.solve_clauses ~kvars clauses with
+  match Solve.solve_clauses_incremental ~kvars clauses with
   | Solve.Sat _ -> true
   | Solve.Unsat _ -> false
 

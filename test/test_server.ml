@@ -595,6 +595,60 @@ let concurrent_clients () =
         (String.trim (read_file b_code));
       List.iter Sys.remove [ a_out; b_out; a_code; b_code ])
 
+(** A burst of concurrent sessions alternating [--no-absint] and
+    [--absint-crosscheck]: each session runs under its own flags (output
+    byte-identical to the CLI with the same flags), and afterwards the
+    daemon's own default is intact — a [--no-absint] request discharges
+    nothing, a default one discharges again. *)
+let concurrent_absint_flags () =
+  with_daemon (fun sock ->
+      let f = "../examples/programs/init_zeros.rs" in
+      let flags i = if i mod 2 = 0 then "--no-absint" else "--absint-crosscheck" in
+      let outs = List.init 4 (fun i -> Filename.temp_file "flux-flags" (string_of_int i)) in
+      let cmd =
+        String.concat " & "
+          (List.mapi
+             (fun i out ->
+               Printf.sprintf
+                 "( ../bin/flux.exe check --daemon --socket %s --no-cache %s %s > %s 2>&1 )"
+                 (sq sock) (flags i) f (sq out))
+             outs)
+        ^ " & wait"
+      in
+      Alcotest.(check int) "shell wait" 0 (Sys.command cmd);
+      List.iteri
+        (fun i out ->
+          let _, lo, le = run_flux (Printf.sprintf "check --no-cache %s %s" (flags i) f) in
+          Alcotest.(check string) ("session " ^ flags i) (lo ^ le) (read_file out);
+          Sys.remove out)
+        outs;
+      let metrics () =
+        let _, m, _ = run_flux ("daemon metrics --socket " ^ sq sock) in
+        match Json.parse m with
+        | Ok j ->
+            ( Option.bind (Json.member "requests_served" j) Json.get_int,
+              match
+                Option.bind (Json.member "counters" j) (Json.member "absint.discharged")
+              with
+              | Some (Json.Int n) -> n
+              | _ -> 0 )
+        | Error e -> Alcotest.fail ("metrics JSON: " ^ e)
+      in
+      let served, d0 = metrics () in
+      Alcotest.(check (option int)) "daemon served the whole burst" (Some 4) served;
+      let request flag =
+        let code, _, _ =
+          run_flux (Printf.sprintf "check --daemon --socket %s --no-cache %s %s" (sq sock) flag f)
+        in
+        Alcotest.(check int) ("request " ^ flag) 0 code
+      in
+      request "--no-absint";
+      let _, d1 = metrics () in
+      Alcotest.(check int) "--no-absint request discharges nothing" d0 d1;
+      request "";
+      let _, d2 = metrics () in
+      Alcotest.(check bool) "default request still discharges" true (d2 > d1))
+
 let deadline_does_not_poison () =
   with_daemon (fun sock ->
       let f = "../examples/programs/init_zeros.rs" in
@@ -805,6 +859,7 @@ let tests =
       Alcotest.test_case "daemon start/status/stop lifecycle" `Quick lifecycle_start_status_stop;
       Alcotest.test_case "daemon output byte-identical to CLI" `Quick byte_identity_cold_and_warm;
       Alcotest.test_case "two concurrent clients, identical bytes" `Quick concurrent_clients;
+      Alcotest.test_case "concurrent absint flags stay per session" `Quick concurrent_absint_flags;
       Alcotest.test_case "deadline expires without poisoning the session" `Quick deadline_does_not_poison;
       Alcotest.test_case "deadline applies in-process too" `Quick local_deadline;
       Alcotest.test_case "SIGTERM drains and cleans up" `Quick sigterm_drain;
