@@ -4,8 +4,9 @@
     [lhs ⇒ rhs] where one [lhs] (the clause's instantiated hypotheses)
     is probed against many candidate [rhs] goals. [try_valid] builds
     the {!Env} difference-bound environment of the [lhs] once
-    (memoized per domain on the hash-consed term) and answers goals it
-    can prove with zero SMT; everything else falls through to the
+    (memoized per domain, keyed structurally; {!try_valid_under} lets
+    a caller holding the environment skip the lookup) and answers goals
+    it can prove with zero SMT; everything else falls through to the
     solver untouched.
 
     Counters (all flowing into [bench table1] profiles and daemon
@@ -41,20 +42,31 @@ let env_of_lhs (lhs : Term.t) : Env.t =
       Term.Tbl.add tbl lhs e;
       e
 
+let count ok =
+  Profile.incr (if ok then "absint.discharged" else "absint.fallthrough");
+  ok
+
 (** [try_valid config f]: [true] means [f] is definitely valid (and was
     counted as discharged); [false] means "ask the solver" — always so
     when [config.absint] is off. *)
 let try_valid (config : Config.t) (f : Term.t) : bool =
-  if not config.absint then false
-  else
-    let ok =
-      match f with
-      | Term.Imp (lhs, rhs) -> Env.entails (env_of_lhs lhs) rhs
-      | g -> Env.entails Env.top g
-    in
-    if ok then Profile.incr "absint.discharged"
-    else Profile.incr "absint.fallthrough";
-    ok
+  config.absint
+  && count
+       (match f with
+       | Term.Imp (lhs, rhs) -> Env.entails (env_of_lhs lhs) rhs
+       | g -> Env.entails Env.top g)
+
+(** [try_valid_under config env lhs rhs] is
+    [try_valid config (Term.mk_imp lhs rhs)] for a caller holding
+    [env = lazy (env_of_lhs lhs)]: the weakening loop probes one
+    hypothesis against many goals, and a wide hypothesis costs a walk
+    over all its conjuncts to look up. An implication [mk_imp] folds is
+    judged as {!try_valid} judges the folded term. *)
+let try_valid_under (config : Config.t) (env : Env.t Lazy.t) (lhs : Term.t)
+    (rhs : Term.t) : bool =
+  match (lhs, rhs) with
+  | Term.Bool _, _ | _, Term.Bool _ -> try_valid config (Term.mk_imp lhs rhs)
+  | _ -> config.absint && count (Env.entails (Lazy.force env) rhs)
 
 (** Drop-in replacement for {!Flux_smt.Solver.valid}: abstract
     environment first, solver on fallthrough. Under

@@ -218,28 +218,51 @@ let weaken_clause config stats kenv (sol : solution) (cl : Horn.clause) : bool =
           end
           else false)
 
-(** Incremental variant of {!weaken_clause}, two refinements over the
-    reference per-conjunct loop — both preserve the exact kept set, so
-    the fixpoint (and hence the verdict) is identical:
+(** Slice-global memo of decided implications [lhs ⇒ rhs], one {e row}
+    per hypothesis keyed by goal. Hypotheses are wide (~100 conjuncts
+    on Table 1) and, above {!Term.max_interned_size}, stay raw: hashing
+    one walks every conjunct, so a table keyed by whole implications
+    would re-walk the hypothesis on every lookup. Goals are qualifier-sized
+    and interned, so a row lookup is O(1) once the hypothesis has been
+    hashed — once per bucket (see {!weaken_clause_memo}). *)
+type qmemo = {
+  rows : bool Term.Tbl.t Term.Tbl.t;  (** hypothesis → goal → verdict *)
+  collapsed : bool Term.Tbl.t;
+      (** implications {!Term.mk_imp} folds away ([L ⇒ true],
+          [true ⇒ q], [L ⇒ false], [false ⇒ q]), keyed by the folded
+          term: they stay shared across hypotheses *)
+}
 
-    - {e query memo}: every decided implication is recorded (per
-      slice) keyed by the query term; re-asking the same formula —
-      whether by the same clause on a later pass, or by a sibling
-      clause with identical hypotheses and goal (pre/post join-κ pairs
-      produce many) — reuses the verdict (pure memoization of a
-      deterministic query);
-    - {e survivor batching}: a conjunct that survived an earlier
-      evaluation is being re-checked only because its left-hand side
-      lost hypotheses; almost all survive again. For survivors sharing
-      the (structurally) same new left-hand side L,
-      [valid (L ⇒ q₁ ∧ … ∧ qₙ)] holds iff every [valid (L ⇒ qᵢ)]
-      does — one query covers the batch in the common all-survive
-      case, and a failed or unprovable (incompleteness) batch bisects
-      down to exactly the reference's single-conjunct queries.
-      First-time conjuncts are checked individually: initial sweeps
-      mostly {e knock out}, where batching only adds queries. *)
-let weaken_clause_memo config stats kenv (sol : solution)
-    ~(qmemo : bool Term.Tbl.t) (memo : (Term.t, Term.t * bool) Hashtbl.t)
+(** The goals of one evaluation that share a sliced hypothesis. *)
+type bucket = {
+  b_lhs : Term.t;
+  b_row : bool Term.Tbl.t;
+  b_env : Flux_absint.Env.t Lazy.t;  (** fetched at most once *)
+  mutable b_goals : (Term.t * Term.t) list;
+      (** undecided (conjunct, goal) pairs, latest first *)
+}
+
+(** Incremental variant of {!weaken_clause}; it keeps the exact kept
+    set, so the fixpoint (and hence the verdict) is identical. Each
+    goal is triaged against the slice's {!qmemo}: an implication
+    already decided — by this clause on an earlier pass, or by a
+    sibling clause with the same hypothesis and goal (pre/post join-κ
+    pairs produce many) — reuses its verdict. The rest are grouped into
+    buckets by sliced hypothesis, and each bucket hashes its hypothesis
+    once (for its memo row) and fetches its abstract environment once;
+    goals the environment proves are settled before any solver call.
+
+    The solver then walks a bucket's remaining goals in order, one
+    weaken check per walk, and a walk stops at the first goal that does
+    not hold. Walks that confirm a κ's survivors in one go are what the
+    batching is for; on Table 1, where most walks knock out first-time
+    conjuncts, a walk asks about one goal (~4,800 queries over ~4,500
+    walks). A goal an earlier walk decided (two conjuncts substituting
+    to the same goal) is settled from the row when the walk reaches
+    it. A walk records its verdicts only when it ends, so a twin within
+    one walk is asked again, a solver cache hit: the exact counters of
+    [perfbench/baseline_counters.json] pin that query count. *)
+let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
     (cl : Horn.clause) : bool =
   match cl.Horn.head with
   | Horn.Conc _ -> false
@@ -251,155 +274,120 @@ let weaken_clause_memo config stats kenv (sol : solution)
           let kv = Hashtbl.find kenv k in
           let m = List.map2 (fun (x, _) a -> (x, a)) kv.Horn.kparams args in
           let prepared = prepare_hyps kenv sol cl in
+          (* One slice per goal seed; seeds slicing to equal hypotheses
+             share a row, hence a bucket. *)
           let slices = ref [] in
-          let slice_for rhs =
+          let bucket_for rhs =
             let seed = Term.free_vars rhs in
             match
               List.find_opt (fun (s, _) -> Term.VarSet.equal s seed) !slices
             with
-            | Some (_, lhs) -> lhs
+            | Some (_, b) -> b
             | None ->
                 let lhs = slice_prepared config prepared rhs in
-                slices := (seed, lhs) :: !slices;
-                lhs
+                let row =
+                  match Term.Tbl.find_opt qmemo.rows lhs with
+                  | Some row -> row
+                  | None ->
+                      let row = Term.Tbl.create 16 in
+                      Term.Tbl.add qmemo.rows lhs row;
+                      row
+                in
+                let b =
+                  match List.find_opt (fun (_, b) -> b.b_row == row) !slices with
+                  | Some (_, b) -> b
+                  | None ->
+                      {
+                        b_lhs = lhs;
+                        b_row = row;
+                        b_env = lazy (Discharge.env_of_lhs lhs);
+                        b_goals = [];
+                      }
+                in
+                slices := (seed, b) :: !slices;
+                b
+          in
+          (* a [Bool] side makes {!Term.mk_imp} fold the implication *)
+          let slot b rhs =
+            match (b.b_lhs, rhs) with
+            | Term.Bool _, _ | _, Term.Bool _ ->
+                (qmemo.collapsed, Term.mk_imp b.b_lhs rhs)
+            | _ -> (b.b_row, rhs)
+          in
+          let find b rhs =
+            let tbl, key = slot b rhs in
+            Term.Tbl.find_opt tbl key
           in
           let skip () =
             stats.reweaken_skipped <- stats.reweaken_skipped + 1;
             Profile.incr "fixpoint.reweaken_skipped"
           in
-          let query lhs rhs =
-            let f = Term.mk_imp lhs rhs in
-            match Term.Tbl.find_opt qmemo f with
-            | Some v ->
-                skip ();
-                v
-            | None ->
-                stats.weaken_checks <- stats.weaken_checks + 1;
-                Profile.incr "fixpoint.weaken_checks";
-                (* the batch already went through [pre_settle], so the
-                   abstract environment has had its shot at this one *)
-                let v = Solver.valid f in
-                Term.Tbl.replace qmemo f v;
-                v
-          in
           let verdict : (Term.t, bool) Hashtbl.t =
             Hashtbl.create (List.length conjuncts)
           in
-          (* Triage each conjunct: reuse the verdict when the query is
-             unchanged since the last evaluation (clause memo) or was
-             already decided for a sibling clause (query memo);
-             otherwise bucket it by its (structural) left-hand side,
-             buckets in first-seen order. *)
-          let buckets : (Term.t * (Term.t * Term.t) list ref) list ref =
-            ref []
+          let settle b (q, rhs) v =
+            Hashtbl.replace verdict q v;
+            let tbl, key = slot b rhs in
+            Term.Tbl.replace tbl key v
           in
+          (* buckets with undecided goals, in reverse first-seen order *)
+          let pending = ref [] in
           List.iter
             (fun q ->
               let rhs = Term.subst m q in
-              let lhs = slice_for rhs in
-              match Hashtbl.find_opt memo q with
-              | Some (lhs', v) when Term.equal lhs' lhs ->
+              let b = bucket_for rhs in
+              match find b rhs with
+              | Some v ->
                   skip ();
                   Hashtbl.replace verdict q v
-              | _ -> (
-                  match Term.Tbl.find_opt qmemo (Term.mk_imp lhs rhs) with
-                  | Some v ->
-                      skip ();
-                      Hashtbl.replace verdict q v;
-                      Hashtbl.replace memo q (lhs, v)
-                  | None ->
-                      let cell =
-                        match
-                          List.find_opt
-                            (fun (l, _) -> Term.equal l lhs)
-                            !buckets
-                        with
-                        | Some (_, c) -> c
-                        | None ->
-                            let c = ref [] in
-                            buckets := !buckets @ [ (lhs, c) ];
-                            c
-                      in
-                      cell := (q, rhs) :: !cell))
+              | None ->
+                  if b.b_goals = [] then pending := b :: !pending;
+                  b.b_goals <- (q, rhs) :: b.b_goals)
             conjuncts;
-          (* Besides recording the verdict, mirror it under the
-             singleton query so sibling clauses and later passes
-             asking the same implication skip it. Batched sweeps are
-             decided by the solver deciding exactly these singleton
-             implications (see {!Flux_smt.Solver.first_invalid}), so
-             the mirror records the solver's own answers. *)
-          let settle lhs (q, rhs) v =
-            Hashtbl.replace verdict q v;
-            Hashtbl.replace memo q (lhs, v);
-            Term.Tbl.replace qmemo (Term.mk_imp lhs rhs) v
-          in
-          (* Sweep a group sharing one left-hand side: each solver
-             call either confirms every remaining conjunct (the common
-             case once a κ's survivors cohere) or locates the next
-             knockout, so an evaluation costs one call per knockout
-             plus one. Conjuncts whose singleton query got decided
-             along the way (duplicates under the same lhs) are settled
-             from the query memo between calls. *)
-          (* Settle members of a batch the abstract environment proves
-             outright — discharge-true is a subset of solver-true, so
-             pre-settling them as [true] leaves the batched sweep's
-             verdicts (and hence the kept set) unchanged while
-             shrinking the group the solver has to walk. Under
-             crosscheck the solver is still consulted and its verdict
-             recorded. *)
-          let pre_settle lhs group =
+          (* Settle the goals the abstract environment proves outright —
+             discharge-true is a subset of solver-true, so this leaves
+             the walks' verdicts (and hence the kept set) unchanged.
+             Under crosscheck the solver is still consulted and its
+             verdict recorded. *)
+          let pre_settle b =
             List.filter
-              (fun (q, rhs) ->
-                let f = Term.mk_imp lhs rhs in
-                if Discharge.try_valid config f then begin
+              (fun ((_, rhs) as g) ->
+                if Discharge.try_valid_under config b.b_env b.b_lhs rhs then begin
                   (if config.Config.absint_crosscheck then begin
-                     let v = Solver.valid f in
+                     let v = Solver.valid (Term.mk_imp b.b_lhs rhs) in
                      if not v then Profile.incr "absint.crosscheck_fail";
-                     settle lhs (q, rhs) v
+                     settle b g v
                    end
-                   else settle lhs (q, rhs) true);
+                   else settle b g true);
                   false
                 end
                 else true)
-              group
+              (List.rev b.b_goals)
           in
-          let rec sweep lhs group =
-            match group with
-            | [] -> ()
-            | [ (q, rhs) ] -> settle lhs (q, rhs) (query lhs rhs)
-            | group -> (
-                stats.weaken_checks <- stats.weaken_checks + 1;
-                Profile.incr "fixpoint.weaken_checks";
-                match Solver.first_invalid lhs (List.map snd group) with
-                | None -> List.iter (fun m -> settle lhs m true) group
-                | Some i ->
-                    let rec cut i pre = function
-                      | m :: rest when i > 0 -> cut (i - 1) (m :: pre) rest
-                      | m :: rest ->
-                          List.iter (fun m -> settle lhs m true) pre;
-                          settle lhs m false;
-                          rest
-                      | [] -> []
-                    in
-                    let rest = cut i [] group in
-                    let rest =
-                      List.filter
-                        (fun (q, rhs) ->
-                          match
-                            Term.Tbl.find_opt qmemo (Term.mk_imp lhs rhs)
-                          with
-                          | Some v ->
-                              skip ();
-                              settle lhs (q, rhs) v;
-                              false
-                          | None -> true)
-                        rest
-                    in
-                    sweep lhs rest)
+          (* [held]: the goals the open weaken check found valid so
+             far, recorded when it ends *)
+          let rec walk b held = function
+            | [] -> List.iter (fun g -> settle b g true) held
+            | ((_, rhs) as g) :: rest -> (
+                match find b rhs with
+                | Some v ->
+                    skip ();
+                    settle b g v;
+                    walk b held rest
+                | None ->
+                    if held = [] then begin
+                      stats.weaken_checks <- stats.weaken_checks + 1;
+                      Profile.incr "fixpoint.weaken_checks"
+                    end;
+                    if Solver.valid (Term.mk_imp b.b_lhs rhs) then
+                      walk b (g :: held) rest
+                    else begin
+                      List.iter (fun g -> settle b g true) held;
+                      settle b g false;
+                      walk b [] rest
+                    end)
           in
-          List.iter
-            (fun (lhs, cell) -> sweep lhs (pre_settle lhs (List.rev !cell)))
-            !buckets;
+          List.iter (fun b -> walk b [] (pre_settle b)) (List.rev !pending);
           let keep =
             List.filter (fun q -> Hashtbl.find verdict q) conjuncts
           in
@@ -571,11 +559,7 @@ let run_slice (p : prep) (i : int) : slice_result =
     Array.map (fun (_, cl) -> Kgraph.hyp_kvars own cl) kcls
   in
   let last : int list option array = Array.make n None in
-  let memos = Array.init n (fun _ -> Hashtbl.create 32) in
-  (* Slice-global query-dedup memo: sibling clauses (e.g. pre/post κ
-     pairs of the same join) and later passes frequently re-ask
-     byte-identical implications. *)
-  let qmemo : bool Term.Tbl.t = Term.Tbl.create 256 in
+  let qmemo = { rows = Term.Tbl.create 64; collapsed = Term.Tbl.create 16 } in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -591,8 +575,7 @@ let run_slice (p : prep) (i : int) : slice_result =
       | _ ->
           last.(j) <- Some cur;
           if
-            weaken_clause_memo p.p_config stats p.p_kenv wsol ~qmemo
-              memos.(j) cl
+            weaken_clause_memo p.p_config stats p.p_kenv wsol ~qmemo cl
           then begin
             (match cl.Horn.head with
             | Horn.Kapp (k, _) -> Hashtbl.replace version k (ver k + 1)

@@ -134,7 +134,8 @@ let handle_check (st : state) fd ~opts ~file ~source ~deadline_ms : unit =
        { code = outcome.Exec.code; out = outcome.Exec.out; err = outcome.Exec.err })
 
 (** Serve one connection until the client closes, shutdown, or drain.
-    Any exception is confined to this session. *)
+    Raises when the session breaks (the client went away mid-request,
+    a reply could not be written); the accept loop logs and counts it. *)
 let handle_conn (st : state) (fd : Unix.file_descr) : unit =
   let reject () =
     send_response fd (Protocol.Error "fluxd: draining, request rejected")
@@ -172,9 +173,7 @@ let handle_conn (st : state) (fd : Unix.file_descr) : unit =
                   Atomic.set st.draining true);
               loop ()))
   in
-  try loop () with
-  | Exec.Disconnected -> ()
-  | Unix.Unix_error (_, _, _) -> () (* e.g. EPIPE on reply to a dead client *)
+  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* The accept loop                                                     *)
@@ -256,7 +255,12 @@ let serve (cfg : config) : (unit, string) result =
                                  with Unix.Unix_error _ -> ());
                                 Atomic.set done_ true)
                               (fun () ->
-                                try handle_conn st cfd with _ -> ()))
+                                try handle_conn st cfd
+                                with e ->
+                                  (* only this session ends *)
+                                  Metrics.conn_error st.metrics;
+                                  Printf.eprintf "fluxd: session ended: %s\n%!"
+                                    (Printexc.to_string e)))
                       in
                       sessions := !sessions @ [ (d, done_) ];
                       accept_loop ())

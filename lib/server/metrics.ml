@@ -1,6 +1,6 @@
 (** Aggregate daemon metrics, served by the [metrics] request.
 
-    Two ingredients:
+    Three ingredients:
 
     - request accounting kept here: requests served (check/lint work
       requests only — [status]/[metrics]/[shutdown] are control
@@ -13,7 +13,9 @@
       [engine.cache_hits], [cache.mem_hits] and [cache.disk_hits]
       accumulate across every request the daemon ever served. CI's
       zero-SMT-on-warm assertion is a delta of [solver.queries]
-      between two [metrics] calls.
+      between two [metrics] calls;
+    - [daemon.conn_errors], among the counters: sessions that ended on
+      an exception (a client gone mid-request, a failed reply write).
 
     All entry points take the mutex; sessions on different domains
     record concurrently. *)
@@ -65,6 +67,11 @@ let record (t : t) ~(meth : string) ~(latency_s : float)
               (Option.value (Hashtbl.find_opt t.timers k) ~default:0. +. time)
           else if n <> 0 then bump t.counters k n)
         profile)
+
+(** Count a session that ended on an exception rather than a clean
+    close, as [daemon.conn_errors]. *)
+let conn_error (t : t) : unit =
+  locked t (fun () -> bump t.counters "daemon.conn_errors" 1)
 
 let served (t : t) : int = locked t (fun () -> t.served)
 

@@ -169,8 +169,10 @@ let json_of_group (g : group) : string =
   let entries =
     List.map
       (fun (k, (n, t, timed)) ->
-        if timed then Printf.sprintf "\"%s\": %.6f" (json_escape k) t
-        else Printf.sprintf "\"%s\": %d" (json_escape k) n)
+        Printf.sprintf "\"%s\": %s" (json_escape k)
+          (if not timed then string_of_int n
+           else if Float.is_finite t then Printf.sprintf "%.6f" t
+           else "null" (* JSON has no nan/inf tokens *)))
       (snapshot_group g)
   in
   "{" ^ String.concat ", " entries ^ "}"
@@ -178,7 +180,7 @@ let json_of_group (g : group) : string =
 (** The full profile as a JSON object: counter metrics render as
     integer counts, timed metrics as accumulated float seconds (a
     timer that never accumulated time still renders as [0.000000],
-    never as its count).
+    never as its count; a non-finite one renders as [null]).
     [{"totals": {metric: value, ...},
       "functions": {fn: {metric: value, ...}, ...}}] *)
 let to_json () : string =

@@ -767,20 +767,6 @@ let valid (t : Term.t) : bool =
           Term.Tbl.replace cache_valid t r;
           r)
 
-(** [first_invalid l qs]: decide [valid (l ⇒ qᵢ)] for each goal in
-    order — exactly the singleton queries, sharing their cache
-    entries — and return the index of the first one that does not
-    hold ([None] when all do). One call decides a whole conjunction
-    of goals while keeping verdicts bit-identical to asking conjunct
-    by conjunct; the fixpoint weakening loop uses it to batch
-    survivor re-checks. *)
-let first_invalid (l : Term.t) (qs : Term.t list) : int option =
-  let rec go i = function
-    | [] -> None
-    | q :: rest -> if valid (Term.mk_imp l q) then go (i + 1) rest else Some i
-  in
-  go 0 qs
-
 (** Does the conjunction of [hyps] entail [goal]? *)
 let entails (hyps : Term.t list) (goal : Term.t) : bool =
   valid (Term.mk_imp (Term.mk_and hyps) goal)

@@ -45,14 +45,6 @@ val valid : Term.t -> bool
 (** [valid t]: does [t] hold for all integer assignments? [true] is
     definite; [false] may be incompleteness. *)
 
-val first_invalid : Term.t -> Term.t list -> int option
-(** [first_invalid l qs]: decide [valid (l ⇒ qᵢ)] for each goal in
-    order — exactly the singleton queries, sharing their cache
-    entries — and return the index of the first one that does not hold
-    ([None] when all do). One call decides a whole conjunction of
-    goals with verdicts bit-identical to asking conjunct by
-    conjunct. *)
-
 val entails : Term.t list -> Term.t -> bool
 (** [entails hyps goal]: does the conjunction of [hyps] entail [goal]? *)
 

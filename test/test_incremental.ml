@@ -127,6 +127,90 @@ let hgen_corpus () =
     | Some d -> Alcotest.failf "case %d: %s" case d
   done
 
+(* ------------------------------------------------------------------ *)
+(* Memo edge cases on hand-built Horn systems                           *)
+(* ------------------------------------------------------------------ *)
+
+module Term = Flux_smt.Term
+module Sort = Flux_smt.Sort
+module Profile = Flux_smt.Profile
+
+let qual name body =
+  Qualifier.make ~name ~vv:("v", Sort.Int) ~wild:[] (body (Term.var "v"))
+
+let kvar name params values =
+  Horn.{ kname = name; kparams = List.map (fun x -> (x, Sort.Int)) params; kvalues = values }
+
+let clause ?(binders = []) hyps head =
+  Horn.{ binders = List.map (fun x -> (x, Sort.Int)) binders; hyps; head; tag = 0 }
+
+(** Solve [clauses] with the incremental schedule under fresh counters;
+    its solution must render exactly as the reference sweep's, and its
+    [solver.queries], [fixpoint.weaken_checks] and [absint.discharged]
+    must be the expected ones. *)
+let memo_case ~qualifiers ~kvars clauses ~queries ~weaken_checks ~discharged =
+  let render = function
+    | Solve.Sat sol -> Format.asprintf "sat %a" Solve.pp_solution sol
+    | Solve.Unsat (fs, sol) ->
+        Format.asprintf "unsat %d %a" (List.length fs) Solve.pp_solution sol
+  in
+  let reference = render (Solve.solve_clauses_full ~qualifiers ~kvars clauses) in
+  Profile.reset ();
+  let got = render (Solve.solve_clauses_incremental ~qualifiers ~kvars clauses) in
+  let count k =
+    match List.assoc_opt k (Profile.snapshot ()) with Some (n, _, _) -> n | None -> 0
+  in
+  Alcotest.(check string) "solution" reference got;
+  Alcotest.(check int) "solver.queries" queries (count "solver.queries");
+  Alcotest.(check int) "fixpoint.weaken_checks" weaken_checks
+    (count "fixpoint.weaken_checks");
+  Alcotest.(check int) "absint.discharged" discharged (count "absint.discharged")
+
+(** κ(a, b) applied as κ(x, x): the goals are [x >= 1; x >= 5] for [a],
+    then the same two again for [b], under one hypothesis [x + y >= s ∧
+    y <= 1] (beyond the difference-bound environment, so every goal
+    reaches the solver). With [s = 2] the first walk asks [x >= 1]
+    (valid) and [x >= 5] (knocked out), and the next walk settles both
+    twins from the memo row without a query. With [s = 7] every goal
+    holds, so one walk asks all four: verdicts are recorded when a walk
+    ends, and the twins are asked again (solver cache hits). *)
+let duplicate_goals () =
+  let open Term in
+  let system s =
+    [
+      clause ~binders:[ "x"; "y" ]
+        [ Horn.Conc (ge (add (var "x") (var "y")) (int s)); Horn.Conc (le (var "y") (int 1)) ]
+        (Horn.Kapp ("k", [ var "x"; var "x" ]));
+    ]
+  in
+  let case s =
+    memo_case
+      ~qualifiers:[ qual "ge1" (fun v -> ge v (int 1)); qual "ge5" (fun v -> ge v (int 5)) ]
+      ~kvars:[ kvar "k" [ "a"; "b" ] 2 ]
+      (system s)
+  in
+  case 2 ~queries:2 ~weaken_checks:1 ~discharged:0;
+  case 7 ~queries:4 ~weaken_checks:1 ~discharged:0
+
+(** κ0 := true, so the hypothesis of the first κ1 clause is [true] and
+    its goals collapse: [true ⇒ q] to [q], [true ⇒ (0 >= 0)] to [true].
+    The second κ1 clause, under [y >= 4], asks [y >= 4 ⇒ (0 >= 0)] —
+    the same collapsed implication [true], answered from the memo: no
+    query, no second discharge. *)
+let collapsed_shared () =
+  let open Term in
+  memo_case
+    ~qualifiers:[ qual "ge0" (fun v -> ge v (int 0)); qual "ge1" (fun v -> ge v (int 1)) ]
+    ~kvars:[ kvar "k0" [ "z" ] 1; kvar "k1" [ "a"; "b" ] 2 ]
+    [
+      clause ~binders:[ "z" ] [] (Horn.Kapp ("k0", [ var "z" ]));
+      clause ~binders:[ "x" ] [ Horn.Kapp ("k0", [ var "x" ]) ]
+        (Horn.Kapp ("k1", [ var "x"; int 0 ]));
+      clause ~binders:[ "y" ] [ Horn.Conc (ge (var "y") (int 4)) ]
+        (Horn.Kapp ("k1", [ var "y"; int 0 ]));
+    ]
+    ~queries:5 ~weaken_checks:5 ~discharged:1
+
 let tests =
   ( "incremental",
     List.map
@@ -140,4 +224,8 @@ let tests =
           hgen_corpus;
         Alcotest.test_case "examples/programs/*.rs: schedules agree" `Slow
           example_programs;
+        Alcotest.test_case "memo: duplicate goals under one hypothesis" `Quick
+          duplicate_goals;
+        Alcotest.test_case "memo: collapsed implication shared across hypotheses"
+          `Quick collapsed_shared;
       ] )

@@ -182,6 +182,24 @@ let json_nonfinite_floats () =
              [ ("p99_ms", Json.Float nan); ("rate", Json.Float infinity) ]))
     = Ok (Json.Obj [ ("p99_ms", Json.Null); ("rate", Json.Null) ]))
 
+(** Profile timers that went non-finite render as [null], so
+    [Profile.to_json] stays a document {!Json.parse} accepts. *)
+let profile_json_nonfinite () =
+  Profile.reset ();
+  Fun.protect ~finally:Profile.reset (fun () ->
+      Profile.add_time "t.nan" nan;
+      Profile.add_time "t.inf" infinity;
+      Profile.add_time "t.ok" 0.5;
+      match Json.parse (Profile.to_json ()) with
+      | Ok j ->
+          let totals k = Option.bind (Json.member "totals" j) (Json.member k) in
+          Alcotest.(check bool) "nan timer is null" true (totals "t.nan" = Some Json.Null);
+          Alcotest.(check bool) "infinite timer is null" true
+            (totals "t.inf" = Some Json.Null);
+          Alcotest.(check bool) "finite timer kept" true
+            (totals "t.ok" = Some (Json.Float 0.5))
+      | Error e -> Alcotest.fail ("Profile.to_json does not parse: " ^ e))
+
 let json_finite_floats_bitexact () =
   List.iter
     (fun f ->
@@ -784,6 +802,38 @@ let warm_daemon_zero_smt () =
       Alcotest.(check int) "warm pass issued zero SMT queries" q1 q2;
       Alcotest.(check bool) "warm pass hit the memory tier" true (mem2 > 0))
 
+(** A client that hangs up halfway through a request frame breaks only
+    its own session: fluxd counts it in [daemon.conn_errors] and the
+    next client gets the same bytes as before. *)
+let client_reset_mid_request () =
+  with_daemon (fun sock ->
+      let f = "../examples/programs/init_zeros.rs" in
+      let check () =
+        run_flux (Printf.sprintf "check --daemon --socket %s --no-cache %s" (sq sock) f)
+      in
+      let conn_errors () =
+        let _, m, _ = run_flux ("daemon metrics --socket " ^ sq sock) in
+        match Json.parse m with
+        | Ok j -> (
+            match Option.bind (Json.member "counters" j) (Json.member "daemon.conn_errors") with
+            | Some (Json.Int n) -> n
+            | _ -> 0)
+        | Error e -> Alcotest.fail ("metrics JSON: " ^ e)
+      in
+      let before = check () in
+      Alcotest.(check int) "no session error yet" 0 (conn_errors ());
+      (match Daemon.try_connect sock with
+      | None -> Alcotest.fail "cannot connect"
+      | Some fd ->
+          (* a header announcing 64 bytes, then 3 of them and a hangup:
+             fluxd's reply to the truncated frame has no reader *)
+          ignore (Unix.write_substring fd "\000\000\000\064abc" 0 7);
+          Unix.close fd);
+      Alcotest.(check bool) "the broken session is counted" true
+        (wait_until (fun () -> conn_errors () = 1));
+      Alcotest.(check (triple int string string)) "next client, same bytes" before (check ());
+      Alcotest.(check int) "one session error in all" 1 (conn_errors ()))
+
 let raw_socket_version_error () =
   with_daemon (fun sock ->
       match Daemon.try_connect sock with
@@ -843,6 +893,8 @@ let tests =
       Alcotest.test_case "JSON edge cases" `Quick json_cases;
       Alcotest.test_case "non-finite floats print as null" `Quick
         json_nonfinite_floats;
+      Alcotest.test_case "non-finite profile timers print as null" `Quick
+        profile_json_nonfinite;
       Alcotest.test_case "finite floats round-trip bit-exactly" `Quick
         json_finite_floats_bitexact;
       Alcotest.test_case "surrogate pairs decode, lone ones rejected" `Quick
@@ -867,4 +919,6 @@ let tests =
       Alcotest.test_case "auto-spawn on --daemon, fallback when unreachable" `Quick auto_spawn_and_fallback;
       Alcotest.test_case "warm daemon re-check issues zero SMT queries" `Quick warm_daemon_zero_smt;
       Alcotest.test_case "daemon answers foreign versions with an error" `Quick raw_socket_version_error;
+      Alcotest.test_case "client reset mid-request is counted, next client served" `Quick
+        client_reset_mid_request;
     ] )
