@@ -224,9 +224,16 @@ let weaken_clause config stats kenv (sol : solution) (cl : Horn.clause) : bool =
     one walks every conjunct, so a table keyed by whole implications
     would re-walk the hypothesis on every lookup. Goals are qualifier-sized
     and interned, so a row lookup is O(1) once the hypothesis has been
-    hashed — once per bucket (see {!weaken_clause_memo}). *)
+    hashed — once per bucket (see {!weaken_clause_memo}). A row also
+    carries the hypothesis's solver context, so the solver hashes and
+    elaborates it once per slice, not once per goal. *)
+type row = {
+  r_goals : bool Term.Tbl.t;  (** goal → verdict *)
+  r_hyp : Solver.hyp;
+}
+
 type qmemo = {
-  rows : bool Term.Tbl.t Term.Tbl.t;  (** hypothesis → goal → verdict *)
+  rows : row Term.Tbl.t;  (** keyed by hypothesis *)
   collapsed : bool Term.Tbl.t;
       (** implications {!Term.mk_imp} folds away ([L ⇒ true],
           [true ⇒ q], [L ⇒ false], [false ⇒ q]), keyed by the folded
@@ -236,7 +243,7 @@ type qmemo = {
 (** The goals of one evaluation that share a sliced hypothesis. *)
 type bucket = {
   b_lhs : Term.t;
-  b_row : bool Term.Tbl.t;
+  b_row : row;
   b_env : Flux_absint.Env.t Lazy.t;  (** fetched at most once *)
   mutable b_goals : (Term.t * Term.t) list;
       (** undecided (conjunct, goal) pairs, latest first *)
@@ -289,7 +296,9 @@ let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
                   match Term.Tbl.find_opt qmemo.rows lhs with
                   | Some row -> row
                   | None ->
-                      let row = Term.Tbl.create 16 in
+                      let row =
+                        { r_goals = Term.Tbl.create 16; r_hyp = Solver.hyp lhs }
+                      in
                       Term.Tbl.add qmemo.rows lhs row;
                       row
                 in
@@ -312,7 +321,7 @@ let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
             match (b.b_lhs, rhs) with
             | Term.Bool _, _ | _, Term.Bool _ ->
                 (qmemo.collapsed, Term.mk_imp b.b_lhs rhs)
-            | _ -> (b.b_row, rhs)
+            | _ -> (b.b_row.r_goals, rhs)
           in
           let find b rhs =
             let tbl, key = slot b rhs in
@@ -354,7 +363,7 @@ let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
               (fun ((_, rhs) as g) ->
                 if Discharge.try_valid_under config b.b_env b.b_lhs rhs then begin
                   (if config.Config.absint_crosscheck then begin
-                     let v = Solver.valid (Term.mk_imp b.b_lhs rhs) in
+                     let v = Solver.valid_under b.b_row.r_hyp rhs in
                      if not v then Profile.incr "absint.crosscheck_fail";
                      settle b g v
                    end
@@ -379,7 +388,7 @@ let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
                       stats.weaken_checks <- stats.weaken_checks + 1;
                       Profile.incr "fixpoint.weaken_checks"
                     end;
-                    if Solver.valid (Term.mk_imp b.b_lhs rhs) then
+                    if Solver.valid_under b.b_row.r_hyp rhs then
                       walk b (g :: held) rest
                     else begin
                       List.iter (fun g -> settle b g true) held;

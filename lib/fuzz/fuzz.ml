@@ -119,11 +119,12 @@ let fingerprint (s : summary) : string =
 (* Running                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** Run a campaign. The optional [check]/[valid]/[sat]/[solve]/
-    [incremental] arguments substitute broken implementations for the
-    bug-seeding meta-tests; production callers omit them. *)
+(** Run a campaign. The optional [check]/[valid]/[sat]/[valid_under]/
+    [solve]/[incremental] arguments substitute broken implementations
+    for the bug-seeding meta-tests; production callers omit them. *)
 let run ?(check : (Ast.program -> bool) option)
     ?(valid : (Term.t -> bool) option) ?(sat : (Term.t -> bool) option)
+    ?(valid_under : (Term.t -> Term.t -> bool) option)
     ?(counterexample :
         (Term.t -> (string * Eval.value) list option) option)
     ?(certify : (Term.t -> Proof.t option) option)
@@ -151,8 +152,8 @@ let run ?(check : (Ast.program -> bool) option)
         match kind with
         | Soundness -> Oracle.soundness_case ?check ~seed:cfg.seed ~case rng
         | Solver ->
-            Oracle.solver_case ?valid ?sat ?counterexample ~seed:cfg.seed
-              ~case rng
+            Oracle.solver_case ?valid ?sat ?counterexample ?valid_under
+              ~seed:cfg.seed ~case rng
         | Cert -> Oracle.cert_case ?valid ?certify ~seed:cfg.seed ~case rng
         | Fixpoint -> Oracle.fixpoint_case ?solve ~seed:cfg.seed ~case rng
         | Incremental ->

@@ -17,7 +17,9 @@
       assignment in a finite box refutes it; dually a satisfying
       assignment refutes [Solver.sat t = false]. (The converses prove
       nothing — [valid = false] may be abstraction incompleteness — so
-      they are not checked.)
+      they are not checked.) Each case also asks
+      [Solver.valid_under] the implications it splits into, and its
+      answers and statistics must equal [Solver.valid]'s exactly.
     - {b fixpoint self-check} — a [Sat] answer from the fixpoint solver
       claims the κ assignment satisfies every Horn clause; substitute
       it back and re-verify each clause independently of the weakening
@@ -221,12 +223,58 @@ let soundness_case ?(check = default_check) ~(seed : int) ~(case : int)
 (* Solver differential                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(** The implications a case [t] splits into, for the context check:
+    the hypothesis is [a] when [t = a ⇒ b], else [t]; the goals are
+    [b], up to four atoms of [t], and [false] (an implication
+    {!Term.mk_imp} folds). *)
+let implications (t : Term.t) : Term.t * Term.t list =
+  let rec atoms acc (t : Term.t) =
+    match t with
+    | Term.Cmp _ | Term.Eq _ | Term.Ne _ | Term.Var _ ->
+        if List.exists (Term.equal t) acc then acc else t :: acc
+    | Term.And ts | Term.Or ts -> List.fold_left atoms acc ts
+    | Term.Not a -> atoms acc a
+    | Term.Imp (a, b) | Term.Iff (a, b) -> atoms (atoms acc a) b
+    | _ -> acc
+  in
+  let goals = List.filteri (fun i _ -> i < 4) (List.rev (atoms [] t)) in
+  match t with
+  | Term.Imp (a, b) -> (a, (b :: goals) @ [ Term.ff ])
+  | _ -> (t, goals @ [ Term.ff ])
+
+(** A context mismatch for [t], if any: [valid_under lhs] (one
+    hypothesis, asked every goal in turn) must give [Solver.valid
+    (lhs ⇒ g)]'s answers with the same query, cache-hit and
+    theory-check counts. Each side starts from an empty query cache, so
+    neither reads the other's verdicts. *)
+let context_mismatch ~(valid_under : Term.t -> Term.t -> bool) (t : Term.t) :
+    string option =
+  let lhs, goals = implications t in
+  let run ask =
+    Solver.clear_cache ();
+    let s = Solver.stats () in
+    let q0 = s.queries and h0 = s.cache_hits and c0 = s.theory_checks in
+    let rs = List.map ask goals in
+    (rs, (s.queries - q0, s.cache_hits - h0, s.theory_checks - c0))
+  in
+  let got, got_stats = run (valid_under lhs) in
+  let want, want_stats = run (fun g -> Solver.valid (Term.mk_imp lhs g)) in
+  Solver.clear_cache ();
+  match List.filteri (fun i _ -> List.nth got i <> List.nth want i) goals with
+  | g :: _ ->
+      Some
+        (Format.asprintf "context verdict differs from valid on goal %a"
+           Term.pp g)
+  | [] when got_stats <> want_stats ->
+      Some "context statistics differ from valid's"
+  | [] -> None
+
 (** A definite-polarity mismatch for [t], if any: a falsifying
     assignment refuting [valid t = true], a satisfying assignment
     refuting [sat t = false], or a claimed counterexample model that
     ground evaluation does not confirm (every [invalid] claim must come
     with an [Eval]-confirmed falsifying model). *)
-let solver_mismatch ~(valid : Term.t -> bool) ~(sat : Term.t -> bool)
+let definite_mismatch ~(valid : Term.t -> bool) ~(sat : Term.t -> bool)
     ?(counterexample = Solver.counterexample) (t : Term.t) : string option =
   try
     let vars = Term.free_vars_sorted t in
@@ -292,22 +340,31 @@ let solver_mismatch ~(valid : Term.t -> bool) ~(sat : Term.t -> bool)
                 | exception Division_by_zero -> None)))
   with Eval.Unsupported _ -> None
 
+(** {!definite_mismatch}, else a {!context_mismatch}. *)
+let solver_mismatch ~valid ~sat ?counterexample
+    ?(valid_under = fun l -> Solver.valid_under (Solver.hyp l)) (t : Term.t) :
+    string option =
+  match definite_mismatch ~valid ~sat ?counterexample t with
+  | Some _ as m -> m
+  | None -> context_mismatch ~valid_under t
+
 let solver_case ?(valid = Solver.valid) ?(sat = Solver.sat)
-    ?(counterexample = Solver.counterexample) ~(seed : int) ~(case : int)
-    (rng : Rng.t) : verdict =
+    ?(counterexample = Solver.counterexample) ?valid_under ~(seed : int)
+    ~(case : int) (rng : Rng.t) : verdict =
   let t = Tgen.gen rng in
-  match solver_mismatch ~valid ~sat ~counterexample t with
+  let mismatch t = solver_mismatch ~valid ~sat ~counterexample ?valid_under t in
+  match mismatch t with
   | None -> Ok
   | Some _ ->
       let fails t' =
-        match solver_mismatch ~valid ~sat ~counterexample t' with
+        match mismatch t' with
         | Some _ -> true
         | None -> false
         | exception _ -> false
       in
       let t' = Shrink.minimize_term ~budget:shrink_budget fails t in
       let descr =
-        match solver_mismatch ~valid ~sat ~counterexample t' with
+        match mismatch t' with
         | Some d -> Format.asprintf "%a — %s" Term.pp t' d
         | None | (exception _) -> Format.asprintf "%a" Term.pp t'
       in

@@ -211,56 +211,73 @@ let feasible_conn ~(eqs : lin list) ~(ineqs : lin list) : bool =
     linked by shared variables) and decide each independently — the
     conjunction is infeasible iff some component is. This keeps
     Fourier–Motzkin small on the large contexts produced by join-heavy
-    functions. *)
+    functions.
+
+    Variables are numbered densely once per call and joined in an
+    array union-find; each component lists its equalities and its
+    inequalities in reverse input order. [feasible_conn] is pure and
+    total, so the order in which components are decided cannot change
+    the answer. *)
 let feasible ~(eqs : lin list) ~(ineqs : lin list) : bool =
-  let all = List.map (fun e -> (`Eq, e)) eqs @ List.map (fun i -> (`Ineq, i)) ineqs in
   (* constant constraints are decided immediately *)
-  let consts, vars_cs =
-    List.partition (fun (_, c) -> lin_is_const c) all
-  in
   if
-    List.exists
-      (fun (k, c) ->
-        match k with `Eq -> c.const <> 0 | `Ineq -> c.const > 0)
-      consts
+    List.exists (fun c -> lin_is_const c && c.const <> 0) eqs
+    || List.exists (fun c -> lin_is_const c && c.const > 0) ineqs
   then false
   else begin
-    (* union-find over variable names *)
-    let parent : (string, string) Hashtbl.t = Hashtbl.create 64 in
-    let rec find x =
-      match Hashtbl.find_opt parent x with
-      | None -> x
-      | Some p ->
-          let r = find p in
-          Hashtbl.replace parent x r;
-          r
+    let ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
+    let id x =
+      match Hashtbl.find_opt ids x with
+      | Some i -> i
+      | None ->
+          let i = Hashtbl.length ids in
+          Hashtbl.add ids x i;
+          i
     in
-    let union a b =
-      let ra = find a and rb = find b in
-      if ra <> rb then Hashtbl.replace parent ra rb
+    let var_ids c = SMap.fold (fun x _ acc -> id x :: acc) c.coeffs [] in
+    let eq_vars = List.map var_ids eqs in
+    let ineq_vars = List.map var_ids ineqs in
+    let n = Hashtbl.length ids in
+    let parent = Array.init n Fun.id in
+    let rec find i =
+      let p = parent.(i) in
+      if p = i then i
+      else
+        let r = find p in
+        parent.(i) <- r;
+        r
     in
-    List.iter
-      (fun (_, c) ->
-        match SMap.min_binding_opt c.coeffs with
-        | None -> ()
-        | Some (x0, _) -> SMap.iter (fun x _ -> union x0 x) c.coeffs)
-      vars_cs;
-    let groups : (string, (bool * lin) list) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (k, c) ->
-        let x0, _ = SMap.min_binding c.coeffs in
-        let r = find x0 in
-        let prev = try Hashtbl.find groups r with Not_found -> [] in
-        Hashtbl.replace groups r ((k = `Eq, c) :: prev))
-      vars_cs;
-    Hashtbl.fold
-      (fun _ cs acc ->
-        acc
-        && feasible_conn
-             ~eqs:(List.filter_map (fun (e, c) -> if e then Some c else None) cs)
-             ~ineqs:
-               (List.filter_map (fun (e, c) -> if e then None else Some c) cs))
-      groups true
+    let join = function
+      | [] -> ()
+      | i :: is ->
+          List.iter
+            (fun j ->
+              let ri = find i and rj = find j in
+              if ri <> rj then parent.(ri) <- rj)
+            is
+    in
+    List.iter join eq_vars;
+    List.iter join ineq_vars;
+    let geqs = Array.make n [] and gineqs = Array.make n [] in
+    let collect groups cs vars =
+      List.iter2
+        (fun c -> function
+          | [] -> ()
+          | i :: _ ->
+              let r = find i in
+              groups.(r) <- c :: groups.(r))
+        cs vars
+    in
+    collect geqs eqs eq_vars;
+    collect gineqs ineqs ineq_vars;
+    let rec decide r =
+      r >= n
+      || (match (geqs.(r), gineqs.(r)) with
+         | [], [] -> true
+         | eqs, ineqs -> feasible_conn ~eqs ~ineqs)
+         && decide (r + 1)
+    in
+    decide 0
   end
 
 (* ------------------------------------------------------------------ *)

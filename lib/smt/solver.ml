@@ -29,6 +29,16 @@ type stats = {
   mutable time : float;
 }
 
+(* The validity cache is keyed by a term together with its
+   {!Term.hash}, computed by the caller: {!valid_under} derives the
+   hash of [lhs ⇒ g] from the hypothesis hash it computed once. *)
+module KeyTbl = Hashtbl.Make (struct
+  type t = int * Term.t
+
+  let equal (h, a) (h', b) = h = h' && Term.equal a b
+  let hash (h, _) = h
+end)
+
 (* Solver state — stats plus the query caches further below — is
    domain-local so concurrent per-function checks neither race nor
    contend. Each domain warms its own cache; the engine's profile
@@ -36,7 +46,7 @@ type stats = {
 type state = {
   st_stats : stats;
   st_cache_sat : bool Term.Tbl.t;
-  st_cache_valid : bool Term.Tbl.t;
+  st_cache_valid : bool KeyTbl.t;
 }
 
 let dls : state Domain.DLS.key =
@@ -45,7 +55,7 @@ let dls : state Domain.DLS.key =
         st_stats =
           { queries = 0; cache_hits = 0; theory_checks = 0; max_atoms = 0; time = 0.0 };
         st_cache_sat = Term.Tbl.create 4096;
-        st_cache_valid = Term.Tbl.create 4096;
+        st_cache_valid = KeyTbl.create 4096;
       })
 
 let stats () = (Domain.DLS.get dls).st_stats
@@ -151,11 +161,14 @@ type elab_state = {
   apps : (string, (Term.t * Term.t list) list) Hashtbl.t;
       (** fn symbol -> [(opaque var, elaborated args)] for Ackermann *)
   mutable counter : int;
-  units : Lia.literal list Lazy.t;
+  units : Lia.literal list Lazy.t option;
       (** the query's top-level unit facts (see {!unit_facts}); lazy
           because they are only consulted when elaboration meets a
           division/remainder, and computing them walks every top-level
-          atom of the query *)
+          atom of the query. [None] when one side of an implication is
+          elaborated on its own ({!valid_under}): the facts of the
+          whole query are unknown, and a new division raises
+          {!Needs_units}. *)
   mutable record : Proof.fresh list option;
       (** when [Some], every fresh-variable introduction is recorded
           (reversed) for a certificate, and the div/mod encoding always
@@ -163,6 +176,18 @@ type elab_state = {
           consults the unit facts, which the independent replay checker
           does not re-derive *)
 }
+
+exception Needs_units
+
+let new_state ?record units =
+  {
+    defs = [];
+    opaque = SmallTbl.create 16;
+    apps = Hashtbl.create 8;
+    counter = 0;
+    units;
+    record;
+  }
 
 let fresh st prefix sort =
   st.counter <- st.counter + 1;
@@ -224,13 +249,16 @@ let divmod st (a : Term.t) (c : int) : Term.t * Term.t =
     match SmallTbl.find_opt st.opaque dkey with
     | Some q -> q
     | None ->
+        let units =
+          match st.units with Some u -> u | None -> raise Needs_units
+        in
         let q = fresh st "q" Sort.Int in
         SmallTbl.add st.opaque dkey q;
         record_fresh st (Proof.Divmod (a, c, var_name q));
         let r = Term.sub a (Term.mul (Term.int c) q) in
         let la = try Some (lin_of_term a) with Nonlinear -> None in
         (* [refuted l]: the unit facts rule out [l], definitely. *)
-        let refuted l = not (Lia.sat_literals (l :: Lazy.force st.units)) in
+        let refuted l = not (Lia.sat_literals (l :: Lazy.force units)) in
         let a_neg la = Lia.Le0 { la with Lia.const = la.Lia.const + 1 } in
         let a_pos la =
           let n = Lia.lin_scale (-1) la in
@@ -686,25 +714,10 @@ let cache_valid () = (Domain.DLS.get dls).st_cache_valid
 
 let clear_cache () =
   Term.Tbl.clear (cache_sat ());
-  Term.Tbl.clear (cache_valid ())
+  KeyTbl.clear (cache_valid ())
 
-(** [sat t]: is [t] satisfiable over the integers? May over-approximate
-    (answer [true] for an unsatisfiable [t]) but [false] is definite. *)
-let sat_raw (t : Term.t) : bool =
-  let st =
-    {
-      defs = [];
-      opaque = SmallTbl.create 16;
-      apps = Hashtbl.create 8;
-      counter = 0;
-      units = lazy (unit_facts [] true t);
-      record = None;
-    }
-  in
-  let t_elab = Unix.gettimeofday () in
-  let t' = elab_pred st t in
-  let full = Term.mk_and (t' :: st.defs) in
-  Profile.add_time "solver.elab_s" (Unix.gettimeofday () -. t_elab);
+(** Decide an elaborated query: boolean skeleton, then DPLL. *)
+let decide (full : Term.t) : bool =
   match full with
   | Bool b -> b
   | _ ->
@@ -720,6 +733,16 @@ let sat_raw (t : Term.t) : bool =
       Profile.add_time "solver.dpll_s" (Unix.gettimeofday () -. t_dpll);
       Profile.add "solver.theory_checks" (stats.theory_checks - tc0);
       r
+
+(** [sat t]: is [t] satisfiable over the integers? May over-approximate
+    (answer [true] for an unsatisfiable [t]) but [false] is definite. *)
+let sat_raw (t : Term.t) : bool =
+  let st = new_state (Some (lazy (unit_facts [] true t))) in
+  let t_elab = Unix.gettimeofday () in
+  let t' = elab_pred st t in
+  let full = Term.mk_and (t' :: st.defs) in
+  Profile.add_time "solver.elab_s" (Unix.gettimeofday () -. t_elab);
+  decide full
 
 let sat (t : Term.t) : bool =
   let stats = stats () in
@@ -738,42 +761,112 @@ let sat (t : Term.t) : bool =
       Term.Tbl.replace cache_sat t r;
       r
 
-(** [valid t]: does [t] hold for all integer assignments? [true] is
-    definite; [false] may be incompleteness. *)
-let valid (t : Term.t) : bool =
-  (* trivial [Bool] goals short-circuit below, but still count as
-     queries: cache-hit rates must be computed against the true query
-     volume *)
+(** The cached validity query for a non-[Bool] [t] whose {!Term.hash}
+    is [h]; [solve] decides it on a miss. *)
+let valid_keyed (h : int) (t : Term.t) (solve : unit -> bool) : bool =
   let stats = stats () in
   stats.queries <- stats.queries + 1;
   Profile.incr "solver.queries";
+  let cache_valid = cache_valid () in
+  match KeyTbl.find_opt cache_valid (h, t) with
+  | Some r ->
+      stats.cache_hits <- stats.cache_hits + 1;
+      Profile.incr "solver.cache_hits";
+      r
+  | None ->
+      let t0 = Unix.gettimeofday () in
+      let r = solve () in
+      let dt = Unix.gettimeofday () -. t0 in
+      stats.time <- stats.time +. dt;
+      Profile.add_time "solver.solve_s" dt;
+      KeyTbl.replace cache_valid (h, t) r;
+      r
+
+(** [valid t]: does [t] hold for all integer assignments? [true] is
+    definite; [false] may be incompleteness. *)
+let valid (t : Term.t) : bool =
   match t with
   | Bool b ->
+      (* trivial goals still count as queries: cache-hit rates must be
+         computed against the true query volume *)
+      let stats = stats () in
+      stats.queries <- stats.queries + 1;
+      Profile.incr "solver.queries";
       Profile.incr "solver.trivial";
       b
-  | _ -> (
-      let cache_valid = cache_valid () in
-      match Term.Tbl.find_opt cache_valid t with
-      | Some r ->
-          stats.cache_hits <- stats.cache_hits + 1;
-          Profile.incr "solver.cache_hits";
-          r
-      | None ->
-          let t0 = Unix.gettimeofday () in
-          let r = not (sat_raw (Term.mk_not t)) in
-          let dt = Unix.gettimeofday () -. t0 in
-          stats.time <- stats.time +. dt;
-          Profile.add_time "solver.solve_s" dt;
-          Term.Tbl.replace cache_valid t r;
-          r)
+  | _ -> valid_keyed (Term.hash t) t (fun () -> not (sat_raw (Term.mk_not t)))
 
-(** Does the conjunction of [hyps] entail [goal]? *)
-let entails (hyps : Term.t list) (goal : Term.t) : bool =
-  valid (Term.mk_imp (Term.mk_and hyps) goal)
+(* A hypothesis elaborated once, from a fresh state and without the
+   query's unit facts. *)
+type context = { c_lhs : Term.t; c_defs : Term.t list }
 
-(** The exact implication {!entails_sliced} hands to {!valid} — exposed
-    so certifying callers (the WP verifier) can record the goal they
-    actually discharged. *)
+type hyp = {
+  h_lhs : Term.t;
+  h_hash : int Lazy.t;
+  h_ctx : context option Lazy.t;
+      (** [None]: elaboration needed unit facts or was ill-sorted *)
+}
+
+let context (lhs : Term.t) : context option =
+  let st = new_state None in
+  let flat ts =
+    List.for_all (function Term.Bool _ | Term.And _ -> false | _ -> true) ts
+  in
+  match
+    match lhs with
+    | Term.And (_ :: _ :: _ as ts) ->
+        (* [elab_pred] on the [And]; keep [lhs] itself when no conjunct
+           changed and [mk_and] would rebuild it as is *)
+        let ts' = List.map (elab_pred st) ts in
+        if List.for_all2 ( == ) ts ts' && flat ts then lhs
+        else Term.mk_and ts'
+    | _ -> elab_pred st lhs
+  with
+  | c_lhs -> Some { c_lhs; c_defs = st.defs }
+  | exception (Needs_units | Term.Ill_sorted _) -> None
+
+let hyp (lhs : Term.t) : hyp =
+  { h_lhs = lhs; h_hash = lazy (Term.hash lhs); h_ctx = lazy (context lhs) }
+
+(** [sat (¬(lhs ⇒ g))] for [t = lhs ⇒ g]. [valid t] elaborates [g],
+    then [lhs], on one state. When [g] alone creates nothing, it reads
+    nothing either (every lookup on an empty state misses and
+    creates), so in either order [lhs] meets an empty state: the
+    context's elaboration is exactly what [valid t] would build. *)
+let sat_under (h : hyp) (g : Term.t) (t : Term.t) : bool =
+  let t_elab = Unix.gettimeofday () in
+  let st = new_state None in
+  let g' =
+    match elab_pred st g with
+    (* no fresh variable, hence no opaque term, application or
+       definition: each of them comes with one *)
+    | g' when st.counter = 0 -> Some g'
+    | _ | (exception (Needs_units | Term.Ill_sorted _)) -> None
+  in
+  let full =
+    match g' with
+    | None -> None
+    | Some g' ->
+        Option.map
+          (fun c ->
+            Term.mk_and (Term.mk_not (Term.mk_imp c.c_lhs g') :: c.c_defs))
+          (Lazy.force h.h_ctx)
+  in
+  Profile.add_time "solver.elab_s" (Unix.gettimeofday () -. t_elab);
+  match full with Some full -> decide full | None -> sat_raw (Term.mk_not t)
+
+let valid_under (h : hyp) (g : Term.t) : bool =
+  match (h.h_lhs, g) with
+  | Term.Bool _, _ | _, Term.Bool _ -> valid (Term.mk_imp h.h_lhs g)
+  | lhs, _ ->
+      let t = Term.mk_imp lhs g in
+      valid_keyed
+        (Term.hash_imp (Lazy.force h.h_hash) (Term.hash g))
+        t
+        (fun () -> not (sat_under h g t))
+
+(** The exact implication the WP verifier hands to the validity check:
+    the hypotheses sliced to the cone of influence of [goal]. *)
 let sliced_implication (hyps : Term.t list) (goal : Term.t) : Term.t =
   let seed = Term.free_vars goal in
   let hyps =
@@ -783,9 +876,6 @@ let sliced_implication (hyps : Term.t list) (goal : Term.t) : Term.t =
       Term.cone_of_influence tagged seed
   in
   Term.mk_imp (Term.mk_and hyps) goal
-
-let entails_sliced (hyps : Term.t list) (goal : Term.t) : bool =
-  valid (sliced_implication hyps goal)
 
 (* ------------------------------------------------------------------ *)
 (* Certificates and models                                             *)
@@ -801,16 +891,7 @@ let certify (goal : Term.t) : Proof.t option =
   let result =
     match
       let neg = Term.mk_not goal in
-      let st =
-        {
-          defs = [];
-          opaque = SmallTbl.create 16;
-          apps = Hashtbl.create 8;
-          counter = 0;
-          units = lazy [];
-          record = Some [];
-        }
-      in
+      let st = new_state ~record:[] (Some (lazy [])) in
       let neg' = elab_pred st neg in
       let fresh = List.rev (Option.value st.record ~default:[]) in
       let defs = st.defs in
@@ -851,16 +932,7 @@ let certify (goal : Term.t) : Proof.t option =
     abstraction, reals, interpreted applications). *)
 let model (t : Term.t) : (string * Eval.value) list option =
   match
-    let st =
-      {
-        defs = [];
-        opaque = SmallTbl.create 16;
-        apps = Hashtbl.create 8;
-        counter = 0;
-        units = lazy (unit_facts [] true t);
-        record = None;
-      }
-    in
+    let st = new_state (Some (lazy (unit_facts [] true t))) in
     let t' = elab_pred st t in
     let full = Term.mk_and (t' :: st.defs) in
     match full with

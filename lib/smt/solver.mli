@@ -45,18 +45,38 @@ val valid : Term.t -> bool
 (** [valid t]: does [t] hold for all integer assignments? [true] is
     definite; [false] may be incompleteness. *)
 
-val entails : Term.t list -> Term.t -> bool
-(** [entails hyps goal]: does the conjunction of [hyps] entail [goal]? *)
+type hyp
+(** A hypothesis [lhs] prepared for many validity queries [lhs ⇒ g]:
+    its {!Term.hash} and its elaboration (opaque abstraction,
+    Ackermann congruences, [if] lifting) are each computed at most
+    once, on the first query that needs them.
 
-val entails_sliced : Term.t list -> Term.t -> bool
-(** Like {!entails}, but first slices the hypotheses to the cone of
-    influence of the goal (hypotheses transitively sharing a variable
-    with it). Sound: dropping hypotheses only weakens the left-hand
-    side. *)
+    A [hyp] holds lazy state and is not thread-safe: build and use it
+    on one domain, and let it go with the query memo it serves (the
+    fixpoint solver keeps one per memo row, for one κ slice). *)
+
+val hyp : Term.t -> hyp
+
+val valid_under : hyp -> Term.t -> bool
+(** [valid_under (hyp lhs) g] is [valid (Term.mk_imp lhs g)]: the same
+    answer, the same [queries] and [cache_hits] counts, the same cache
+    entry. Only a cache miss uses the context, and only when exactness
+    is certain; otherwise the query is decided from scratch as {!valid}
+    decides it:
+    - an implication {!Term.mk_imp} folds ([lhs] or [g] a [Bool]) is
+      passed to {!valid} as folded;
+    - a hypothesis whose elaboration meets a division or remainder by
+      a constant (whose encoding consults the unit facts of the whole
+      query), or is ill-sorted, gets no context;
+    - a goal whose elaboration, on its own, creates a fresh variable,
+      opaque term, application or definition (a division, a nonlinear
+      product, an uninterpreted application, an [if]) does not reuse
+      the context, since it could share those with the hypothesis. *)
 
 val sliced_implication : Term.t list -> Term.t -> Term.t
-(** The exact implication {!entails_sliced} decides — exposed so
-    certifying callers can record the goal they actually discharged. *)
+(** [hyps ⇒ goal] with [hyps] sliced to the cone of influence of [goal]
+    (hypotheses transitively sharing a variable with it). Sound:
+    dropping hypotheses only weakens the left-hand side. *)
 
 val certify : Term.t -> Proof.t option
 (** [certify goal]: re-derive [valid goal] as a replayable certificate

@@ -116,6 +116,10 @@ let find_meta t = MetaTbl.find_opt (Domain.DLS.get intern_dls).tbl t
 
 let hash_combine h1 h2 = (h1 * 0x01000193) lxor h2
 
+(** [hash (Imp (a, b))] from [hash a] and [hash b]: a caller probing
+    one wide hypothesis against many goals hashes the hypothesis once. *)
+let hash_imp ha hb = hash_combine 13 (hash_combine ha hb)
+
 (** Full structural hash, memoized on interned terms: computing the
     hash of a node built from interned children is O(1). *)
 let rec hash t =
@@ -137,7 +141,7 @@ and hash_node t =
   | And ts -> List.fold_left (fun h t -> hash_combine h (hash t)) 10 ts
   | Or ts -> List.fold_left (fun h t -> hash_combine h (hash t)) 11 ts
   | Not a -> hash_combine 12 (hash a)
-  | Imp (a, b) -> hash_combine 13 (hash_combine (hash a) (hash b))
+  | Imp (a, b) -> hash_imp (hash a) (hash b)
   | Iff (a, b) -> hash_combine 14 (hash_combine (hash a) (hash b))
   | Ite (a, b, c) ->
       hash_combine 15 (hash_combine (hash a) (hash_combine (hash b) (hash c)))
@@ -426,7 +430,7 @@ let free_vars_sorted t =
 
 let mem_var x t = VarSet.mem x (free_vars t)
 
-(** Cone-of-influence slicing, shared by [Solver.entails_sliced] and
+(** Cone-of-influence slicing, shared by [Solver.sliced_implication] and
     the fixpoint solver: keep exactly the hypotheses transitively
     sharing a variable with [seed] (each hypothesis pre-tagged with its
     free variables, which [free_vars] memoizes). Dropping hypotheses

@@ -12,7 +12,7 @@ let solution_entails sol k (goal : Term.t) (formals : (string * Sort.t) list) =
   | None -> false
   | Some conjuncts ->
       ignore formals;
-      Solver.entails conjuncts goal
+      Solver.valid (Term.mk_imp (Term.mk_and conjuncts) goal)
 
 (** §4.2: init_zeros loop — the solver must find κ(b,c) := b = c. *)
 let test_init_zeros () =

@@ -56,29 +56,41 @@ let seed_sensitivity () =
 (* Seeded-bug meta-tests                                               *)
 (* ------------------------------------------------------------------ *)
 
+(** [t] rebuilt with the smart constructors, each outermost subterm
+    that [f] maps to [Some t'] replaced by [t']. *)
+let rec rewrite (f : Term.t -> Term.t option) (t : Term.t) : Term.t =
+  let go = rewrite f in
+  match f t with
+  | Some t' -> t'
+  | None -> (
+      match t with
+      | Term.Var _ | Term.Int _ | Term.Real _ | Term.Bool _ -> t
+      | Term.Binop (op, a, b) -> Term.mk_binop op (go a) (go b)
+      | Term.Neg a -> Term.neg (go a)
+      | Term.Cmp (op, a, b) -> Term.mk_cmp op (go a) (go b)
+      | Term.Eq (a, b) -> Term.eq (go a) (go b)
+      | Term.Ne (a, b) -> Term.ne (go a) (go b)
+      | Term.And ts -> Term.mk_and (List.map go ts)
+      | Term.Or ts -> Term.mk_or (List.map go ts)
+      | Term.Not a -> Term.mk_not (go a)
+      | Term.Imp (a, b) -> Term.mk_imp (go a) (go b)
+      | Term.Iff (a, b) -> Term.mk_iff (go a) (go b)
+      | Term.Ite (c, a, b) -> Term.ite (go c) (go a) (go b)
+      | Term.App (g, ts) -> Term.app g (List.map go ts))
+
 (** The historical div/mod unsoundness, reinstated test-only: rewrite
     every [Mod (a, c)] into its Euclidean remainder
     [((a mod |c|) + |c|) mod |c|] before asking the real solver. The
     broken solver then claims e.g. [y % 3 >= 0] valid, which brute
     force refutes at [y = -1]. *)
 let rec euclid (t : Term.t) : Term.t =
-  match t with
-  | Term.Var _ | Term.Int _ | Term.Real _ | Term.Bool _ -> t
-  | Term.Binop (Term.Mod, a, Term.Int c) when c <> 0 ->
-      let m = Term.int (abs c) in
-      Term.md (Term.add (Term.md (euclid a) m) m) m
-  | Term.Binop (op, a, b) -> Term.mk_binop op (euclid a) (euclid b)
-  | Term.Neg a -> Term.neg (euclid a)
-  | Term.Cmp (op, a, b) -> Term.mk_cmp op (euclid a) (euclid b)
-  | Term.Eq (a, b) -> Term.eq (euclid a) (euclid b)
-  | Term.Ne (a, b) -> Term.ne (euclid a) (euclid b)
-  | Term.And ts -> Term.mk_and (List.map euclid ts)
-  | Term.Or ts -> Term.mk_or (List.map euclid ts)
-  | Term.Not a -> Term.mk_not (euclid a)
-  | Term.Imp (a, b) -> Term.mk_imp (euclid a) (euclid b)
-  | Term.Iff (a, b) -> Term.mk_iff (euclid a) (euclid b)
-  | Term.Ite (c, a, b) -> Term.ite (euclid c) (euclid a) (euclid b)
-  | Term.App (f, ts) -> Term.app f (List.map euclid ts)
+  rewrite
+    (function
+      | Term.Binop (Term.Mod, a, Term.Int c) when c <> 0 ->
+          let m = Term.int (abs c) in
+          Some (Term.md (Term.add (Term.md (euclid a) m) m) m)
+      | _ -> None)
+    t
 
 let repro_lines (b : Oracle.bug) =
   List.length (String.split_on_char '\n' (String.trim b.Oracle.b_repro))
@@ -188,6 +200,42 @@ let counterexample_lying_caught () =
       Alcotest.(check bool)
         "real counterexamples are Eval-confirmed on the shrunk term" true
         (Oracle.solver_mismatch ~valid:Solver.valid ~sat:Solver.sat t = None)
+
+(** A solver context that forgets its hypothesis's definitions,
+    emulated on terms: each integer [if] of the hypothesis becomes a
+    variable nothing constrains, as the elaborated hypothesis reads
+    without the definitions tying its [if] variables to their
+    branches. *)
+let context_dropping_defs_caught () =
+  let valid_under lhs =
+    let n = ref 0 in
+    let lhs' =
+      rewrite
+        (function
+          | Term.Ite _ as t when Term.sort_of t = Sort.Int ->
+              incr n;
+              Some (Term.var (Printf.sprintf "$ite%d" !n))
+          | _ -> None)
+        lhs
+    in
+    fun g -> Solver.valid (Term.mk_imp lhs' g)
+  in
+  let s = Fuzz.run ~valid_under (cfg [ Fuzz.Solver ] 0.1) in
+  match Fuzz.summary_bugs s with
+  | [] -> Alcotest.fail "context without hypothesis definitions not caught"
+  | b :: _ ->
+      let t = Repro.term_of_string b.Oracle.b_repro in
+      Alcotest.(check bool)
+        "shrunk term still refutes the broken context" true
+        (Oracle.solver_mismatch ~valid:Solver.valid ~sat:Solver.sat
+           ~valid_under t
+        <> None);
+      Alcotest.(check bool)
+        "the real context agrees with valid on the shrunk term" true
+        (Oracle.solver_mismatch ~valid:Solver.valid ~sat:Solver.sat t = None);
+      if repro_lines b > 2 then
+        Alcotest.failf "reproducer not minimal (%d lines):\n%s"
+          (repro_lines b) b.Oracle.b_repro
 
 let incremental_lying_caught () =
   (* broken incremental schedule: claims Sat with the empty solution
@@ -505,6 +553,8 @@ let tests =
         cert_goal_swap_caught;
       Alcotest.test_case "seeded lying counterexample finder caught" `Quick
         counterexample_lying_caught;
+      Alcotest.test_case "seeded context without hypothesis definitions caught"
+        `Quick context_dropping_defs_caught;
       Alcotest.test_case "no frontend rejects over 80 seeds" `Slow
         no_frontend_rejects;
       Alcotest.test_case "checker accepts a healthy fraction" `Slow

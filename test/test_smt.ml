@@ -111,12 +111,13 @@ let unit_tests =
     (* entailment interface *)
     Alcotest.test_case "entails" `Quick (fun () ->
         Alcotest.(check bool) "yes" true
-          (Solver.entails Term.[ le x y; le y z ] Term.(le x z));
+          (Solver.valid Term.(mk_imp (mk_and [ le x y; le y z ]) (le x z)));
         Alcotest.(check bool)
           "sliced" true
-          (Solver.entails_sliced
-             Term.[ le x y; le y z; lt n (int 0) ]
-             Term.(le x z)));
+          (Solver.valid
+             (Solver.sliced_implication
+                Term.[ le x y; le y z; lt n (int 0) ]
+                Term.(le x z))));
     (* hash-consing: structurally equal smart-constructed terms are
        physically equal, and free_vars memoization agrees with a fresh
        computation *)
@@ -268,17 +269,151 @@ let divmod_exhaustive () =
     done
   done
 
+(* ------------------------------------------------------------------ *)
+(* Solver context: valid_under agrees with valid exactly               *)
+(* ------------------------------------------------------------------ *)
+
+(** Run [f] from an empty query cache and zeroed statistics: its answer
+    (or [Ill_sorted] message) and the statistics it left behind. *)
+let fresh_run f =
+  Solver.clear_cache ();
+  Solver.reset_stats ();
+  let r = try Ok (f ()) with Term.Ill_sorted m -> Error m in
+  let s = Solver.stats () in
+  (r, [ s.queries; s.cache_hits; s.theory_checks; s.max_atoms ])
+
+let is_bool = function Term.Bool _ -> true | _ -> false
+
+(** Ask every goal under one [hyp] (so later goals reuse the context
+    the first one built), and each goal through [valid] from scratch:
+    same answers, same statistics, and the context's verdict sits in
+    the cache under the implication's key. *)
+let context_agrees name lhs goals =
+  Alcotest.test_case name `Quick (fun () ->
+      let h = Solver.hyp lhs in
+      List.iteri
+        (fun i g ->
+          let what = Printf.sprintf "%s, goal %d" name i in
+          let imp = Term.mk_imp lhs g in
+          let got, got_stats = fresh_run (fun () -> Solver.valid_under h g) in
+          let hits = (Solver.stats ()).cache_hits in
+          (* a folded [Bool] implication is answered without the cache *)
+          if Result.is_ok got && not (is_bool imp) then begin
+            ignore (Solver.valid imp);
+            Alcotest.(check int)
+              (what ^ ": cached under the implication")
+              (hits + 1) (Solver.stats ()).cache_hits
+          end;
+          let want, want_stats = fresh_run (fun () -> Solver.valid imp) in
+          Alcotest.(check (result bool string)) what want got;
+          Alcotest.(check (list int))
+            (what ^ ": queries, hits, theory checks, max atoms")
+            want_stats got_stats)
+        goals)
+
+let context_tests =
+  let open Term in
+  let f a = app "f" [ a ] in
+  [
+    context_agrees "context: linear hypothesis"
+      (mk_and [ le x y; le y z; lt n (int 0) ])
+      [ le x z; lt x z; ge n (int 0); le x z; mk_or [ lt n x; le z y ] ];
+    context_agrees "context: division needs unit facts"
+      (mk_and [ le (int 0) x; eq y (div x (int 2)) ])
+      [ le y x; ge y (int 0); lt y x ];
+    (* the negated goal [x < 0] settles the dividend's sign *)
+    context_agrees "context: division sign from the goal"
+      (mk_and [ eq y (div x (int 2)); le z y ])
+      [ ge x (int 0); le y x; ge (md x (int 2)) (int 0) ];
+    context_agrees "context: goals with %, x*y, f(x), if"
+      (mk_and [ lt (int 0) x; le x y; eq z (f x) ])
+      [
+        ge (md x (int 2)) (int 0);
+        ge (mul x y) (int 0);
+        eq (f x) z;
+        eq (f y) z;
+        le (ite (lt x y) x y) y;
+        le x y;
+      ];
+    context_agrees "context: Ackermannized hypothesis"
+      (mk_and [ eq x y; eq z (f x); eq n (f y) ])
+      [ eq z n; le z n; lt z n; eq x y ];
+    context_agrees "context: hypothesis with if"
+      (mk_and [ eq z (ite (lt x y) x y); ge x (int 0) ])
+      [ le z x; le z y; lt z x; ge z (int 0) ];
+    context_agrees "context: nonlinear hypothesis"
+      (mk_and [ eq z (mul x y); eq x y ])
+      [ eq z (mul y x); ge z (int 0); eq x y ];
+    context_agrees "context: true/false collapses" tt [ le x y; tt; ff ];
+    context_agrees "context: false hypothesis" ff [ le x y; ff ];
+    context_agrees "context: goal true or false"
+      (mk_and [ le x y; le y z ])
+      [ tt; ff; le x z ];
+    context_agrees "context: ill-sorted hypothesis"
+      (And [ le x y; Not (int 3) ])
+      [ le x y; Var ("b", Sort.Int) ];
+    context_agrees "context: ill-sorted goal"
+      (mk_and [ le x y; le y z ])
+      [ Var ("b", Sort.Int); Not (int 3); le x z ];
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Lia: the component split decides each component on its own         *)
+(* ------------------------------------------------------------------ *)
+
+(** A small system over [vars]: inequalities and equalities with
+    coefficients in [-4, 4] (so equalities without a unit coefficient
+    occur), and now and then a constant constraint, which may be a
+    contradiction. *)
+let gen_system vars : (Lia.lin list * Lia.lin list) QCheck.Gen.t =
+  let open QCheck.Gen in
+  let lin =
+    frequency
+      [
+        (1, map Lia.lin_const (int_range (-2) 2));
+        ( 8,
+          let* k = int_range (-4) 4 in
+          let* cs =
+            list_size (int_range 1 3) (pair (oneofl vars) (int_range (-4) 4))
+          in
+          return
+            (List.fold_left
+               (fun acc (x, c) ->
+                 Lia.lin_add acc (Lia.lin_scale c (Lia.lin_var x)))
+               (Lia.lin_const k) cs) );
+      ]
+  in
+  pair (list_size (int_range 0 3) lin) (list_size (int_range 0 5) lin)
+
+let prop_feasible_split =
+  QCheck.Test.make ~name:"feasible splits over variable-disjoint systems"
+    ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (gen_system [ "a0"; "a1"; "a2" ])
+           (gen_system [ "b0"; "b1"; "b2" ])))
+    (fun ((ae, ai), (be, bi)) ->
+      Lia.feasible ~eqs:(ae @ be) ~ineqs:(ai @ bi)
+      = (Lia.feasible ~eqs:ae ~ineqs:ai && Lia.feasible ~eqs:be ~ineqs:bi))
+
 (** Fixed seed for the randomized properties: reproduce a failure by
     re-running with the same constant. *)
 let qcheck_seed = 0x5eed2
 
 let tests =
   ( "smt",
-    unit_tests
+    unit_tests @ context_tests
     @ [ Alcotest.test_case "exhaustive div/mod vs truncated semantics" `Quick
           divmod_exhaustive ]
     @ List.map
         (QCheck_alcotest.to_alcotest
            ~rand:(Random.State.make [| qcheck_seed |]))
-        [ prop_validity_sound; prop_unsat_sound; prop_negation; prop_subst_ground ]
+        [
+          prop_validity_sound;
+          prop_unsat_sound;
+          prop_negation;
+          prop_subst_ground;
+          prop_feasible_split;
+        ]
   )
