@@ -553,8 +553,6 @@ let tests =
         cert_goal_swap_caught;
       Alcotest.test_case "seeded lying counterexample finder caught" `Quick
         counterexample_lying_caught;
-      Alcotest.test_case "seeded context without hypothesis definitions caught"
-        `Quick context_dropping_defs_caught;
       Alcotest.test_case "no frontend rejects over 80 seeds" `Slow
         no_frontend_rejects;
       Alcotest.test_case "checker accepts a healthy fraction" `Slow
@@ -573,4 +571,6 @@ let tests =
         absint_broken_containment_caught;
       Alcotest.test_case "fuzz-corpus reproducers stay fixed" `Quick
         corpus_replay;
+      Alcotest.test_case "seeded context without hypothesis definitions caught"
+        `Quick context_dropping_defs_caught;
     ] )
