@@ -13,8 +13,9 @@
       daemon (refuse to start); an unconnectable leftover path (crashed
       daemon, stray file) is stale and is removed along with its
       pidfile before binding;
-    - a {e pidfile} ([SOCKET.pid]) is written after bind so [kill
-      $(cat …)] and the tests can address the process;
+    - a {e pidfile} ([SOCKET.pid]) is renamed into place after bind and
+      before listen, so [kill $(cat …)] and the tests can address the
+      process, and whoever can connect finds it complete;
     - {e drain}: SIGTERM/SIGINT (or a [shutdown] request) set one
       atomic flag; the accept loop stops taking connections, idle
       sessions close, in-flight requests run to completion and their
@@ -195,11 +196,15 @@ let serve (cfg : config) : (unit, string) result =
             (Printf.sprintf "fluxd: cannot bind socket %s (%s)" cfg.socket
                (Unix.error_message e))
       | () ->
-          Unix.listen lfd 64;
+          (* the pidfile appears whole, and before the socket accepts a
+             connection: a starter that connects reads it at once *)
           let pidfile = pidfile_of cfg.socket in
-          let oc = open_out pidfile in
+          let tmp = Printf.sprintf "%s.%d.tmp" pidfile (Unix.getpid ()) in
+          let oc = open_out tmp in
           output_string oc (string_of_int (Unix.getpid ()));
           close_out oc;
+          Sys.rename tmp pidfile;
+          Unix.listen lfd 64;
           let st =
             {
               cfg;
@@ -268,8 +273,10 @@ let serve (cfg : config) : (unit, string) result =
           accept_loop ();
           (try Unix.close lfd with Unix.Unix_error _ -> ());
           reap ~blocking:true;
-          remove_quiet cfg.socket;
+          (* pidfile first: once the socket is gone, so is this pid, and
+             a daemon started right after cannot lose its own pidfile *)
           remove_quiet pidfile;
+          remove_quiet cfg.socket;
           Ok ())
 
 (* ------------------------------------------------------------------ *)

@@ -13,7 +13,15 @@
     inequalities are tightened to non-strict ones up front ([a < b]
     becomes [a + 1 ≤ b]). Equalities are eliminated by substitution when
     a unit-coefficient variable is available, otherwise split into two
-    inequalities. *)
+    inequalities.
+
+    Elimination rounds hold one entry per distinct row with the number
+    of copies of it the textbook procedure would hold, and build each
+    distinct (positive, negative) pair of entries once: a weakening
+    hypothesis repeats a handful of rows many times, and the copies
+    multiply round after round. The rounds take the textbook
+    procedure's decisions exactly (see [fm]); the test suite keeps that
+    procedure as the reference. *)
 
 module SMap = Map.Make (String)
 
@@ -126,19 +134,42 @@ let solvable_eq (e : lin) : (string * lin) option =
     answer "maybe satisfiable" (sound for the validity checker). *)
 let fm_limit = 20_000
 
-let choose_var (cs : lin list) : string option =
-  (* Pick the variable minimizing (#positive × #negative) occurrences to
-     keep the FM blowup small. *)
+(** One distinct row of an elimination round. It stands for [mult]
+    copies of [row] in the row list the textbook procedure would hold
+    at this point. A round keeps its entries in the order of their
+    first copies in that list; [last] orders the entries by the
+    position of their last copies. *)
+type entry = { row : lin; mutable mult : int; mutable last : int }
+
+(** Rows compared by their bindings: equal maps may differ in shape. *)
+module Rows = Hashtbl.Make (struct
+  type t = lin
+
+  let equal a b = a.const = b.const && SMap.equal Int.equal a.coeffs b.coeffs
+
+  let hash a =
+    SMap.fold
+      (fun x c h -> (h * 65599) + (Hashtbl.hash x * 31) + c)
+      a.coeffs a.const
+    land max_int
+end)
+
+(** Pick the variable minimizing (#positive × #negative) occurrences,
+    counted over row copies, to keep the FM blowup small. Entries come
+    in the order of their first copies, so variables enter the tally in
+    the order they first occur in the row list, and [Hashtbl.fold]
+    meets them, and breaks ties, as it would over the list. *)
+let choose_var (es : entry list) : string option =
   let tally = Hashtbl.create 16 in
   List.iter
-    (fun c ->
+    (fun e ->
       SMap.iter
         (fun x k ->
           let p, n = try Hashtbl.find tally x with Not_found -> (0, 0) in
-          if k > 0 then Hashtbl.replace tally x (p + 1, n)
-          else Hashtbl.replace tally x (p, n + 1))
-        c.coeffs)
-    cs;
+          if k > 0 then Hashtbl.replace tally x (p + e.mult, n)
+          else Hashtbl.replace tally x (p, n + e.mult))
+        e.row.coeffs)
+    es;
   Hashtbl.fold
     (fun x (p, n) best ->
       let cost = p * n in
@@ -148,64 +179,126 @@ let choose_var (cs : lin list) : string option =
     tally None
   |> Option.map fst
 
+(** The entries of the rows [emit] produces, in the order it first
+    produces each: equal rows merge, adding their multiplicities and
+    keeping the larger [last]. *)
+let entries (emit : (lin -> int -> int -> unit) -> unit) : entry list =
+  let table = Rows.create 16 in
+  let order = ref [] in
+  emit (fun row mult last ->
+      match Rows.find_opt table row with
+      | Some e ->
+          e.mult <- e.mult + mult;
+          if last > e.last then e.last <- last
+      | None ->
+          let e = { row; mult; last } in
+          Rows.add table row e;
+          order := e :: !order);
+  List.rev !order
+
+(** Phase 2 of {!feasible_conn}: eliminate the variables of [rows]
+    (each [≤ 0]) one a round. Raises [Infeasible] on a constant
+    contradiction.
+
+    A round holds entries, not the row list, yet takes the list
+    procedure's decisions. Those read only each round's row multiset
+    and the order in which variables first occur in the list (the
+    tie-break of [choose_var]), and the entries keep both. DESIGN.md
+    ("Fourier–Motzkin on row multisets") gives the argument. *)
+let fm (rows : lin list) : bool =
+  let rec round (es : entry list) =
+    let es =
+      List.filter_map
+        (fun e -> Option.map (fun row -> { e with row }) (tighten e.row))
+        es
+    in
+    if List.fold_left (fun n e -> n + e.mult) 0 es > fm_limit then true
+      (* give up: maybe SAT *)
+    else
+      match choose_var es with
+      | None -> true (* only constants left, all satisfied *)
+      | Some x ->
+          (* One pass in first-copy order, prepending as the list code
+             does; [f] is an entry's first-copy rank. *)
+          let _, pos, neg, rest =
+            List.fold_left
+              (fun (f, p, n, r) e ->
+                match SMap.find_opt x e.row.coeffs with
+                | Some k when k > 0 -> (f + 1, (f, e) :: p, n, r)
+                | Some _ -> (f + 1, p, (f, e) :: n, r)
+                | None -> (f + 1, p, n, (f, e) :: r))
+              (0, [], [], []) es
+          in
+          (* The list code walks each part reversed, so the part's first
+             copies come in descending order of last copies. *)
+          let rec descending = function
+            | (_, a) :: ((_, b) :: _ as tl) -> a.last > b.last && descending tl
+            | _ -> true
+          in
+          let reversed part =
+            if descending part then part
+            else List.sort (fun (_, a) (_, b) -> compare b.last a.last) part
+          in
+          (* The next list holds, in order, each pair's copies, then
+             the other rows. A pair's last copy pairs the last copies in
+             the reversed parts, which are the entries' first copies:
+             the keys below order those positions. *)
+          let d = List.length es in
+          let w = d + 1 in
+          let pos = reversed pos and neg = reversed neg in
+          let next =
+            entries (fun add ->
+                List.iter
+                  (fun (fp, ep) ->
+                    let a = SMap.find x ep.row.coeffs in
+                    List.iter
+                      (fun (fn, en) ->
+                        let b = -SMap.find x en.row.coeffs in
+                        (* b·cp + a·cn eliminates x (a>0, b>0). *)
+                        add
+                          (lin_add (lin_scale b ep.row) (lin_scale a en.row))
+                          (ep.mult * en.mult)
+                          (((d - fp) * w) + (d - fn)))
+                      neg)
+                  pos;
+                List.iter
+                  (fun (f, e) -> add e.row e.mult ((w * w) + (d - f)))
+                  (reversed rest))
+          in
+          let copies l = List.fold_left (fun n (_, e) -> n + e.mult) 0 l in
+          Profile.add "lia.fm_rows" (List.length pos * List.length neg);
+          Profile.add "lia.fm_row_copies" (copies pos * copies neg);
+          round next
+  in
+  round (entries (fun add -> List.iteri (fun i row -> add row 1 i) rows))
+
+(** Phase 1 of {!feasible_conn}: eliminate the equalities [eqs] (each
+    [= 0]) from [ineqs] (each [≤ 0]) by substitution, or split one into
+    two inequalities when it has no unit coefficient. Returns the
+    inequalities left; raises [Infeasible] on a contradiction. *)
+let rec elim_eqs eqs ineqs =
+  match eqs with
+  | [] -> ineqs
+  | e :: rest -> (
+      if lin_is_const e then
+        if e.const <> 0 then raise Infeasible else elim_eqs rest ineqs
+      else
+        match solvable_eq e with
+        | Some (x, rhs) ->
+            let sub = lin_subst x rhs in
+            elim_eqs (List.map sub rest) (List.map sub ineqs)
+        | None ->
+            (* No unit coefficient: check gcd divisibility, then
+               split into two inequalities. *)
+            let g = SMap.fold (fun _ c acc -> gcd c acc) e.coeffs 0 in
+            if g > 1 && e.const mod g <> 0 then raise Infeasible
+            else elim_eqs rest (e :: lin_scale (-1) e :: ineqs))
+
 (** Decide feasibility (over the rationals, with integer tightening) of
     the conjunction of [ineqs] (each [≤ 0]) and [eqs] (each [= 0]).
     Returns [false] only if definitely infeasible over the integers. *)
 let feasible_conn ~(eqs : lin list) ~(ineqs : lin list) : bool =
-  try
-    (* Phase 1: eliminate equalities. *)
-    let rec elim_eqs eqs ineqs =
-      match eqs with
-      | [] -> ineqs
-      | e :: rest -> (
-          if lin_is_const e then
-            if e.const <> 0 then raise Infeasible else elim_eqs rest ineqs
-          else
-            match solvable_eq e with
-            | Some (x, rhs) ->
-                let sub = lin_subst x rhs in
-                elim_eqs (List.map sub rest) (List.map sub ineqs)
-            | None ->
-                (* No unit coefficient: check gcd divisibility, then
-                   split into two inequalities. *)
-                let g = SMap.fold (fun _ c acc -> gcd c acc) e.coeffs 0 in
-                if g > 1 && e.const mod g <> 0 then raise Infeasible
-                else elim_eqs rest (e :: lin_scale (-1) e :: ineqs))
-    in
-    let ineqs = elim_eqs eqs ineqs in
-    (* Phase 2: FM elimination. *)
-    let rec fm (cs : lin list) =
-      let cs = List.filter_map tighten cs in
-      if List.length cs > fm_limit then true (* give up: maybe SAT *)
-      else
-        match choose_var cs with
-        | None -> true (* only constants left, all satisfied *)
-        | Some x ->
-            let pos, neg, rest =
-              List.fold_left
-                (fun (p, n, r) c ->
-                  match SMap.find_opt x c.coeffs with
-                  | Some k when k > 0 -> (c :: p, n, r)
-                  | Some _ -> (p, c :: n, r)
-                  | None -> (p, n, c :: r))
-                ([], [], []) cs
-            in
-            let combined =
-              List.concat_map
-                (fun cp ->
-                  let a = SMap.find x cp.coeffs in
-                  List.map
-                    (fun cn ->
-                      let b = -SMap.find x cn.coeffs in
-                      (* b·cp + a·cn eliminates x (a>0, b>0). *)
-                      lin_add (lin_scale b cp) (lin_scale a cn))
-                    neg)
-                pos
-            in
-            fm (combined @ rest)
-    in
-    fm ineqs
-  with Infeasible -> false
+  try fm (elim_eqs eqs ineqs) with Infeasible -> false
 
 (** Split the constraint system into connected components (constraints
     linked by shared variables) and decide each independently — the

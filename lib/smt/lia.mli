@@ -25,6 +25,38 @@ val feasible : eqs:lin list -> ineqs:lin list -> bool
 (** Feasibility of [⋀ eqs = 0 ∧ ⋀ ineqs ≤ 0] over the integers
     ([false] is definite). *)
 
+(** {2 The two phases of one component}
+
+    [feasible] decides each connected component as
+    [fm (elim_eqs eqs ineqs)], answering [false] on [Infeasible]. The
+    phases are exposed for the tests, which keep the list-based
+    elimination as the reference [fm] must agree with. *)
+
+exception Infeasible
+(** A constant contradiction. *)
+
+val fm_limit : int
+(** Row count beyond which elimination gives up and answers [true]. *)
+
+val tighten : lin -> lin option
+(** Normalize [lin ≤ 0] by the gcd of its coefficients; [None] if it is
+    a trivially true constant. Raises [Infeasible] on a false one. *)
+
+val elim_eqs : lin list -> lin list -> lin list
+(** [elim_eqs eqs ineqs]: the inequalities left once the equalities are
+    substituted away (or split in two when no coefficient is ±1). Raises
+    [Infeasible]. *)
+
+val fm : lin list -> bool
+(** Fourier–Motzkin elimination of [⋀ rows ≤ 0], one variable a round,
+    the variable with the fewest (positive × negative) row pairs first.
+    A round keeps one entry per distinct row with its multiplicity and
+    builds each distinct pair of entries once, yet takes the same
+    decisions (variable, size limit, verdict) as the procedure on the
+    plain row list. Counts the pairs built in the profile counter
+    [lia.fm_rows] and the rows the list procedure builds in
+    [lia.fm_row_copies]. Raises [Infeasible]. *)
+
 (** Literals as consumed from the DPLL layer. *)
 type literal =
   | Le0 of lin  (** lin ≤ 0 *)

@@ -22,4 +22,5 @@ let () =
       Test_absint.tests;
       Test_fuzz.tests;
       Test_server.tests;
+      Test_golden.tests;
     ]

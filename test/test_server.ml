@@ -541,6 +541,68 @@ let lifecycle_start_status_stop () =
       let code, _, _ = run_flux ("daemon status --socket " ^ sq sock) in
       Alcotest.(check int) "status after stop fails" 1 code)
 
+(** The pidfile is in place before the socket accepts. A foreground
+    daemon is probed in a tight loop, so the first connection lands
+    right after [listen]: the pidfile must already name the daemon.
+    Then each [daemon start] must report the pid of the daemon it
+    started, never take it for an older one ("already running"), and
+    [daemon stop] must leave neither file behind. *)
+let lifecycle_start_stop_loop () =
+  let sock = fresh_tmp "fluxd-loop" ^ ".sock" in
+  let pidfile = sock ^ ".pid" in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (run_flux ("daemon stop --socket " ^ sq sock));
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ sock; pidfile ])
+    (fun () ->
+      let stop what =
+        let code, out, _ = run_flux ("daemon stop --socket " ^ sq sock) in
+        Alcotest.(check int) (what ^ ": stop") 0 code;
+        Alcotest.(check bool) (what ^ ": stop announces itself") true
+          (contains "fluxd: stopped" out);
+        Alcotest.(check bool) (what ^ ": socket removed") true
+          (wait_until (fun () -> not (Sys.file_exists sock)));
+        Alcotest.(check bool) (what ^ ": pidfile removed before the socket")
+          false (Sys.file_exists pidfile)
+      in
+      for i = 1 to 4 do
+        let what = Printf.sprintf "foreground round %d" i in
+        let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+        let pid =
+          Unix.create_process "../bin/flux.exe"
+            [| "../bin/flux.exe"; "daemon"; "start"; "--foreground";
+               "--socket"; sock |]
+            null null null
+        in
+        Unix.close null;
+        let t0 = Unix.gettimeofday () in
+        let rec probe () =
+          match Daemon.try_connect sock with
+          | Some fd -> Unix.close fd
+          | None when Unix.gettimeofday () -. t0 < 10. -> probe ()
+          | None -> Alcotest.failf "%s: daemon never accepted" what
+        in
+        probe ();
+        Alcotest.(check (option string))
+          (what ^ ": pidfile names the daemon at its first connection")
+          (Some (string_of_int pid))
+          (try Some (String.trim (read_file pidfile)) with Sys_error _ -> None);
+        stop what;
+        ignore (Unix.waitpid [] pid)
+      done;
+      for i = 1 to 4 do
+        let what = Printf.sprintf "round %d" i in
+        let code, out, err = run_flux ("daemon start --socket " ^ sq sock) in
+        Alcotest.(check int) (what ^ ": start: " ^ out ^ err) 0 code;
+        let pid = String.trim (read_file pidfile) in
+        Alcotest.(check string) (what ^ ": start announces the pidfile's pid")
+          (Printf.sprintf "fluxd: started (pid %s, socket %s)\n" pid sock)
+          out;
+        stop what
+      done)
+
 let byte_identity_cold_and_warm () =
   with_daemon (fun sock ->
       let f = "../examples/programs/init_zeros.rs" in
@@ -921,4 +983,6 @@ let tests =
       Alcotest.test_case "daemon answers foreign versions with an error" `Quick raw_socket_version_error;
       Alcotest.test_case "client reset mid-request is counted, next client served" `Quick
         client_reset_mid_request;
+      Alcotest.test_case "daemon start/stop loop reports each fresh pid" `Quick
+        lifecycle_start_stop_loop;
     ] )

@@ -397,6 +397,235 @@ let prop_feasible_split =
       Lia.feasible ~eqs:(ae @ be) ~ineqs:(ai @ bi)
       = (Lia.feasible ~eqs:ae ~ineqs:ai && Lia.feasible ~eqs:be ~ineqs:bi))
 
+(* ------------------------------------------------------------------ *)
+(* Lia: multiset Fourier–Motzkin against the list procedure            *)
+(* ------------------------------------------------------------------ *)
+
+(** The reference for [Lia.fm]: the elimination on the plain row list,
+    every copy of every row held and combined. Returns its verdict and
+    the number of rows its rounds built. *)
+let list_fm (rows : Lia.lin list) : bool * int =
+  let built = ref 0 in
+  let choose_var (cs : Lia.lin list) : string option =
+    let tally = Hashtbl.create 16 in
+    List.iter
+      (fun (c : Lia.lin) ->
+        Lia.SMap.iter
+          (fun x k ->
+            let p, n = try Hashtbl.find tally x with Not_found -> (0, 0) in
+            if k > 0 then Hashtbl.replace tally x (p + 1, n)
+            else Hashtbl.replace tally x (p, n + 1))
+          c.coeffs)
+      cs;
+    Hashtbl.fold
+      (fun x (p, n) best ->
+        let cost = p * n in
+        match best with
+        | Some (_, bcost) when bcost <= cost -> best
+        | _ -> Some (x, cost))
+      tally None
+    |> Option.map fst
+  in
+  let rec fm (cs : Lia.lin list) =
+    let cs = List.filter_map Lia.tighten cs in
+    if List.length cs > Lia.fm_limit then true
+    else
+      match choose_var cs with
+      | None -> true
+      | Some x ->
+          let pos, neg, rest =
+            List.fold_left
+              (fun (p, n, r) (c : Lia.lin) ->
+                match Lia.SMap.find_opt x c.coeffs with
+                | Some k when k > 0 -> (c :: p, n, r)
+                | Some _ -> (p, c :: n, r)
+                | None -> (p, n, c :: r))
+              ([], [], []) cs
+          in
+          let combined =
+            List.concat_map
+              (fun (cp : Lia.lin) ->
+                let a = Lia.SMap.find x cp.coeffs in
+                List.map
+                  (fun (cn : Lia.lin) ->
+                    let b = -Lia.SMap.find x cn.coeffs in
+                    Lia.lin_add (Lia.lin_scale b cp) (Lia.lin_scale a cn))
+                  neg)
+              pos
+          in
+          built := !built + List.length combined;
+          fm (combined @ rest)
+  in
+  let verdict = try fm rows with Lia.Infeasible -> false in
+  (verdict, !built)
+
+let profile_count key =
+  match List.assoc_opt key (Profile.snapshot ()) with
+  | Some (n, _, _) -> n
+  | None -> 0
+
+(** [Lia.fm]'s verdict, with the pairs it built and the row copies it
+    accounted for (its two profile counters). *)
+let multiset_fm (rows : Lia.lin list) : bool * int * int =
+  let rows0 = profile_count "lia.fm_rows"
+  and copies0 = profile_count "lia.fm_row_copies" in
+  let verdict = try Lia.fm rows with Lia.Infeasible -> false in
+  ( verdict,
+    profile_count "lia.fm_rows" - rows0,
+    profile_count "lia.fm_row_copies" - copies0 )
+
+(** Same verdict, and the row copies the list procedure built are the
+    ones [Lia.fm] accounted for, round by round: a different variable
+    choice or size-limit decision would almost surely change that
+    count. [Lia.fm] never builds more rows than the copies. *)
+let fm_agrees rows =
+  let verdict, built = list_fm rows in
+  let verdict', pairs, copies = multiset_fm rows in
+  verdict = verdict' && built = copies && pairs <= copies
+
+let lin_of (k, cs) =
+  List.fold_left
+    (fun acc (x, c) -> Lia.lin_add acc (Lia.lin_scale c (Lia.lin_var x)))
+    (Lia.lin_const k) cs
+
+(** Systems drawn from a small pool of rows, each row repeated many
+    times — the shape of a weakening hypothesis. Rows come with their
+    mirror image now and then (so variables tie on cost), constant rows
+    occur, and equalities often lack a unit coefficient (so they are
+    split into two inequalities). *)
+let gen_pooled_system : (Lia.lin list * Lia.lin list) QCheck.Gen.t =
+  let open QCheck.Gen in
+  let vars = [ "a"; "b"; "c"; "d" ] in
+  let form coeffs =
+    let* k = int_range (-3) 3 in
+    let* cs = list_size (int_range 1 3) (pair (oneofl vars) (oneofl coeffs)) in
+    return (lin_of (k, cs))
+  in
+  let row =
+    frequency
+      [
+        (1, map Lia.lin_const (int_range (-2) 1));
+        (12, form [ -3; -2; -1; 1; 1; 2; 3 ]);
+      ]
+  in
+  let mirrored =
+    let* r = row in
+    let* k = int_range (-2) 2 in
+    frequency
+      [
+        (2, return [ r ]);
+        (1, return [ r; { (Lia.lin_scale (-1) r) with const = k } ]);
+      ]
+  in
+  let* pool = map List.concat (list_size (int_range 1 4) mirrored) in
+  let pool = Array.of_list pool in
+  let* ineqs =
+    list_size (int_range 1 48)
+      (map (fun i -> pool.(i)) (int_bound (Array.length pool - 1)))
+  in
+  let* eq_pool = list_size (int_range 1 2) (form [ -4; -2; 2; 3; 1 ]) in
+  let eq_pool = Array.of_list eq_pool in
+  let* eqs =
+    list_size (int_range 0 3)
+      (map (fun i -> eq_pool.(i)) (int_bound (Array.length eq_pool - 1)))
+  in
+  return (eqs, ineqs)
+
+let prop_fm_multiset =
+  QCheck.Test.make ~name:"multiset FM takes the list procedure's decisions"
+    ~count:1000
+    (QCheck.make gen_pooled_system)
+    (fun (eqs, ineqs) ->
+      match Lia.elim_eqs eqs ineqs with
+      | rows -> fm_agrees rows
+      | exception Lia.Infeasible -> true)
+
+(** At [fm_limit], counted over row copies. [m·(a+1 ≤ 0) ∧ n·(−a ≤ 0)]
+    is refuted while [m + n] copies fit and given up on ("maybe SAT")
+    past them. [p·(a−b ≤ 0) ∧ r·(b+1 ≤ 0) ∧ q·(−a ≤ 0)] eliminates [b]
+    first into [p·r] copies of one row, [a+1 ≤ 0]: with [p·r + q]
+    copies past the limit the second round gives up, though the system
+    is infeasible. *)
+let fm_limit_case () =
+  let copies k row = List.init k (fun _ -> lin_of row) in
+  let one_var m n = copies m (1, [ ("a", 1) ]) @ copies n (0, [ ("a", -1) ]) in
+  let two_vars p r q =
+    copies p (0, [ ("a", 1); ("b", -1) ])
+    @ copies r (1, [ ("b", 1) ])
+    @ copies q (0, [ ("a", -1) ])
+  in
+  List.iter
+    (fun (what, rows, expected, expected_copies) ->
+      Alcotest.(check bool) (what ^ ": agrees") true (fm_agrees rows);
+      let verdict, _, built = multiset_fm rows in
+      Alcotest.(check (pair bool int))
+        (what ^ ": verdict, row copies")
+        (expected, expected_copies) (verdict, built))
+    [
+      ("1 + 19999 rows", one_var 1 19_999, false, 19_999);
+      ("1 + 20000 rows", one_var 1 20_000, true, 0);
+      ("20, 10, 11 copies", two_vars 20 10 11, false, 200 + 2200);
+      ("150, 134, 135 copies", two_vars 150 134 135, true, 20_100);
+    ]
+
+(** One component of an RMat weakening query, as Phase 1 leaves it:
+    138 inequalities over 4 variables (8 before the equalities are
+    substituted away), only 24 of them distinct. The list procedure
+    builds ~89,000 rows to refute it. [rmat_rows] are the distinct
+    rows, [rmat_order] the list as indices into them. *)
+let rmat_rows =
+  [|
+    (-1, [ ("v!16", 1); ("v!18", -2) ]);
+    (0, []);
+    (1, [ ("v!15", -1) ]);
+    (0, [ ("v!18", -1) ]);
+    (0, [ ("v!20", -1) ]);
+    (0, [ ("v!16", 1); ("v!20", -1) ]);
+    (0, [ ("v!16", -1) ]);
+    (0, [ ("v!16", -1); ("v!18", 1); ("v!20", 1) ]);
+    (-1, []);
+    (-1, [ ("v!16", -1); ("v!20", 1) ]);
+    (0, [ ("v!16", -1); ("v!20", 1) ]);
+    (0, [ ("v!16", -1); ("v!18", 2) ]);
+    (0, [ ("v!15", -1); ("v!18", 2) ]);
+    (1, [ ("v!16", -1); ("v!18", 1) ]);
+    (1, [ ("v!15", -1); ("v!18", 1) ]);
+    (-1, [ ("v!18", 1); ("v!20", -1) ]);
+    (-1, [ ("v!16", -1); ("v!18", 1) ]);
+    (-1, [ ("v!15", -1); ("v!18", 1) ]);
+    (0, [ ("v!16", -1); ("v!18", 1) ]);
+    (0, [ ("v!15", -1); ("v!18", 1) ]);
+    (-1, [ ("v!18", 1) ]);
+    (1, [ ("v!16", -1) ]);
+    (0, [ ("v!15", -1) ]);
+    (2, [ ("v!16", -1) ]);
+  |]
+
+let rmat_order =
+  [
+    0; 1; 1; 2; 3; 4; 3; 5; 6; 4; 7; 7; 7; 7; 8; 9; 9; 1; 10; 10; 1; 1; 10;
+    10; 7; 7; 7; 7; 8; 9; 9; 1; 10; 10; 1; 1; 10; 10; 7; 7; 7; 7; 11; 12; 11;
+    12; 11; 12; 11; 12; 13; 14; 13; 14; 15; 15; 8; 16; 17; 16; 17; 1; 18; 19;
+    18; 19; 20; 1; 13; 14; 13; 14; 1; 18; 19; 18; 19; 7; 7; 7; 7; 11; 12; 11;
+    12; 11; 12; 11; 12; 13; 14; 13; 14; 15; 15; 8; 16; 17; 16; 17; 1; 18; 19;
+    18; 19; 20; 1; 13; 14; 13; 14; 1; 18; 19; 18; 19; 8; 1; 21; 21; 13; 13;
+    10; 10; 18; 18; 1; 1; 22; 8; 1; 2; 2; 14; 14; 19; 19; 23;
+  ]
+
+let fm_rmat_case () =
+  let rows = List.map (fun i -> lin_of rmat_rows.(i)) rmat_order in
+  Alcotest.(check bool) "agrees" true (fm_agrees rows);
+  let _, built = list_fm rows in
+  let verdict, pairs, copies = multiset_fm rows in
+  Alcotest.(check bool) "refuted" false verdict;
+  Alcotest.(check bool) "the list procedure builds > 80k rows" true
+    (built > 80_000);
+  Alcotest.(check int) "copies accounted" built copies;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d pairs built, under 1%% of the copies" pairs)
+    true
+    (pairs * 100 < copies)
+
 (** Fixed seed for the randomized properties: reproduce a failure by
     re-running with the same constant. *)
 let qcheck_seed = 0x5eed2
@@ -415,5 +644,11 @@ let tests =
           prop_negation;
           prop_subst_ground;
           prop_feasible_split;
+          prop_fm_multiset;
         ]
+    @ [
+        Alcotest.test_case "multiset FM at the size limit" `Quick fm_limit_case;
+        Alcotest.test_case "multiset FM on an RMat hypothesis" `Quick
+          fm_rmat_case;
+      ]
   )
