@@ -10,9 +10,6 @@
     cone-of-influence slicing, and the baseline's quantifier
     instantiation depth.
 
-    [bench/main.exe micro] runs Bechamel micro-benchmarks of the
-    substrate (one [Test.make] per measured series).
-
     [bench/main.exe lint] lints the 7 workloads with every pass
     enabled, cold then warm, asserting zero findings, a fully-hit warm
     cache, and zero warm solver queries; writes [BENCH_lint.json].
@@ -29,16 +26,15 @@
     crosscheck sweep; spliced into [BENCH_table1.json] under an
     ["absint"] key.
 
-    [bench/main.exe daemon] measures the [fluxd] daemon: cold CLI
-    end-to-end time (process start + parse + verify, fresh cache) vs.
-    warm daemon request latency (socket round trip answered from the
-    in-memory verdict cache) per Table-1 workload, p50/p95 for both,
-    spliced into [BENCH_table1.json] under a ["daemon"] key.
+    [bench/main.exe all] runs [table1], then [ablations].
 
     [table1] additionally writes [BENCH_table1.json]: the same rows in
     machine-readable form, each with the full {!Flux_smt.Profile} dump
     for that verification run, so the perf trajectory is diffable
-    across PRs. *)
+    across PRs. Every record is built as a {!Flux_json.Json.t}; the
+    modes sharing [BENCH_table1.json] each replace only their own
+    top-level keys ({!splice_table1}). Daemon latency and per-layer
+    times are measured by [perfbench/], not here. *)
 
 module Checker = Flux_check.Checker
 module Wp = Flux_wp.Wp
@@ -47,6 +43,7 @@ module Workloads = Flux_workloads.Workloads
 module Loc = Flux_workloads.Loc
 module Solver = Flux_smt.Solver
 module Profile = Flux_smt.Profile
+module Json = Flux_json.Json
 
 let fresh_caches () =
   Solver.clear_cache ();
@@ -157,17 +154,20 @@ let engine_suite ~jobs ~dir (srcs : (string * string) list) : engine_meas =
         srcs warm;
   }
 
-let json_engine (e : engine_meas) ~seq_time =
-  Printf.sprintf
-    "{\"jobs\": %d, \"cores\": %d, \"functions\": %d, \"sequential_time_s\": \
-     %.3f, \"parallel_time_s\": %.3f, \"parallel_over_sequential\": %.3f, \
-     \"warm_time_s\": %.3f, \"warm_cache_hits\": %d, \"warm_cache_misses\": \
-     %d, \"warm_solver_queries\": %d}"
-    e.eg_jobs
-    (Domain.recommended_domain_count ())
-    e.eg_fns seq_time e.eg_cold_t
-    (e.eg_cold_t /. seq_time)
-    e.eg_warm_t e.eg_warm_hits e.eg_warm_misses e.eg_warm_queries
+let json_engine (e : engine_meas) ~seq_time : Json.t =
+  Json.Obj
+    [
+      ("jobs", Json.Int e.eg_jobs);
+      ("cores", Json.Int (Domain.recommended_domain_count ()));
+      ("functions", Json.Int e.eg_fns);
+      ("sequential_time_s", Json.Float seq_time);
+      ("parallel_time_s", Json.Float e.eg_cold_t);
+      ("parallel_over_sequential", Json.Float (e.eg_cold_t /. seq_time));
+      ("warm_time_s", Json.Float e.eg_warm_t);
+      ("warm_cache_hits", Json.Int e.eg_warm_hits);
+      ("warm_cache_misses", Json.Int e.eg_warm_misses);
+      ("warm_solver_queries", Json.Int e.eg_warm_queries);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Incremental fixpoint: SCC-scheduled weakening vs. the naive sweep,  *)
@@ -290,16 +290,31 @@ let inc_ok (m : inc_meas) =
   && m.im_edit_warm_wc < m.im_edit_scratch_wc
   && m.im_edit_slice_hits > 0
 
-let json_incremental (m : inc_meas) =
-  Printf.sprintf
-    "{\"rmat\": {\"weaken_checks_naive\": %d, \"weaken_checks_incremental\": \
-     %d, \"reduction_x\": %.2f, \"reweaken_skipped\": %d, \"sccs\": %d, \
-     \"naive_time_s\": %.3f, \"incremental_time_s\": %.3f, \
-     \"verdicts_agree\": %b}, \"spec_edit\": {\"weaken_checks_scratch\": %d, \
-     \"weaken_checks_warm\": %d, \"slice_hits\": %d, \"ok\": %b}, \"ok\": %b}"
-    m.im_naive_wc m.im_inc_wc (inc_reduction m) m.im_skipped m.im_sccs
-    m.im_naive_t m.im_inc_t m.im_agree m.im_edit_scratch_wc m.im_edit_warm_wc
-    m.im_edit_slice_hits m.im_edit_ok (inc_ok m)
+let json_incremental (m : inc_meas) : Json.t =
+  Json.Obj
+    [
+      ( "rmat",
+        Json.Obj
+          [
+            ("weaken_checks_naive", Json.Int m.im_naive_wc);
+            ("weaken_checks_incremental", Json.Int m.im_inc_wc);
+            ("reduction_x", Json.Float (inc_reduction m));
+            ("reweaken_skipped", Json.Int m.im_skipped);
+            ("sccs", Json.Int m.im_sccs);
+            ("naive_time_s", Json.Float m.im_naive_t);
+            ("incremental_time_s", Json.Float m.im_inc_t);
+            ("verdicts_agree", Json.Bool m.im_agree);
+          ] );
+      ( "spec_edit",
+        Json.Obj
+          [
+            ("weaken_checks_scratch", Json.Int m.im_edit_scratch_wc);
+            ("weaken_checks_warm", Json.Int m.im_edit_warm_wc);
+            ("slice_hits", Json.Int m.im_edit_slice_hits);
+            ("ok", Json.Bool m.im_edit_ok);
+          ] );
+      ("ok", Json.Bool (inc_ok m));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -310,70 +325,74 @@ type row = {
   r_flux : Loc.counts;
   r_flux_time : float option;
   r_flux_ok : bool;
-  r_flux_profile : string option;  (** Profile JSON for the flux run *)
+  r_flux_profile : Json.t option;  (** profile of the flux run *)
   r_prusti : Loc.counts;
   r_prusti_time : float option;
   r_prusti_ok : bool;
-  r_prusti_profile : string option;
+  r_prusti_profile : Json.t option;
 }
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_table1.json                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let json_opt_float = function
-  | None -> "null"
-  | Some t -> Printf.sprintf "%.3f" t
-
-let json_opt_raw = function None -> "null" | Some s -> s
-
-let json_side ~(annot : int option) ?cache (c : Loc.counts) time ok profile =
-  let annot_field =
-    match annot with None -> "" | Some a -> Printf.sprintf "\"annot\": %d, " a
-  in
-  let cache_field =
-    match cache with
-    | None -> ""
-    | Some (h, m) ->
-        Printf.sprintf "\"warm_cache_hits\": %d, \"warm_cache_misses\": %d, " h m
-  in
-  Printf.sprintf
-    "{\"loc\": %d, \"spec\": %d, %s%s\"time_s\": %s, \"ok\": %b, \"profile\": %s}"
-    c.Loc.loc c.Loc.spec annot_field cache_field (json_opt_float time) ok
-    (json_opt_raw profile)
-
-let json_row ~cache_rows (r : row) =
-  Printf.sprintf "    {\"name\": \"%s\", \"flux\": %s, \"prusti\": %s}"
-    r.r_name
-    (json_side ~annot:None
-       ?cache:(List.assoc_opt r.r_name cache_rows)
-       r.r_flux r.r_flux_time r.r_flux_ok r.r_flux_profile)
-    (json_side ~annot:(Some r.r_prusti.Loc.annot) r.r_prusti r.r_prusti_time
-       r.r_prusti_ok r.r_prusti_profile)
-
-let write_table1_json ~(rows : row list) ~totals ~claims ~cache_rows ~engine
-    ~incremental =
-  let fl, fs, ft, pl, ps, pa, pt = totals in
-  let time_ratio, spec_ratio, annot_pct = claims in
-  let oc = open_out "BENCH_table1.json" in
-  Printf.fprintf oc "{\n  \"benchmarks\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map (json_row ~cache_rows) rows));
-  Printf.fprintf oc
-    "  \"totals\": {\"flux\": {\"loc\": %d, \"spec\": %d, \"time_s\": %.3f}, \
-     \"prusti\": {\"loc\": %d, \"spec\": %d, \"annot\": %d, \"time_s\": \
-     %.3f}},\n"
-    fl fs ft pl ps pa pt;
-  (match engine with
-  | Some e -> Printf.fprintf oc "  \"engine\": %s,\n" e
-  | None -> ());
-  (match incremental with
-  | Some i -> Printf.fprintf oc "  \"incremental\": %s,\n" i
-  | None -> ());
-  Printf.fprintf oc
-    "  \"claims\": {\"time_ratio_prusti_over_flux\": %.2f, \
-     \"spec_ratio_prusti_over_flux\": %.2f, \"annot_pct_of_loc\": %.1f}\n}\n"
-    time_ratio spec_ratio annot_pct;
+(** Write one bench record. *)
+let write_json file (v : Json.t) =
+  let oc = open_out file in
+  output_string oc (Json.to_string ~pretty:true v);
   close_out oc
+
+let table_file = "BENCH_table1.json"
+
+(** Write [fields] as top-level keys of [BENCH_table1.json], keeping
+    every key another mode wrote there: a key already present is
+    replaced in place, a new one is appended. *)
+let splice_table1 (fields : (string * Json.t) list) =
+  let old =
+    if not (Sys.file_exists table_file) then []
+    else
+      match Json.parse (Flux_engine.Diag.read_file table_file) with
+      | Ok (Json.Obj kvs) -> kvs
+      | Ok _ | Error _ ->
+          Printf.printf "  (existing %s is not a JSON object; rewriting it)\n"
+            table_file;
+          []
+  in
+  let replaced =
+    List.map
+      (fun (k, v) -> (k, Option.value (List.assoc_opt k fields) ~default:v))
+      old
+  in
+  let added = List.filter (fun (k, _) -> not (List.mem_assoc k old)) fields in
+  write_json table_file (Json.Obj (replaced @ added))
+
+let json_side ?annot ?cache (c : Loc.counts) time ok profile : Json.t =
+  let opt f = function None -> [] | Some x -> f x in
+  Json.Obj
+    ([ ("loc", Json.Int c.Loc.loc); ("spec", Json.Int c.Loc.spec) ]
+    @ opt (fun a -> [ ("annot", Json.Int a) ]) annot
+    @ opt
+        (fun (h, m) ->
+          [ ("warm_cache_hits", Json.Int h); ("warm_cache_misses", Json.Int m) ])
+        cache
+    @ [
+        ("time_s", Option.fold ~none:Json.Null ~some:(fun t -> Json.Float t) time);
+        ("ok", Json.Bool ok);
+        ("profile", Option.value profile ~default:Json.Null);
+      ])
+
+let json_row ~cache_rows (r : row) : Json.t =
+  Json.Obj
+    [
+      ("name", Json.String r.r_name);
+      ( "flux",
+        json_side
+          ?cache:(List.assoc_opt r.r_name cache_rows)
+          r.r_flux r.r_flux_time r.r_flux_ok r.r_flux_profile );
+      ( "prusti",
+        json_side ~annot:r.r_prusti.Loc.annot r.r_prusti r.r_prusti_time
+          r.r_prusti_ok r.r_prusti_profile );
+    ]
 
 let opt_time = function
   | None -> "    -"
@@ -457,18 +476,20 @@ let table1 ~jobs () =
   Printf.printf "%s\n" (String.make 72 '-');
   Printf.printf "%-10s | %4d %4d %5s %5.1f   | %4d %4d %5d %5.1f\n" "Total" fl
     fs "-" ft pl ps pa pt;
+  let time_ratio = pt /. ft in
+  let spec_ratio = float_of_int ps /. float_of_int fs in
+  let annot_pct = 100.0 *. float_of_int pa /. float_of_int pl in
   Printf.printf "\nHeadline claims (paper -> this reproduction):\n";
   Printf.printf
     "  §5.1 verification time ratio Prusti/Flux: %.1fx (paper: ~23x on \
      totals; 'an order of magnitude')\n"
-    (pt /. ft);
+    time_ratio;
   Printf.printf "  §5.2 specification lines Prusti/Flux: %.2fx (paper: ~2.1x)\n"
-    (float_of_int ps /. float_of_int fs);
+    spec_ratio;
   Printf.printf
     "  §5.3 loop invariants: Flux 0 lines; Prusti %d lines = %.1f%% of LOC \
      (paper: ~14%% of LOC, ~11%% here depending on counting)\n"
-    pa
-    (100.0 *. float_of_int pa /. float_of_int pl);
+    pa annot_pct;
   (* Engine: the same Flux suite, pooled through the parallel scheduler
      with the persistent cache — cold (parallel speedup) then warm
      (incremental replay). *)
@@ -508,16 +529,37 @@ let table1 ~jobs () =
      hit(s)%s)\n"
     inc.im_edit_warm_wc inc.im_edit_scratch_wc inc.im_edit_slice_hits
     (if inc.im_edit_ok then "" else "; FAIL");
-  write_table1_json
-    ~rows:(rvec_row :: rmat_row :: rows)
-    ~totals:(fl, fs, ft, pl, ps, pa, pt)
-    ~cache_rows:eng.eg_rows
-    ~engine:(Some (json_engine eng ~seq_time:ft))
-    ~incremental:(Some (json_incremental inc))
-    ~claims:
-      ( pt /. ft,
-        float_of_int ps /. float_of_int fs,
-        100.0 *. float_of_int pa /. float_of_int pl );
+  splice_table1
+    [
+      ( "benchmarks",
+        Json.List
+          (List.map (json_row ~cache_rows:eng.eg_rows) (rvec_row :: rmat_row :: rows)) );
+      ( "totals",
+        Json.Obj
+          [
+            ( "flux",
+              Json.Obj
+                [ ("loc", Json.Int fl); ("spec", Json.Int fs); ("time_s", Json.Float ft) ]
+            );
+            ( "prusti",
+              Json.Obj
+                [
+                  ("loc", Json.Int pl);
+                  ("spec", Json.Int ps);
+                  ("annot", Json.Int pa);
+                  ("time_s", Json.Float pt);
+                ] );
+          ] );
+      ("engine", json_engine eng ~seq_time:ft);
+      ("incremental", json_incremental inc);
+      ( "claims",
+        Json.Obj
+          [
+            ("time_ratio_prusti_over_flux", Json.Float time_ratio);
+            ("spec_ratio_prusti_over_flux", Json.Float spec_ratio);
+            ("annot_pct_of_loc", Json.Float annot_pct);
+          ] );
+    ];
   Printf.printf "\nWrote BENCH_table1.json\n";
   let all_ok =
     List.for_all (fun r -> r.r_flux_ok && r.r_prusti_ok) rows
@@ -545,14 +587,14 @@ let smoke ~jobs () =
      (%d/%d hits, %d solver queries)\n"
     (String.concat "+" names) eng.eg_jobs eng.eg_cold_t eng.eg_cold_hits
     eng.eg_warm_t eng.eg_warm_hits eng.eg_fns eng.eg_warm_queries;
-  let oc = open_out "BENCH_smoke.json" in
-  Printf.fprintf oc
-    "{\"suite\": \"%s\", \"engine\": %s, \"cold_cache_hits\": %d, \"ok\": %b}\n"
-    (String.concat "+" names)
-    (json_engine eng ~seq_time:eng.eg_cold_t)
-    eng.eg_cold_hits
-    (eng.eg_cold_ok && eng.eg_warm_ok);
-  close_out oc;
+  write_json "BENCH_smoke.json"
+    (Json.Obj
+       [
+         ("suite", Json.String (String.concat "+" names));
+         ("engine", json_engine eng ~seq_time:eng.eg_cold_t);
+         ("cold_cache_hits", Json.Int eng.eg_cold_hits);
+         ("ok", Json.Bool (eng.eg_cold_ok && eng.eg_warm_ok));
+       ]);
   Printf.printf "Wrote BENCH_smoke.json\n";
   let pass =
     eng.eg_cold_ok && eng.eg_warm_ok
@@ -596,27 +638,34 @@ let fuzz_smoke ~jobs () =
   Printf.printf "  total      %5d cases in %.1fs (%.0f cases/s)\n" total
     s.Fuzz.s_elapsed
     (float_of_int total /. Float.max 1e-6 s.Fuzz.s_elapsed);
-  let oc = open_out "BENCH_fuzz.json" in
-  Printf.fprintf oc
-    "{\"seed\": %d, \"budget\": %.1f, \"jobs\": %d, \"cases\": %d, \
-     \"elapsed\": %.3f, \"oracles\": [%s], \"bugs\": %d, \"truncated\": %b, \
-     \"ok\": %b}\n"
-    cfg.Fuzz.seed cfg.Fuzz.budget jobs total s.Fuzz.s_elapsed
-    (String.concat ", "
-       (List.map
-          (fun (o : Fuzz.oracle_summary) ->
-            Printf.sprintf
-              "{\"oracle\": \"%s\", \"cases\": %d, \"ok\": %d, \"skipped\": \
-               %d, \"frontend\": %d, \"bugs\": %d}"
-              o.Fuzz.o_name o.Fuzz.o_cases o.Fuzz.o_ok o.Fuzz.o_skipped
-              o.Fuzz.o_frontend
-              (List.length o.Fuzz.o_bugs))
-          s.Fuzz.s_oracles))
-    bugs s.Fuzz.s_truncated
-    (bugs = 0 && not s.Fuzz.s_truncated);
-  close_out oc;
-  Printf.printf "Wrote BENCH_fuzz.json\n";
   let pass = bugs = 0 && not s.Fuzz.s_truncated in
+  write_json "BENCH_fuzz.json"
+    (Json.Obj
+       [
+         ("seed", Json.Int cfg.Fuzz.seed);
+         ("budget", Json.Float cfg.Fuzz.budget);
+         ("jobs", Json.Int jobs);
+         ("cases", Json.Int total);
+         ("elapsed", Json.Float s.Fuzz.s_elapsed);
+         ( "oracles",
+           Json.List
+             (List.map
+                (fun (o : Fuzz.oracle_summary) ->
+                  Json.Obj
+                    [
+                      ("oracle", Json.String o.Fuzz.o_name);
+                      ("cases", Json.Int o.Fuzz.o_cases);
+                      ("ok", Json.Int o.Fuzz.o_ok);
+                      ("skipped", Json.Int o.Fuzz.o_skipped);
+                      ("frontend", Json.Int o.Fuzz.o_frontend);
+                      ("bugs", Json.Int (List.length o.Fuzz.o_bugs));
+                    ])
+                s.Fuzz.s_oracles) );
+         ("bugs", Json.Int bugs);
+         ("truncated", Json.Bool s.Fuzz.s_truncated);
+         ("ok", Json.Bool pass);
+       ]);
+  Printf.printf "Wrote BENCH_fuzz.json\n";
   Printf.printf "Fuzz assertions (zero bugs, no truncation): %s\n"
     (if pass then "PASS" else "FAIL");
   if not pass then exit 1
@@ -675,15 +724,20 @@ let lint_bench ~jobs () =
     cold_findings = 0 && warm_findings = 0 && warm_misses = 0
     && warm_hits = fns && warm_queries = 0
   in
-  let oc = open_out "BENCH_lint.json" in
-  Printf.fprintf oc
-    "{\"jobs\": %d, \"functions\": %d, \"cold_time_s\": %.3f, \
-     \"cold_findings\": %d, \"warm_time_s\": %.3f, \"warm_cache_hits\": %d, \
-     \"warm_cache_misses\": %d, \"warm_findings\": %d, \
-     \"warm_solver_queries\": %d, \"ok\": %b}\n"
-    jobs fns cold_t cold_findings warm_t warm_hits warm_misses warm_findings
-    warm_queries pass;
-  close_out oc;
+  write_json "BENCH_lint.json"
+    (Json.Obj
+       [
+         ("jobs", Json.Int jobs);
+         ("functions", Json.Int fns);
+         ("cold_time_s", Json.Float cold_t);
+         ("cold_findings", Json.Int cold_findings);
+         ("warm_time_s", Json.Float warm_t);
+         ("warm_cache_hits", Json.Int warm_hits);
+         ("warm_cache_misses", Json.Int warm_misses);
+         ("warm_findings", Json.Int warm_findings);
+         ("warm_solver_queries", Json.Int warm_queries);
+         ("ok", Json.Bool pass);
+       ]);
   Printf.printf "Wrote BENCH_lint.json\n";
   Printf.printf
     "Lint assertions (workloads clean, warm all-hit, zero warm solver \
@@ -695,8 +749,6 @@ let lint_bench ~jobs () =
 (* Certify: emit certificates on a cold run, replay them on the warm   *)
 (* run, and assert the replay overhead stays within the 5% budget      *)
 (* ------------------------------------------------------------------ *)
-
-module Sjson = Flux_server.Json
 
 let profile_time key =
   match List.assoc_opt key (Profile.snapshot ()) with
@@ -764,44 +816,25 @@ let certify_bench ~jobs () =
     && ratio <= 0.05
   in
   let certify_json =
-    Sjson.Obj
+    Json.Obj
       [
-        ("jobs", Sjson.Int jobs);
-        ("functions", Sjson.Int fns);
-        ("cold_time_s", Sjson.Float cold_t);
-        ("solve_s", Sjson.Float solve_s);
-        ("emit_s", Sjson.Float emit_s);
-        ("warm_time_s", Sjson.Float warm_t);
-        ("replay_s", Sjson.Float replay_s);
-        ("emitted", Sjson.Int emitted);
-        ("replayed", Sjson.Int replayed);
-        ("failed", Sjson.Int failed);
-        ("incomplete", Sjson.Int incomplete);
-        ("warm_solver_queries", Sjson.Int warm_queries);
-        ("replay_over_solve", Sjson.Float ratio);
-        ("ok", Sjson.Bool pass);
+        ("jobs", Json.Int jobs);
+        ("functions", Json.Int fns);
+        ("cold_time_s", Json.Float cold_t);
+        ("solve_s", Json.Float solve_s);
+        ("emit_s", Json.Float emit_s);
+        ("warm_time_s", Json.Float warm_t);
+        ("replay_s", Json.Float replay_s);
+        ("emitted", Json.Int emitted);
+        ("replayed", Json.Int replayed);
+        ("failed", Json.Int failed);
+        ("incomplete", Json.Int incomplete);
+        ("warm_solver_queries", Json.Int warm_queries);
+        ("replay_over_solve", Json.Float ratio);
+        ("ok", Json.Bool pass);
       ]
   in
-  (* splice under "certify" in BENCH_table1.json, preserving whatever
-     the other modes already wrote *)
-  let table_file = "BENCH_table1.json" in
-  let table =
-    if Sys.file_exists table_file then
-      match Sjson.parse (Flux_engine.Diag.read_file table_file) with
-      | Ok (Sjson.Obj kvs) ->
-          Sjson.Obj
-            (List.remove_assoc "certify" kvs @ [ ("certify", certify_json) ])
-      | Ok _ | Error _ ->
-          Printf.printf
-            "  (existing %s is not a JSON object; rewriting with the certify \
-             section only)\n"
-            table_file;
-          Sjson.Obj [ ("certify", certify_json) ]
-    else Sjson.Obj [ ("certify", certify_json) ]
-  in
-  let oc = open_out table_file in
-  output_string oc (Sjson.to_string ~pretty:true table);
-  close_out oc;
+  splice_table1 [ ("certify", certify_json) ];
   Printf.printf "Wrote %s (certify section)\n" table_file;
   Printf.printf
     "Certify assertions (all certified, warm all-replay, zero warm solver \
@@ -920,50 +953,33 @@ let absint_bench ~jobs:_ () =
     tot_off tot_on (pct tot_off tot_on) tot_disch big_wins xfail;
   let pass = all_same && tot_disch > 0 && big_wins >= 2 && xfail = 0 in
   let absint_json =
-    Sjson.Obj
+    Json.Obj
       [
         ( "rows",
-          Sjson.Obj
+          Json.Obj
             (List.map
                (fun r ->
                  ( r.ab_name,
-                   Sjson.Obj
+                   Json.Obj
                      [
-                       ("queries_off", Sjson.Int r.ab_off_q);
-                       ("queries_on", Sjson.Int r.ab_on_q);
-                       ("absint.discharged", Sjson.Int r.ab_disch);
-                       ("absint.fallthrough", Sjson.Int r.ab_fall);
-                       ("saved_pct", Sjson.Float (pct r.ab_off_q r.ab_on_q));
-                       ("verdicts_identical", Sjson.Bool r.ab_same);
-                       ("time_on_s", Sjson.Float r.ab_on_t);
+                       ("queries_off", Json.Int r.ab_off_q);
+                       ("queries_on", Json.Int r.ab_on_q);
+                       ("absint.discharged", Json.Int r.ab_disch);
+                       ("absint.fallthrough", Json.Int r.ab_fall);
+                       ("saved_pct", Json.Float (pct r.ab_off_q r.ab_on_q));
+                       ("verdicts_identical", Json.Bool r.ab_same);
+                       ("time_on_s", Json.Float r.ab_on_t);
                      ] ))
                rows) );
-        ("queries_off_total", Sjson.Int tot_off);
-        ("queries_on_total", Sjson.Int tot_on);
-        ("absint.discharged", Sjson.Int tot_disch);
-        ("workloads_saved_15pct", Sjson.Int big_wins);
-        ("crosscheck_disagreements", Sjson.Int xfail);
-        ("ok", Sjson.Bool pass);
+        ("queries_off_total", Json.Int tot_off);
+        ("queries_on_total", Json.Int tot_on);
+        ("absint.discharged", Json.Int tot_disch);
+        ("workloads_saved_15pct", Json.Int big_wins);
+        ("crosscheck_disagreements", Json.Int xfail);
+        ("ok", Json.Bool pass);
       ]
   in
-  let table_file = "BENCH_table1.json" in
-  let table =
-    if Sys.file_exists table_file then
-      match Sjson.parse (Flux_engine.Diag.read_file table_file) with
-      | Ok (Sjson.Obj kvs) ->
-          Sjson.Obj
-            (List.remove_assoc "absint" kvs @ [ ("absint", absint_json) ])
-      | Ok _ | Error _ ->
-          Printf.printf
-            "  (existing %s is not a JSON object; rewriting with the absint \
-             section only)\n"
-            table_file;
-          Sjson.Obj [ ("absint", absint_json) ]
-    else Sjson.Obj [ ("absint", absint_json) ]
-  in
-  let oc = open_out table_file in
-  output_string oc (Sjson.to_string ~pretty:true table);
-  close_out oc;
+  splice_table1 [ ("absint", absint_json) ];
   Printf.printf "Wrote %s (absint section)\n" table_file;
   Printf.printf
     "Absint assertions (identical verdicts, discharged > 0, >= 2 workloads \
@@ -1058,321 +1074,6 @@ let ablations () =
       Printf.printf "  %6d  %7.2f  %8b\n" rounds t ok)
     [ 0; 1; 2 ]
 
-(* ------------------------------------------------------------------ *)
-(* Daemon latency: cold CLI end-to-end vs. warm daemon requests        *)
-(* ------------------------------------------------------------------ *)
-
-module Client = Flux_server.Client
-module Daemon = Flux_server.Daemon
-module Sproto = Flux_server.Protocol
-module Exec = Flux_server.Exec
-
-(** Nearest-rank percentile (same rule as {!Flux_server.Metrics}). *)
-let percentile p xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then 0.0
-  else
-    let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int n)) in
-    a.(max 0 (min (n - 1) (rank - 1)))
-
-(** The [flux] binary built next to this bench executable
-    ([_build/default/bin/flux.exe]). *)
-let flux_bin () =
-  let bench_dir = Filename.dirname Sys.executable_name in
-  Filename.concat
-    (Filename.concat (Filename.dirname bench_dir) "bin")
-    "flux.exe"
-
-(** Spawn [flux daemon start --socket socket] with stdio on /dev/null;
-    [daemon start] only exits 0 once the socket answers. *)
-let start_daemon ~bin ~socket =
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let pid =
-    Unix.create_process bin
-      [| "flux"; "daemon"; "start"; "--socket"; socket |]
-      null null null
-  in
-  let rec wait () =
-    match Unix.waitpid [] pid with
-    | _, Unix.WEXITED 0 -> true
-    | _, _ -> false
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-  in
-  let ok = wait () in
-  Unix.close null;
-  ok
-
-let stop_daemon ~socket =
-  ignore (Client.roundtrip ~socket Sproto.Shutdown);
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  let rec drain () =
-    if not (Sys.file_exists socket) then ()
-    else if Unix.gettimeofday () > deadline then begin
-      (* drain overran: force-kill so the bench never leaks a daemon *)
-      (match Daemon.read_pid socket with
-      | Some pid -> ( try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-      | None -> ());
-      List.iter
-        (fun f -> try Sys.remove f with Sys_error _ -> ())
-        [ socket; socket ^ ".pid" ]
-    end
-    else begin
-      Unix.sleepf 0.05;
-      drain ()
-    end
-  in
-  drain ()
-
-type daemon_row = {
-  dr_name : string;
-  dr_cold : float list;  (** cold CLI end-to-end seconds *)
-  dr_warm : float list;  (** warm daemon request seconds *)
-}
-
-let daemon_bench ~jobs () =
-  let bin = flux_bin () in
-  if not (Sys.file_exists bin) then begin
-    Printf.eprintf "bench daemon: %s not built\n" bin;
-    exit 2
-  end;
-  let tmp = Filename.get_temp_dir_name () in
-  let tag = Printf.sprintf "flux-bench-%d" (Unix.getpid ()) in
-  let socket = Filename.concat tmp (tag ^ ".sock") in
-  let warm_cache = Filename.concat tmp (tag ^ "-warm-cache") in
-  let cold_reps = 3 and warm_reps = 20 in
-  let files =
-    List.map
-      (fun (b : Workloads.benchmark) ->
-        let f =
-          Filename.concat tmp
-            (Printf.sprintf "%s-%s.rs" tag b.Workloads.bm_name)
-        in
-        let oc = open_out f in
-        output_string oc b.Workloads.bm_flux;
-        close_out oc;
-        (b.Workloads.bm_name, f))
-      Workloads.all
-  in
-  let rm_dir dir =
-    wipe_cache dir;
-    try Unix.rmdir dir with Unix.Unix_error _ -> ()
-  in
-  let cleanup () =
-    stop_daemon ~socket;
-    List.iter (fun (_, f) -> try Sys.remove f with Sys_error _ -> ()) files;
-    List.iter
-      (fun (name, _) -> rm_dir (Filename.concat warm_cache name))
-      files;
-    rm_dir warm_cache
-  in
-  if not (start_daemon ~bin ~socket) then begin
-    Printf.eprintf "bench daemon: could not start fluxd on %s\n" socket;
-    exit 1
-  end;
-  Fun.protect ~finally:cleanup (fun () ->
-      Printf.printf
-        "Daemon latency (%d workloads; cold CLI ×%d vs. warm daemon ×%d, \
-         --jobs %d):\n"
-        (List.length files) cold_reps warm_reps jobs;
-      let opts name =
-        {
-          (Exec.default_opts Exec.Flux_check) with
-          Exec.quiet = true;
-          jobs;
-          cache_dir = Filename.concat warm_cache name;
-        }
-      in
-      let rows =
-        List.map
-          (fun (name, file) ->
-            (* cold: a fresh process against a fresh cache, end-to-end *)
-            let cold =
-              List.init cold_reps (fun i ->
-                  let dir =
-                    Filename.concat tmp
-                      (Printf.sprintf "%s-cold-%s-%d" tag name i)
-                  in
-                  let cmd =
-                    Printf.sprintf "%s check -q --cache-dir %s %s > /dev/null 2>&1"
-                      (Filename.quote bin) (Filename.quote dir)
-                      (Filename.quote file)
-                  in
-                  let t0 = Unix.gettimeofday () in
-                  let rc = Sys.command cmd in
-                  let t = Unix.gettimeofday () -. t0 in
-                  rm_dir dir;
-                  if rc <> 0 then begin
-                    Printf.eprintf "bench daemon: cold `flux check %s` exited %d\n"
-                      name rc;
-                    exit 1
-                  end;
-                  t)
-            in
-            (* prime the daemon's caches, then measure warm requests *)
-            let request () =
-              let t0 = Unix.gettimeofday () in
-              match
-                Client.run ~spawn:Client.Never ~socket (opts name) ~file
-              with
-              | Some o when o.Exec.code = 0 -> Unix.gettimeofday () -. t0
-              | Some o ->
-                  Printf.eprintf "bench daemon: warm %s exited %d\n%s" name
-                    o.Exec.code o.Exec.err;
-                  exit 1
-              | None ->
-                  Printf.eprintf "bench daemon: warm %s: daemon unreachable\n"
-                    name;
-                  exit 1
-            in
-            ignore (request ());
-            let warm = List.init warm_reps (fun _ -> request ()) in
-            { dr_name = name; dr_cold = cold; dr_warm = warm })
-          files
-      in
-      let ms l = 1000. *. l in
-      Printf.printf "  %-10s %10s %10s %10s %10s %12s\n" "benchmark"
-        "cold p50" "cold p95" "warm p50" "warm p95" "speedup(p50)";
-      let row_json =
-        List.map
-          (fun r ->
-            let cp50 = percentile 50. r.dr_cold
-            and cp95 = percentile 95. r.dr_cold
-            and wp50 = percentile 50. r.dr_warm
-            and wp95 = percentile 95. r.dr_warm in
-            Printf.printf "  %-10s %8.1fms %8.1fms %8.2fms %8.2fms %11.1fx\n"
-              r.dr_name (ms cp50) (ms cp95) (ms wp50) (ms wp95)
-              (cp50 /. Float.max 1e-9 wp50);
-            ( r,
-              Sjson.Obj
-                [
-                  ("name", Sjson.String r.dr_name);
-                  ("cold_p50_ms", Sjson.Float (ms cp50));
-                  ("cold_p95_ms", Sjson.Float (ms cp95));
-                  ("warm_p50_ms", Sjson.Float (ms wp50));
-                  ("warm_p95_ms", Sjson.Float (ms wp95));
-                  ("speedup_p50", Sjson.Float (cp50 /. Float.max 1e-9 wp50));
-                ] ))
-          rows
-      in
-      let all_cold = List.concat_map (fun r -> r.dr_cold) rows in
-      let all_warm = List.concat_map (fun r -> r.dr_warm) rows in
-      let cp50 = percentile 50. all_cold and wp50 = percentile 50. all_warm in
-      let wp95 = percentile 95. all_warm in
-      Printf.printf "  %-10s %8.1fms %8.1fms %8.2fms %8.2fms %11.1fx\n"
-        "aggregate" (ms cp50)
-        (ms (percentile 95. all_cold))
-        (ms wp50) (ms wp95)
-        (cp50 /. Float.max 1e-9 wp50);
-      let pass =
-        List.for_all
-          (fun r -> percentile 50. r.dr_warm < percentile 50. r.dr_cold)
-          rows
-      in
-      let daemon_json =
-        Sjson.Obj
-          [
-            ("jobs", Sjson.Int jobs);
-            ("cold_reps", Sjson.Int cold_reps);
-            ("warm_reps", Sjson.Int warm_reps);
-            ("rows", Sjson.List (List.map snd row_json));
-            ("cold_p50_ms", Sjson.Float (ms cp50));
-            ("warm_p50_ms", Sjson.Float (ms wp50));
-            ("warm_p95_ms", Sjson.Float (ms wp95));
-            ("ok", Sjson.Bool pass);
-          ]
-      in
-      (* splice under "daemon" in BENCH_table1.json, preserving the
-         table1 rows already there *)
-      let table_file = "BENCH_table1.json" in
-      let table =
-        if Sys.file_exists table_file then
-          match Sjson.parse (Flux_engine.Diag.read_file table_file) with
-          | Ok (Sjson.Obj kvs) ->
-              Sjson.Obj (List.remove_assoc "daemon" kvs @ [ ("daemon", daemon_json) ])
-          | Ok _ | Error _ ->
-              Printf.printf
-                "  (existing %s is not a JSON object; rewriting with the \
-                 daemon section only)\n"
-                table_file;
-              Sjson.Obj [ ("daemon", daemon_json) ]
-        else Sjson.Obj [ ("daemon", daemon_json) ]
-      in
-      let oc = open_out table_file in
-      output_string oc (Sjson.to_string ~pretty:true table);
-      close_out oc;
-      Printf.printf "Wrote %s (daemon section)\n" table_file;
-      Printf.printf
-        "Daemon assertions (warm p50 beats cold CLI p50 on every workload): \
-         %s\n"
-        (if pass then "PASS" else "FAIL");
-      if not pass then exit 1)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let trans_term =
-    let open Flux_smt.Term in
-    mk_imp
-      (mk_and [ lt (var "x") (var "y"); le (var "y") (var "n") ])
-      (lt (var "x") (var "n"))
-  in
-  let src name = (Option.get (Workloads.find name)).Workloads.bm_flux in
-  let tests =
-    Test.make_grouped ~name:"flux"
-      [
-        Test.make ~name:"smt-transitivity-query"
-          (Staged.stage (fun () ->
-               Solver.clear_cache ();
-               ignore (Solver.valid trans_term)));
-        Test.make ~name:"fixpoint-qualifier-instantiation"
-          (Staged.stage (fun () ->
-               ignore
-                 (Flux_fixpoint.Qualifier.instantiate_all
-                    Flux_fixpoint.Qualifier.default
-                    [
-                      ("v", Flux_smt.Sort.Int);
-                      ("a", Flux_smt.Sort.Int);
-                      ("b", Flux_smt.Sort.Int);
-                      ("c", Flux_smt.Sort.Int);
-                    ])));
-        Test.make ~name:"frontend-parse-typecheck-kmeans"
-          (Staged.stage (fun () ->
-               let prog = Flux_syntax.Parser.parse_program (src "kmeans") in
-               Flux_syntax.Typeck.check_program prog));
-        Test.make ~name:"flux-end-to-end-dotprod"
-          (Staged.stage (fun () ->
-               fresh_caches ();
-               ignore (Checker.check_source (src "dotprod"))));
-        Test.make ~name:"prusti-end-to-end-dotprod"
-          (Staged.stage (fun () ->
-               fresh_caches ();
-               ignore
-                 (Wp.verify_source
-                    (Option.get (Workloads.find "dotprod")).Workloads.bm_prusti)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 2.0) () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  Printf.printf "Micro-benchmarks (monotonic clock):\n";
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-42s %14.0f ns/run\n" name est
-      | _ -> Printf.printf "  %-42s (no estimate)\n" name)
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
-
 let () =
   let args = Array.to_list Sys.argv in
   let jobs =
@@ -1394,18 +1095,14 @@ let () =
   | "lint" -> lint_bench ~jobs ()
   | "certify" -> certify_bench ~jobs ()
   | "absint" -> absint_bench ~jobs ()
-  | "daemon" -> daemon_bench ~jobs ()
   | "ablations" -> ablations ()
-  | "micro" -> micro ()
   | "all" ->
       table1 ~jobs ();
       Printf.printf "\n";
-      ablations ();
-      Printf.printf "\n";
-      micro ()
+      ablations ()
   | m ->
       Printf.eprintf
         "unknown mode %s (expected table1 | smoke | fuzz | lint | certify | \
-         absint | daemon | ablations | micro | all)\n"
+         absint | ablations | all)\n"
         m;
       exit 2

@@ -17,6 +17,7 @@ module Checker = Flux_check.Checker
 module Genv = Flux_check.Genv
 module Engine = Flux_engine.Engine
 module Cache = Flux_engine.Cache
+module Json = Flux_json.Json
 open Flux_fixpoint
 
 type config = {
@@ -215,51 +216,24 @@ let print_text fmt ~(quiet : bool) ~(times : bool) (r : run) : unit =
         cached
   end
 
-let json_escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (** Machine-readable report for [--format json] and the CI artifact. *)
-let json_of_run ~(file : string) (r : run) : string =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"file\": \"%s\",\n" (json_escape file));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"functions\": %d,\n  \"cache_hits\": %d,\n"
-       (List.length r.lr_fns) r.lr_hits);
-  Buffer.add_string buf "  \"diagnostics\": [";
-  let first = ref true in
-  List.iter
-    (fun o ->
-      List.iter
-        (fun (d : Passes.diag) ->
-          if not !first then Buffer.add_char buf ',';
-          first := false;
-          Buffer.add_string buf
-            (Printf.sprintf
-               "\n    {\"pass\": \"%s\", \"severity\": \"%s\", \"function\": \
-                \"%s\", \"line\": %d, \"col\": %d, \"message\": \"%s\"}"
-               (json_escape d.Passes.d_pass)
-               (Passes.severity_str d.Passes.d_severity)
-               (json_escape d.Passes.d_fn)
-               d.Passes.d_span.Ast.sp_start.Ast.line
-               d.Passes.d_span.Ast.sp_start.Ast.col
-               (json_escape d.Passes.d_msg)))
-        o.lo_diags)
-    r.lr_fns;
-  if not !first then Buffer.add_string buf "\n  ";
-  Buffer.add_string buf "],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"clean\": %b\n}\n" (run_clean r));
-  Buffer.contents buf
+let json_of_run ~(file : string) (r : run) : Json.t =
+  let diag (d : Passes.diag) =
+    Json.Obj
+      [
+        ("pass", Json.String d.Passes.d_pass);
+        ("severity", Json.String (Passes.severity_str d.Passes.d_severity));
+        ("function", Json.String d.Passes.d_fn);
+        ("line", Json.Int d.Passes.d_span.Ast.sp_start.Ast.line);
+        ("col", Json.Int d.Passes.d_span.Ast.sp_start.Ast.col);
+        ("message", Json.String d.Passes.d_msg);
+      ]
+  in
+  Json.Obj
+    [
+      ("file", Json.String file);
+      ("functions", Json.Int (List.length r.lr_fns));
+      ("cache_hits", Json.Int r.lr_hits);
+      ("diagnostics", Json.List (List.map diag (run_diags r)));
+      ("clean", Json.Bool (run_clean r));
+    ]

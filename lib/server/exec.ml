@@ -346,7 +346,8 @@ let run ?deadline_ms ?(check_alive = fun () -> true) (o : opts)
             let run = Lint.lint_source ~cancel ~config cfg src in
             if o.format_json then begin
               Format.pp_print_flush out ();
-              Buffer.add_string out_buf (Lint.json_of_run ~file run)
+              Buffer.add_string out_buf
+                (Json.to_string ~pretty:true (Lint.json_of_run ~file run))
             end
             else Lint.print_text out ~quiet:o.quiet ~times:o.times run;
             finish

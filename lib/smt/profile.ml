@@ -18,7 +18,7 @@
     can rely on [_s]-suffixed keys being seconds and bare keys being
     counts.
 
-    The whole profile serializes to JSON ({!to_json}) — this is what
+    The whole profile converts to a JSON value ({!to_json}) — this is what
     [bench/main.exe table1] embeds in [BENCH_table1.json] so the perf
     trajectory is tracked across PRs. *)
 
@@ -150,46 +150,25 @@ let absorb (cap : captured) =
       absorb_group g entries)
     cap.cap_fns
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Flux_json.Json
 
-let json_of_group (g : group) : string =
-  let entries =
-    List.map
-      (fun (k, (n, t, timed)) ->
-        Printf.sprintf "\"%s\": %s" (json_escape k)
-          (if not timed then string_of_int n
-           else if Float.is_finite t then Printf.sprintf "%.6f" t
-           else "null" (* JSON has no nan/inf tokens *)))
-      (snapshot_group g)
-  in
-  "{" ^ String.concat ", " entries ^ "}"
+let json_of_entries entries : Json.t =
+  Json.Obj
+    (List.map
+       (fun (k, (n, t, timed)) -> (k, if timed then Json.Float t else Json.Int n))
+       entries)
 
-(** The full profile as a JSON object: counter metrics render as
-    integer counts, timed metrics as accumulated float seconds (a
-    timer that never accumulated time still renders as [0.000000],
-    never as its count; a non-finite one renders as [null]).
+(** The full profile as a JSON value: counter metrics are integer
+    counts, timed metrics accumulated float seconds (a timer that never
+    accumulated time is still [Float 0.0], never its count; a
+    non-finite one prints as [null]).
     [{"totals": {metric: value, ...},
       "functions": {fn: {metric: value, ...}, ...}}] *)
-let to_json () : string =
-  let st = state () in
-  let fns =
-    Hashtbl.fold (fun k g acc -> (k, g) :: acc) st.per_fn []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map (fun (k, g) ->
-           Printf.sprintf "\"%s\": %s" (json_escape k) (json_of_group g))
-  in
-  Printf.sprintf "{\"totals\": %s, \"functions\": {%s}}" (json_of_group st.global)
-    (String.concat ", " fns)
+let to_json () : Json.t =
+  let cap = capture () in
+  Json.Obj
+    [
+      ("totals", json_of_entries cap.cap_global);
+      ( "functions",
+        Json.Obj (List.map (fun (fn, es) -> (fn, json_of_entries es)) cap.cap_fns) );
+    ]

@@ -14,6 +14,7 @@ module Ir = Flux_mir.Ir
 module Dataflow = Flux_mir.Dataflow
 module Liveness = Flux_mir.Liveness
 module Profile = Flux_smt.Profile
+module Json = Flux_json.Json
 module Ast = Flux_syntax.Ast
 module Workloads = Flux_workloads.Workloads
 
@@ -291,6 +292,16 @@ let cli_lint_exit_codes =
         (contains ~sub:"\"pass\": \"dead-store\"" out);
       Alcotest.(check bool) "JSON marks the run dirty" true
         (contains ~sub:"\"clean\": false" out);
+      let odd_file = "d\"q\\b\nl\001.rs" in
+      let run =
+        Lint.lint_source
+          { Lint.default_config with cache_dir = None; jobs = 1 }
+          (seed "dead_store.rs")
+      in
+      let report = Lint.json_of_run ~file:odd_file run in
+      Alcotest.(check bool) "escaped file name round-trips" true
+        (Json.parse (Json.to_string ~pretty:true report) = Ok report
+        && Json.member "file" report = Some (Json.String odd_file));
       let code, _, err = run_flux "lint --pass nonsense ../examples/lint/dead_store.rs" in
       Alcotest.(check int) "unknown pass exits 2" 2 code;
       Alcotest.(check bool) "unknown pass named on stderr" true

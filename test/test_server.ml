@@ -183,21 +183,27 @@ let json_nonfinite_floats () =
     = Ok (Json.Obj [ ("p99_ms", Json.Null); ("rate", Json.Null) ]))
 
 (** Profile timers that went non-finite render as [null], so
-    [Profile.to_json] stays a document {!Json.parse} accepts. *)
+    [Profile.to_json] stays a document {!Json.parse} accepts; function
+    names needing escapes come back unchanged. *)
 let profile_json_nonfinite () =
   Profile.reset ();
+  let odd_fn = "f\"q\\b\nl\001" in
   Fun.protect ~finally:Profile.reset (fun () ->
       Profile.add_time "t.nan" nan;
       Profile.add_time "t.inf" infinity;
       Profile.add_time "t.ok" 0.5;
-      match Json.parse (Profile.to_json ()) with
+      Profile.with_fn odd_fn (fun () -> Profile.incr "c");
+      match Json.parse (Json.to_string (Profile.to_json ())) with
       | Ok j ->
           let totals k = Option.bind (Json.member "totals" j) (Json.member k) in
           Alcotest.(check bool) "nan timer is null" true (totals "t.nan" = Some Json.Null);
           Alcotest.(check bool) "infinite timer is null" true
             (totals "t.inf" = Some Json.Null);
           Alcotest.(check bool) "finite timer kept" true
-            (totals "t.ok" = Some (Json.Float 0.5))
+            (totals "t.ok" = Some (Json.Float 0.5));
+          Alcotest.(check bool) "escaped function name round-trips" true
+            (Option.bind (Json.member "functions" j) (Json.member odd_fn)
+            = Some (Json.Obj [ ("c", Json.Int 1) ]))
       | Error e -> Alcotest.fail ("Profile.to_json does not parse: " ^ e))
 
 let json_finite_floats_bitexact () =
