@@ -234,6 +234,9 @@ type row = {
 
 type qmemo = {
   rows : row Term.Tbl.t;  (** keyed by hypothesis *)
+  literals : Solver.literals;
+      (** the theory literals of the rows' hypotheses: rows share many
+          conjuncts, and each is converted once *)
   collapsed : bool Term.Tbl.t;
       (** implications {!Term.mk_imp} folds away ([L ⇒ true],
           [true ⇒ q], [L ⇒ false], [false ⇒ q]), keyed by the folded
@@ -297,7 +300,10 @@ let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
                   | Some row -> row
                   | None ->
                       let row =
-                        { r_goals = Term.Tbl.create 16; r_hyp = Solver.hyp lhs }
+                        {
+                          r_goals = Term.Tbl.create 16;
+                          r_hyp = Solver.hyp ~literals:qmemo.literals lhs;
+                        }
                       in
                       Term.Tbl.add qmemo.rows lhs row;
                       row
@@ -397,6 +403,9 @@ let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
                     end)
           in
           List.iter (fun b -> walk b [] (pre_settle b)) (List.rev !pending);
+          (* the rows keep their verdicts; their DPLL(T) preparations,
+             which later evaluations seldom need, go *)
+          List.iter (fun (_, b) -> Solver.forget b.b_row.r_hyp) !slices;
           let keep =
             List.filter (fun q -> Hashtbl.find verdict q) conjuncts
           in
@@ -568,7 +577,13 @@ let run_slice (p : prep) (i : int) : slice_result =
     Array.map (fun (_, cl) -> Kgraph.hyp_kvars own cl) kcls
   in
   let last : int list option array = Array.make n None in
-  let qmemo = { rows = Term.Tbl.create 64; collapsed = Term.Tbl.create 16 } in
+  let qmemo =
+    {
+      rows = Term.Tbl.create 64;
+      literals = Solver.literals ();
+      collapsed = Term.Tbl.create 16;
+    }
+  in
   let changed = ref true in
   while !changed do
     changed := false;

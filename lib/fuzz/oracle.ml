@@ -245,8 +245,11 @@ let implications (t : Term.t) : Term.t * Term.t list =
 (** A context mismatch for [t], if any: [valid_under lhs] (one
     hypothesis, asked every goal in turn) must give [Solver.valid
     (lhs ⇒ g)]'s answers with the same query, cache-hit and
-    theory-check counts. Each side starts from an empty query cache, so
-    neither reads the other's verdicts. *)
+    theory-check counts, the same largest skeleton, and the same
+    Fourier–Motzkin work ([lia.fm_rows], [lia.fm_row_copies]), which
+    pins the lists and the component order the theory received. Each
+    side starts from an empty query cache, so neither reads the other's
+    verdicts. *)
 let context_mismatch ~(valid_under : Term.t -> Term.t -> bool) (t : Term.t) :
     string option =
   let lhs, goals = implications t in
@@ -254,8 +257,23 @@ let context_mismatch ~(valid_under : Term.t -> Term.t -> bool) (t : Term.t) :
     Solver.clear_cache ();
     let s = Solver.stats () in
     let q0 = s.queries and h0 = s.cache_hits and c0 = s.theory_checks in
+    let max0 = s.max_atoms in
+    s.max_atoms <- 0;
+    let r0 = Profile.count "lia.fm_rows"
+    and p0 = Profile.count "lia.fm_row_copies" in
     let rs = List.map ask goals in
-    (rs, (s.queries - q0, s.cache_hits - h0, s.theory_checks - c0))
+    let stats =
+      [
+        s.queries - q0;
+        s.cache_hits - h0;
+        s.theory_checks - c0;
+        s.max_atoms;
+        Profile.count "lia.fm_rows" - r0;
+        Profile.count "lia.fm_row_copies" - p0;
+      ]
+    in
+    s.max_atoms <- max max0 s.max_atoms;
+    (rs, stats)
   in
   let got, got_stats = run (valid_under lhs) in
   let want, want_stats = run (fun g -> Solver.valid (Term.mk_imp lhs g)) in

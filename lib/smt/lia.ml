@@ -300,78 +300,99 @@ let rec elim_eqs eqs ineqs =
 let feasible_conn ~(eqs : lin list) ~(ineqs : lin list) : bool =
   try fm (elim_eqs eqs ineqs) with Infeasible -> false
 
-(** Split the constraint system into connected components (constraints
-    linked by shared variables) and decide each independently — the
-    conjunction is infeasible iff some component is. This keeps
-    Fourier–Motzkin small on the large contexts produced by join-heavy
-    functions.
+(** A constraint system split into connected components (constraints
+    linked by shared variables). Variables are numbered densely by first
+    occurrence, equalities before inequalities and each constraint's
+    variables in key order, and each constraint joins its variables, in
+    the same order, in an array union-find. A component is named by its
+    root's number and lists its equalities and its inequalities in
+    reverse input order. *)
+type components = {
+  ids : (string, int) Hashtbl.t;  (** variable → its number *)
+  root : int array;  (** number → its component's root *)
+  geqs : lin list array;  (** root → its component's equalities *)
+  gineqs : lin list array;  (** root → its component's inequalities *)
+}
 
-    Variables are numbered densely once per call and joined in an
-    array union-find; each component lists its equalities and its
-    inequalities in reverse input order. [feasible_conn] is pure and
-    total, so the order in which components are decided cannot change
-    the answer. *)
+(** [ineqs] (each [≤ 0]) or [eqs] (each [= 0]) hold a false constant
+    constraint. *)
+let constant_contradiction ~eqs ~ineqs =
+  List.exists (fun c -> lin_is_const c && c.const <> 0) eqs
+  || List.exists (fun c -> lin_is_const c && c.const > 0) ineqs
+
+(** A constraint's variable numbers, largest key first: the first one is
+    joined to each of the others in turn. *)
+let var_ids id c = SMap.fold (fun x _ acc -> id x :: acc) c.coeffs []
+
+let components ~(eqs : lin list) ~(ineqs : lin list) : components =
+  let ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let id x =
+    match Hashtbl.find_opt ids x with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length ids in
+        Hashtbl.add ids x i;
+        i
+  in
+  let eq_vars = List.map (var_ids id) eqs in
+  let ineq_vars = List.map (var_ids id) ineqs in
+  let n = Hashtbl.length ids in
+  let parent = Array.init n Fun.id in
+  let rec find i =
+    let p = parent.(i) in
+    if p = i then i
+    else
+      let r = find p in
+      parent.(i) <- r;
+      r
+  in
+  let join = function
+    | [] -> ()
+    | i :: is ->
+        List.iter
+          (fun j ->
+            let ri = find i and rj = find j in
+            if ri <> rj then parent.(ri) <- rj)
+          is
+  in
+  List.iter join eq_vars;
+  List.iter join ineq_vars;
+  let geqs = Array.make n [] and gineqs = Array.make n [] in
+  let collect groups cs vars =
+    List.iter2
+      (fun c -> function
+        | [] -> ()
+        | i :: _ ->
+            let r = find i in
+            groups.(r) <- c :: groups.(r))
+      cs vars
+  in
+  collect geqs eqs eq_vars;
+  collect gineqs ineqs ineq_vars;
+  { ids; root = Array.init n find; geqs; gineqs }
+
+(** Decide a component; an empty one (no root) holds. *)
+let decide_component ~eqs ~ineqs =
+  match (eqs, ineqs) with [], [] -> true | _ -> feasible_conn ~eqs ~ineqs
+
+(** Split the constraint system into connected components and decide
+    each independently, in the order of their roots — the conjunction
+    is infeasible iff some component is. This keeps Fourier–Motzkin
+    small on the large contexts produced by join-heavy functions.
+    [feasible_conn] is pure and total, so the order in which components
+    are decided cannot change the answer; it fixes which components the
+    first infeasible one spares. *)
 let feasible ~(eqs : lin list) ~(ineqs : lin list) : bool =
   (* constant constraints are decided immediately *)
-  if
-    List.exists (fun c -> lin_is_const c && c.const <> 0) eqs
-    || List.exists (fun c -> lin_is_const c && c.const > 0) ineqs
-  then false
-  else begin
-    let ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
-    let id x =
-      match Hashtbl.find_opt ids x with
-      | Some i -> i
-      | None ->
-          let i = Hashtbl.length ids in
-          Hashtbl.add ids x i;
-          i
-    in
-    let var_ids c = SMap.fold (fun x _ acc -> id x :: acc) c.coeffs [] in
-    let eq_vars = List.map var_ids eqs in
-    let ineq_vars = List.map var_ids ineqs in
-    let n = Hashtbl.length ids in
-    let parent = Array.init n Fun.id in
-    let rec find i =
-      let p = parent.(i) in
-      if p = i then i
-      else
-        let r = find p in
-        parent.(i) <- r;
-        r
-    in
-    let join = function
-      | [] -> ()
-      | i :: is ->
-          List.iter
-            (fun j ->
-              let ri = find i and rj = find j in
-              if ri <> rj then parent.(ri) <- rj)
-            is
-    in
-    List.iter join eq_vars;
-    List.iter join ineq_vars;
-    let geqs = Array.make n [] and gineqs = Array.make n [] in
-    let collect groups cs vars =
-      List.iter2
-        (fun c -> function
-          | [] -> ()
-          | i :: _ ->
-              let r = find i in
-              groups.(r) <- c :: groups.(r))
-        cs vars
-    in
-    collect geqs eqs eq_vars;
-    collect gineqs ineqs ineq_vars;
-    let rec decide r =
-      r >= n
-      || (match (geqs.(r), gineqs.(r)) with
-         | [], [] -> true
-         | eqs, ineqs -> feasible_conn ~eqs ~ineqs)
-         && decide (r + 1)
-    in
-    decide 0
-  end
+  (not (constant_contradiction ~eqs ~ineqs))
+  &&
+  let c = components ~eqs ~ineqs in
+  let n = Array.length c.root in
+  let rec decide r =
+    r >= n
+    || decide_component ~eqs:c.geqs.(r) ~ineqs:c.gineqs.(r) && decide (r + 1)
+  in
+  decide 0
 
 (* ------------------------------------------------------------------ *)
 (* Literal interface                                                   *)
@@ -390,7 +411,9 @@ let pp_literal fmt = function
 (** Cap on the number of disequalities we case-split on. *)
 let diseq_limit = 12
 
-(** Satisfiability of a conjunction of literals.
+(** Satisfiability of the conjunction of [eqs] (each [= 0]), [ineqs]
+    (each [≤ 0]) and [diseqs] (each [≠ 0]); [base ()] decides
+    [feasible ~eqs ~ineqs], once at most.
 
     Disequalities are handled in two steps. First, a cheap relevance
     filter: [l ≠ 0] only constrains the system if [l = 0] is consistent
@@ -400,10 +423,7 @@ let diseq_limit = 12
     disequalities are then case-split into [l ≤ -1 ∨ l ≥ 1]. Should
     more than [diseq_limit] survive, the rest are dropped, which
     over-approximates satisfiability (sound for the validity checker). *)
-let sat_literals (lits : literal list) : bool =
-  let eqs = List.filter_map (function Eq0 l -> Some l | _ -> None) lits in
-  let ineqs = List.filter_map (function Le0 l -> Some l | _ -> None) lits in
-  let diseqs = List.filter_map (function Ne0 l -> Some l | _ -> None) lits in
+let sat_parts ~eqs ~ineqs ~diseqs ~(base : unit -> bool) : bool =
   if List.exists (fun l -> lin_is_const l && l.const = 0) diseqs then false
   else begin
     let diseqs = List.filter (fun l -> not (lin_is_const l)) diseqs in
@@ -419,11 +439,10 @@ let sat_literals (lits : literal list) : bool =
               feasible ~eqs ~ineqs:(c @ ineqs) && split c rest)
     in
     match diseqs with
-    | [] -> feasible ~eqs ~ineqs
-    | _ when List.length diseqs <= 4 ->
-        feasible ~eqs ~ineqs && split [] diseqs
+    | [] -> base ()
+    | _ when List.length diseqs <= 4 -> base () && split [] diseqs
     | _ ->
-        feasible ~eqs ~ineqs
+        base ()
         && begin
              (* keep only the disequalities whose equality is consistent *)
              let critical =
@@ -442,3 +461,158 @@ let sat_literals (lits : literal list) : bool =
            end
   end
 
+let partition (lits : literal list) =
+  ( List.filter_map (function Eq0 l -> Some l | _ -> None) lits,
+    List.filter_map (function Le0 l -> Some l | _ -> None) lits,
+    List.filter_map (function Ne0 l -> Some l | _ -> None) lits )
+
+(** Satisfiability of a conjunction of literals. *)
+let sat_literals (lits : literal list) : bool =
+  let eqs, ineqs, diseqs = partition lits in
+  sat_parts ~eqs ~ineqs ~diseqs ~base:(fun () -> feasible ~eqs ~ineqs)
+
+(* ------------------------------------------------------------------ *)
+(* A conjunction prepared for one more literal                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Prepared weakening hypotheses add to peak memory, so the split is
+   kept flat: each constraint's component root, and each variable's, in
+   arrays; the component lists are rebuilt per query. *)
+type context = {
+  c_eqs : lin array;  (** input order *)
+  c_eq_roots : int array;  (** each equality's root; [-1] for a constant *)
+  c_ineqs : lin array;
+  c_ineq_roots : int array;
+  c_diseqs : lin list;
+  c_bad : bool;  (** a constant equality or inequality is false *)
+  c_vars : string array;  (** sorted *)
+  c_var_roots : int array;  (** each variable's root *)
+  c_roots : int array;  (** the components' roots, ascending *)
+}
+
+let context (lits : literal list) : context =
+  let eqs, ineqs, diseqs = partition lits in
+  let c = components ~eqs ~ineqs in
+  let root_of l =
+    match SMap.max_binding_opt l.coeffs with
+    | None -> -1
+    | Some (x, _) -> c.root.(Hashtbl.find c.ids x)
+  in
+  let vars = Hashtbl.fold (fun x i acc -> (x, c.root.(i)) :: acc) c.ids [] in
+  let vars = Array.of_list (List.sort (fun (x, _) (y, _) -> String.compare x y) vars) in
+  let roots = ref [] in
+  for r = Array.length c.root - 1 downto 0 do
+    if c.geqs.(r) <> [] || c.gineqs.(r) <> [] then roots := r :: !roots
+  done;
+  {
+    c_eqs = Array.of_list eqs;
+    c_eq_roots = Array.of_list (List.map root_of eqs);
+    c_ineqs = Array.of_list ineqs;
+    c_ineq_roots = Array.of_list (List.map root_of ineqs);
+    c_diseqs = diseqs;
+    c_bad = constant_contradiction ~eqs ~ineqs;
+    c_vars = Array.map fst vars;
+    c_var_roots = Array.map snd vars;
+    c_roots = Array.of_list !roots;
+  }
+
+(** The root of variable [x]'s component, if [x] occurs. *)
+let var_root c x =
+  let rec search lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let o = String.compare x c.c_vars.(mid) in
+      if o = 0 then Some c.c_var_roots.(mid)
+      else if o < 0 then search lo mid
+      else search (mid + 1) hi
+  in
+  search 0 (Array.length c.c_vars)
+
+(** [feasible] on the context's equalities and its inequalities followed
+    by [g] ([None]: by nothing), from the context's split. [g] comes
+    last, so its new variables are numbered last and its join comes
+    last: the components it shares no variable with are unchanged, and
+    the ones it touches merge into one, rooted where the union-find
+    would root it and listing its constraints in the same order. *)
+let feasible_after (c : context) (g : lin option) : bool =
+  let n = Array.length c.c_var_roots in
+  (* the components [g]'s variables belong to, in key order; a new
+     variable is a component of its own, rooted at its new number *)
+  let fresh = ref n in
+  let sets =
+    match g with
+    | None -> []
+    | Some g ->
+        SMap.fold
+          (fun x _ acc ->
+            match var_root c x with
+            | Some r -> r :: acc
+            | None ->
+                let r = !fresh in
+                incr fresh;
+                r :: acc)
+          g.coeffs []
+  in
+  (* [sets] is in join order: the first variable joins each later one,
+     and the merged component keeps the root of the last to join *)
+  let merged =
+    List.fold_left (fun acc r -> if List.mem r acc then acc else r :: acc) [] sets
+  in
+  let mroot = match merged with r :: _ -> r | [] -> -1 in
+  (* slot [n] holds a merged component rooted at a new variable *)
+  let slot r = if List.mem r merged then min mroot n else r in
+  let geqs = Array.make (n + 1) [] and gineqs = Array.make (n + 1) [] in
+  let collect groups cs roots =
+    Array.iteri
+      (fun i l ->
+        let r = roots.(i) in
+        if r >= 0 then
+          let s = slot r in
+          groups.(s) <- l :: groups.(s))
+      cs
+  in
+  collect geqs c.c_eqs c.c_eq_roots;
+  collect gineqs c.c_ineqs c.c_ineq_roots;
+  Option.iter (fun g -> gineqs.(min mroot n) <- g :: gineqs.(min mroot n)) g;
+  let decide s = decide_component ~eqs:geqs.(s) ~ineqs:gineqs.(s) in
+  let rec go i merged_done =
+    if i >= Array.length c.c_roots then merged_done || decide (min mroot n)
+    else
+      let r = c.c_roots.(i) in
+      if List.mem r merged then go (i + 1) merged_done
+      else if (not merged_done) && mroot < r then
+        decide (min mroot n) && go i true
+      else decide r && go (i + 1) merged_done
+  in
+  go 0 (merged = [])
+
+let sat_with (c : context) (extra : literal option) : bool =
+  let split g () = (not c.c_bad) && feasible_after c g in
+  let lists () = (Array.to_list c.c_eqs, Array.to_list c.c_ineqs) in
+  match extra with
+  | Some (Eq0 g) ->
+      (* a new equality is numbered before the inequalities: split anew *)
+      let eqs, ineqs = lists () in
+      let eqs = eqs @ [ g ] in
+      sat_parts ~eqs ~ineqs ~diseqs:c.c_diseqs ~base:(fun () ->
+          feasible ~eqs ~ineqs)
+  | None | Some (Le0 _ | Ne0 _) -> (
+      let diseqs =
+        match extra with Some (Ne0 d) -> c.c_diseqs @ [ d ] | _ -> c.c_diseqs
+      in
+      let base =
+        match extra with
+        | Some (Le0 g) when lin_is_const g ->
+            if g.const > 0 then fun () -> false else split None
+        | Some (Le0 g) -> split (Some g)
+        | _ -> split None
+      in
+      match diseqs with
+      | [] -> base ()
+      | _ ->
+          let eqs, ineqs = lists () in
+          let ineqs =
+            match extra with Some (Le0 g) -> ineqs @ [ g ] | _ -> ineqs
+          in
+          sat_parts ~eqs ~ineqs ~diseqs ~base)

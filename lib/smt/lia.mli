@@ -70,3 +70,18 @@ val sat_literals : literal list -> bool
     pre-filtered (only those whose equality is consistent with the rest
     constrain anything), then either exactly case-split (few) or
     refuted independently (many; over-approximate). *)
+
+type context
+(** A conjunction of literals prepared for {!sat_literals} with one more
+    literal: its equalities and inequalities split into components once,
+    and kept as each constraint's and each variable's component. *)
+
+val context : literal list -> context
+
+val sat_with : context -> literal option -> bool
+(** [sat_with (context ls) l] is [sat_literals (ls @ Option.to_list l)],
+    and decides the same components, from the same lists, in the same
+    order. A final inequality only merges the components it shares a
+    variable with, and a disequality leaves the split as it is; an
+    equality, numbered before every inequality, splits the system
+    anew. *)

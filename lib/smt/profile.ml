@@ -106,6 +106,12 @@ let snapshot_group (g : group) : (string * (int * float * bool)) list =
     [(key, (count, seconds, is_timer))]. *)
 let snapshot () = snapshot_group (state ()).global
 
+(** [count key]: the global count of [key] so far, [0] if never bumped. *)
+let count key =
+  match Hashtbl.find_opt (state ()).global key with
+  | Some c -> c.count
+  | None -> 0
+
 type captured = {
   cap_global : (string * (int * float * bool)) list;
   cap_fns : (string * (string * (int * float * bool)) list) list;

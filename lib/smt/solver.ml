@@ -436,22 +436,27 @@ let rec to_bform atoms pol (t : Term.t) : bform =
   | Or ts ->
       if pol then BOr (List.map (to_bform atoms true) ts)
       else BAnd (List.map (to_bform atoms false) ts)
+  (* The children of an implication or equivalence are numbered right
+     to left: [b]'s atoms before [a]'s, so a query [¬(lhs ⇒ g)] numbers
+     its goal first. The ids fix the order of the theory literals, hence
+     the order Fourier–Motzkin meets variables and breaks ties in, and a
+     context query ({!valid_under}) rebuilds that order; the bindings
+     keep it explicit. *)
   | Imp (a, b) ->
-      if pol then BOr [ to_bform atoms false a; to_bform atoms true b ]
-      else BAnd [ to_bform atoms true a; to_bform atoms false b ]
-  | Iff (a, b) ->
       if pol then
-        BOr
-          [
-            BAnd [ to_bform atoms true a; to_bform atoms true b ];
-            BAnd [ to_bform atoms false a; to_bform atoms false b ];
-          ]
+        let fb = to_bform atoms true b in
+        let fa = to_bform atoms false a in
+        BOr [ fa; fb ]
       else
-        BOr
-          [
-            BAnd [ to_bform atoms true a; to_bform atoms false b ];
-            BAnd [ to_bform atoms false a; to_bform atoms true b ];
-          ]
+        let fb = to_bform atoms false b in
+        let fa = to_bform atoms true a in
+        BAnd [ fa; fb ]
+  | Iff (a, b) ->
+      let fb' = to_bform atoms (not pol) b in
+      let fa' = to_bform atoms false a in
+      let fb = to_bform atoms pol b in
+      let fa = to_bform atoms true a in
+      BOr [ BAnd [ fa; fb ]; BAnd [ fa'; fb' ] ]
   | Ne (a, b) -> to_bform atoms (not pol) (Term.Eq (a, b))
   | Var _ | Cmp _ | Eq _ -> BLit (atom_id atoms t, pol)
   | Ite _ | App _ | Int _ | Real _ | Binop _ | Neg _ ->
@@ -501,27 +506,45 @@ let unit_literals (f : bform) : (int * bool) list =
       List.filter_map (function BLit (i, pol) -> Some (i, pol) | _ -> None) fs
   | _ -> []
 
-let dpll_sat (atom_arr : Term.t array) (f : bform) : bool =
-  let n = Array.length atom_arr in
+(** [f i v l acc] folded over the atoms [i] that [assign] gives a value
+    [v] and that have a theory literal [l], in ascending id order. Each
+    theory consultation converts its atoms afresh. *)
+let fold_assigned (atom_arr : Term.t array) (assign : int array) f acc =
+  let acc = ref acc in
+  Array.iteri
+    (fun i v ->
+      if v <> 0 then
+        match literal_of_atom atom_arr.(i) (v = 1) with
+        | Some l -> acc := f i (v = 1) l !acc
+        | None -> ())
+    assign;
+  !acc
+
+(** The theory literals of the assigned atoms, highest id first. *)
+let assigned_literals atom_arr assign =
+  fold_assigned atom_arr assign (fun _ _ l acc -> l :: acc) []
+
+(** The DPLL search of [f] over [n] atoms: unit propagation, then a
+    split on the first unassigned atom. [consistent] is asked about the
+    assignment before each split (DPLL(T)-style early pruning: if the
+    literals forced so far are already theory-inconsistent, the whole
+    subtree is unsatisfiable) and at each complete leaf; [accept] sees
+    the assignment of the first leaf found consistent. *)
+let dpll n (f : bform) ~(consistent : int array -> bool)
+    ~(accept : int array -> unit) : bool =
   let assign = Array.make n 0 in
-  let stats = stats () in
-  let theory_consistent () =
-    stats.theory_checks <- stats.theory_checks + 1;
-    let lits = ref [] in
-    Array.iteri
-      (fun i v ->
-        if v <> 0 then
-          match literal_of_atom atom_arr.(i) (v = 1) with
-          | Some l -> lits := l :: !lits
-          | None -> ())
-      assign;
-    Lia.sat_literals !lits
+  let leaf () =
+    consistent assign
+    && begin
+         accept assign;
+         true
+       end
   in
   (* [undo] records assignments made at this decision level *)
   let rec go f (undo : int list ref) =
     match simplify assign f with
     | BFalse -> false
-    | BTrue -> theory_consistent ()
+    | BTrue -> leaf ()
     | f' -> (
         match unit_literals f' with
         | _ :: _ as forced ->
@@ -540,12 +563,9 @@ let dpll_sat (atom_arr : Term.t array) (f : bform) : bool =
             if ok then go f' undo else false
         | [] -> (
             match first_lit f' with
-            | None -> theory_consistent ()
+            | None -> leaf ()
             | Some i ->
-                (* DPLL(T)-style early pruning: if the literals forced
-                   so far are already theory-inconsistent, the whole
-                   subtree is unsatisfiable *)
-                if not (theory_consistent ()) then false
+                if not (consistent assign) then false
                 else
                   let try_value v =
                     assign.(i) <- v;
@@ -557,8 +577,15 @@ let dpll_sat (atom_arr : Term.t array) (f : bform) : bool =
                   in
                   try_value 1 || try_value 2))
   in
-  let undo0 = ref [] in
-  go f undo0
+  go f (ref [])
+
+(** Satisfiability of [f]; each theory consultation counts as a theory
+    check. *)
+let dpll_sat (atom_arr : Term.t array) (f : bform) : bool =
+  let stats = stats () in
+  dpll (Array.length atom_arr) f ~accept:ignore ~consistent:(fun assign ->
+      stats.theory_checks <- stats.theory_checks + 1;
+      Lia.sat_literals (assigned_literals atom_arr assign))
 
 (* ------------------------------------------------------------------ *)
 (* Certifying refutation and model-producing search                    *)
@@ -576,15 +603,7 @@ let dpll_refute (atom_arr : Term.t array) (f : bform) : Proof.tree option =
   let n = Array.length atom_arr in
   let assign = Array.make n 0 in
   let assigned_hyps () =
-    let hyps = ref [] in
-    Array.iteri
-      (fun i v ->
-        if v <> 0 then
-          match literal_of_atom atom_arr.(i) (v = 1) with
-          | Some l -> hyps := (i, v = 1, l) :: !hyps
-          | None -> ())
-      assign;
-    !hyps
+    fold_assigned atom_arr assign (fun i v l acc -> (i, v, l) :: acc) []
   in
   let theory_refute () : Proof.trefut option =
     let hyps = assigned_hyps () in
@@ -637,73 +656,21 @@ let dpll_refute (atom_arr : Term.t array) (f : bform) : Proof.tree option =
   go f
 
 (** Like {!dpll_sat}, but on success returns the satisfying atom
-    assignment found at the accepting leaf. *)
+    assignment found at the accepting leaf. Its theory consultations are
+    not theory checks. *)
 let dpll_model (atom_arr : Term.t array) (f : bform) :
     (int * bool) list option =
-  let n = Array.length atom_arr in
-  let assign = Array.make n 0 in
   let result = ref None in
-  let theory_consistent () =
-    let lits = ref [] in
-    Array.iteri
-      (fun i v ->
-        if v <> 0 then
-          match literal_of_atom atom_arr.(i) (v = 1) with
-          | Some l -> lits := l :: !lits
-          | None -> ())
-      assign;
-    Lia.sat_literals !lits
-  in
-  let capture () =
+  let capture assign =
     let m = ref [] in
     Array.iteri (fun i v -> if v <> 0 then m := (i, v = 1) :: !m) assign;
     result := Some (List.rev !m)
   in
-  let accept () =
-    if theory_consistent () then begin
-      capture ();
-      true
-    end
-    else false
-  in
-  let rec go f (undo : int list ref) =
-    match simplify assign f with
-    | BFalse -> false
-    | BTrue -> accept ()
-    | f' -> (
-        match unit_literals f' with
-        | _ :: _ as forced ->
-            let ok =
-              List.for_all
-                (fun (i, pol) ->
-                  let v = if pol then 1 else 2 in
-                  if assign.(i) = 0 then begin
-                    assign.(i) <- v;
-                    undo := i :: !undo;
-                    true
-                  end
-                  else assign.(i) = v)
-                forced
-            in
-            if ok then go f' undo else false
-        | [] -> (
-            match first_lit f' with
-            | None -> accept ()
-            | Some i ->
-                if not (theory_consistent ()) then false
-                else
-                  let try_value v =
-                    assign.(i) <- v;
-                    let undo' = ref [] in
-                    let r = go f' undo' in
-                    List.iter (fun j -> assign.(j) <- 0) !undo';
-                    assign.(i) <- 0;
-                    r
-                  in
-                  try_value 1 || try_value 2))
-  in
-  let undo0 = ref [] in
-  if go f undo0 then !result else None
+  if
+    dpll (Array.length atom_arr) f ~accept:capture ~consistent:(fun assign ->
+        Lia.sat_literals (assigned_literals atom_arr assign))
+  then !result
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* Public API                                                          *)
@@ -716,6 +683,19 @@ let clear_cache () =
   Term.Tbl.clear (cache_sat ());
   KeyTbl.clear (cache_valid ())
 
+(** Run a search, charging its time to DPLL and counting the theory
+    checks it made. *)
+let timed_search (search : stats -> 'a) : 'a =
+  let stats = stats () in
+  let tc0 = stats.theory_checks in
+  let t_dpll = Unix.gettimeofday () in
+  let r = search stats in
+  Profile.add_time "solver.dpll_s" (Unix.gettimeofday () -. t_dpll);
+  Profile.add "solver.theory_checks" (stats.theory_checks - tc0);
+  r
+
+let note_atoms stats n = if n > stats.max_atoms then stats.max_atoms <- n
+
 (** Decide an elaborated query: boolean skeleton, then DPLL. *)
 let decide (full : Term.t) : bool =
   match full with
@@ -724,15 +704,8 @@ let decide (full : Term.t) : bool =
       let atoms = { table = SmallTbl.create 64; list = []; n = 0 } in
       let f = to_bform atoms true full in
       let atom_arr = Array.of_list (List.rev atoms.list) in
-      let stats = stats () in
-      if Array.length atom_arr > stats.max_atoms then
-        stats.max_atoms <- Array.length atom_arr;
-      let tc0 = stats.theory_checks in
-      let t_dpll = Unix.gettimeofday () in
-      let r = dpll_sat atom_arr f in
-      Profile.add_time "solver.dpll_s" (Unix.gettimeofday () -. t_dpll);
-      Profile.add "solver.theory_checks" (stats.theory_checks - tc0);
-      r
+      note_atoms (stats ()) (Array.length atom_arr);
+      timed_search (fun _ -> dpll_sat atom_arr f)
 
 (** [sat t]: is [t] satisfiable over the integers? May over-approximate
     (answer [true] for an unsatisfiable [t]) but [false] is definite. *)
@@ -796,15 +769,142 @@ let valid (t : Term.t) : bool =
       b
   | _ -> valid_keyed (Term.hash t) t (fun () -> not (sat_raw (Term.mk_not t)))
 
+(* ------------------------------------------------------------------ *)
+(* Hypotheses prepared for many goals                                  *)
+(* ------------------------------------------------------------------ *)
+
+type literals = {
+  numbers : int SmallTbl.t;  (** atom → its number *)
+  mutable atoms : Term.t array;  (** by number *)
+  mutable converted : Lia.literal option option array;
+      (** [2·number + value] → the atom's literal, once converted *)
+}
+
+let literals () =
+  { numbers = SmallTbl.create 64; atoms = [||]; converted = [||] }
+
+let atom_number (tbl : literals) (atom : Term.t) : int =
+  match SmallTbl.find_opt tbl.numbers atom with
+  | Some i -> i
+  | None ->
+      let i = SmallTbl.length tbl.numbers in
+      if i = Array.length tbl.atoms then begin
+        let cap = max 64 (2 * i) in
+        tbl.atoms <- Array.append tbl.atoms (Array.make (cap - i) atom);
+        tbl.converted <-
+          Array.append tbl.converted (Array.make (2 * (cap - i)) None)
+      end;
+      tbl.atoms.(i) <- atom;
+      SmallTbl.add tbl.numbers atom i;
+      i
+
+(** {!literal_of_atom} of atom number [i], converted once per table. *)
+let shared_literal (tbl : literals) (i : int) (v : bool) =
+  let k = (2 * i) + Bool.to_int v in
+  match tbl.converted.(k) with
+  | Some l -> l
+  | None ->
+      let l = literal_of_atom tbl.atoms.(i) v in
+      tbl.converted.(k) <- Some l;
+      l
+
+(** The atom and polarity of a predicate that {!to_bform} turns into
+    one literal. *)
+let rec atom_literal (t : Term.t) : (Term.t * bool) option =
+  match t with
+  | Var _ | Cmp _ | Eq _ -> Some (t, true)
+  | Ne (a, b) -> Some (Term.Eq (a, b), false)
+  | Not a -> Option.map (fun (x, pol) -> (x, not pol)) (atom_literal a)
+  | _ -> None
+
+(* A flat hypothesis — a conjunction of literals with no definitions —
+   prepared for DPLL(T). For a goal [g] that is one literal, the query
+   [¬(lhs ⇒ g)] is [BAnd [lhs's literals; ¬g]]: [to_bform] numbers
+   [g]'s atom 0 and then [lhs]'s atoms in order, and the search assigns
+   every literal by unit propagation, then makes one theory check of
+   the literals listed highest id first — unless an atom is forced both
+   ways, which closes the search with no check. Prepared hypotheses add
+   to peak memory, so they are kept small: atoms by their number in the
+   shared table, the theory's split in flat arrays. *)
+type prepared = {
+  p_atoms : int array;
+      (** [2·number + polarity] of each atom, in [to_bform]'s order *)
+  p_conflict : bool;  (** an atom occurs under both polarities *)
+  p_theory : Lia.context;  (** their literals, highest id first *)
+}
+
+let prepare (literals : literals) (conjuncts : (Term.t * bool) list) : prepared =
+  let seen = Hashtbl.create 64 in
+  let atoms = ref [] and conflict = ref false in
+  List.iter
+    (fun (a, pol) ->
+      let i = atom_number literals a in
+      match Hashtbl.find_opt seen i with
+      | Some pol' -> if pol <> pol' then conflict := true
+      | None ->
+          Hashtbl.add seen i pol;
+          atoms := ((2 * i) + Bool.to_int pol) :: !atoms)
+    conjuncts;
+  let literal x = shared_literal literals (x lsr 1) (x land 1 = 1) in
+  {
+    p_atoms = Array.of_list (List.rev !atoms);
+    p_conflict = !conflict;
+    p_theory = Lia.context (List.filter_map literal !atoms);
+  }
+
 (* A hypothesis elaborated once, from a fresh state and without the
    query's unit facts. *)
-type context = { c_lhs : Term.t; c_defs : Term.t list }
+type context = {
+  c_lhs : Term.t;
+  c_defs : Term.t list;
+  c_flat : bool;  (** a conjunction of literals with no definitions *)
+  mutable c_prep : prepared option;  (** prepared until {!forget} *)
+}
+
+let conjuncts (t : Term.t) = match t with Term.And ts -> ts | t -> [ t ]
+
+(** [dpll_sat] on [¬(lhs ⇒ g)] for the goal literal [(atom, pol)], from
+    the context of a flat hypothesis; [None] when the hypothesis holds
+    the query's literal [¬g] itself, which the prepared order does not
+    place (the goal's atom, numbered 0, would list it last). *)
+let sat_prepared literals (c : context) (atom, pol) : bool option =
+  timed_search @@ fun stats ->
+  let p =
+    match c.c_prep with
+    | Some p -> p
+    | None ->
+        let p =
+          prepare literals (List.filter_map atom_literal (conjuncts c.c_lhs))
+        in
+        c.c_prep <- Some p;
+        p
+  in
+  let n = Array.length p.p_atoms in
+  let g = atom_number literals atom in
+  let rec find k =
+    if k = n then None
+    else if p.p_atoms.(k) lsr 1 = g then Some k
+    else find (k + 1)
+  in
+  (* the query asserts the goal negated *)
+  let q = not pol in
+  match find 0 with
+  | Some k when p.p_atoms.(k) land 1 = Bool.to_int q -> None
+  | found ->
+      note_atoms stats (if Option.is_none found then n + 1 else n);
+      (* a goal the hypothesis holds is a unit conflict *)
+      if p.p_conflict || Option.is_some found then Some false
+      else begin
+        stats.theory_checks <- stats.theory_checks + 1;
+        Some (Lia.sat_with p.p_theory (shared_literal literals g q))
+      end
 
 type hyp = {
   h_lhs : Term.t;
   h_hash : int Lazy.t;
   h_ctx : context option Lazy.t;
       (** [None]: elaboration needed unit facts or was ill-sorted *)
+  h_literals : literals;
 }
 
 let context (lhs : Term.t) : context option =
@@ -822,11 +922,31 @@ let context (lhs : Term.t) : context option =
         else Term.mk_and ts'
     | _ -> elab_pred st lhs
   with
-  | c_lhs -> Some { c_lhs; c_defs = st.defs }
+  | c_lhs ->
+      let c_flat =
+        st.defs = []
+        && List.for_all (fun t -> Option.is_some (atom_literal t)) (conjuncts c_lhs)
+      in
+      Some { c_lhs; c_defs = st.defs; c_flat; c_prep = None }
   | exception (Needs_units | Term.Ill_sorted _) -> None
 
-let hyp (lhs : Term.t) : hyp =
-  { h_lhs = lhs; h_hash = lazy (Term.hash lhs); h_ctx = lazy (context lhs) }
+let hyp ?(literals = literals ()) (lhs : Term.t) : hyp =
+  {
+    h_lhs = lhs;
+    h_hash = lazy (Term.hash lhs);
+    h_ctx = lazy (context lhs);
+    h_literals = literals;
+  }
+
+(** The elaborated query [¬(lhs ⇒ g)], from the context. *)
+let full_query (c : context) (g' : Term.t) =
+  Term.mk_and (Term.mk_not (Term.mk_imp c.c_lhs g') :: c.c_defs)
+
+type plan =
+  | Alone  (** decide [¬t] as {!valid} would, without the context *)
+  | Full of Term.t  (** the elaborated query, from the context *)
+  | Prepared of context * Term.t * (Term.t * bool)
+      (** the elaborated goal, and its literal *)
 
 (** [sat (¬(lhs ⇒ g))] for [t = lhs ⇒ g]. [valid t] elaborates [g],
     then [lhs], on one state. When [g] alone creates nothing, it reads
@@ -843,17 +963,37 @@ let sat_under (h : hyp) (g : Term.t) (t : Term.t) : bool =
     | g' when st.counter = 0 -> Some g'
     | _ | (exception (Needs_units | Term.Ill_sorted _)) -> None
   in
-  let full =
+  let plan =
     match g' with
-    | None -> None
-    | Some g' ->
-        Option.map
-          (fun c ->
-            Term.mk_and (Term.mk_not (Term.mk_imp c.c_lhs g') :: c.c_defs))
-          (Lazy.force h.h_ctx)
+    | None -> Alone
+    | Some g' -> (
+        match Lazy.force h.h_ctx with
+        | None -> Alone
+        | Some c -> (
+            match atom_literal g' with
+            | Some goal when c.c_flat -> Prepared (c, g', goal)
+            | _ -> Full (full_query c g')))
   in
   Profile.add_time "solver.elab_s" (Unix.gettimeofday () -. t_elab);
-  match full with Some full -> decide full | None -> sat_raw (Term.mk_not t)
+  match plan with
+  | Prepared (c, g', goal) -> (
+      match sat_prepared h.h_literals c goal with
+      | Some r ->
+          Profile.incr "solver.hyp_reused";
+          r
+      | None ->
+          Profile.incr "solver.hyp_rebuilt";
+          decide (full_query c g'))
+  | Full full ->
+      Profile.incr "solver.hyp_rebuilt";
+      decide full
+  | Alone ->
+      Profile.incr "solver.hyp_rebuilt";
+      sat_raw (Term.mk_not t)
+
+let forget (h : hyp) =
+  if Lazy.is_val h.h_ctx then
+    Option.iter (fun c -> c.c_prep <- None) (Lazy.force h.h_ctx)
 
 let valid_under (h : hyp) (g : Term.t) : bool =
   match (h.h_lhs, g) with

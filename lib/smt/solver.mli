@@ -45,17 +45,44 @@ val valid : Term.t -> bool
 (** [valid t]: does [t] hold for all integer assignments? [true] is
     definite; [false] may be incompleteness. *)
 
+type literals
+(** A table of theory literals, each atom converted at most once per
+    polarity. Hypotheses built on one table share their literals. *)
+
+val literals : unit -> literals
+
 type hyp
 (** A hypothesis [lhs] prepared for many validity queries [lhs ⇒ g]:
     its {!Term.hash} and its elaboration (opaque abstraction,
     Ackermann congruences, [if] lifting) are each computed at most
     once, on the first query that needs them.
 
+    A {e flat} hypothesis — its elaboration a conjunction of literals
+    with no definitions — is also prepared for DPLL(T), on the first
+    query whose goal is one literal, and kept until {!forget}: its atoms
+    numbered as the search numbers them, their polarities, their theory
+    literals (taken from [literals]) and those literals split into
+    components. Such a query then places its goal's literal and merges
+    it into the components it touches, which decides the very
+    components, lists and order the search would hand the theory (see
+    {!Lia.sat_with}). A goal whose negation the hypothesis holds takes
+    the rebuilt skeleton instead.
+
     A [hyp] holds lazy state and is not thread-safe: build and use it
     on one domain, and let it go with the query memo it serves (the
-    fixpoint solver keeps one per memo row, for one κ slice). *)
+    fixpoint solver keeps one per memo row, for one κ slice, and one
+    [literals] table per memo, shared by its rows). *)
 
-val hyp : Term.t -> hyp
+val hyp : ?literals:literals -> Term.t -> hyp
+(** [literals] defaults to a fresh table. *)
+
+val forget : hyp -> unit
+(** Drop the hypothesis's DPLL(T) preparation, keeping its hash and
+    elaboration; the next query that needs it prepares it again, with
+    the same result. A memo row outlives the queries it serves: the
+    fixpoint solver forgets the preparation of the rows one clause
+    evaluation asked once that evaluation ends, since later evaluations
+    almost never ask them again. *)
 
 val valid_under : hyp -> Term.t -> bool
 (** [valid_under (hyp lhs) g] is [valid (Term.mk_imp lhs g)]: the same
@@ -71,7 +98,11 @@ val valid_under : hyp -> Term.t -> bool
     - a goal whose elaboration, on its own, creates a fresh variable,
       opaque term, application or definition (a division, a nonlinear
       product, an uninterpreted application, an [if]) does not reuse
-      the context, since it could share those with the hypothesis. *)
+      the context, since it could share those with the hypothesis.
+
+    Each cache miss bumps the profile counter [solver.hyp_reused] when
+    the prepared hypothesis answers it, and [solver.hyp_rebuilt] when
+    it is decided from a rebuilt skeleton or as {!valid} decides it. *)
 
 val sliced_implication : Term.t list -> Term.t -> Term.t
 (** [hyps ⇒ goal] with [hyps] sliced to the cone of influence of [goal]

@@ -274,21 +274,34 @@ let divmod_exhaustive () =
 (* ------------------------------------------------------------------ *)
 
 (** Run [f] from an empty query cache and zeroed statistics: its answer
-    (or [Ill_sorted] message) and the statistics it left behind. *)
+    (or [Ill_sorted] message), the statistics it left behind and the
+    Fourier–Motzkin work it did. *)
 let fresh_run f =
   Solver.clear_cache ();
   Solver.reset_stats ();
+  let rows0 = Profile.count "lia.fm_rows"
+  and copies0 = Profile.count "lia.fm_row_copies" in
   let r = try Ok (f ()) with Term.Ill_sorted m -> Error m in
   let s = Solver.stats () in
-  (r, [ s.queries; s.cache_hits; s.theory_checks; s.max_atoms ])
+  ( r,
+    [
+      s.queries;
+      s.cache_hits;
+      s.theory_checks;
+      s.max_atoms;
+      Profile.count "lia.fm_rows" - rows0;
+      Profile.count "lia.fm_row_copies" - copies0;
+    ] )
 
 let is_bool = function Term.Bool _ -> true | _ -> false
 
 (** Ask every goal under one [hyp] (so later goals reuse the context
     the first one built), and each goal through [valid] from scratch:
-    same answers, same statistics, and the context's verdict sits in
-    the cache under the implication's key. *)
-let context_agrees name lhs goals =
+    same answers, same statistics and Fourier–Motzkin work (which pins
+    the theory's lists and component order), and the context's verdict
+    sits in the cache under the implication's key. [theory_checks], when
+    given, is the number of theory checks each goal must take. *)
+let context_agrees ?theory_checks name lhs goals =
   Alcotest.test_case name `Quick (fun () ->
       let h = Solver.hyp lhs in
       List.iteri
@@ -307,8 +320,14 @@ let context_agrees name lhs goals =
           let want, want_stats = fresh_run (fun () -> Solver.valid imp) in
           Alcotest.(check (result bool string)) what want got;
           Alcotest.(check (list int))
-            (what ^ ": queries, hits, theory checks, max atoms")
-            want_stats got_stats)
+            (what ^ ": queries, hits, theory checks, max atoms, FM rows")
+            want_stats got_stats;
+          Option.iter
+            (fun checks ->
+              Alcotest.(check int)
+                (what ^ ": theory checks") (List.nth checks i)
+                (List.nth got_stats 2))
+            theory_checks)
         goals)
 
 let context_tests =
@@ -355,6 +374,54 @@ let context_tests =
     context_agrees "context: ill-sorted goal"
       (mk_and [ le x y; le y z ])
       [ Var ("b", Sort.Int); Not (int 3); le x z ];
+  ]
+
+(** Goals answered from a prepared (flat) hypothesis, or kept off it. *)
+let prepared_context_tests =
+  let open Term in
+  [
+    (* the query asserts [¬g]: its literal is already a conjunct, so the
+       query takes the rebuilt skeleton, which lists that literal last.
+       Moving [a = b] behind [y = z] numbers the infeasible {y, z}
+       component first, so the feasible {a, b, c} one is never
+       decided. *)
+    context_agrees "context: goal atom in the hypothesis, same polarity"
+      (let a = v "a" and b = v "b" and c = v "c" in
+       mk_and
+         [ eq y z; eq a b; le b c; le c (int 1); le (int (-2)) a;
+           le z (int 0); le (int 1) y; ne x n ])
+      [ ne (v "a") (v "b"); eq x n; ne y z; le x z ];
+    (* the goal is a conjunct: [¬g] is a unit conflict *)
+    context_agrees ~theory_checks:[ 0; 0; 0; 0 ]
+      "context: goal atom in the hypothesis, opposite polarity"
+      (mk_and [ le x y; eq y z; ne x n; mk_not (bvar "p"); le z n ])
+      [ eq y z; ne x n; mk_not (bvar "p"); le z n ];
+    context_agrees "context: boolean-variable atom"
+      (mk_and [ bvar "p"; le x y; mk_not (bvar "q"); lt y z ])
+      [ bvar "p"; bvar "q"; mk_not (bvar "p"); bvar "r"; le x z; lt z x ];
+    context_agrees "context: repeated conjunct"
+      (And [ le x y; le y z; le x y; ne y n; ne y n ])
+      [ le x z; lt z x; le x y; eq y n ];
+    context_agrees "context: nested And/Or"
+      (mk_and [ le x y; mk_or [ lt y z; mk_and [ eq y n; le n z ] ] ])
+      [ le x z; lt z x; mk_or [ le x z; eq x n ] ];
+    (* {a, b}, {x, y} and {z, n} are components (rooted in that order)
+       until a goal joins some of them; the components are decided in
+       root order up to the first infeasible one, so the FM counts pin
+       where the merged one goes. A conjunction goal takes the rebuilt
+       skeleton. *)
+    context_agrees "context: goal merging two hypothesis components"
+      (let a = v "a" and b = v "b" in
+       mk_and
+         [ le z n; le n (int 0); le (int (-4)) z; le x y; le y (int 3);
+           le (int 0) x; le a b; le b (int 1); le (int (-2)) a;
+           eq (v "w") (int 2) ])
+      [
+        le x (int 3); le x z; le z (add (v "a") (int 2)); le x (v "u");
+        lt z x; le (add x n) (int 3); eq (add y z) (v "u");
+        le (v "u") (v "w"); ne (add x z) (int 1); le (add x z) (int 3);
+        mk_and [ le x (int 3); le z (int 0) ];
+      ];
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -459,20 +526,15 @@ let list_fm (rows : Lia.lin list) : bool * int =
   let verdict = try fm rows with Lia.Infeasible -> false in
   (verdict, !built)
 
-let profile_count key =
-  match List.assoc_opt key (Profile.snapshot ()) with
-  | Some (n, _, _) -> n
-  | None -> 0
-
 (** [Lia.fm]'s verdict, with the pairs it built and the row copies it
     accounted for (its two profile counters). *)
 let multiset_fm (rows : Lia.lin list) : bool * int * int =
-  let rows0 = profile_count "lia.fm_rows"
-  and copies0 = profile_count "lia.fm_row_copies" in
+  let rows0 = Profile.count "lia.fm_rows"
+  and copies0 = Profile.count "lia.fm_row_copies" in
   let verdict = try Lia.fm rows with Lia.Infeasible -> false in
   ( verdict,
-    profile_count "lia.fm_rows" - rows0,
-    profile_count "lia.fm_row_copies" - copies0 )
+    Profile.count "lia.fm_rows" - rows0,
+    Profile.count "lia.fm_row_copies" - copies0 )
 
 (** Same verdict, and the row copies the list procedure built are the
     ones [Lia.fm] accounted for, round by round: a different variable
@@ -651,4 +713,4 @@ let tests =
         Alcotest.test_case "multiset FM on an RMat hypothesis" `Quick
           fm_rmat_case;
       ]
-  )
+    @ prepared_context_tests )
