@@ -45,26 +45,25 @@ module Solver = Flux_smt.Solver
 module Profile = Flux_smt.Profile
 module Json = Flux_json.Json
 
-let fresh_caches () =
-  Solver.clear_cache ();
+let fresh_stats () =
   Solver.reset_stats ();
   Flux_fixpoint.Solve.reset_stats ();
   Profile.reset ()
 
 let time_flux ?config src =
-  fresh_caches ();
+  fresh_stats ();
   let t0 = Unix.gettimeofday () in
   let r = Checker.check_source ?config src in
   (Unix.gettimeofday () -. t0, Checker.report_ok r)
 
 let time_prusti ?config src =
-  fresh_caches ();
+  fresh_stats ();
   let t0 = Unix.gettimeofday () in
   let r = Wp.verify_source ?config src in
   (Unix.gettimeofday () -. t0, Wp.report_ok r)
 
 (* Like [time_flux]/[time_prusti], but also snapshot the profiler
-   (reset by [fresh_caches], so the snapshot covers exactly this run). *)
+   (reset by [fresh_stats], so the snapshot covers exactly this run). *)
 let time_flux_prof src =
   let t, ok = time_flux src in
   (t, ok, Profile.to_json ())
@@ -122,7 +121,7 @@ let engine_suite ~jobs ~dir (srcs : (string * string) list) : engine_meas =
      earlier suites grew (interned terms, major-heap garbage) so their
      wall-clock is not paying for the sequential runs' GC debt. *)
   let pristine () =
-    fresh_caches ();
+    fresh_stats ();
     Flux_smt.Term.reset_intern ();
     Gc.compact ()
   in
@@ -238,7 +237,7 @@ type inc_meas = {
 
 let incremental_bench () =
   let measure inc src =
-    fresh_caches ();
+    fresh_stats ();
     let t0 = Unix.gettimeofday () in
     let ok = with_schedule inc src in
     ( Unix.gettimeofday () -. t0,
@@ -252,7 +251,7 @@ let incremental_bench () =
   (* spec edit: warm the slice cache on v1, then check v2 whose only
      change is the return postcondition; the unaffected SCC must replay *)
   let v1 = two_phase_src "0 <= v" and v2 = two_phase_src "v <= n" in
-  fresh_caches ();
+  fresh_stats ();
   let scratch_ok =
     Engine.run_ok
       (Engine.check_source { Engine.jobs = 1; cache_dir = None } v2)
@@ -262,7 +261,7 @@ let incremental_bench () =
   wipe_cache dir;
   let cfg = { Engine.jobs = 1; cache_dir = Some dir } in
   let _ = Engine.check_source cfg v1 in
-  fresh_caches ();
+  fresh_stats ();
   let warm_ok = Engine.run_ok (Engine.check_source cfg v2) in
   let warm_wc = profile_count "fixpoint.weaken_checks" in
   let slice_hits = profile_count "cache.slice_hits" in
@@ -690,12 +689,12 @@ let lint_bench ~jobs () =
       Workloads.all
   in
   wipe_cache dir;
-  fresh_caches ();
+  fresh_stats ();
   Flux_smt.Term.reset_intern ();
   let t0 = Unix.gettimeofday () in
   let cold = lint_all () in
   let cold_t = Unix.gettimeofday () -. t0 in
-  fresh_caches ();
+  fresh_stats ();
   Flux_smt.Term.reset_intern ();
   let t1 = Unix.gettimeofday () in
   let warm = lint_all () in
@@ -767,7 +766,7 @@ let certify_bench ~jobs () =
   in
   let cfg = { Engine.jobs; cache_dir = Some dir } in
   let pristine () =
-    fresh_caches ();
+    fresh_stats ();
     Flux_smt.Term.reset_intern ();
     Gc.compact ()
   in
@@ -877,13 +876,11 @@ type absint_row = {
     Table-1 workload, plus a crosscheck sweep: every discharged clause
     re-solved, solver verdict winning, zero disagreements allowed. *)
 let absint_bench ~jobs:_ () =
-  let module Discharge = Flux_absint.Discharge in
   let run ~absint ~crosscheck src =
     let config =
       { Flux_smt.Config.default with absint; absint_crosscheck = crosscheck }
     in
-    fresh_caches ();
-    Discharge.reset ();
+    fresh_stats ();
     let t0 = Unix.gettimeofday () in
     let r = Checker.check_source ~config src in
     let t = Unix.gettimeofday () -. t0 in
@@ -1024,7 +1021,7 @@ let synth_solve ~quals ~scope_n =
             Horn.CHead (Horn.Conc (Term.ge (Term.var "v") (Term.int 0)), 3) );
       ]
   in
-  fresh_caches ();
+  fresh_stats ();
   let t0 = Unix.gettimeofday () in
   let ok =
     match Solve.solve ~qualifiers:quals ~kvars:[ k ] c with

@@ -3,11 +3,10 @@
     Every validity query from the weakening loop has the shape
     [lhs ⇒ rhs] where one [lhs] (the clause's instantiated hypotheses)
     is probed against many candidate [rhs] goals. [try_valid] builds
-    the {!Env} difference-bound environment of the [lhs] once
-    (memoized per domain, keyed structurally; {!try_valid_under} lets
-    a caller holding the environment skip the lookup) and answers goals
-    it can prove with zero SMT; everything else falls through to the
-    solver untouched.
+    the {!Env} difference-bound environment of the [lhs] and answers
+    goals it can prove with zero SMT; everything else falls through to
+    the solver untouched. {!try_valid_under} lets a caller that probes
+    one [lhs] many times build its environment once and keep it.
 
     Counters (all flowing into [bench table1] profiles and daemon
     metrics):
@@ -24,23 +23,11 @@
 
 open Flux_smt
 
-(* lhs → environment memo, domain-local like the solver's own caches:
-   worker domains in the engine pool each build their own (terms are
-   hash-consed per domain, and the weaken loop reuses one lhs across
-   hundreds of candidate goals within a single function check). *)
-let memo_dls : Env.t Term.Tbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Term.Tbl.create 256)
+(* Does nothing: environments are not memoized here (the fixpoint's
+   memo rows keep theirs). [perfbench/layers.ml] still calls it. *)
+let reset () = ()
 
-let reset () = Term.Tbl.reset (Domain.DLS.get memo_dls)
-
-let env_of_lhs (lhs : Term.t) : Env.t =
-  let tbl = Domain.DLS.get memo_dls in
-  match Term.Tbl.find_opt tbl lhs with
-  | Some e -> e
-  | None ->
-      let e = Env.of_hyps [ lhs ] in
-      Term.Tbl.add tbl lhs e;
-      e
+let env_of_lhs (lhs : Term.t) : Env.t = Env.of_hyps [ lhs ]
 
 let count ok =
   Profile.incr (if ok then "absint.discharged" else "absint.fallthrough");
@@ -60,8 +47,8 @@ let try_valid (config : Config.t) (f : Term.t) : bool =
     [try_valid config (Term.mk_imp lhs rhs)] for a caller holding
     [env = lazy (env_of_lhs lhs)]: the weakening loop probes one
     hypothesis against many goals, and a wide hypothesis costs a walk
-    over all its conjuncts to look up. An implication [mk_imp] folds is
-    judged as {!try_valid} judges the folded term. *)
+    over all its conjuncts to build an environment from. An implication
+    [mk_imp] folds is judged as {!try_valid} judges the folded term. *)
 let try_valid_under (config : Config.t) (env : Env.t Lazy.t) (lhs : Term.t)
     (rhs : Term.t) : bool =
   match (lhs, rhs) with

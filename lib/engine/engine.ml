@@ -8,12 +8,14 @@
     - {b Parallelism}: misses run on a {!Pool} of OCaml 5 domains,
       largest estimated task first (LPT) so one heavyweight function
       does not serialize the tail of the schedule. All checker state is
-      domain-local (term interning, solver stats/caches, fixpoint
-      stats, profiles, fresh-name counters), and each per-function
-      check resets its fresh-name counter, so results — verdicts,
-      errors, κ/clause counts — are byte-identical to a sequential run
-      regardless of [jobs]. Worker profiles are merged back into the
-      calling domain in declaration order ({!Flux_smt.Profile.absorb}).
+      domain-local (term interning, solver and fixpoint stats,
+      profiles, fresh-name counters), each per-function check resets
+      its fresh-name counter, and no query memo outlives the fixpoint
+      run that made it, so results — verdicts, errors, κ/clause
+      counts, solver and fixpoint counters — are identical to a
+      sequential run regardless of [jobs]. Worker profiles are merged
+      back into the calling domain in declaration order
+      ({!Flux_smt.Profile.absorb}).
       Flux checking is split finer still: constraint generation is one
       pooled phase, then the SCC slices of {e all} functions'
       κ-dependency graphs are pooled level by level

@@ -225,11 +225,13 @@ let weaken_clause config stats kenv (sol : solution) (cl : Horn.clause) : bool =
     would re-walk the hypothesis on every lookup. Goals are qualifier-sized
     and interned, so a row lookup is O(1) once the hypothesis has been
     hashed — once per bucket (see {!weaken_clause_memo}). A row also
-    carries the hypothesis's solver context, so the solver hashes and
-    elaborates it once per slice, not once per goal. *)
+    carries the hypothesis's solver context and its abstract
+    environment, so each is built at most once per slice, not once per
+    goal. *)
 type row = {
   r_goals : bool Term.Tbl.t;  (** goal → verdict *)
   r_hyp : Solver.hyp;
+  r_env : Flux_absint.Env.t Lazy.t;
 }
 
 type qmemo = {
@@ -247,7 +249,6 @@ type qmemo = {
 type bucket = {
   b_lhs : Term.t;
   b_row : row;
-  b_env : Flux_absint.Env.t Lazy.t;  (** fetched at most once *)
   mutable b_goals : (Term.t * Term.t) list;
       (** undecided (conjunct, goal) pairs, latest first *)
 }
@@ -259,8 +260,8 @@ type bucket = {
     sibling clause with the same hypothesis and goal (pre/post join-κ
     pairs produce many) — reuses its verdict. The rest are grouped into
     buckets by sliced hypothesis, and each bucket hashes its hypothesis
-    once (for its memo row) and fetches its abstract environment once;
-    goals the environment proves are settled before any solver call.
+    once (for its memo row); goals the row's abstract environment
+    proves are settled before any solver call.
 
     The solver then walks a bucket's remaining goals in order, one
     weaken check per walk, and a walk stops at the first goal that does
@@ -270,7 +271,7 @@ type bucket = {
     walks). A goal an earlier walk decided (two conjuncts substituting
     to the same goal) is settled from the row when the walk reaches
     it. A walk records its verdicts only when it ends, so a twin within
-    one walk is asked again, a solver cache hit: the exact counters of
+    one walk is asked, and solved, again: the exact counters of
     [perfbench/baseline_counters.json] pin that query count. *)
 let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
     (cl : Horn.clause) : bool =
@@ -303,6 +304,7 @@ let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
                         {
                           r_goals = Term.Tbl.create 16;
                           r_hyp = Solver.hyp ~literals:qmemo.literals lhs;
+                          r_env = lazy (Discharge.env_of_lhs lhs);
                         }
                       in
                       Term.Tbl.add qmemo.rows lhs row;
@@ -312,12 +314,7 @@ let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
                   match List.find_opt (fun (_, b) -> b.b_row == row) !slices with
                   | Some (_, b) -> b
                   | None ->
-                      {
-                        b_lhs = lhs;
-                        b_row = row;
-                        b_env = lazy (Discharge.env_of_lhs lhs);
-                        b_goals = [];
-                      }
+                      { b_lhs = lhs; b_row = row; b_goals = [] }
                 in
                 slices := (seed, b) :: !slices;
                 b
@@ -367,7 +364,8 @@ let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
           let pre_settle b =
             List.filter
               (fun ((_, rhs) as g) ->
-                if Discharge.try_valid_under config b.b_env b.b_lhs rhs then begin
+                if Discharge.try_valid_under config b.b_row.r_env b.b_lhs rhs
+                then begin
                   (if config.Config.absint_crosscheck then begin
                      let v = Solver.valid_under b.b_row.r_hyp rhs in
                      if not v then Profile.incr "absint.crosscheck_fail";

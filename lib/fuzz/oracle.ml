@@ -244,19 +244,16 @@ let implications (t : Term.t) : Term.t * Term.t list =
 
 (** A context mismatch for [t], if any: [valid_under lhs] (one
     hypothesis, asked every goal in turn) must give [Solver.valid
-    (lhs ⇒ g)]'s answers with the same query, cache-hit and
-    theory-check counts, the same largest skeleton, and the same
-    Fourier–Motzkin work ([lia.fm_rows], [lia.fm_row_copies]), which
-    pins the lists and the component order the theory received. Each
-    side starts from an empty query cache, so neither reads the other's
-    verdicts. *)
+    (lhs ⇒ g)]'s answers with the same query and theory-check counts,
+    the same largest skeleton, and the same Fourier–Motzkin work
+    ([lia.fm_rows], [lia.fm_row_copies]), which pins the lists and the
+    component order the theory received. *)
 let context_mismatch ~(valid_under : Term.t -> Term.t -> bool) (t : Term.t) :
     string option =
   let lhs, goals = implications t in
   let run ask =
-    Solver.clear_cache ();
     let s = Solver.stats () in
-    let q0 = s.queries and h0 = s.cache_hits and c0 = s.theory_checks in
+    let q0 = s.queries and c0 = s.theory_checks in
     let max0 = s.max_atoms in
     s.max_atoms <- 0;
     let r0 = Profile.count "lia.fm_rows"
@@ -265,7 +262,6 @@ let context_mismatch ~(valid_under : Term.t -> Term.t -> bool) (t : Term.t) :
     let stats =
       [
         s.queries - q0;
-        s.cache_hits - h0;
         s.theory_checks - c0;
         s.max_atoms;
         Profile.count "lia.fm_rows" - r0;
@@ -277,7 +273,6 @@ let context_mismatch ~(valid_under : Term.t -> Term.t -> bool) (t : Term.t) :
   in
   let got, got_stats = run (valid_under lhs) in
   let want, want_stats = run (fun g -> Solver.valid (Term.mk_imp lhs g)) in
-  Solver.clear_cache ();
   match List.filteri (fun i _ -> List.nth got i <> List.nth want i) goals with
   | g :: _ ->
       Some

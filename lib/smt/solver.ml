@@ -23,50 +23,23 @@
 
 type stats = {
   mutable queries : int;
-  mutable cache_hits : int;
   mutable theory_checks : int;
   mutable max_atoms : int;
-  mutable time : float;
 }
 
-(* The validity cache is keyed by a term together with its
-   {!Term.hash}, computed by the caller: {!valid_under} derives the
-   hash of [lhs ⇒ g] from the hypothesis hash it computed once. *)
-module KeyTbl = Hashtbl.Make (struct
-  type t = int * Term.t
+(* The stats are domain-local so concurrent per-function checks neither
+   race nor contend; the engine's profile merge step aggregates the
+   per-domain counters. *)
+let dls : stats Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { queries = 0; theory_checks = 0; max_atoms = 0 })
 
-  let equal (h, a) (h', b) = h = h' && Term.equal a b
-  let hash (h, _) = h
-end)
-
-(* Solver state — stats plus the query caches further below — is
-   domain-local so concurrent per-function checks neither race nor
-   contend. Each domain warms its own cache; the engine's profile
-   merge step aggregates the per-domain counters. *)
-type state = {
-  st_stats : stats;
-  st_cache_sat : bool Term.Tbl.t;
-  st_cache_valid : bool KeyTbl.t;
-}
-
-let dls : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        st_stats =
-          { queries = 0; cache_hits = 0; theory_checks = 0; max_atoms = 0; time = 0.0 };
-        st_cache_sat = Term.Tbl.create 4096;
-        st_cache_valid = KeyTbl.create 4096;
-      })
-
-let stats () = (Domain.DLS.get dls).st_stats
+let stats () = Domain.DLS.get dls
 
 let reset_stats () =
   let stats = stats () in
   stats.queries <- 0;
-  stats.cache_hits <- 0;
   stats.theory_checks <- 0;
-  stats.max_atoms <- 0;
-  stats.time <- 0.0
+  stats.max_atoms <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Linear conversion of atoms                                          *)
@@ -146,8 +119,9 @@ let rec unit_facts acc (sign : bool) (t : Term.t) : Lia.literal list =
    immediately because such terms are interned by the smart
    constructors. Keying by the memoized full [Term.hash] ({!Term.Tbl})
    would route every occurrence through the intern table a second time
-   for no gain; [Term.Tbl] is reserved for the query caches, whose
-   large raw keys the bounded hash would collapse into a few buckets. *)
+   for no gain; [Term.Tbl] suits tables keyed by whole hypotheses,
+   whose large raw keys the bounded hash would collapse into a few
+   buckets. *)
 module SmallTbl = Hashtbl.Make (struct
   type t = Term.t
 
@@ -676,12 +650,7 @@ let dpll_model (atom_arr : Term.t array) (f : bform) :
 (* Public API                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let cache_sat () = (Domain.DLS.get dls).st_cache_sat
-let cache_valid () = (Domain.DLS.get dls).st_cache_valid
-
-let clear_cache () =
-  Term.Tbl.clear (cache_sat ());
-  KeyTbl.clear (cache_valid ())
+let clear_cache () = ()
 
 (** Run a search, charging its time to DPLL and counting the theory
     checks it made. *)
@@ -717,57 +686,33 @@ let sat_raw (t : Term.t) : bool =
   Profile.add_time "solver.elab_s" (Unix.gettimeofday () -. t_elab);
   decide full
 
-let sat (t : Term.t) : bool =
+let count_query () =
   let stats = stats () in
   stats.queries <- stats.queries + 1;
-  Profile.incr "solver.queries";
-  let cache_sat = cache_sat () in
-  match Term.Tbl.find_opt cache_sat t with
-  | Some r ->
-      stats.cache_hits <- stats.cache_hits + 1;
-      Profile.incr "solver.cache_hits";
-      r
-  | None ->
-      let t0 = Unix.gettimeofday () in
-      let r = sat_raw t in
-      stats.time <- stats.time +. (Unix.gettimeofday () -. t0);
-      Term.Tbl.replace cache_sat t r;
-      r
+  Profile.incr "solver.queries"
 
-(** The cached validity query for a non-[Bool] [t] whose {!Term.hash}
-    is [h]; [solve] decides it on a miss. *)
-let valid_keyed (h : int) (t : Term.t) (solve : unit -> bool) : bool =
-  let stats = stats () in
-  stats.queries <- stats.queries + 1;
-  Profile.incr "solver.queries";
-  let cache_valid = cache_valid () in
-  match KeyTbl.find_opt cache_valid (h, t) with
-  | Some r ->
-      stats.cache_hits <- stats.cache_hits + 1;
-      Profile.incr "solver.cache_hits";
-      r
-  | None ->
-      let t0 = Unix.gettimeofday () in
-      let r = solve () in
-      let dt = Unix.gettimeofday () -. t0 in
-      stats.time <- stats.time +. dt;
-      Profile.add_time "solver.solve_s" dt;
-      KeyTbl.replace cache_valid (h, t) r;
-      r
+let sat (t : Term.t) : bool =
+  count_query ();
+  sat_raw t
+
+(** A validity query for a non-[Bool] term, decided by [solve]. *)
+let solve_valid (solve : unit -> bool) : bool =
+  count_query ();
+  let t0 = Unix.gettimeofday () in
+  let r = solve () in
+  Profile.add_time "solver.solve_s" (Unix.gettimeofday () -. t0);
+  r
 
 (** [valid t]: does [t] hold for all integer assignments? [true] is
     definite; [false] may be incompleteness. *)
 let valid (t : Term.t) : bool =
   match t with
   | Bool b ->
-      (* trivial goals still count as queries: cache-hit rates must be
-         computed against the true query volume *)
-      let stats = stats () in
-      stats.queries <- stats.queries + 1;
-      Profile.incr "solver.queries";
+      (* trivial goals still count as queries *)
+      count_query ();
       Profile.incr "solver.trivial";
       b
-  | _ -> valid_keyed (Term.hash t) t (fun () -> not (sat_raw (Term.mk_not t)))
+  | _ -> solve_valid (fun () -> not (sat_raw (Term.mk_not t)))
 
 (* ------------------------------------------------------------------ *)
 (* Hypotheses prepared for many goals                                  *)
@@ -901,7 +846,6 @@ let sat_prepared literals (c : context) (atom, pol) : bool option =
 
 type hyp = {
   h_lhs : Term.t;
-  h_hash : int Lazy.t;
   h_ctx : context option Lazy.t;
       (** [None]: elaboration needed unit facts or was ill-sorted *)
   h_literals : literals;
@@ -933,7 +877,6 @@ let context (lhs : Term.t) : context option =
 let hyp ?(literals = literals ()) (lhs : Term.t) : hyp =
   {
     h_lhs = lhs;
-    h_hash = lazy (Term.hash lhs);
     h_ctx = lazy (context lhs);
     h_literals = literals;
   }
@@ -999,11 +942,7 @@ let valid_under (h : hyp) (g : Term.t) : bool =
   match (h.h_lhs, g) with
   | Term.Bool _, _ | _, Term.Bool _ -> valid (Term.mk_imp h.h_lhs g)
   | lhs, _ ->
-      let t = Term.mk_imp lhs g in
-      valid_keyed
-        (Term.hash_imp (Lazy.force h.h_hash) (Term.hash g))
-        t
-        (fun () -> not (sat_under h g t))
+      solve_valid (fun () -> not (sat_under h g (Term.mk_imp lhs g)))
 
 (** The exact implication the WP verifier hands to the validity check:
     the hypotheses sliced to the cone of influence of [goal]. *)
@@ -1023,9 +962,9 @@ let sliced_implication (hyps : Term.t list) (goal : Term.t) : Term.t =
 
 (** Produce a replayable validity certificate for [goal], or [None] if
     the certifying search cannot close it (including when [goal] is
-    simply not valid). Independent of {!valid}: no cache is consulted
-    and the div/mod encoding always takes the split form the replay
-    checker knows how to re-derive. *)
+    simply not valid). Independent of {!valid}: the div/mod encoding
+    always takes the split form the replay checker knows how to
+    re-derive. *)
 let certify (goal : Term.t) : Proof.t option =
   let t0 = Unix.gettimeofday () in
   let result =

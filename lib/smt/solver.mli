@@ -17,25 +17,25 @@
 
 type stats = {
   mutable queries : int;
-      (** [valid]/[sat] calls, including cache hits and trivially
-          constant ([Bool _]) goals *)
-  mutable cache_hits : int;
+      (** [valid]/[sat] calls, including trivially constant ([Bool _])
+          goals *)
   mutable theory_checks : int;  (** DPLL leaf/branch theory consultations *)
   mutable max_atoms : int;  (** largest boolean skeleton seen *)
-  mutable time : float;  (** seconds spent solving (cache misses only) *)
 }
 
 val stats : unit -> stats
-(** The calling domain's solver statistics. All solver state (stats
-    and query caches) is domain-local, so parallel checks on separate
-    domains never interfere; aggregate across domains by merging the
-    per-domain profiles (see {!Profile.capture}/{!Profile.absorb}). *)
+(** The calling domain's solver statistics. They are the solver's only
+    state and are domain-local, so parallel checks on separate domains
+    never interfere; aggregate across domains by merging the per-domain
+    profiles (see {!Profile.capture}/{!Profile.absorb}). Every query is
+    decided afresh, so the counts of a check do not depend on what the
+    domain checked before it. *)
 
 val reset_stats : unit -> unit
 
 val clear_cache : unit -> unit
-(** Reset the calling domain's query cache (useful for unbiased timing
-    runs). *)
+(** Does nothing: the solver keeps no query cache. [perfbench/layers.ml]
+    still calls it. *)
 
 val sat : Term.t -> bool
 (** [sat t]: is [t] satisfiable over the integers? [false] is definite;
@@ -53,9 +53,9 @@ val literals : unit -> literals
 
 type hyp
 (** A hypothesis [lhs] prepared for many validity queries [lhs ⇒ g]:
-    its {!Term.hash} and its elaboration (opaque abstraction,
-    Ackermann congruences, [if] lifting) are each computed at most
-    once, on the first query that needs them.
+    its elaboration (opaque abstraction, Ackermann congruences, [if]
+    lifting) is computed at most once, on the first query that needs
+    it.
 
     A {e flat} hypothesis — its elaboration a conjunction of literals
     with no definitions — is also prepared for DPLL(T), on the first
@@ -77,19 +77,18 @@ val hyp : ?literals:literals -> Term.t -> hyp
 (** [literals] defaults to a fresh table. *)
 
 val forget : hyp -> unit
-(** Drop the hypothesis's DPLL(T) preparation, keeping its hash and
-    elaboration; the next query that needs it prepares it again, with
-    the same result. A memo row outlives the queries it serves: the
+(** Drop the hypothesis's DPLL(T) preparation, keeping its elaboration;
+    the next query that needs it prepares it again, with the same
+    result. A memo row outlives the queries it serves: the
     fixpoint solver forgets the preparation of the rows one clause
     evaluation asked once that evaluation ends, since later evaluations
     almost never ask them again. *)
 
 val valid_under : hyp -> Term.t -> bool
 (** [valid_under (hyp lhs) g] is [valid (Term.mk_imp lhs g)]: the same
-    answer, the same [queries] and [cache_hits] counts, the same cache
-    entry. Only a cache miss uses the context, and only when exactness
-    is certain; otherwise the query is decided from scratch as {!valid}
-    decides it:
+    answer and the same [queries], [theory_checks] and [max_atoms]
+    counts. The query uses the context only when exactness is certain;
+    otherwise it is decided from scratch as {!valid} decides it:
     - an implication {!Term.mk_imp} folds ([lhs] or [g] a [Bool]) is
       passed to {!valid} as folded;
     - a hypothesis whose elaboration meets a division or remainder by
@@ -100,9 +99,10 @@ val valid_under : hyp -> Term.t -> bool
       product, an uninterpreted application, an [if]) does not reuse
       the context, since it could share those with the hypothesis.
 
-    Each cache miss bumps the profile counter [solver.hyp_reused] when
-    the prepared hypothesis answers it, and [solver.hyp_rebuilt] when
-    it is decided from a rebuilt skeleton or as {!valid} decides it. *)
+    Each query not folded bumps the profile counter [solver.hyp_reused]
+    when the prepared hypothesis answers it, and [solver.hyp_rebuilt]
+    when it is decided from a rebuilt skeleton or as {!valid} decides
+    it. *)
 
 val sliced_implication : Term.t list -> Term.t -> Term.t
 (** [hyps ⇒ goal] with [hyps] sliced to the cone of influence of [goal]
@@ -114,8 +114,7 @@ val certify : Term.t -> Proof.t option
     (see {!Proof} and the independent checker in [lib/cert]). [None]
     means the certifying search could not close the goal — including
     when it is simply not valid; a returned certificate always replays
-    against [goal] itself. Independent of {!valid}: no cache is
-    consulted. *)
+    against [goal] itself. Independent of {!valid}. *)
 
 val model : Term.t -> (string * Eval.value) list option
 (** A satisfying assignment for [t] over its free variables.

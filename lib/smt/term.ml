@@ -10,8 +10,8 @@
     Small terms built through the smart constructors are
     {e hash-consed}: structurally equal terms under the size cap are
     physically equal, so {!equal} is O(1) on the fast path, {!hash} and
-    {!free_vars} are memoized per term, and the solver's query caches
-    and elaboration tables ({!Tbl}) avoid deep structural traversals.
+    {!free_vars} are memoized per term, and term-keyed tables ({!Tbl})
+    avoid deep structural traversals.
     Terms above the cap stay raw (see [max_interned_size]); their
     {!hash}/{!free_vars} recurse one level and hit the memoized small
     children. The raw constructors remain exposed for pattern matching;
@@ -116,10 +116,6 @@ let find_meta t = MetaTbl.find_opt (Domain.DLS.get intern_dls).tbl t
 
 let hash_combine h1 h2 = (h1 * 0x01000193) lxor h2
 
-(** [hash (Imp (a, b))] from [hash a] and [hash b]: a caller probing
-    one wide hypothesis against many goals hashes the hypothesis once. *)
-let hash_imp ha hb = hash_combine 13 (hash_combine ha hb)
-
 (** Full structural hash, memoized on interned terms: computing the
     hash of a node built from interned children is O(1). *)
 let rec hash t =
@@ -141,7 +137,7 @@ and hash_node t =
   | And ts -> List.fold_left (fun h t -> hash_combine h (hash t)) 10 ts
   | Or ts -> List.fold_left (fun h t -> hash_combine h (hash t)) 11 ts
   | Not a -> hash_combine 12 (hash a)
-  | Imp (a, b) -> hash_imp (hash a) (hash b)
+  | Imp (a, b) -> hash_combine 13 (hash_combine (hash a) (hash b))
   | Iff (a, b) -> hash_combine 14 (hash_combine (hash a) (hash b))
   | Ite (a, b, c) ->
       hash_combine 15 (hash_combine (hash a) (hash_combine (hash b) (hash c)))
@@ -216,8 +212,8 @@ let reset_intern () =
   st.count <- 0
 
 (** Hash tables keyed by terms, using the memoized structural hash and
-    phys-first equality — the right key type for solver query caches
-    and elaboration tables (replaces [to_string]-keyed tables). *)
+    phys-first equality — the right key type for tables keyed by
+    hypotheses or goals, such as the fixpoint's query memo. *)
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 

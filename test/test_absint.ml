@@ -230,7 +230,6 @@ let render (r : Checker.report) : string =
        r.Checker.rp_fns)
 
 let run_rendered ~absint ~crosscheck src =
-  Discharge.reset ();
   render
     (Checker.check_source
        ~config:

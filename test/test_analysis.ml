@@ -109,7 +109,6 @@ let workloads_clean_and_warm =
       (* Warm pass: drop domain-local verifier state, re-lint, and
          demand full hits without a single SMT query. *)
       Flux_smt.Term.reset_intern ();
-      Flux_smt.Solver.clear_cache ();
       Flux_smt.Solver.reset_stats ();
       Flux_fixpoint.Solve.reset_stats ();
       Profile.reset ();

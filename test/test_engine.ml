@@ -1,8 +1,8 @@
 (** Tests for the verification engine: parallel determinism (identical
-    verdicts, errors, and κ/clause counts for any [--jobs] value) and
-    persistent-cache behaviour (full warm hits, exact invalidation of a
-    changed callee and its callers, replay across fresh solver/intern
-    state). *)
+    verdicts, errors, κ/clause counts and exact profile counters for
+    any [--jobs] value) and persistent-cache behaviour (full warm hits,
+    exact invalidation of a changed callee and its callers, replay
+    across fresh solver/intern state). *)
 
 module Checker = Flux_check.Checker
 module Wp = Flux_wp.Wp
@@ -246,7 +246,6 @@ let cache_fresh_state =
       let cold = check_with dir cache_src_v1 in
       Alcotest.(check bool) "cold run verifies" true (Engine.run_ok cold);
       Flux_smt.Term.reset_intern ();
-      Flux_smt.Solver.clear_cache ();
       Flux_smt.Solver.reset_stats ();
       Flux_fixpoint.Solve.reset_stats ();
       Profile.reset ();
@@ -491,6 +490,38 @@ let concurrent_configs =
             off_fps on_fps)
         (List.combine off on))
 
+(* ------------------------------------------------------------------ *)
+(* Deterministic counters                                              *)
+(* ------------------------------------------------------------------ *)
+
+(** The exact counters of one check do not depend on the job count:
+    every query is decided afresh, so a worker domain's earlier checks
+    cannot answer a later one's queries. *)
+let counter_keys =
+  [
+    "solver.queries";
+    "solver.theory_checks";
+    "lia.fm_rows";
+    "lia.fm_row_copies";
+    "fixpoint.weaken_checks";
+    "absint.discharged";
+  ]
+
+let counter_determinism name =
+  Alcotest.test_case (name ^ " counters identical across job counts") `Slow
+    (fun () ->
+      let src = (Option.get (Workloads.find name)).Workloads.bm_flux in
+      let counts jobs =
+        Flux_smt.Term.reset_intern ();
+        Profile.reset ();
+        ignore (Engine.check_source { Engine.jobs; cache_dir = None } src);
+        List.map Profile.count counter_keys
+      in
+      let seq = counts 1 in
+      Alcotest.(check (list int))
+        (String.concat ", " counter_keys ^ " at " ^ pp_jobs (-2))
+        seq (counts (-2)))
+
 let tests =
   ( "engine",
     [
@@ -514,4 +545,5 @@ let tests =
       workload_determinism "bsearch";
       workload_determinism "heapsort";
       workload_determinism "kmp";
+      counter_determinism "heapsort";
     ] )

@@ -173,7 +173,7 @@ let memo_case ~qualifiers ~kvars clauses ~queries ~weaken_checks ~discharged =
     (valid) and [x >= 5] (knocked out), and the next walk settles both
     twins from the memo row without a query. With [s = 7] every goal
     holds, so one walk asks all four: verdicts are recorded when a walk
-    ends, and the twins are asked again (solver cache hits). *)
+    ends, and the twins are asked, and solved, again. *)
 let duplicate_goals () =
   let open Term in
   let system s =

@@ -273,11 +273,10 @@ let divmod_exhaustive () =
 (* Solver context: valid_under agrees with valid exactly               *)
 (* ------------------------------------------------------------------ *)
 
-(** Run [f] from an empty query cache and zeroed statistics: its answer
-    (or [Ill_sorted] message), the statistics it left behind and the
-    Fourier–Motzkin work it did. *)
+(** Run [f] from zeroed statistics: its answer (or [Ill_sorted]
+    message), the statistics it left behind and the Fourier–Motzkin
+    work it did. *)
 let fresh_run f =
-  Solver.clear_cache ();
   Solver.reset_stats ();
   let rows0 = Profile.count "lia.fm_rows"
   and copies0 = Profile.count "lia.fm_row_copies" in
@@ -286,20 +285,16 @@ let fresh_run f =
   ( r,
     [
       s.queries;
-      s.cache_hits;
       s.theory_checks;
       s.max_atoms;
       Profile.count "lia.fm_rows" - rows0;
       Profile.count "lia.fm_row_copies" - copies0;
     ] )
 
-let is_bool = function Term.Bool _ -> true | _ -> false
-
 (** Ask every goal under one [hyp] (so later goals reuse the context
     the first one built), and each goal through [valid] from scratch:
     same answers, same statistics and Fourier–Motzkin work (which pins
-    the theory's lists and component order), and the context's verdict
-    sits in the cache under the implication's key. [theory_checks], when
+    the theory's lists and component order). [theory_checks], when
     given, is the number of theory checks each goal must take. *)
 let context_agrees ?theory_checks name lhs goals =
   Alcotest.test_case name `Quick (fun () ->
@@ -309,24 +304,16 @@ let context_agrees ?theory_checks name lhs goals =
           let what = Printf.sprintf "%s, goal %d" name i in
           let imp = Term.mk_imp lhs g in
           let got, got_stats = fresh_run (fun () -> Solver.valid_under h g) in
-          let hits = (Solver.stats ()).cache_hits in
-          (* a folded [Bool] implication is answered without the cache *)
-          if Result.is_ok got && not (is_bool imp) then begin
-            ignore (Solver.valid imp);
-            Alcotest.(check int)
-              (what ^ ": cached under the implication")
-              (hits + 1) (Solver.stats ()).cache_hits
-          end;
           let want, want_stats = fresh_run (fun () -> Solver.valid imp) in
           Alcotest.(check (result bool string)) what want got;
           Alcotest.(check (list int))
-            (what ^ ": queries, hits, theory checks, max atoms, FM rows")
+            (what ^ ": queries, theory checks, max atoms, FM rows")
             want_stats got_stats;
           Option.iter
             (fun checks ->
               Alcotest.(check int)
                 (what ^ ": theory checks") (List.nth checks i)
-                (List.nth got_stats 2))
+                (List.nth got_stats 1))
             theory_checks)
         goals)
 
