@@ -245,9 +245,11 @@ let implications (t : Term.t) : Term.t * Term.t list =
 (** A context mismatch for [t], if any: [valid_under lhs] (one
     hypothesis, asked every goal in turn) must give [Solver.valid
     (lhs ⇒ g)]'s answers with the same query and theory-check counts,
-    the same largest skeleton, and the same Fourier–Motzkin work
-    ([lia.fm_rows], [lia.fm_row_copies]), which pins the lists and the
-    component order the theory received. *)
+    the same largest skeleton, and the same Fourier–Motzkin work of the
+    theory checks ([lia.fm_rows], [lia.fm_row_copies], less the div/mod
+    sign checks' share, which a context may decide once for many
+    goals), which pins the lists and the component order the theory
+    received. *)
 let context_mismatch ~(valid_under : Term.t -> Term.t -> bool) (t : Term.t) :
     string option =
   let lhs, goals = implications t in
@@ -256,16 +258,18 @@ let context_mismatch ~(valid_under : Term.t -> Term.t -> bool) (t : Term.t) :
     let q0 = s.queries and c0 = s.theory_checks in
     let max0 = s.max_atoms in
     s.max_atoms <- 0;
-    let r0 = Profile.count "lia.fm_rows"
-    and p0 = Profile.count "lia.fm_row_copies" in
+    let theory key =
+      Profile.count ("lia." ^ key) - Profile.count ("solver.divmod_" ^ key)
+    in
+    let r0 = theory "fm_rows" and p0 = theory "fm_row_copies" in
     let rs = List.map ask goals in
     let stats =
       [
         s.queries - q0;
         s.theory_checks - c0;
         s.max_atoms;
-        Profile.count "lia.fm_rows" - r0;
-        Profile.count "lia.fm_row_copies" - p0;
+        theory "fm_rows" - r0;
+        theory "fm_row_copies" - p0;
       ]
     in
     s.max_atoms <- max max0 s.max_atoms;

@@ -95,7 +95,9 @@ let literal_of_atom (t : Term.t) (value : bool) : Lia.literal option =
     under positive polarity, [Or]/[Imp] children under negation).
     Every model of the query satisfies them, so the div/mod encoding
     below may consult them to settle a dividend's sign up front. *)
-let rec unit_facts acc (sign : bool) (t : Term.t) : Lia.literal list =
+let rec unit_facts ?(literal = literal_of_atom) acc (sign : bool) (t : Term.t) :
+    Lia.literal list =
+  let unit_facts = unit_facts ~literal in
   match (sign, t) with
   | true, Term.And ts ->
       List.fold_left (fun acc t -> unit_facts acc true t) acc ts
@@ -105,7 +107,7 @@ let rec unit_facts acc (sign : bool) (t : Term.t) : Lia.literal list =
   | _, Term.Not a -> unit_facts acc (not sign) a
   | _, Term.Ne (a, b) -> unit_facts acc (not sign) (Term.Eq (a, b))
   | _, (Term.Cmp _ | Term.Eq _) -> (
-      match literal_of_atom t sign with Some l -> l :: acc | None -> acc)
+      match literal t sign with Some l -> l :: acc | None -> acc)
   | _ -> acc
 
 (* ------------------------------------------------------------------ *)
@@ -129,37 +131,41 @@ module SmallTbl = Hashtbl.Make (struct
   let hash = Stdlib.Hashtbl.hash
 end)
 
+(** What a query's unit facts say of a dividend's sign: [>= 0] in every
+    model, [<= 0] in every model, or unsettled (as far as one
+    Fourier–Motzkin check of each case can tell). *)
+type sign = Nonneg | Nonpos | Split
+
 type elab_state = {
   mutable defs : Term.t list;  (** definitional constraints *)
   opaque : Term.t SmallTbl.t;  (** original term -> opaque var *)
   apps : (string, (Term.t * Term.t list) list) Hashtbl.t;
       (** fn symbol -> [(opaque var, elaborated args)] for Ackermann *)
   mutable counter : int;
-  units : Lia.literal list Lazy.t option;
-      (** the query's top-level unit facts (see {!unit_facts}); lazy
-          because they are only consulted when elaboration meets a
-          division/remainder, and computing them walks every top-level
-          atom of the query. [None] when one side of an implication is
-          elaborated on its own ({!valid_under}): the facts of the
-          whole query are unknown, and a new division raises
-          {!Needs_units}. *)
+  sign : (Term.t -> sign) option;
+      (** the sign of a new division's dividend in every model of the
+          query (see {!divmod}). [None] when one side of an implication
+          is elaborated on its own ({!valid_under}): the facts of the
+          whole query are unknown, so a new division only enters
+          [divs], and its sign bounds are left to the caller. *)
+  mutable divs : (Term.t * int * Term.t) list;
+      (** each division's dividend, divisor and quotient, latest
+          first *)
   mutable record : Proof.fresh list option;
       (** when [Some], every fresh-variable introduction is recorded
-          (reversed) for a certificate, and the div/mod encoding always
-          takes the unconditional split form — the sign-known shortcut
-          consults the unit facts, which the independent replay checker
-          does not re-derive *)
+          (reversed) for a certificate; [sign] then always answers
+          [Split], the form the independent replay checker re-derives
+          without the unit facts *)
 }
 
-exception Needs_units
-
-let new_state ?record units =
+let new_state ?record ?sign () =
   {
     defs = [];
     opaque = SmallTbl.create 16;
     apps = Hashtbl.create 8;
     counter = 0;
-    units;
+    sign;
+    divs = [];
     record;
   }
 
@@ -214,51 +220,76 @@ let rec has_real (t : Term.t) =
     The sign conditionals cost two extra DPLL branch atoms per
     division. When the query's unit facts already settle the dividend's
     sign (the common case: usize index arithmetic under hypotheses like
-    [lo <= hi]), a single Fourier–Motzkin check here lets us emit the
-    unconditional one-sided bounds instead — same strength, no case
-    split. *)
+    [lo <= hi]), the unconditional one-sided bounds replace them — same
+    strength, no case split. *)
+let sign_bounds (sign : sign) (a : Term.t) (c : int) (q : Term.t) : Term.t list =
+  let r = Term.sub a (Term.mul (Term.int c) q) in
+  match sign with
+  | Nonneg ->
+      (* a >= 0 in every model: truncated = Euclidean *)
+      [ Term.le (Term.int 0) r; Term.lt r (Term.int c) ]
+  | Nonpos -> [ Term.lt (Term.int (-c)) r; Term.le r (Term.int 0) ]
+  | Split ->
+      [
+        Term.lt (Term.int (-c)) r;
+        Term.lt r (Term.int c);
+        Term.mk_imp (Term.ge a (Term.int 0)) (Term.ge r (Term.int 0));
+        Term.mk_imp (Term.le a (Term.int 0)) (Term.le r (Term.int 0));
+      ]
+
+let count_sign = function
+  | Nonneg | Nonpos -> Profile.incr "solver.divmod_sign_known"
+  | Split -> Profile.incr "solver.divmod_sign_split"
+
+(** The literals [a < 0] and [a > 0]. *)
+let neg_case (la : Lia.lin) = Lia.Le0 { la with Lia.const = la.Lia.const + 1 }
+
+let pos_case (la : Lia.lin) =
+  let n = Lia.lin_scale (-1) la in
+  Lia.Le0 { n with Lia.const = n.Lia.const + 1 }
+
+(** [sat ()], a sign check: its Fourier–Motzkin work is also counted
+    apart, in [solver.divmod_fm_rows] and [solver.divmod_fm_row_copies],
+    so the theory checks' share of [lia.fm_rows] stays comparable when
+    sign checks are shared between queries. *)
+let sign_check (sat : unit -> bool) : bool =
+  let r0 = Profile.count "lia.fm_rows"
+  and c0 = Profile.count "lia.fm_row_copies" in
+  let r = sat () in
+  Profile.add "solver.divmod_fm_rows" (Profile.count "lia.fm_rows" - r0);
+  Profile.add "solver.divmod_fm_row_copies"
+    (Profile.count "lia.fm_row_copies" - c0);
+  r
+
+(** [a]'s sign under the query's unit facts [units]: the negative case
+    is asked first, the positive one only if it stands. *)
+let sign_under (units : Lia.literal list Lazy.t) (a : Term.t) : sign =
+  let refuted l =
+    not (sign_check (fun () -> Lia.sat_literals (l :: Lazy.force units)))
+  in
+  match lin_of_term a with
+  | exception Nonlinear -> Split
+  | la ->
+      if refuted (neg_case la) then Nonneg
+      else if refuted (pos_case la) then Nonpos
+      else Split
+
 let divmod st (a : Term.t) (c : int) : Term.t * Term.t =
   let dkey = Term.hc (Term.Binop (Div, a, Term.int c)) in
   let q =
     match SmallTbl.find_opt st.opaque dkey with
     | Some q -> q
     | None ->
-        let units =
-          match st.units with Some u -> u | None -> raise Needs_units
-        in
         let q = fresh st "q" Sort.Int in
         SmallTbl.add st.opaque dkey q;
         record_fresh st (Proof.Divmod (a, c, var_name q));
-        let r = Term.sub a (Term.mul (Term.int c) q) in
-        let la = try Some (lin_of_term a) with Nonlinear -> None in
-        (* [refuted l]: the unit facts rule out [l], definitely. *)
-        let refuted l = not (Lia.sat_literals (l :: Lazy.force units)) in
-        let a_neg la = Lia.Le0 { la with Lia.const = la.Lia.const + 1 } in
-        let a_pos la =
-          let n = Lia.lin_scale (-1) la in
-          Lia.Le0 { n with Lia.const = n.Lia.const + 1 }
-        in
-        let recording = st.record <> None in
-        let sign_defs =
-          match la with
-          | Some la when (not recording) && refuted (a_neg la) ->
-              (* a >= 0 in every model: truncated = Euclidean *)
-              Profile.incr "solver.divmod_sign_known";
-              [ Term.le (Term.int 0) r; Term.lt r (Term.int c) ]
-          | Some la when (not recording) && refuted (a_pos la) ->
-              (* a <= 0 in every model *)
-              Profile.incr "solver.divmod_sign_known";
-              [ Term.lt (Term.int (-c)) r; Term.le r (Term.int 0) ]
-          | _ ->
-              Profile.incr "solver.divmod_sign_split";
-              [
-                Term.lt (Term.int (-c)) r;
-                Term.lt r (Term.int c);
-                Term.mk_imp (Term.ge a (Term.int 0)) (Term.ge r (Term.int 0));
-                Term.mk_imp (Term.le a (Term.int 0)) (Term.le r (Term.int 0));
-              ]
-        in
-        st.defs <- sign_defs @ st.defs;
+        st.divs <- (a, c, q) :: st.divs;
+        Option.iter
+          (fun sign ->
+            let s = sign a in
+            count_sign s;
+            st.defs <- sign_bounds s a c q @ st.defs)
+          st.sign;
         q
   in
   (q, Term.sub a (Term.mul (Term.int c) q))
@@ -679,7 +710,7 @@ let decide (full : Term.t) : bool =
 (** [sat t]: is [t] satisfiable over the integers? May over-approximate
     (answer [true] for an unsatisfiable [t]) but [false] is definite. *)
 let sat_raw (t : Term.t) : bool =
-  let st = new_state (Some (lazy (unit_facts [] true t))) in
+  let st = new_state ~sign:(sign_under (lazy (unit_facts [] true t))) () in
   let t_elab = Unix.gettimeofday () in
   let t' = elab_pred st t in
   let full = Term.mk_and (t' :: st.defs) in
@@ -762,15 +793,17 @@ let rec atom_literal (t : Term.t) : (Term.t * bool) option =
   | Not a -> Option.map (fun (x, pol) -> (x, not pol)) (atom_literal a)
   | _ -> None
 
-(* A flat hypothesis — a conjunction of literals with no definitions —
-   prepared for DPLL(T). For a goal [g] that is one literal, the query
-   [¬(lhs ⇒ g)] is [BAnd [lhs's literals; ¬g]]: [to_bform] numbers
-   [g]'s atom 0 and then [lhs]'s atoms in order, and the search assigns
-   every literal by unit propagation, then makes one theory check of
-   the literals listed highest id first — unless an atom is forced both
-   ways, which closes the search with no check. Prepared hypotheses add
-   to peak memory, so they are kept small: atoms by their number in the
-   shared table, the theory's split in flat arrays. *)
+(* A flat query — a hypothesis that is a conjunction of literals, with
+   definitions that are literals too (division sign bounds) — prepared
+   for DPLL(T). For a goal [g] that is one literal, the query
+   [¬(lhs ⇒ g) ∧ defs] is [BAnd [BAnd [lhs's literals; ¬g]; defs]]:
+   [to_bform] numbers [g]'s atom 0, then [lhs]'s atoms in order, then
+   the definitions', and the search assigns every literal by unit
+   propagation, then makes one theory check of the literals listed
+   highest id first — unless an atom is forced both ways, which closes
+   the search with no check. Prepared queries add to peak memory, so
+   they are kept small: atoms by their number in the shared table, the
+   theory's split in flat arrays. *)
 type prepared = {
   p_atoms : int array;
       (** [2·number + polarity] of each atom, in [to_bform]'s order *)
@@ -797,33 +830,43 @@ let prepare (literals : literals) (conjuncts : (Term.t * bool) list) : prepared 
     p_theory = Lia.context (List.filter_map literal !atoms);
   }
 
+type divisions = (Term.t * int * Term.t) list
+(** (dividend, divisor, quotient) of each division, first made first *)
+
 (* A hypothesis elaborated once, from a fresh state and without the
-   query's unit facts. *)
+   query's unit facts: its divisions get their sign bounds per query. *)
 type context = {
   c_lhs : Term.t;
-  c_defs : Term.t list;
+  c_defs : Term.t list;  (** definitions (none when [c_divs] is not empty) *)
+  c_divs : divisions;
+  c_fresh : int;  (** fresh variables the elaboration created *)
   c_flat : bool;  (** a conjunction of literals with no definitions *)
-  mutable c_prep : prepared option;  (** prepared until {!forget} *)
+  mutable c_after : (divisions * (Term.t * divisions)) list;
+      (** goal divisions → the elaboration after them, and its own
+          divisions *)
+  mutable c_signs : (Term.t * sign) list;
+      (** dividend → its sign under the hypothesis's unit facts alone *)
+  (* dropped by {!forget}: *)
+  mutable c_facts : Lia.literal list option;
+      (** the hypothesis's unit facts, latest first *)
+  mutable c_cases :
+    (Term.t * (Lia.context Lazy.t * Lia.context Lazy.t)) list;
+      (** dividend → [a < 0 :: facts] and [a > 0 :: facts], prepared for
+          the goal's unit fact *)
+  mutable c_variants : (int * Term.t list * prepared) list;
+      (** the query prepared after [k] goal divisions, with these
+          definitions *)
 }
 
 let conjuncts (t : Term.t) = match t with Term.And ts -> ts | t -> [ t ]
 
-(** [dpll_sat] on [¬(lhs ⇒ g)] for the goal literal [(atom, pol)], from
-    the context of a flat hypothesis; [None] when the hypothesis holds
-    the query's literal [¬g] itself, which the prepared order does not
-    place (the goal's atom, numbered 0, would list it last). *)
-let sat_prepared literals (c : context) (atom, pol) : bool option =
+(** [dpll_sat] on [¬(lhs ⇒ g) ∧ defs] for the goal literal [(atom,
+    pol)], from the query [prep] prepares without the goal; [None] when
+    the query already holds the literal [¬g], which the prepared order
+    does not place (the goal's atom, numbered 0, would list it last). *)
+let sat_prepared literals (prep : unit -> prepared) (atom, pol) : bool option =
   timed_search @@ fun stats ->
-  let p =
-    match c.c_prep with
-    | Some p -> p
-    | None ->
-        let p =
-          prepare literals (List.filter_map atom_literal (conjuncts c.c_lhs))
-        in
-        c.c_prep <- Some p;
-        p
-  in
+  let p = prep () in
   let n = Array.length p.p_atoms in
   let g = atom_number literals atom in
   let rec find k =
@@ -847,16 +890,24 @@ let sat_prepared literals (c : context) (atom, pol) : bool option =
 type hyp = {
   h_lhs : Term.t;
   h_ctx : context option Lazy.t;
-      (** [None]: elaboration needed unit facts or was ill-sorted *)
+      (** [None]: the elaboration was ill-sorted, or divides and also
+          creates another kind of fresh variable *)
   h_literals : literals;
 }
 
-let context (lhs : Term.t) : context option =
-  let st = new_state None in
+(** [lhs] elaborated after the goal divisions [gdivs]: on a state that
+    holds their quotients, as {!sat_raw} leaves it after the goal. *)
+let elaborate ?(gdivs : divisions = []) (lhs : Term.t) : Term.t * elab_state =
+  let st = new_state () in
+  List.iter
+    (fun (a, d, q) ->
+      SmallTbl.add st.opaque (Term.hc (Term.Binop (Div, a, Term.int d))) q)
+    gdivs;
+  st.counter <- List.length gdivs;
   let flat ts =
     List.for_all (function Term.Bool _ | Term.And _ -> false | _ -> true) ts
   in
-  match
+  let lhs' =
     match lhs with
     | Term.And (_ :: _ :: _ as ts) ->
         (* [elab_pred] on the [And]; keep [lhs] itself when no conjunct
@@ -865,14 +916,31 @@ let context (lhs : Term.t) : context option =
         if List.for_all2 ( == ) ts ts' && flat ts then lhs
         else Term.mk_and ts'
     | _ -> elab_pred st lhs
-  with
-  | c_lhs ->
+  in
+  (lhs', st)
+
+let context (lhs : Term.t) : context option =
+  match elaborate lhs with
+  | exception Term.Ill_sorted _ -> None
+  | _, st when st.divs <> [] && st.counter <> List.length st.divs -> None
+  | c_lhs, st ->
       let c_flat =
         st.defs = []
         && List.for_all (fun t -> Option.is_some (atom_literal t)) (conjuncts c_lhs)
       in
-      Some { c_lhs; c_defs = st.defs; c_flat; c_prep = None }
-  | exception (Needs_units | Term.Ill_sorted _) -> None
+      Some
+        {
+          c_lhs;
+          c_defs = st.defs;
+          c_divs = List.rev st.divs;
+          c_fresh = st.counter;
+          c_flat;
+          c_after = [];
+          c_signs = [];
+          c_facts = None;
+          c_cases = [];
+          c_variants = [];
+        }
 
 let hyp ?(literals = literals ()) (lhs : Term.t) : hyp =
   {
@@ -881,62 +949,220 @@ let hyp ?(literals = literals ()) (lhs : Term.t) : hyp =
     h_literals = literals;
   }
 
-(** The elaborated query [¬(lhs ⇒ g)], from the context. *)
-let full_query (c : context) (g' : Term.t) =
-  Term.mk_and (Term.mk_not (Term.mk_imp c.c_lhs g') :: c.c_defs)
+(** The elaborated query [¬(lhs ⇒ g') ∧ defs]. *)
+let full_query lhs (g' : Term.t) defs =
+  Term.mk_and (Term.mk_not (Term.mk_imp lhs g') :: defs)
+
+let find_term (a : Term.t) l =
+  List.find_map (fun (b, v) -> if Term.equal a b then Some v else None) l
+
+(** The hypothesis elaborated after the goal divisions [gdivs], once
+    per list of them: {!sat_raw} elaborates the goal first, so the
+    hypothesis reuses the goal's quotient of a division they share, and
+    numbers its own after the goal's. *)
+let after h c (gdivs : divisions) : Term.t * divisions =
+  if gdivs = [] || c.c_divs = [] then (c.c_lhs, c.c_divs)
+  else
+    let same (a, d, _) (a', d', _) = d = d' && Term.equal a a' in
+    match List.find_opt (fun (g, _) -> List.equal same g gdivs) c.c_after with
+    | Some (_, e) -> e
+    | None ->
+        let lhs, st = elaborate ~gdivs h.h_lhs in
+        let e = (lhs, List.rev st.divs) in
+        c.c_after <- (gdivs, e) :: c.c_after;
+        e
+
+(** The hypothesis's unit facts, latest first: the query's when the
+    goal adds none. *)
+let facts h c =
+  match c.c_facts with
+  | Some f -> f
+  | None ->
+      let literal t v =
+        shared_literal h.h_literals (atom_number h.h_literals t) v
+      in
+      let f = unit_facts ~literal [] true h.h_lhs in
+      c.c_facts <- Some f;
+      f
+
+(** [a]'s sign under the hypothesis's unit facts alone, decided once. *)
+let fact_sign h c (a : Term.t) : sign =
+  match find_term a c.c_signs with
+  | Some s -> s
+  | None ->
+      let s = sign_under (Lazy.from_val (facts h c)) a in
+      c.c_signs <- (a, s) :: c.c_signs;
+      s
+
+(** [a]'s sign under the facts and the goal's unit fact [l]: {!sat_raw}
+    asks [sat_literals (case :: facts @ [l])], which is
+    [Lia.sat_with (Lia.context (case :: facts)) (Some l)]. *)
+let goal_sign h c (a : Term.t) (l : Lia.literal) : sign =
+  match lin_of_term a with
+  | exception Nonlinear -> Split
+  | la ->
+      let neg, pos =
+        match find_term a c.c_cases with
+        | Some cs -> cs
+        | None ->
+            let case l = lazy (Lia.context (l :: facts h c)) in
+            let cs = (case (neg_case la), case (pos_case la)) in
+            c.c_cases <- (a, cs) :: c.c_cases;
+            cs
+      in
+      let refuted ctx =
+        not (sign_check (fun () -> Lia.sat_with (Lazy.force ctx) (Some l)))
+      in
+      if refuted neg then Nonneg else if refuted pos then Nonpos else Split
+
+(** The flat query after [k] goal divisions with definitions [defs],
+    prepared once. *)
+let variant h c k lhs defs : prepared =
+  match
+    List.find_opt
+      (fun (k', defs', _) -> k = k' && List.equal Term.equal defs defs')
+      c.c_variants
+  with
+  | Some (_, _, p) -> p
+  | None ->
+      let p =
+        prepare h.h_literals
+          (List.filter_map atom_literal (conjuncts lhs @ defs))
+      in
+      c.c_variants <- (k, defs, p) :: c.c_variants;
+      p
+
+(** Why a query did not take the prepared path; each bumps
+    [solver.rebuilt.<reason>] beside [solver.hyp_rebuilt]. *)
+type reason =
+  | No_context  (** the hypothesis has no context *)
+  | Not_flat  (** the hypothesis is not a conjunction of literals *)
+  | Goal_not_literal  (** the goal is not one literal *)
+  | Goal_defs
+      (** the goal is ill-sorted, or makes a fresh variable other than a
+          division's quotient, or divides beside a hypothesis that makes
+          one *)
+  | Sign_split  (** some division's sign is unsettled *)
+  | Negation_held  (** the query holds the goal's negation *)
+
+let rebuilt reason =
+  Profile.incr "solver.hyp_rebuilt";
+  Profile.incr
+    (match reason with
+    | No_context -> "solver.rebuilt.no_context"
+    | Not_flat -> "solver.rebuilt.not_flat"
+    | Goal_not_literal -> "solver.rebuilt.goal_not_literal"
+    | Goal_defs -> "solver.rebuilt.goal_defs"
+    | Sign_split -> "solver.rebuilt.sign_split"
+    | Negation_held -> "solver.rebuilt.negation_held")
 
 type plan =
-  | Alone  (** decide [¬t] as {!valid} would, without the context *)
-  | Full of Term.t  (** the elaborated query, from the context *)
-  | Prepared of context * Term.t * (Term.t * bool)
-      (** the elaborated goal, and its literal *)
+  | Alone of reason  (** decide [¬t] as {!valid} would, without the context *)
+  | Full of reason * Term.t  (** the elaborated query, from the context *)
+  | Prepared of (unit -> prepared) * (unit -> Term.t) * (Term.t * bool)
+      (** the query prepared without the goal, the elaborated query, and
+          the goal's literal *)
 
-(** [sat (¬(lhs ⇒ g))] for [t = lhs ⇒ g]. [valid t] elaborates [g],
-    then [lhs], on one state. When [g] alone creates nothing, it reads
-    nothing either (every lookup on an empty state misses and
-    creates), so in either order [lhs] meets an empty state: the
-    context's elaboration is exactly what [valid t] would build. *)
+(** The plan once every division of the query has its sign. *)
+let plan_signed h c k lhs g' signed goal =
+  List.iter (fun (_, _, _, s) -> count_sign s) signed;
+  let defs =
+    List.fold_left (fun acc (a, d, q, s) -> sign_bounds s a d q @ acc) [] signed
+  in
+  if List.exists (fun (_, _, _, s) -> s = Split) signed then
+    Full (Sign_split, full_query lhs g' defs)
+  else
+    Prepared
+      ( (fun () -> variant h c k lhs defs),
+        (fun () -> full_query lhs g' defs),
+        goal )
+
+(** The plan of a query whose goal or hypothesis divides: the goal [g]
+    elaborated as [g'] with divisions [gdivs], the hypothesis after
+    them, and every division's sign bounds in {!sat_raw}'s order (the
+    hypothesis's latest first, then the goal's). A dividing goal has no
+    unit fact, so the query's unit facts are the hypothesis's, and each
+    sign is decided once per dividend; under a goal that does not
+    divide, each hypothesis division's sign is checked with the goal's
+    fact. *)
+let divided h c g g' (gdivs : divisions) goal : plan =
+  let k = List.length gdivs in
+  let lhs, hdivs = after h c gdivs in
+  match unit_facts [] false g with
+  | [] ->
+      let signed =
+        List.map (fun (a, d, q) -> (a, d, q, fact_sign h c a)) (gdivs @ hdivs)
+      in
+      plan_signed h c k lhs g' signed goal
+  | [ l ] when k = 0 ->
+      let signed =
+        List.map (fun (a, d, q) -> (a, d, q, goal_sign h c a l)) hdivs
+      in
+      plan_signed h c k lhs g' signed goal
+  | _ -> Alone Goal_not_literal
+
+(** How to decide [¬(lhs ⇒ g)]. [valid t] elaborates [g], then [lhs],
+    on one state. When [g] alone creates nothing, it reads nothing
+    either (every lookup on an empty state misses and creates), so in
+    either order [lhs] meets an empty state: the context's elaboration
+    is exactly what [valid t] would build. When [g] only divides, [lhs]
+    meets a state holding the goal's quotients, which {!after}
+    rebuilds. *)
+let plan (h : hyp) (g : Term.t) : plan =
+  let st = new_state () in
+  match elab_pred st g with
+  | exception Term.Ill_sorted _ -> Alone Goal_defs
+  | g' -> (
+      match Lazy.force h.h_ctx with
+      | None -> Alone No_context
+      | Some c when st.counter = 0 && c.c_divs = [] -> (
+          let full () = full_query c.c_lhs g' c.c_defs in
+          match atom_literal g' with
+          | Some goal when c.c_flat ->
+              Prepared ((fun () -> variant h c 0 c.c_lhs []), full, goal)
+          | Some _ -> Full (Not_flat, full ())
+          | None -> Full (Goal_not_literal, full ()))
+      | Some c ->
+          let k = st.counter in
+          if
+            k <> List.length st.divs
+            || (k > 0 && c.c_fresh > List.length c.c_divs)
+          then Alone Goal_defs
+          else (
+            match atom_literal g' with
+            | None -> Alone Goal_not_literal
+            | Some _ when not c.c_flat -> Alone Not_flat
+            | Some goal -> divided h c g g' (List.rev st.divs) goal))
+
+(** [sat (¬t)] for [t = lhs ⇒ g]. *)
 let sat_under (h : hyp) (g : Term.t) (t : Term.t) : bool =
   let t_elab = Unix.gettimeofday () in
-  let st = new_state None in
-  let g' =
-    match elab_pred st g with
-    (* no fresh variable, hence no opaque term, application or
-       definition: each of them comes with one *)
-    | g' when st.counter = 0 -> Some g'
-    | _ | (exception (Needs_units | Term.Ill_sorted _)) -> None
-  in
-  let plan =
-    match g' with
-    | None -> Alone
-    | Some g' -> (
-        match Lazy.force h.h_ctx with
-        | None -> Alone
-        | Some c -> (
-            match atom_literal g' with
-            | Some goal when c.c_flat -> Prepared (c, g', goal)
-            | _ -> Full (full_query c g')))
-  in
+  let plan = plan h g in
   Profile.add_time "solver.elab_s" (Unix.gettimeofday () -. t_elab);
   match plan with
-  | Prepared (c, g', goal) -> (
-      match sat_prepared h.h_literals c goal with
+  | Prepared (prep, full, goal) -> (
+      match sat_prepared h.h_literals prep goal with
       | Some r ->
           Profile.incr "solver.hyp_reused";
           r
       | None ->
-          Profile.incr "solver.hyp_rebuilt";
-          decide (full_query c g'))
-  | Full full ->
-      Profile.incr "solver.hyp_rebuilt";
+          rebuilt Negation_held;
+          decide (full ()))
+  | Full (reason, full) ->
+      rebuilt reason;
       decide full
-  | Alone ->
-      Profile.incr "solver.hyp_rebuilt";
+  | Alone reason ->
+      rebuilt reason;
       sat_raw (Term.mk_not t)
 
 let forget (h : hyp) =
   if Lazy.is_val h.h_ctx then
-    Option.iter (fun c -> c.c_prep <- None) (Lazy.force h.h_ctx)
+    Option.iter
+      (fun c ->
+        c.c_facts <- None;
+        c.c_cases <- [];
+        c.c_variants <- [])
+      (Lazy.force h.h_ctx)
 
 let valid_under (h : hyp) (g : Term.t) : bool =
   match (h.h_lhs, g) with
@@ -970,7 +1196,7 @@ let certify (goal : Term.t) : Proof.t option =
   let result =
     match
       let neg = Term.mk_not goal in
-      let st = new_state ~record:[] (Some (lazy [])) in
+      let st = new_state ~record:[] ~sign:(fun _ -> Split) () in
       let neg' = elab_pred st neg in
       let fresh = List.rev (Option.value st.record ~default:[]) in
       let defs = st.defs in
@@ -1011,7 +1237,7 @@ let certify (goal : Term.t) : Proof.t option =
     abstraction, reals, interpreted applications). *)
 let model (t : Term.t) : (string * Eval.value) list option =
   match
-    let st = new_state (Some (lazy (unit_facts [] true t))) in
+    let st = new_state ~sign:(sign_under (lazy (unit_facts [] true t))) () in
     let t' = elab_pred st t in
     let full = Term.mk_and (t' :: st.defs) in
     match full with

@@ -54,19 +54,26 @@ val literals : unit -> literals
 type hyp
 (** A hypothesis [lhs] prepared for many validity queries [lhs ⇒ g]:
     its elaboration (opaque abstraction, Ackermann congruences, [if]
-    lifting) is computed at most once, on the first query that needs
-    it.
+    lifting, division quotients) is computed at most once, on the first
+    query that needs it. A division's sign bounds depend on the query's
+    unit facts, so the elaboration leaves them out, and each query adds
+    the ones {!valid} would: the sign of a dividend under the
+    hypothesis's unit facts alone is decided once (a dividing goal adds
+    no unit fact), and under a goal that does not divide, each
+    hypothesis division's sign is checked with the goal's fact, on the
+    hypothesis's facts prepared once for it (see {!Lia.sat_with}).
 
-    A {e flat} hypothesis — its elaboration a conjunction of literals
-    with no definitions — is also prepared for DPLL(T), on the first
-    query whose goal is one literal, and kept until {!forget}: its atoms
-    numbered as the search numbers them, their polarities, their theory
-    literals (taken from [literals]) and those literals split into
-    components. Such a query then places its goal's literal and merges
-    it into the components it touches, which decides the very
-    components, lists and order the search would hand the theory (see
-    {!Lia.sat_with}). A goal whose negation the hypothesis holds takes
-    the rebuilt skeleton instead.
+    A {e flat} query — the hypothesis's elaboration a conjunction of
+    literals, with no definitions beside the sign bounds of divisions
+    whose sign is settled — is also prepared for DPLL(T), on the first
+    query whose goal is one literal, once per goal division and sign
+    vector, and kept until {!forget}: its atoms numbered as the search
+    numbers them, their polarities, their theory literals (taken from
+    [literals]) and those literals split into components. Such a query
+    then places its goal's literal and merges it into the components it
+    touches, which decides the very components, lists and order the
+    search would hand the theory (see {!Lia.sat_with}). A goal whose
+    negation the query holds takes the rebuilt skeleton instead.
 
     A [hyp] holds lazy state and is not thread-safe: build and use it
     on one domain, and let it go with the query memo it serves (the
@@ -77,32 +84,57 @@ val hyp : ?literals:literals -> Term.t -> hyp
 (** [literals] defaults to a fresh table. *)
 
 val forget : hyp -> unit
-(** Drop the hypothesis's DPLL(T) preparation, keeping its elaboration;
-    the next query that needs it prepares it again, with the same
-    result. A memo row outlives the queries it serves: the
-    fixpoint solver forgets the preparation of the rows one clause
-    evaluation asked once that evaluation ends, since later evaluations
-    almost never ask them again. *)
+(** Drop the hypothesis's DPLL(T) preparations, its unit facts and the
+    sign checks prepared on them, keeping its elaboration and the signs
+    decided under its facts alone; the next query that needs them
+    prepares them again, with the same result. A memo row outlives the
+    queries it serves: the fixpoint solver forgets the preparations of
+    the rows one clause evaluation asked once that evaluation ends,
+    since later evaluations almost never ask them again. *)
 
 val valid_under : hyp -> Term.t -> bool
 (** [valid_under (hyp lhs) g] is [valid (Term.mk_imp lhs g)]: the same
     answer and the same [queries], [theory_checks] and [max_atoms]
-    counts. The query uses the context only when exactness is certain;
-    otherwise it is decided from scratch as {!valid} decides it:
+    counts, and the same Fourier–Motzkin work in its theory checks. The
+    query uses the context only when exactness is certain; otherwise it
+    is decided from scratch as {!valid} decides it:
     - an implication {!Term.mk_imp} folds ([lhs] or [g] a [Bool]) is
       passed to {!valid} as folded;
-    - a hypothesis whose elaboration meets a division or remainder by
-      a constant (whose encoding consults the unit facts of the whole
-      query), or is ill-sorted, gets no context;
-    - a goal whose elaboration, on its own, creates a fresh variable,
-      opaque term, application or definition (a division, a nonlinear
-      product, an uninterpreted application, an [if]) does not reuse
-      the context, since it could share those with the hypothesis.
+    - a hypothesis that is ill-sorted, or that divides and also creates
+      another kind of fresh variable (an opaque term, an application,
+      an [if]), gets no context;
+    - a goal whose elaboration, on its own, creates a fresh variable
+      other than a division's quotient (a nonlinear product, an
+      uninterpreted application, an [if]), or that divides beside a
+      hypothesis that creates one, does not reuse the context, since
+      it could share those with the hypothesis; nor does a goal that
+      is not one literal, or a hypothesis that is not flat, when the
+      query divides. A goal that divides by a constant reuses the
+      hypothesis's elaboration made after its divisions (once per list
+      of them): the hypothesis takes the goal's quotient of a division
+      they share, and numbers its own after the goal's, as {!valid}'s
+      single elaboration state does.
 
     Each query not folded bumps the profile counter [solver.hyp_reused]
-    when the prepared hypothesis answers it, and [solver.hyp_rebuilt]
-    when it is decided from a rebuilt skeleton or as {!valid} decides
-    it. *)
+    when the prepared query answers it, and [solver.hyp_rebuilt] when it
+    is decided from a rebuilt skeleton or as {!valid} decides it, with
+    one counter per reason beside it:
+    - [solver.rebuilt.no_context]: the hypothesis has no context;
+    - [solver.rebuilt.not_flat]: the hypothesis is not a conjunction of
+      literals (or has definitions);
+    - [solver.rebuilt.goal_not_literal]: the goal is not one literal;
+    - [solver.rebuilt.goal_defs]: the goal is ill-sorted or creates a
+      fresh variable the context cannot take, as above;
+    - [solver.rebuilt.sign_split]: a division's sign is unsettled, so
+      its bounds are a case split;
+    - [solver.rebuilt.negation_held]: the query holds the goal's
+      negation.
+
+    Every div/mod sign check, in {!valid} too, also adds its
+    Fourier–Motzkin work to [solver.divmod_fm_rows] and
+    [solver.divmod_fm_row_copies]: the context decides some of them
+    once for many queries, so only [lia.fm_rows] less this share is
+    the same as {!valid}'s. *)
 
 val sliced_implication : Term.t list -> Term.t -> Term.t
 (** [hyps ⇒ goal] with [hyps] sliced to the cone of influence of [goal]

@@ -546,4 +546,5 @@ let tests =
       workload_determinism "heapsort";
       workload_determinism "kmp";
       counter_determinism "heapsort";
+      counter_determinism "bsearch";
     ] )

@@ -274,12 +274,20 @@ let divmod_exhaustive () =
 (* ------------------------------------------------------------------ *)
 
 (** Run [f] from zeroed statistics: its answer (or [Ill_sorted]
-    message), the statistics it left behind and the Fourier–Motzkin
-    work it did. *)
+    message), the statistics it left behind, the Fourier–Motzkin work
+    of its theory checks (all of it less the div/mod sign checks', which
+    a context may share between queries) and whether it took the
+    prepared path ([solver.hyp_reused], [solver.hyp_rebuilt]). *)
 let fresh_run f =
   Solver.reset_stats ();
-  let rows0 = Profile.count "lia.fm_rows"
-  and copies0 = Profile.count "lia.fm_row_copies" in
+  let count k = Profile.count k in
+  let theory_rows () = count "lia.fm_rows" - count "solver.divmod_fm_rows"
+  and theory_copies () =
+    count "lia.fm_row_copies" - count "solver.divmod_fm_row_copies"
+  in
+  let rows0 = theory_rows () and copies0 = theory_copies () in
+  let reused0 = count "solver.hyp_reused"
+  and rebuilt0 = count "solver.hyp_rebuilt" in
   let r = try Ok (f ()) with Term.Ill_sorted m -> Error m in
   let s = Solver.stats () in
   ( r,
@@ -287,24 +295,30 @@ let fresh_run f =
       s.queries;
       s.theory_checks;
       s.max_atoms;
-      Profile.count "lia.fm_rows" - rows0;
-      Profile.count "lia.fm_row_copies" - copies0;
-    ] )
+      theory_rows () - rows0;
+      theory_copies () - copies0;
+    ],
+    (count "solver.hyp_reused" - reused0, count "solver.hyp_rebuilt" - rebuilt0)
+  )
 
 (** Ask every goal under one [hyp] (so later goals reuse the context
     the first one built), and each goal through [valid] from scratch:
     same answers, same statistics and Fourier–Motzkin work (which pins
     the theory's lists and component order). [theory_checks], when
-    given, is the number of theory checks each goal must take. *)
-let context_agrees ?theory_checks name lhs goals =
+    given, is the number of theory checks each goal must take;
+    [reused], whether each goal takes the prepared path (else the
+    rebuilt one), so a silent fallback fails the case. *)
+let context_agrees ?theory_checks ?reused name lhs goals =
   Alcotest.test_case name `Quick (fun () ->
       let h = Solver.hyp lhs in
       List.iteri
         (fun i g ->
           let what = Printf.sprintf "%s, goal %d" name i in
           let imp = Term.mk_imp lhs g in
-          let got, got_stats = fresh_run (fun () -> Solver.valid_under h g) in
-          let want, want_stats = fresh_run (fun () -> Solver.valid imp) in
+          let got, got_stats, path =
+            fresh_run (fun () -> Solver.valid_under h g)
+          in
+          let want, want_stats, _ = fresh_run (fun () -> Solver.valid imp) in
           Alcotest.(check (result bool string)) what want got;
           Alcotest.(check (list int))
             (what ^ ": queries, theory checks, max atoms, FM rows")
@@ -314,7 +328,14 @@ let context_agrees ?theory_checks name lhs goals =
               Alcotest.(check int)
                 (what ^ ": theory checks") (List.nth checks i)
                 (List.nth got_stats 1))
-            theory_checks)
+            theory_checks;
+          Option.iter
+            (fun reused ->
+              Alcotest.(check (pair int int))
+                (what ^ ": hyp_reused, hyp_rebuilt")
+                (if List.nth reused i then (1, 0) else (0, 1))
+                path)
+            reused)
         goals)
 
 let context_tests =
@@ -325,10 +346,14 @@ let context_tests =
       (mk_and [ le x y; le y z; lt n (int 0) ])
       [ le x z; lt x z; ge n (int 0); le x z; mk_or [ lt n x; le z y ] ];
     context_agrees "context: division needs unit facts"
+      ~reused:[ true; true; true ]
       (mk_and [ le (int 0) x; eq y (div x (int 2)) ])
       [ le y x; ge y (int 0); lt y x ];
-    (* the negated goal [x < 0] settles the dividend's sign *)
+    (* the negated goal [x < 0] settles the dividend's sign; under
+       [y <= x] it stays unsettled; [x % 2] shares the hypothesis's
+       quotient *)
     context_agrees "context: division sign from the goal"
+      ~reused:[ true; false; false ]
       (mk_and [ eq y (div x (int 2)); le z y ])
       [ ge x (int 0); le y x; ge (md x (int 2)) (int 0) ];
     context_agrees "context: goals with %, x*y, f(x), if"
@@ -361,6 +386,105 @@ let context_tests =
     context_agrees "context: ill-sorted goal"
       (mk_and [ le x y; le y z ])
       [ Var ("b", Sort.Int); Not (int 3); le x z ];
+  ]
+
+(** Queries that divide by a constant: the quotient's sign bounds are
+    definitions, and a query whose divisions all have a settled sign is
+    prepared once per sign vector. *)
+let division_context_tests =
+  let open Term in
+  let lo = v "lo" and hi = v "hi" and mid = v "mid" in
+  [
+    context_agrees "context: bsearch midpoint"
+      ~reused:[ true; true; true; true; true ]
+      (mk_and [ lt lo hi; eq mid (add lo (div (sub hi lo) (int 2))) ])
+      [ le lo mid; lt mid hi; le mid hi; lt lo mid; le (int 0) mid ];
+    (* only [¬g] settles the sign of [a - b]: negative, or positive *)
+    context_agrees "context: division sign only the goal settles"
+      ~reused:[ true; true; false ]
+      (mk_and [ eq y (div (sub x n) (int 3)); le z y ])
+      [ le x n; ge x n; le z x ];
+    (* [lo + hi]'s sign comes from the hypothesis; the goals share that
+       dividend and its prepared query *)
+    context_agrees "context: goal dividing by a constant"
+      ~reused:[ true; true; true; true ]
+      (mk_and [ le (int 0) lo; le lo x; le x hi ])
+      [
+        le x (div (add lo hi) (int 2));
+        le lo (div (add lo hi) (int 2));
+        le (div (add lo hi) (int 2)) hi;
+        ge (md (add lo hi) (int 2)) (int 0);
+      ];
+    context_agrees "context: goal division of unsettled sign"
+      ~reused:[ false; false ]
+      (mk_and [ le x y; le (int 0) y ])
+      [ le (div x (int 2)) y; le (md x (int 4)) (int 3) ];
+    (* the hypothesis takes the goal's quotient *)
+    context_agrees "context: goal dividend divided in the hypothesis"
+      ~reused:[ true; true; true ]
+      (mk_and [ eq mid (div (add lo hi) (int 2)); le (int 0) lo; le lo hi ])
+      [ le (div (add lo hi) (int 2)) hi; ge (md (add lo hi) (int 2)) (int 0);
+        le lo mid ];
+    (* the hypothesis takes the goal's quotient of the dividend they
+       share and numbers its other one after it *)
+    context_agrees "context: goal sharing one of two hypothesis dividends"
+      ~reused:[ true; true; true; true ]
+      (mk_and
+         [ le (int 0) lo; lt lo hi; eq mid (add lo (div (sub hi lo) (int 2)));
+           eq y (div (add lo hi) (int 2)) ])
+      [
+        le (div (sub hi lo) (int 2)) hi;
+        le (div (add lo hi) (int 2)) hi;
+        le mid y;
+        lt (add (div (sub hi lo) (int 2)) (div (add lo hi) (int 2))) hi;
+      ];
+    (* the hypothesis's quotient is named after the goal's *)
+    context_agrees "context: goal and hypothesis divide different dividends"
+      ~reused:[ true; true; true; true ]
+      (mk_and
+         [ le (int 0) lo; lt lo hi; eq mid (add lo (div (sub hi lo) (int 2))) ])
+      [
+        le mid (div (add lo hi) (int 2));
+        le (div (add lo hi) (int 2)) mid;
+        lt (div hi (int 2)) hi;
+        le mid (int 7);
+      ];
+    (* dividing goals over hypothesis divisions that chain; the FM
+       counts pin the order of the sign bounds (the hypothesis's, latest
+       first, then the goal's). [a + m] has no settled sign, so each
+       query takes the rebuilt skeleton with its bounds split *)
+    context_agrees "context: goal and hypothesis bounds in valid's order"
+      ~reused:[ false; false; false; false; false ]
+      (let a = v "a" and b = v "b" and c = v "c" and m = v "m" and k = v "k" in
+       mk_and
+         [ le (int 0) a; lt a b; eq m (add a (div (sub b a) (int 2)));
+           eq k (div (add a m) (int 3)); le c k; le k (add c (int 2)) ])
+      (let a = v "a" and b = v "b" and c = v "c" and m = v "m" and k = v "k" in
+       [
+         le (div (add b c) (int 2)) m;
+         le (add (div (add m k) (int 4)) c) b;
+         lt (div (add a b) (int 2)) (add k (div (add c m) (int 5)));
+         le (md (add b k) (int 3)) (sub m c);
+         le k (div (add b m) (int 2));
+       ]);
+    (* [x / 2] and [x % 2] share one quotient *)
+    context_agrees "context: repeated division"
+      ~reused:[ true; true; true ]
+      (mk_and [ le (int 0) x; eq z (md x (int 2)); eq n (div x (int 2)) ])
+      [ le z (int 1); le n x; eq x (add (mul (int 2) n) z) ];
+    (* the unit facts say nothing of the inner quotient's sign *)
+    context_agrees "context: nested division"
+      ~reused:[ false; false ]
+      (mk_and [ le (int 0) x; eq y (div (div x (int 2)) (int 2)) ])
+      [ le y x; le (mul (int 4) y) x ];
+    context_agrees "context: division beside a product"
+      ~reused:[ false; false ]
+      (mk_and [ le (int 0) x; eq y (div x (int 2)); eq z (mul x n) ])
+      [ le y x; le (div n (int 2)) z ];
+    context_agrees "context: division in a disjunction"
+      ~reused:[ false; false ]
+      (mk_and [ le (int 0) x; mk_or [ eq y (div x (int 2)); eq y x ] ])
+      [ le y x; mk_or [ le y x; eq y n ] ];
   ]
 
 (** Goals answered from a prepared (flat) hypothesis, or kept off it. *)
@@ -700,4 +824,4 @@ let tests =
         Alcotest.test_case "multiset FM on an RMat hypothesis" `Quick
           fm_rmat_case;
       ]
-    @ prepared_context_tests )
+    @ prepared_context_tests @ division_context_tests )
