@@ -45,10 +45,11 @@ let try_valid (config : Config.t) (f : Term.t) : bool =
 
 (** [try_valid_under config env lhs rhs] is
     [try_valid config (Term.mk_imp lhs rhs)] for a caller holding
-    [env = lazy (env_of_lhs lhs)]: the weakening loop probes one
-    hypothesis against many goals, and a wide hypothesis costs a walk
-    over all its conjuncts to build an environment from. An implication
-    [mk_imp] folds is judged as {!try_valid} judges the folded term. *)
+    [env], equal to [env_of_lhs lhs] (the weakening loop builds it with
+    {!Env.slice}): the loop probes one hypothesis against many goals,
+    and a wide hypothesis costs a walk over all its conjuncts to build
+    an environment from. An implication [mk_imp] folds is judged as
+    {!try_valid} judges the folded term. *)
 let try_valid_under (config : Config.t) (env : Env.t Lazy.t) (lhs : Term.t)
     (rhs : Term.t) : bool =
   match (lhs, rhs) with

@@ -152,17 +152,20 @@ let close m =
   done;
   !neg
 
+(* Number the atoms' variables 1, 2, … in order of first occurrence
+   (index 0 is the zero node); also returns how many there are. *)
+let index (atoms : Lia.lin list) : int SMap.t * int =
+  List.fold_left
+    (fun acc l ->
+      SMap.fold
+        (fun x _ ((idx, n) as acc) ->
+          if SMap.mem x idx then acc else (SMap.add x (n + 1) idx, n + 1))
+        l.Lia.coeffs acc)
+    (SMap.empty, 0) atoms
+
 let of_atoms (atoms : Lia.lin list) : t =
-  let idx =
-    List.fold_left
-      (fun idx l ->
-        SMap.fold
-          (fun x _ idx ->
-            if SMap.mem x idx then idx else SMap.add x (SMap.cardinal idx + 1) idx)
-          l.Lia.coeffs idx)
-      SMap.empty atoms
-  in
-  let n = SMap.cardinal idx + 1 in
+  let idx, vars = index atoms in
+  let n = vars + 1 in
   let m = Array.init n (fun i -> Array.init n (fun j -> if i = j then Some 0 else None)) in
   try
     List.iter (install idx m) atoms;
@@ -172,6 +175,118 @@ let of_atoms (atoms : Lia.lin list) : t =
 (** Build the environment from a clause's hypotheses. *)
 let of_hyps (hyps : Term.t list) : t =
   try of_atoms (List.fold_left collect [] hyps) with Contradiction -> bot
+
+(* ------------------------------------------------------------------ *)
+(* The slices of one hypothesis                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A slice's environment is assembled from its components' closures
+   only while every closure of its atoms is exact: a simple path's
+   weight is at most the sum [w] of the atoms' constants in absolute
+   value, and Floyd–Warshall adds two of them, so [2w < big] keeps
+   every sum clear of [clamp]. *)
+let exact_limit = big / 4
+
+(** The environments of the cone-of-influence slices of one hypothesis
+    (its conjuncts numbered in a {!Term.cone}), each equal to
+    [of_hyps [mk_and slice]] — the same indices and the same closed
+    matrix — from one closure per component.
+
+    The DBM's edges join the variables of one conjunct, so the
+    components the conjuncts form by sharing variables meet only at
+    the zero node, and a slice is a union of whole components. A path
+    between two nodes of a slice that detours through another
+    component leaves and re-enters at 0: the detour is a cycle at 0,
+    of weight ≥ 0 unless that component is contradictory. So, with
+    every closure exact (see [exact_limit]), a slice is ⊥ exactly when
+    one of its components is, and otherwise its closed matrix holds
+    each component's closure, and [d(x, 0) + d(0, y)] between two
+    components. A slice whose constants could reach the clamp is
+    closed from its own atoms, as [of_hyps] would. *)
+type slices = {
+  s_cone : Term.cone;
+  s_atoms : Lia.lin list option Lazy.t array;
+      (** each conjunct's atoms as [collect] gathers them; [None]: it is
+          contradictory *)
+  s_comps : (t * int) Lazy.t array;
+      (** each component closed alone (when exact), and the sum of its
+          atoms' constants in absolute value, capped at [exact_limit] *)
+}
+
+let weight (atoms : Lia.lin list) : int =
+  List.fold_left
+    (fun w l ->
+      let c = l.Lia.const in
+      if c <= -exact_limit || c >= exact_limit then exact_limit
+      else min exact_limit (w + abs c))
+    0 atoms
+
+let slices (c : Term.cone) : slices =
+  let atoms =
+    Array.map
+      (fun h -> lazy (try Some (collect [] h) with Contradiction -> None))
+      c.Term.c_hyps
+  in
+  let members = Array.make c.Term.c_ncomps [] in
+  Array.iteri
+    (fun i k -> if k >= 0 then members.(k) <- i :: members.(k))
+    c.Term.c_comp;
+  let closure k =
+    lazy
+      (let atoms =
+         List.concat_map (fun i -> Option.get (Lazy.force atoms.(i))) members.(k)
+       in
+       let w = weight atoms in
+       ((if w < exact_limit then of_atoms atoms else top), w))
+  in
+  { s_cone = c; s_atoms = atoms; s_comps = Array.init c.Term.c_ncomps closure }
+
+(** [slice s ks] is [of_hyps [mk_and hs]] for the conjuncts [hs] at
+    [ks], which must be a slice {!Term.cone_slice} returned. *)
+let slice (s : slices) (ks : int list) : t =
+  let lists = List.map (fun k -> Lazy.force s.s_atoms.(k)) ks in
+  if List.mem None lists then bot
+  else
+    (* [collect] over [mk_and hs] gathers the conjuncts' atoms in this
+       order *)
+    let atoms = List.fold_left (fun acc l -> Option.get l @ acc) [] lists in
+    let closed =
+      List.sort_uniq compare (List.map (fun k -> s.s_cone.Term.c_comp.(k)) ks)
+      |> List.map (fun k -> Lazy.force s.s_comps.(k))
+    in
+    if
+      List.fold_left (fun w (_, cw) -> min exact_limit (w + cw)) 0 closed
+      >= exact_limit
+    then of_atoms atoms
+    else if List.exists (fun (e, _) -> e.bot) closed then bot
+    else
+      let idx, vars = index atoms in
+      let n = vars + 1 in
+      (* each variable's component closure and its index there; the
+         zero node is index 0 in every closure *)
+      let home = Array.make n top and at = Array.make n 0 in
+      SMap.iter
+        (fun x i ->
+          let k =
+            s.s_cone.Term.c_var_comp.(Hashtbl.find s.s_cone.Term.c_ids x)
+          in
+          let e, _ = Lazy.force s.s_comps.(k) in
+          home.(i) <- e;
+          at.(i) <- SMap.find x e.idx)
+        idx;
+      let m = Array.make_matrix n n None in
+      for i = 0 to n - 1 do
+        let ei = home.(i) in
+        let from = ei.m.(at.(i)) in
+        for j = 0 to n - 1 do
+          let ej = home.(j) in
+          m.(i).(j) <-
+            (if i = 0 then ej.m.(0).(at.(j))
+             else if j = 0 || ej == ei then from.(at.(j))
+             else w_add from.(0) ej.m.(0).(at.(j)))
+        done
+      done;
+      { bot = false; idx; m }
 
 (** Extend with one more hypothesis and re-close. Rebuilds from the raw
     matrix facts; environments are small (clause-local variables), so

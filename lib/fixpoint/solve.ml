@@ -30,6 +30,7 @@
 
 open Flux_smt
 module Discharge = Flux_absint.Discharge
+module Env = Flux_absint.Env
 
 type solution = (string, Term.t list) Hashtbl.t
 (** κ name → conjuncts over the κ's formal parameters *)
@@ -130,28 +131,35 @@ let check_heads (kenv : (string, Horn.kvar) Hashtbl.t)
     clauses
 
 (** Pre-expand and flatten a clause's hypotheses under the current
-    solution, tagging each conjunct with its free variables; shared by
-    all the per-qualifier slices of one clause. *)
-let prepare_hyps kenv sol (c : Horn.clause) : (Term.t * Term.VarSet.t) list =
+    solution, numbered for slicing ({!Term.cone}); shared by all the
+    per-goal slices of one clause evaluation. *)
+let prepare_hyps kenv sol (c : Horn.clause) : Term.cone =
   List.map (apply_hyp kenv sol) c.Horn.hyps
   |> List.concat_map (function Term.And ts -> ts | t -> [ t ])
-  |> List.map (fun h -> (h, Term.free_vars h))
+  |> Term.cone
 
-(** Cone-of-influence slicing of prepared hypotheses w.r.t. [rhs], via
-    the shared {!Term.cone_of_influence} worklist: keep only the
-    hypotheses transitively sharing a variable with the goal. Dropping
-    hypotheses weakens the left-hand side, so slicing is sound (it can
-    only make the validity check fail, never succeed spuriously).
-    Disabled for variable-free goals (e.g. [false] for unreachable
+(** Cone-of-influence slicing of prepared hypotheses w.r.t. [rhs]: the
+    indices of the hypotheses {!Term.cone_slice} keeps, those
+    transitively sharing a variable with the goal. Dropping hypotheses
+    weakens the left-hand side, so slicing is sound (it can only make
+    the validity check fail, never succeed spuriously). [None] keeps
+    them all: for variable-free goals (e.g. [false] for unreachable
     code), which depend on the whole path condition, and when
     [config.slice] is off. *)
-let slice_prepared (config : Config.t) (hyps : (Term.t * Term.VarSet.t) list)
-    (rhs : Term.t) : Term.t =
-  if not config.slice then Term.mk_and (List.map fst hyps)
+let slice_of (config : Config.t) (hyps : Term.cone) (rhs : Term.t) :
+    int list option =
+  if not config.slice then None
   else
     let seed = Term.free_vars rhs in
-    if Term.VarSet.is_empty seed then Term.mk_and (List.map fst hyps)
-    else Term.mk_and (Term.cone_of_influence hyps seed)
+    if Term.VarSet.is_empty seed then None
+    else Some (Term.cone_slice hyps seed)
+
+let slice_terms (hyps : Term.cone) : int list option -> Term.t list = function
+  | None -> Array.to_list hyps.Term.c_hyps
+  | Some ks -> Term.cone_terms hyps ks
+
+let slice_prepared config hyps rhs : Term.t =
+  Term.mk_and (slice_terms hyps (slice_of config hyps rhs))
 
 let sliced_lhs config kenv sol (c : Horn.clause) (rhs : Term.t) : Term.t =
   slice_prepared config (prepare_hyps kenv sol c) rhs
@@ -223,19 +231,29 @@ let weaken_clause config stats kenv (sol : solution) (cl : Horn.clause) : bool =
     on Table 1) and, above {!Term.max_interned_size}, stay raw: hashing
     one walks every conjunct, so a table keyed by whole implications
     would re-walk the hypothesis on every lookup. Goals are qualifier-sized
-    and interned, so a row lookup is O(1) once the hypothesis has been
-    hashed — once per bucket (see {!weaken_clause_memo}). A row also
+    and interned, so a row lookup is O(1); the rows themselves are
+    keyed by the hypothesis's hash, which a clause evaluation folds
+    from its conjuncts' hashes ({!Term.mk_and_hashed}). A row also
     carries the hypothesis's solver context and its abstract
-    environment, so each is built at most once per slice, not once per
-    goal. *)
+    environment, each built at most once while the memo lives (one run
+    of a κ-SCC slice), not once per goal. *)
 type row = {
   r_goals : bool Term.Tbl.t;  (** goal → verdict *)
   r_hyp : Solver.hyp;
-  r_env : Flux_absint.Env.t Lazy.t;
+  mutable r_env : Env.t option;  (** set by the first bucket that needs it *)
 }
 
+(** Tables keyed by a term and its {!Term.hash}, computed by the
+    caller: neither a lookup nor an insertion hashes the term. *)
+module Hashed = Hashtbl.Make (struct
+  type t = int * Term.t
+
+  let equal (h, a) (h', b) = h = h' && Term.equal a b
+  let hash (h, _) = h
+end)
+
 type qmemo = {
-  rows : row Term.Tbl.t;  (** keyed by hypothesis *)
+  rows : row Hashed.t;  (** keyed by hypothesis *)
   literals : Solver.literals;
       (** the theory literals of the rows' hypotheses: rows share many
           conjuncts, and each is converted once *)
@@ -249,6 +267,9 @@ type qmemo = {
 type bucket = {
   b_lhs : Term.t;
   b_row : row;
+  b_env : Env.t Lazy.t;
+      (** the row's environment, built from the evaluation's
+          {!Env.slices} if the row has none yet *)
   mutable b_goals : (Term.t * Term.t) list;
       (** undecided (conjunct, goal) pairs, latest first *)
 }
@@ -259,9 +280,12 @@ type bucket = {
     already decided — by this clause on an earlier pass, or by a
     sibling clause with the same hypothesis and goal (pre/post join-κ
     pairs produce many) — reuses its verdict. The rest are grouped into
-    buckets by sliced hypothesis, and each bucket hashes its hypothesis
-    once (for its memo row); goals the row's abstract environment
-    proves are settled before any solver call.
+    buckets by sliced hypothesis. The evaluation pays for its
+    hypotheses once, for all its buckets: each conjunct's variables are
+    numbered and its hash taken once, so a slice is cut on ints and its
+    memo row found by a folded hash; and each component of the
+    hypotheses is closed once for the abstract environments
+    ({!Env.slices}), whose goals are settled before any solver call.
 
     The solver then walks a bucket's remaining goals in order, one
     weaken check per walk, and a walk stops at the first goal that does
@@ -285,6 +309,8 @@ let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
           let kv = Hashtbl.find kenv k in
           let m = List.map2 (fun (x, _) a -> (x, a)) kv.Horn.kparams args in
           let prepared = prepare_hyps kenv sol cl in
+          let hashes = Array.map Term.hash prepared.Term.c_hyps in
+          let envs = lazy (Env.slices prepared) in
           (* One slice per goal seed; seeds slicing to equal hypotheses
              share a row, hence a bucket. *)
           let slices = ref [] in
@@ -295,26 +321,48 @@ let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
             with
             | Some (_, b) -> b
             | None ->
-                let lhs = slice_prepared config prepared rhs in
+                let ks = slice_of config prepared rhs in
+                let lhs, h =
+                  Term.mk_and_hashed (slice_terms prepared ks)
+                    (match ks with
+                    | None -> Array.to_list hashes
+                    | Some ks -> List.map (Array.get hashes) ks)
+                in
                 let row =
-                  match Term.Tbl.find_opt qmemo.rows lhs with
+                  match Hashed.find_opt qmemo.rows (h, lhs) with
                   | Some row -> row
                   | None ->
                       let row =
                         {
                           r_goals = Term.Tbl.create 16;
                           r_hyp = Solver.hyp ~literals:qmemo.literals lhs;
-                          r_env = lazy (Discharge.env_of_lhs lhs);
+                          r_env = None;
                         }
                       in
-                      Term.Tbl.add qmemo.rows lhs row;
+                      Hashed.add qmemo.rows (h, lhs) row;
                       row
                 in
                 let b =
                   match List.find_opt (fun (_, b) -> b.b_row == row) !slices with
                   | Some (_, b) -> b
                   | None ->
-                      { b_lhs = lhs; b_row = row; b_goals = [] }
+                      {
+                        b_lhs = lhs;
+                        b_row = row;
+                        b_env =
+                          lazy
+                            (match row.r_env with
+                            | Some e -> e
+                            | None ->
+                                let e =
+                                  match ks with
+                                  | None -> Discharge.env_of_lhs lhs
+                                  | Some ks -> Env.slice (Lazy.force envs) ks
+                                in
+                                row.r_env <- Some e;
+                                e);
+                        b_goals = [];
+                      }
                 in
                 slices := (seed, b) :: !slices;
                 b
@@ -364,7 +412,7 @@ let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
           let pre_settle b =
             List.filter
               (fun ((_, rhs) as g) ->
-                if Discharge.try_valid_under config b.b_row.r_env b.b_lhs rhs
+                if Discharge.try_valid_under config b.b_env b.b_lhs rhs
                 then begin
                   (if config.Config.absint_crosscheck then begin
                      let v = Solver.valid_under b.b_row.r_hyp rhs in
@@ -577,7 +625,7 @@ let run_slice (p : prep) (i : int) : slice_result =
   let last : int list option array = Array.make n None in
   let qmemo =
     {
-      rows = Term.Tbl.create 64;
+      rows = Hashed.create 64;
       literals = Solver.literals ();
       collapsed = Term.Tbl.create 16;
     }

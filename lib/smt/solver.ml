@@ -1177,8 +1177,8 @@ let sliced_implication (hyps : Term.t list) (goal : Term.t) : Term.t =
   let hyps =
     if Term.VarSet.is_empty seed then hyps
     else
-      let tagged = List.map (fun h -> (h, Term.free_vars h)) hyps in
-      Term.cone_of_influence tagged seed
+      let c = Term.cone hyps in
+      Term.cone_terms c (Term.cone_slice c seed)
   in
   Term.mk_imp (Term.mk_and hyps) goal
 

@@ -116,6 +116,9 @@ let find_meta t = MetaTbl.find_opt (Domain.DLS.get intern_dls).tbl t
 
 let hash_combine h1 h2 = (h1 * 0x01000193) lxor h2
 
+(* the seed [hash_node] folds an [And]'s conjunct hashes into *)
+let and_seed = 10
+
 (** Full structural hash, memoized on interned terms: computing the
     hash of a node built from interned children is O(1). *)
 let rec hash t =
@@ -134,7 +137,7 @@ and hash_node t =
       hash_combine 7 (hash_combine (Hashtbl.hash op) (hash_combine (hash a) (hash b)))
   | Eq (a, b) -> hash_combine 8 (hash_combine (hash a) (hash b))
   | Ne (a, b) -> hash_combine 9 (hash_combine (hash a) (hash b))
-  | And ts -> List.fold_left (fun h t -> hash_combine h (hash t)) 10 ts
+  | And ts -> List.fold_left (fun h t -> hash_combine h (hash t)) and_seed ts
   | Or ts -> List.fold_left (fun h t -> hash_combine h (hash t)) 11 ts
   | Not a -> hash_combine 12 (hash a)
   | Imp (a, b) -> hash_combine 13 (hash_combine (hash a) (hash b))
@@ -260,6 +263,20 @@ let mk_and ts =
   | Some [] -> tt
   | Some [ t ] -> t
   | Some ts -> hc (And ts)
+
+(** [(mk_and ts, hash (mk_and ts))] for a caller that holds [hs], the
+    {!hash} of each of [ts]: when [mk_and] builds [And ts] itself (two
+    or more conjuncts, none [Bool] or [And]), its hash is folded from
+    [hs] exactly as [hash_node] folds it, without a lookup per
+    conjunct. *)
+let mk_and_hashed (ts : t list) (hs : int list) : t * int =
+  match ts with
+  | _ :: _ :: _
+    when List.for_all (function Bool _ | And _ -> false | _ -> true) ts ->
+      (hc (And ts), List.fold_left hash_combine and_seed hs)
+  | _ ->
+      let t = mk_and ts in
+      (t, hash t)
 
 let mk_or ts =
   let rec flatten acc = function
@@ -426,32 +443,157 @@ let free_vars_sorted t =
 
 let mem_var x t = VarSet.mem x (free_vars t)
 
-(** Cone-of-influence slicing, shared by [Solver.sliced_implication] and
-    the fixpoint solver: keep exactly the hypotheses transitively
-    sharing a variable with [seed] (each hypothesis pre-tagged with its
-    free variables, which [free_vars] memoizes). Dropping hypotheses
-    only weakens the left-hand side of an entailment, so slicing is
-    sound for validity. The result order is unspecified. *)
-let cone_of_influence (hyps : (t * VarSet.t) list) (seed : VarSet.t) : t list =
-  let seed = ref seed in
-  let remaining = ref hyps in
+(** Hypotheses numbered for cone-of-influence slicing. The slice of a
+    goal keeps exactly the hypotheses transitively sharing a variable
+    with it; dropping hypotheses only weakens the left-hand side of an
+    entailment, so slicing is sound for validity. {!cone} pays once for
+    what every goal's slice shares — each hypothesis's variables,
+    numbered densely, and the components the hypotheses form by
+    sharing variables — and {!cone_slice} then works on ints. Shared
+    by [Solver.sliced_implication] and the fixpoint solver. A cone is
+    scratch state of the caller that built it: {!cone_slice} writes its
+    mark arrays. *)
+type cone = {
+  c_hyps : t array;
+  c_vars : int array array;  (** each hypothesis's variables *)
+  c_ids : (string, int) Hashtbl.t;  (** variable → its number *)
+  c_comp : int array;
+      (** each hypothesis's component, numbered densely in order of
+          first hypothesis; −1 for a variable-free hypothesis, which no
+          slice keeps *)
+  c_var_comp : int array;  (** each variable's component *)
+  c_ncomps : int;
+  c_mark : int array;  (** per variable: the last slice whose seed held it *)
+  c_comp_mark : int array;  (** per component: likewise *)
+  c_work : int array;  (** the hypotheses still to scan *)
+  mutable c_gen : int;
+}
+
+let cone (hyps : t list) : cone =
+  let hyps = Array.of_list hyps in
+  let ids = Hashtbl.create 64 in
+  let vars =
+    Array.map
+      (fun h ->
+        VarSet.fold
+          (fun x acc ->
+            match Hashtbl.find_opt ids x with
+            | Some v -> v :: acc
+            | None ->
+                let v = Hashtbl.length ids in
+                Hashtbl.add ids x v;
+                v :: acc)
+          (free_vars h) []
+        |> Array.of_list)
+      hyps
+  in
+  let nvars = Hashtbl.length ids in
+  (* union-find over variables: a hypothesis links all of its own *)
+  let parent = Array.init nvars Fun.id in
+  let rec find v =
+    let p = parent.(v) in
+    if p = v then v
+    else begin
+      let r = find p in
+      parent.(v) <- r;
+      r
+    end
+  in
+  Array.iter
+    (fun vs ->
+      for j = 1 to Array.length vs - 1 do
+        let a = find vs.(0) and b = find vs.(j) in
+        if a <> b then parent.(b) <- a
+      done)
+    vars;
+  let dense = Array.make nvars (-1) in
+  let ncomps = ref 0 in
+  let comp_of_var v =
+    let r = find v in
+    if dense.(r) < 0 then begin
+      dense.(r) <- !ncomps;
+      incr ncomps
+    end;
+    dense.(r)
+  in
+  let comp =
+    Array.map (fun vs -> if Array.length vs = 0 then -1 else comp_of_var vs.(0)) vars
+  in
+  let var_comp = Array.init nvars comp_of_var in
+  {
+    c_hyps = hyps;
+    c_vars = vars;
+    c_ids = ids;
+    c_comp = comp;
+    c_var_comp = var_comp;
+    c_ncomps = !ncomps;
+    c_mark = Array.make nvars 0;
+    c_comp_mark = Array.make !ncomps 0;
+    c_work = Array.make (Array.length hyps) 0;
+    c_gen = 0;
+  }
+
+(** The slice of [seed]: the indices of the hypotheses it keeps, in
+    this order — passes over the hypotheses in list order, each pass
+    keeping every remaining hypothesis that shares a variable with the
+    seed (which grows by each kept hypothesis's variables as the pass
+    goes) until a pass keeps none; the list is the reverse of the order
+    of keeping. [mk_and] of the slice builds the memo rows' key, and
+    the exact counters pin it, so the order is part of the contract.
+    Only the hypotheses of components the seed touches can be kept, so
+    the passes scan only those: the others share no variable with
+    anything a pass keeps, so skipping them changes no pass. *)
+let cone_slice (c : cone) (seed : VarSet.t) : int list =
+  c.c_gen <- c.c_gen + 1;
+  let gen = c.c_gen in
+  VarSet.iter
+    (fun x ->
+      match Hashtbl.find_opt c.c_ids x with
+      | Some v ->
+          c.c_mark.(v) <- gen;
+          c.c_comp_mark.(c.c_var_comp.(v)) <- gen
+      | None -> ())
+    seed;
+  let work = c.c_work in
+  let n = ref 0 in
+  for i = 0 to Array.length c.c_comp - 1 do
+    let k = c.c_comp.(i) in
+    if k >= 0 && c.c_comp_mark.(k) = gen then begin
+      work.(!n) <- i;
+      incr n
+    end
+  done;
+  let mark = c.c_mark in
+  let rec touches vs j =
+    j < Array.length vs && (mark.(vs.(j)) = gen || touches vs (j + 1))
+  in
   let kept = ref [] in
   let changed = ref true in
-  while !changed do
+  while !changed && !n > 0 do
     changed := false;
-    remaining :=
-      List.filter
-        (fun (h, vs) ->
-          if not (VarSet.disjoint vs !seed) then begin
-            kept := h :: !kept;
-            seed := VarSet.union vs !seed;
-            changed := true;
-            false
-          end
-          else true)
-        !remaining
+    let rest = ref 0 in
+    for r = 0 to !n - 1 do
+      let i = work.(r) in
+      let vs = c.c_vars.(i) in
+      if touches vs 0 then begin
+        kept := i :: !kept;
+        for j = 0 to Array.length vs - 1 do
+          mark.(vs.(j)) <- gen
+        done;
+        changed := true
+      end
+      else begin
+        work.(!rest) <- i;
+        incr rest
+      end
+    done;
+    n := !rest
   done;
   !kept
+
+(** The hypotheses at [ks]. *)
+let cone_terms (c : cone) (ks : int list) : t list =
+  List.map (fun i -> c.c_hyps.(i)) ks
 
 (** Capture-free is not a concern: the logic is quantifier-free. *)
 let rec subst (m : (string * t) list) t =

@@ -261,6 +261,169 @@ let discharge_byte_identity () =
   Alcotest.(check bool) "some clauses were discharged" true (discharged > 0)
 
 (* ------------------------------------------------------------------ *)
+(* The environments of a hypothesis's slices                           *)
+(* ------------------------------------------------------------------ *)
+
+(** [None] when {!Env.slice} gives the slice at [ks] of [c] the
+    environment [Env.of_hyps [mk_and slice]] builds — the same
+    indices, the same closed matrix — and both decide each of [goals]
+    alike; otherwise what differs. *)
+let slice_env_mismatch (s : Env.slices) (c : Term.cone) (ks : int list)
+    (goals : Term.t list) : string option =
+  let got = Env.slice s ks in
+  let want = Env.of_hyps [ Term.mk_and (Term.cone_terms c ks) ] in
+  if got.Env.bot <> want.Env.bot then
+    Some (Printf.sprintf "bot %b, of_hyps %b" got.Env.bot want.Env.bot)
+  else if not (Env.SMap.equal Int.equal got.Env.idx want.Env.idx) then
+    Some "indices differ"
+  else if got.Env.m <> want.Env.m then Some "closed matrices differ"
+  else
+    List.find_map
+      (fun g ->
+        if Env.entails got g = Env.entails want g then None
+        else Some (Format.asprintf "decides %a differently" Term.pp g))
+      goals
+
+let env_pool = [| "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" |]
+
+(** Constants: mostly small, sometimes at or near the clamp ([2^60]),
+    either sign. *)
+let gen_const : int QCheck.Gen.t =
+  let open QCheck.Gen in
+  frequency
+    [
+      (12, int_range (-4) 4);
+      ( 1,
+        oneofl
+          [ Env.big - 1; Env.big / 2; Env.big / 4; -(Env.big / 2); 1 - Env.big ]
+      );
+    ]
+
+(** Hypotheses over a small variable pool, so that they split into a
+    few components: difference and bound atoms (a strict cycle makes a
+    component ⊥), equalities, atoms outside the DBM fragment
+    (nonlinear, three variables, a division), disjunctions,
+    variable-free [false] and a variable-free contradictory comparison
+    built raw. Goals: comparisons (also over a variable no hypothesis
+    has), [Imp], [Ite], [Ne], conjunctions and disjunctions. *)
+let gen_env_case : (Term.t list * Term.t list) QCheck.Gen.t =
+  let open QCheck.Gen in
+  let v = map (fun i -> Term.var env_pool.(i)) (int_bound 7) in
+  let k = map Term.int gen_const in
+  let atom =
+    frequency
+      [
+        (6, map3 (fun a b c -> Term.le a (Term.add b c)) v v k);
+        (3, map2 (fun a b -> Term.lt a b) v v);
+        (3, map2 Term.le v k);
+        (2, map2 Term.ge v k);
+        (2, map3 (fun a b c -> Term.mk_eq a (Term.add b c)) v v k);
+        (1, map3 (fun a b c -> Term.le (Term.mul a b) c) v v k);
+        (1, map3 (fun a b c -> Term.le (Term.add a b) c) v v v);
+        (1, map2 (fun a c -> Term.le (Term.div a (Term.int 2)) c) v k);
+        (1, map2 (fun a b -> Term.mk_or [ Term.lt a b; Term.lt b a ]) v v);
+        ( 1,
+          oneofl
+            [ Term.ff; Term.Cmp (Term.Le, Term.Int 1, Term.Int 0) ] );
+      ]
+  in
+  let goal_atom =
+    let v' =
+      frequency [ (8, v); (1, return (Term.var "absent")) ]
+    in
+    frequency
+      [
+        (4, map3 (fun a b c -> Term.le a (Term.add b c)) v' v' k);
+        (2, map2 Term.lt v' v');
+        (1, map2 Term.ge v' k);
+        (1, map2 Term.ne v' v');
+        (1, map2 (fun a b -> Term.mk_eq a b) v' v');
+      ]
+  in
+  let goal =
+    frequency
+      [
+        (4, goal_atom);
+        (2, map2 Term.mk_imp goal_atom goal_atom);
+        (1, map3 Term.ite goal_atom goal_atom goal_atom);
+        (1, map2 (fun a b -> Term.mk_and [ a; b ]) goal_atom goal_atom);
+        (1, map2 (fun a b -> Term.mk_or [ a; b ]) goal_atom goal_atom);
+      ]
+  in
+  pair (list_size (int_range 1 14) atom) (list_size (int_range 1 6) goal)
+
+let prop_slice_envs =
+  QCheck.Test.make
+    ~name:"slice environments match the slice's own, goal by goal"
+    ~count:1500
+    (QCheck.make gen_env_case ~print:(fun (hyps, goals) ->
+         Format.asprintf "hyps [%a] goals [%a]"
+           (Format.pp_print_list Term.pp) hyps
+           (Format.pp_print_list Term.pp) goals))
+    (fun (hyps, goals) ->
+      let c = Term.cone hyps in
+      let s = Env.slices c in
+      List.for_all
+        (fun g ->
+          let seed = Term.free_vars g in
+          Term.VarSet.is_empty seed
+          ||
+          match slice_env_mismatch s c (Term.cone_slice c seed) goals with
+          | None -> true
+          | Some m -> QCheck.Test.fail_report m)
+        goals)
+
+(** A ⊥ component makes exactly the slices holding it ⊥; a slice
+    without it keeps its bounds. Constants at the clamp take the
+    slice's own closure. *)
+let slice_env_cases () =
+  let v = Term.var in
+  let hyps =
+    Term.
+      [
+        lt (v "a") (v "b");
+        lt (v "b") (v "a");
+        le (v "c") (int 3);
+        ff;
+        le (v "d") (add (v "c") (int 1));
+        le (mul (v "e") (v "f")) (int 0);
+      ]
+  in
+  let c = Term.cone hyps in
+  let s = Env.slices c in
+  let slice seed = Term.cone_slice c (Term.VarSet.of_list seed) in
+  Alcotest.(check bool) "slice with the cycle is ⊥" true
+    (Env.slice s (slice [ "a" ])).Env.bot;
+  let e = Env.slice s (slice [ "d" ]) in
+  Alcotest.(check bool) "slice without it is not" false e.Env.bot;
+  Alcotest.(check bool) "and bounds d" true
+    (Env.entails e (Term.le (v "d") (Term.int 4)));
+  List.iter
+    (fun (seed, goals) ->
+      match slice_env_mismatch s c (slice seed) goals with
+      | None -> ()
+      | Some m -> Alcotest.fail m)
+    [
+      ([ "a" ], []);
+      ([ "d" ], Term.[ le (v "d") (int 4); mk_imp (le (v "c") (int 0)) (le (v "d") (int 1)) ]);
+      ([ "e" ], []);
+      ([ "a"; "c" ], []);
+    ];
+  let huge = Env.big - 1 in
+  let hyps =
+    Term.[ le (v "a") (int huge); ge (v "b") (int (-huge)); le (v "a") (v "b") ]
+  in
+  let c = Term.cone hyps in
+  let s = Env.slices c in
+  match
+    slice_env_mismatch s c
+      (Term.cone_slice c (Term.VarSet.singleton "a"))
+      Term.[ le (v "a") (int huge); le (sub (v "a") (v "b")) (int 0) ]
+  with
+  | None -> ()
+  | Some m -> Alcotest.fail m
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_seed = 0xab51
 
@@ -287,4 +450,11 @@ let tests =
           prop_widen_narrow;
           prop_leq_monotone;
           prop_discharge_sound;
-        ] )
+        ]
+    @ [
+        Alcotest.test_case "slice environments: ⊥ components and the clamp"
+          `Quick slice_env_cases;
+        QCheck_alcotest.to_alcotest
+          ~rand:(Random.State.make [| qcheck_seed |])
+          prop_slice_envs;
+      ] )

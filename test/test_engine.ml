@@ -522,6 +522,140 @@ let counter_determinism name =
         (String.concat ", " counter_keys ^ " at " ^ pp_jobs (-2))
         seq (counts (-2)))
 
+(* ------------------------------------------------------------------ *)
+(* The slices of every clause evaluation                               *)
+(* ------------------------------------------------------------------ *)
+
+module Horn = Flux_fixpoint.Horn
+module Qualifier = Flux_fixpoint.Qualifier
+module Term = Flux_smt.Term
+module Env = Flux_absint.Env
+
+(** Each checked function's constraint system in a program. *)
+let clause_systems (src : string) : (Horn.kvar list * Horn.clause list) list =
+  let prog = Flux_syntax.Parser.parse_program src in
+  Flux_syntax.Typeck.check_program prog;
+  let genv = Flux_check.Genv.build prog in
+  List.filter_map
+    (fun (fd : Flux_syntax.Ast.fn_def) ->
+      match Flux_check.Genv.find_body genv fd.fn_name with
+      | Some body when not fd.fn_trusted ->
+          let pr = Checker.prepare genv fd body in
+          if Checker.prepared_early pr then None
+          else Some (Checker.prepared_kvars pr, Checker.prepared_clauses pr)
+      | _ -> None)
+    (Flux_syntax.Ast.program_fns prog)
+
+(** The reference sweep's clause evaluations, walked test-side: every κ
+    starts at its full qualifier instantiation; each κ-headed clause's
+    hypotheses are substituted and flattened into conjuncts as the
+    solver prepares them, [f] sees them with the clause's goals, and
+    the goals they imply under the reference slice are kept, until no
+    κ shrinks. *)
+let iter_evaluations ~(kvars : Horn.kvar list) (clauses : Horn.clause list)
+    (f : Term.t list -> Term.t list -> unit) : unit =
+  let kenv = Hashtbl.create 16 and sol = Hashtbl.create 16 in
+  List.iter
+    (fun kv ->
+      Hashtbl.replace kenv kv.Horn.kname kv;
+      Hashtbl.replace sol kv.Horn.kname
+        (Qualifier.instantiate_all ~values:kv.Horn.kvalues Qualifier.default
+           kv.Horn.kparams))
+    kvars;
+  let actuals k args =
+    List.map2 (fun (x, _) a -> (x, a)) (Hashtbl.find kenv k).Horn.kparams args
+  in
+  let apply = function
+    | Horn.Conc t -> t
+    | Horn.Kapp (k, args) -> (
+        match Hashtbl.find_opt sol k with
+        | Some cs when Hashtbl.mem kenv k ->
+            Term.mk_and (List.map (Term.subst (actuals k args)) cs)
+        | _ -> Term.tt)
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun cl ->
+        match cl.Horn.head with
+        | Horn.Kapp (k, args) when Hashtbl.find sol k <> [] ->
+            let cs = Hashtbl.find sol k in
+            let hyps =
+              List.concat_map
+                (fun p ->
+                  match apply p with Term.And ts -> ts | t -> [ t ])
+                cl.Horn.hyps
+            in
+            let goals = List.map (Term.subst (actuals k args)) cs in
+            f hyps goals;
+            let tagged = List.map (fun h -> (h, Term.free_vars h)) hyps in
+            let holds g =
+              let seed = Term.free_vars g in
+              let lhs =
+                if Term.VarSet.is_empty seed then hyps
+                else Test_smt.cone_of_influence tagged seed
+              in
+              Flux_smt.Solver.valid (Term.mk_imp (Term.mk_and lhs) g)
+            in
+            let keep =
+              List.filter (fun (_, g) -> holds g) (List.combine cs goals)
+            in
+            if List.length keep <> List.length cs then begin
+              Hashtbl.replace sol k (List.map fst keep);
+              changed := true
+            end
+        | _ -> ())
+      clauses
+  done
+
+(** On every clause evaluation of a program, the integer cone keeps the
+    set worklist's slice in its order with its hash, and each slice's
+    environment is the one [Env.of_hyps] builds from it and decides the
+    slice's goals alike. *)
+let slices_every_evaluation name src =
+  Alcotest.test_case (name ^ ": every evaluation's slices match the references")
+    `Slow (fun () ->
+      let evaluations = ref 0 and slices = ref 0 in
+      List.iter
+        (fun (kvars, clauses) ->
+          iter_evaluations ~kvars clauses (fun hyps goals ->
+              incr evaluations;
+              let c = Term.cone hyps in
+              let s = Env.slices c in
+              let seeds =
+                List.sort_uniq compare
+                  (List.filter_map
+                     (fun g ->
+                       let seed = Term.free_vars g in
+                       if Term.VarSet.is_empty seed then None
+                       else Some (Term.VarSet.elements seed))
+                     goals)
+              in
+              List.iter
+                (fun seed ->
+                  incr slices;
+                  let seed = Term.VarSet.of_list seed in
+                  (match Test_smt.cone_mismatch hyps seed with
+                  | Some m -> Alcotest.fail m
+                  | None -> ());
+                  let own =
+                    List.filter
+                      (fun g -> Term.VarSet.equal (Term.free_vars g) seed)
+                      goals
+                  in
+                  match
+                    Test_absint.slice_env_mismatch s c (Term.cone_slice c seed)
+                      own
+                  with
+                  | Some m -> Alcotest.fail m
+                  | None -> ())
+                seeds))
+        (clause_systems src);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d evaluations, %d slices" !evaluations !slices)
+        true (!slices > 0))
+
 let tests =
   ( "engine",
     [
@@ -547,4 +681,7 @@ let tests =
       workload_determinism "kmp";
       counter_determinism "heapsort";
       counter_determinism "bsearch";
+      slices_every_evaluation "RMat" Workloads.rmat_flux;
+      slices_every_evaluation "bsearch"
+        (Option.get (Workloads.find "bsearch")).Workloads.bm_flux;
     ] )

@@ -799,6 +799,133 @@ let fm_rmat_case () =
     true
     (pairs * 100 < copies)
 
+(* ------------------------------------------------------------------ *)
+(* Cone of influence: the integer worklist against the set worklist    *)
+(* ------------------------------------------------------------------ *)
+
+(** The reference for [Term.cone_slice]: the worklist on variable sets,
+    pass by pass over every remaining hypothesis, returning the kept
+    hypotheses latest first. *)
+let cone_of_influence (hyps : (Term.t * Term.VarSet.t) list)
+    (seed : Term.VarSet.t) : Term.t list =
+  let seed = ref seed in
+  let remaining = ref hyps in
+  let kept = ref [] in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    remaining :=
+      List.filter
+        (fun (h, vs) ->
+          if not (Term.VarSet.disjoint vs !seed) then begin
+            kept := h :: !kept;
+            seed := Term.VarSet.union vs !seed;
+            changed := true;
+            false
+          end
+          else true)
+        !remaining
+  done;
+  !kept
+
+(** [None] when [Term.cone_slice] keeps exactly [cone_of_influence]'s
+    list, in its order, and [Term.mk_and_hashed] builds [mk_and] of it
+    with its [Term.hash] — for the slice of [seed] and for the whole
+    list; otherwise what differs. *)
+let cone_mismatch (hyps : Term.t list) (seed : Term.VarSet.t) : string option
+    =
+  let c = Term.cone hyps in
+  let hashes = Array.map Term.hash c.Term.c_hyps in
+  let hashed ts ks =
+    let t, h = Term.mk_and_hashed ts (List.map (Array.get hashes) ks) in
+    let want = Term.mk_and ts in
+    if not (Term.equal t want) then Some "mk_and_hashed term"
+    else if h <> Term.hash want then Some "mk_and_hashed hash"
+    else None
+  in
+  let ks = Term.cone_slice c seed in
+  let got = Term.cone_terms c ks in
+  let want =
+    cone_of_influence (List.map (fun h -> (h, Term.free_vars h)) hyps) seed
+  in
+  if not (List.equal Term.equal got want) then
+    Some
+      (Format.asprintf "slice [%a], reference [%a]"
+         (Format.pp_print_list Term.pp) got
+         (Format.pp_print_list Term.pp) want)
+  else
+    match hashed got ks with
+    | Some _ as m -> m
+    | None -> hashed hyps (List.init (List.length hyps) Fun.id)
+
+let cone_pool = [| "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" |]
+
+(** Hypothesis lists over a small variable pool, so that they form a
+    few components, with variable-free conjuncts ([Bool], raw and
+    interned, and a nullary application), raw [And] conjuncts and
+    repeats; seeds may name a variable no hypothesis has. *)
+let gen_cone_case : (Term.t list * Term.VarSet.t) QCheck.Gen.t =
+  let open QCheck.Gen in
+  let v = map (fun i -> Term.var cone_pool.(i)) (int_bound 7) in
+  let hyp =
+    frequency
+      [
+        (6, map2 Term.le v v);
+        (3, map3 (fun a b c -> Term.lt (Term.add a b) c) v v v);
+        (2, map (fun a -> Term.le a (Term.int 0)) v);
+        ( 1,
+          oneofl
+            [ Term.tt; Term.ff; Term.Bool true; Term.Bool false; Term.app "k" [] ]
+        );
+        (1, map2 (fun a b -> Term.And [ Term.le a b; Term.lt b a ]) v v);
+      ]
+  in
+  let* hyps = list_size (int_range 0 14) hyp in
+  let* seed =
+    list_size (int_range 1 3)
+      (oneofl ("absent" :: Array.to_list cone_pool))
+  in
+  return (hyps, Term.VarSet.of_list seed)
+
+let prop_cone_reference =
+  QCheck.Test.make
+    ~name:"integer cone keeps the set worklist's slice, order and hash"
+    ~count:2000
+    (QCheck.make gen_cone_case
+       ~print:(fun (hyps, seed) ->
+         Format.asprintf "[%a] seed {%s}"
+           (Format.pp_print_list Term.pp) hyps
+           (String.concat ", " (Term.VarSet.elements seed))))
+    (fun (hyps, seed) ->
+      match cone_mismatch hyps seed with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
+(** Fixed cases: the order is that of the passes (a hypothesis reached
+    only through a later one waits for the next pass), one conjunct,
+    an absent seed and a variable-free list. *)
+let cone_cases () =
+  let a = Term.var "a" and b = Term.var "b" and c = Term.var "c" in
+  let d = Term.var "d" in
+  let hyps = Term.[ le c d; le b c; le a b; le d (int 0); tt ] in
+  let c' = Term.cone hyps in
+  let slice seed = Term.cone_slice c' (Term.VarSet.of_list seed) in
+  (* pass 1 keeps [a ≤ b], after [b ≤ c] was scanned; pass 2 keeps
+     [b ≤ c]; pass 3 keeps [c ≤ d] and, later in the same pass,
+     [d ≤ 0]; latest first *)
+  Alcotest.(check (list int)) "chain seeded at its end" [ 3; 0; 1; 2 ] (slice [ "a" ]);
+  Alcotest.(check (list int)) "absent seed" [] (slice [ "zz" ]);
+  Alcotest.(check (list int)) "one conjunct" [ 0 ]
+    (Term.cone_slice (Term.cone [ Term.le a b ]) (Term.VarSet.singleton "b"));
+  Alcotest.(check (list int)) "variable-free list" []
+    (Term.cone_slice (Term.cone Term.[ tt; ff ]) (Term.VarSet.singleton "a"));
+  List.iter
+    (fun seed ->
+      match cone_mismatch hyps (Term.VarSet.of_list seed) with
+      | None -> ()
+      | Some m -> Alcotest.fail m)
+    [ [ "a" ]; [ "d" ]; [ "b"; "zz" ]; [ "zz" ] ]
+
 (** Fixed seed for the randomized properties: reproduce a failure by
     re-running with the same constant. *)
 let qcheck_seed = 0x5eed2
@@ -824,4 +951,11 @@ let tests =
         Alcotest.test_case "multiset FM on an RMat hypothesis" `Quick
           fm_rmat_case;
       ]
-    @ prepared_context_tests @ division_context_tests )
+    @ prepared_context_tests @ division_context_tests
+    @ [
+        QCheck_alcotest.to_alcotest
+          ~rand:(Random.State.make [| qcheck_seed |])
+          prop_cone_reference;
+        Alcotest.test_case "cone of influence: pass order and edge cases"
+          `Quick cone_cases;
+      ] )
