@@ -117,7 +117,10 @@ type row = Lia.lin * Proof.src
 type eqrow = Lia.lin * Proof.src * Proof.src
 
 (** Eliminate equalities by unit-coefficient substitution, mirroring
-    {!Lia}'s [elim_eqs]: substituting [x := rhs] from [e] into a row
+    the sequential Phase 1 that [test/test_smt.ml] keeps as the
+    reference for {!Lia.elim_eqs} (one substitution at a time, so each
+    substituted row gets its proof step): substituting [x := rhs] from
+    [e] into a row
     [a] is the combination [a + m·e] with [m = -coeff(x,a)·c], split by
     sign of [m] over the two directions of [e] so multipliers stay
     nonnegative. *)

@@ -13,7 +13,8 @@
     inequalities are tightened to non-strict ones up front ([a < b]
     becomes [a + 1 ≤ b]). Equalities are eliminated by substitution when
     a unit-coefficient variable is available, otherwise split into two
-    inequalities.
+    inequalities; the substitutions are composed and applied to each
+    remaining row once (see [elim_eqs]).
 
     Elimination rounds hold one entry per distinct row with the number
     of copies of it the textbook procedure would hold, and build each
@@ -272,27 +273,72 @@ let fm (rows : lin list) : bool =
   in
   round (entries (fun add -> List.iteri (fun i row -> add row 1 i) rows))
 
-(** Phase 1 of {!feasible_conn}: eliminate the equalities [eqs] (each
-    [= 0]) from [ineqs] (each [≤ 0]) by substitution, or split one into
-    two inequalities when it has no unit coefficient. Returns the
-    inequalities left; raises [Infeasible] on a contradiction. *)
-let rec elim_eqs eqs ineqs =
-  match eqs with
-  | [] -> ineqs
-  | e :: rest -> (
+(** A composed substitution: each eliminated variable's value, over
+    variables it does not eliminate. *)
+type subst = lin SMap.t
+
+(** [a] under [sigma]: each eliminated [x] with coefficient [c] is
+    replaced by [c·sigma(x)]. [a] itself when it has none. *)
+let lin_apply (sigma : subst) (a : lin) : lin =
+  SMap.fold
+    (fun x c acc ->
+      match SMap.find_opt x sigma with
+      | None -> acc
+      | Some v ->
+          lin_add { acc with coeffs = SMap.remove x acc.coeffs } (lin_scale c v))
+    a.coeffs a
+
+(** The equalities [eqs] (each [= 0]) solved in order: each one under
+    the substitution so far is a constant (checked and dropped), is
+    solved for the variable {!solvable_eq} picks (the substitution
+    composes with it), or has no unit coefficient and is split. Returns
+    the substitution and the split equalities, last first, each as it
+    stood when it was reached. Raises [Infeasible]. *)
+let solve_eqs (eqs : lin list) : subst * lin list =
+  List.fold_left
+    (fun (sigma, splits) e ->
+      let e = lin_apply sigma e in
       if lin_is_const e then
-        if e.const <> 0 then raise Infeasible else elim_eqs rest ineqs
+        if e.const <> 0 then raise Infeasible else (sigma, splits)
       else
         match solvable_eq e with
         | Some (x, rhs) ->
-            let sub = lin_subst x rhs in
-            elim_eqs (List.map sub rest) (List.map sub ineqs)
+            (SMap.add x rhs (SMap.map (lin_subst x rhs) sigma), splits)
         | None ->
             (* No unit coefficient: check gcd divisibility, then
                split into two inequalities. *)
             let g = SMap.fold (fun _ c acc -> gcd c acc) e.coeffs 0 in
             if g > 1 && e.const mod g <> 0 then raise Infeasible
-            else elim_eqs rest (e :: lin_scale (-1) e :: ineqs))
+            else (sigma, e :: splits))
+    (SMap.empty, []) eqs
+
+(** The split equalities under the final substitution, each as [e ≤ 0]
+    then [-e ≤ 0]. *)
+let split_rows sigma splits =
+  List.concat_map
+    (fun e ->
+      let e = lin_apply sigma e in
+      [ e; lin_scale (-1) e ])
+    splits
+
+(** [rows] under [sigma]. *)
+let apply_rows sigma rows =
+  if SMap.is_empty sigma then rows else List.map (lin_apply sigma) rows
+
+(** Phase 1 of {!feasible_conn}: eliminate the equalities [eqs] (each
+    [= 0]) from [ineqs] (each [≤ 0]) by substitution, or split one into
+    two inequalities when it has no unit coefficient. Returns the
+    inequalities left, the split rows of later equalities first; raises
+    [Infeasible] on a contradiction.
+
+    Substituting each solved equality into every remaining row in turn
+    gives the same rows as composing the substitutions and applying the
+    composition once: by linearity the forms are equal, and a form's
+    bindings are its non-zero coefficients. DESIGN.md ("Phase 1 by one
+    composed substitution") gives the argument. *)
+let elim_eqs eqs ineqs =
+  let sigma, splits = solve_eqs eqs in
+  split_rows sigma splits @ apply_rows sigma ineqs
 
 (** Decide feasibility (over the rationals, with integer tightening) of
     the conjunction of [ineqs] (each [≤ 0]) and [eqs] (each [= 0]).
@@ -475,9 +521,45 @@ let sat_literals (lits : literal list) : bool =
 (* A conjunction prepared for one more literal                         *)
 (* ------------------------------------------------------------------ *)
 
+(** A component's Phase 1, done once: its equalities solved, and its
+    split rows and inequalities substituted. A final inequality [g] that
+    joins only this component adds the row [lin_apply sigma g]. *)
+type phase1 =
+  | Solved of { sigma : subst; splits : lin list; rows : lin list }
+  | Contradiction  (** the equalities alone are infeasible *)
+
+let phase1 ~eqs ~ineqs =
+  match solve_eqs eqs with
+  | exception Infeasible -> Contradiction
+  | sigma, splits ->
+      Solved
+        { sigma; splits = split_rows sigma splits; rows = apply_rows sigma ineqs }
+
+(** [fm] on a component's Phase 1 with the extra row [g] under its
+    substitution, first among the inequalities. *)
+let decide_phase1 (p : phase1) (g : lin option) =
+  match p with
+  | Contradiction -> false
+  | Solved { sigma; splits; rows } -> (
+      let rows =
+        match g with Some g -> lin_apply sigma g :: rows | None -> rows
+      in
+      try fm (splits @ rows) with Infeasible -> false)
+
+(** Prepend each constraint of [cs] to [groups.(slot r)], for [r] its
+    root in [roots]; a constant ([r = -1]) and a slot of [-1] are
+    skipped. Each slot lists its constraints in reverse input order. *)
+let collect groups ~slot (cs : lin array) (roots : int array) =
+  Array.iteri
+    (fun i l ->
+      let s = if roots.(i) >= 0 then slot roots.(i) else -1 in
+      if s >= 0 then groups.(s) <- l :: groups.(s))
+    cs
+
 (* Prepared weakening hypotheses add to peak memory, so the split is
    kept flat: each constraint's component root, and each variable's, in
-   arrays; the component lists are rebuilt per query. *)
+   arrays. Each component's Phase 1 is done the first time a query
+   decides that component, from lists grouped out of those arrays. *)
 type context = {
   c_eqs : lin array;  (** input order *)
   c_eq_roots : int array;  (** each equality's root; [-1] for a constant *)
@@ -488,6 +570,7 @@ type context = {
   c_vars : string array;  (** sorted *)
   c_var_roots : int array;  (** each variable's root *)
   c_roots : int array;  (** the components' roots, ascending *)
+  c_phase1 : phase1 Lazy.t array Lazy.t;  (** by position in [c_roots] *)
 }
 
 let context (lits : literal list) : context =
@@ -500,20 +583,38 @@ let context (lits : literal list) : context =
   in
   let vars = Hashtbl.fold (fun x i acc -> (x, c.root.(i)) :: acc) c.ids [] in
   let vars = Array.of_list (List.sort (fun (x, _) (y, _) -> String.compare x y) vars) in
+  let n = Array.length c.root in
   let roots = ref [] in
-  for r = Array.length c.root - 1 downto 0 do
+  for r = n - 1 downto 0 do
     if c.geqs.(r) <> [] || c.gineqs.(r) <> [] then roots := r :: !roots
   done;
+  let c_eqs = Array.of_list eqs and c_eq_roots = Array.of_list (List.map root_of eqs) in
+  let c_ineqs = Array.of_list ineqs
+  and c_ineq_roots = Array.of_list (List.map root_of ineqs) in
+  let c_roots = Array.of_list !roots in
+  (* from the flat arrays only: the closure must not keep [c] alive *)
+  let c_phase1 =
+    lazy
+      (let geqs = Array.make n [] and gineqs = Array.make n [] in
+       collect geqs ~slot:Fun.id c_eqs c_eq_roots;
+       collect gineqs ~slot:Fun.id c_ineqs c_ineq_roots;
+       Array.map
+         (fun r ->
+           let eqs = geqs.(r) and ineqs = gineqs.(r) in
+           lazy (phase1 ~eqs ~ineqs))
+         c_roots)
+  in
   {
-    c_eqs = Array.of_list eqs;
-    c_eq_roots = Array.of_list (List.map root_of eqs);
-    c_ineqs = Array.of_list ineqs;
-    c_ineq_roots = Array.of_list (List.map root_of ineqs);
+    c_eqs;
+    c_eq_roots;
+    c_ineqs;
+    c_ineq_roots;
     c_diseqs = diseqs;
     c_bad = constant_contradiction ~eqs ~ineqs;
     c_vars = Array.map fst vars;
     c_var_roots = Array.map snd vars;
-    c_roots = Array.of_list !roots;
+    c_roots;
+    c_phase1;
   }
 
 (** The root of variable [x]'s component, if [x] occurs. *)
@@ -529,12 +630,24 @@ let var_root c x =
   in
   search 0 (Array.length c.c_vars)
 
+(** The position of the component rooted at [r] in [c.c_roots]. *)
+let root_index c r =
+  let rec search lo hi =
+    let mid = (lo + hi) / 2 in
+    let o = compare r c.c_roots.(mid) in
+    if o = 0 then mid else if o < 0 then search lo mid else search (mid + 1) hi
+  in
+  search 0 (Array.length c.c_roots)
+
 (** [feasible] on the context's equalities and its inequalities followed
     by [g] ([None]: by nothing), from the context's split. [g] comes
     last, so its new variables are numbered last and its join comes
     last: the components it shares no variable with are unchanged, and
     the ones it touches merge into one, rooted where the union-find
-    would root it and listing its constraints in the same order. *)
+    would root it and listing its constraints in the same order. An
+    unchanged component is decided from its Phase 1, and so is one that
+    [g] alone joins (with [g]'s row); components [g] merges are
+    eliminated anew. *)
 let feasible_after (c : context) (g : lin option) : bool =
   let n = Array.length c.c_var_roots in
   (* the components [g]'s variables belong to, in key order; a new
@@ -560,30 +673,36 @@ let feasible_after (c : context) (g : lin option) : bool =
     List.fold_left (fun acc r -> if List.mem r acc then acc else r :: acc) [] sets
   in
   let mroot = match merged with r :: _ -> r | [] -> -1 in
-  (* slot [n] holds a merged component rooted at a new variable *)
-  let slot r = if List.mem r merged then min mroot n else r in
-  let geqs = Array.make (n + 1) [] and gineqs = Array.make (n + 1) [] in
-  let collect groups cs roots =
-    Array.iteri
-      (fun i l ->
-        let r = roots.(i) in
-        if r >= 0 then
-          let s = slot r in
-          groups.(s) <- l :: groups.(s))
-      cs
+  let phase1 = Lazy.force c.c_phase1 in
+  (* the merged component: [g] after the constraints of the existing
+     components it joins; with one at most, that component's Phase 1
+     with [g]'s row first among its inequalities *)
+  let decide_merged () =
+    match List.filter (fun r -> r < n) merged with
+    | ([] | [ _ ]) as existing ->
+        Profile.incr "lia.phase1_prepared";
+        let p =
+          match existing with
+          | r :: _ -> Lazy.force phase1.(root_index c r)
+          | [] -> Solved { sigma = SMap.empty; splits = []; rows = [] }
+        in
+        decide_phase1 p g
+    | _ ->
+        Profile.incr "lia.phase1_rebuilt";
+        let geqs = [| [] |] and gineqs = [| [] |] in
+        let slot r = if List.mem r merged then 0 else -1 in
+        collect geqs ~slot c.c_eqs c.c_eq_roots;
+        collect gineqs ~slot c.c_ineqs c.c_ineq_roots;
+        decide_component ~eqs:geqs.(0) ~ineqs:(Option.to_list g @ gineqs.(0))
   in
-  collect geqs c.c_eqs c.c_eq_roots;
-  collect gineqs c.c_ineqs c.c_ineq_roots;
-  Option.iter (fun g -> gineqs.(min mroot n) <- g :: gineqs.(min mroot n)) g;
-  let decide s = decide_component ~eqs:geqs.(s) ~ineqs:gineqs.(s) in
   let rec go i merged_done =
-    if i >= Array.length c.c_roots then merged_done || decide (min mroot n)
+    if i >= Array.length c.c_roots then merged_done || decide_merged ()
     else
       let r = c.c_roots.(i) in
       if List.mem r merged then go (i + 1) merged_done
       else if (not merged_done) && mroot < r then
-        decide (min mroot n) && go i true
-      else decide r && go (i + 1) merged_done
+        decide_merged () && go i true
+      else decide_phase1 (Lazy.force phase1.(i)) None && go (i + 1) merged_done
   in
   go 0 (merged = [])
 
@@ -596,6 +715,7 @@ let sat_with (c : context) (extra : literal option) : bool =
       let eqs, ineqs = lists () in
       let eqs = eqs @ [ g ] in
       sat_parts ~eqs ~ineqs ~diseqs:c.c_diseqs ~base:(fun () ->
+          Profile.incr "lia.phase1_rebuilt";
           feasible ~eqs ~ineqs)
   | None | Some (Le0 _ | Ne0 _) -> (
       let diseqs =

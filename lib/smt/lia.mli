@@ -30,7 +30,8 @@ val feasible : eqs:lin list -> ineqs:lin list -> bool
     [feasible] decides each connected component as
     [fm (elim_eqs eqs ineqs)], answering [false] on [Infeasible]. The
     phases are exposed for the tests, which keep the list-based
-    elimination as the reference [fm] must agree with. *)
+    elimination as the reference [fm] must agree with, and the
+    sequential substitution as the one [elim_eqs] must agree with. *)
 
 exception Infeasible
 (** A constant contradiction. *)
@@ -45,7 +46,14 @@ val tighten : lin -> lin option
 val elim_eqs : lin list -> lin list -> lin list
 (** [elim_eqs eqs ineqs]: the inequalities left once the equalities are
     substituted away (or split in two when no coefficient is ±1). Raises
-    [Infeasible]. *)
+    [Infeasible].
+
+    The equalities are solved in order under one composed substitution,
+    which is applied to each split equality and each inequality once.
+    The result is the rows of substituting each solved equality into
+    every remaining row in turn, equal by bindings and in the same
+    order: the split rows [e; -e] of later equalities first, then the
+    inequalities. Inputs must carry no zero coefficient. *)
 
 val fm : lin list -> bool
 (** Fourier–Motzkin elimination of [⋀ rows ≤ 0], one variable a round,
@@ -74,14 +82,26 @@ val sat_literals : literal list -> bool
 type context
 (** A conjunction of literals prepared for {!sat_literals} with one more
     literal: its equalities and inequalities split into components once,
-    and kept as each constraint's and each variable's component. *)
+    and kept as each constraint's and each variable's component. Each
+    component's Phase 1 ({!elim_eqs}: its composed substitution, its
+    split rows and its substituted inequalities, or the equalities'
+    contradiction) is done the first time a query decides that
+    component, and kept. *)
 
 val context : literal list -> context
 
 val sat_with : context -> literal option -> bool
 (** [sat_with (context ls) l] is [sat_literals (ls @ Option.to_list l)],
-    and decides the same components, from the same lists, in the same
-    order. A final inequality only merges the components it shares a
-    variable with, and a disequality leaves the split as it is; an
-    equality, numbered before every inequality, splits the system
-    anew. *)
+    and decides the same components, from the same rows, in the same
+    order, with the same [lia.fm_rows]. A final inequality only merges
+    the components it shares a variable with, and a disequality leaves
+    the split as it is; an equality, numbered before every inequality,
+    splits the system anew.
+
+    A component the final inequality [g] does not touch is decided from
+    its kept Phase 1, and so is the one [g] alone joins (with fresh
+    variables or none): [g] under the substitution goes first among the
+    inequalities. A merge of two or more components, or an equality,
+    runs Phase 1 anew. The profile counters [lia.phase1_prepared] and
+    [lia.phase1_rebuilt] count the merged components decided each way.
+    Verdicts are not kept: every query runs {!fm}. *)

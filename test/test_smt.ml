@@ -637,15 +637,20 @@ let list_fm (rows : Lia.lin list) : bool * int =
   let verdict = try fm rows with Lia.Infeasible -> false in
   (verdict, !built)
 
-(** [Lia.fm]'s verdict, with the pairs it built and the row copies it
-    accounted for (its two profile counters). *)
-let multiset_fm (rows : Lia.lin list) : bool * int * int =
+(** A theory call's verdict with its [lia.fm_rows] and
+    [lia.fm_row_copies] deltas. *)
+let theory_counts f =
   let rows0 = Profile.count "lia.fm_rows"
   and copies0 = Profile.count "lia.fm_row_copies" in
-  let verdict = try Lia.fm rows with Lia.Infeasible -> false in
+  let verdict = f () in
   ( verdict,
     Profile.count "lia.fm_rows" - rows0,
     Profile.count "lia.fm_row_copies" - copies0 )
+
+(** [Lia.fm]'s verdict, with the pairs it built and the row copies it
+    accounted for (its two profile counters). *)
+let multiset_fm (rows : Lia.lin list) : bool * int * int =
+  theory_counts (fun () -> try Lia.fm rows with Lia.Infeasible -> false)
 
 (** Same verdict, and the row copies the list procedure built are the
     ones [Lia.fm] accounted for, round by round: a different variable
@@ -712,6 +717,317 @@ let prop_fm_multiset =
       match Lia.elim_eqs eqs ineqs with
       | rows -> fm_agrees rows
       | exception Lia.Infeasible -> true)
+
+(* ------------------------------------------------------------------ *)
+(* Lia: composed Phase 1 against the sequential substitution           *)
+(* ------------------------------------------------------------------ *)
+
+(** The reference for [Lia.elim_eqs]: each solved equality substituted
+    into every remaining equality and inequality in turn, and the two
+    rows of a split equality prepended to the inequalities, where later
+    substitutions reach them. *)
+let rec list_elim_eqs (eqs : Lia.lin list) (ineqs : Lia.lin list) :
+    Lia.lin list =
+  let subst x (rhs : Lia.lin) (a : Lia.lin) =
+    match Lia.SMap.find_opt x a.coeffs with
+    | None -> a
+    | Some c ->
+        Lia.lin_add
+          { a with coeffs = Lia.SMap.remove x a.coeffs }
+          (Lia.lin_scale c rhs)
+  in
+  match eqs with
+  | [] -> ineqs
+  | e :: rest -> (
+      if Lia.lin_is_const e then
+        if e.const <> 0 then raise Lia.Infeasible else list_elim_eqs rest ineqs
+      else
+        let unit =
+          Lia.SMap.fold
+            (fun x c acc ->
+              match acc with
+              | None when c = 1 || c = -1 -> Some (x, c)
+              | _ -> acc)
+            e.coeffs None
+        in
+        match unit with
+        | Some (x, c) ->
+            let rhs =
+              Lia.lin_scale (-c) { e with coeffs = Lia.SMap.remove x e.coeffs }
+            in
+            let sub = subst x rhs in
+            list_elim_eqs (List.map sub rest) (List.map sub ineqs)
+        | None ->
+            let rec gcd a b = if b = 0 then abs a else gcd b (a mod b) in
+            let g = Lia.SMap.fold (fun _ c acc -> gcd c acc) e.coeffs 0 in
+            if g > 1 && e.const mod g <> 0 then raise Lia.Infeasible
+            else list_elim_eqs rest (e :: Lia.lin_scale (-1) e :: ineqs))
+
+(** Rows equal by bindings, in the same order. *)
+let same_rows =
+  List.equal (fun (a : Lia.lin) (b : Lia.lin) ->
+      a.const = b.const && Lia.SMap.equal Int.equal a.coeffs b.coeffs)
+
+let pp_rows =
+  Format.pp_print_list
+    ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
+    Lia.pp_lin
+
+(** Equalities over [vars] of every shape Phase 1 treats apart:
+    constants (mostly [0 = 0], now and then false), unit equalities,
+    equalities without a unit coefficient (split, unless a substitution
+    gives them one), chains [x_i = x_(i+1) + k] that later equalities
+    substitute through, and even-coefficient equalities with an odd
+    constant (gcd-infeasible unless a substitution rescues them). *)
+let gen_equality vars : Lia.lin QCheck.Gen.t =
+  let open QCheck.Gen in
+  let form ks coeffs =
+    let* k = ks in
+    let* cs = list_size (int_range 1 3) (pair (oneofl vars) (oneofl coeffs)) in
+    return (lin_of (k, cs))
+  in
+  let chain =
+    let* i = int_bound (List.length vars - 2) in
+    let* k = int_range (-2) 2 in
+    let* c = oneofl [ 1; -1; 2 ] in
+    return (lin_of (k, [ (List.nth vars i, c); (List.nth vars (i + 1), -1) ]))
+  in
+  frequency
+    [
+      (1, map Lia.lin_const (oneofl [ 0; 0; 0; 1; -2 ]));
+      (3, form (int_range (-3) 3) [ -1; 1; 2; -3 ]);
+      (2, form (int_range (-3) 3) [ 2; -2; 3; 4; -4 ]);
+      (3, chain);
+      (1, form (oneofl [ -1; 1; 3 ]) [ 2; -2; 4 ]);
+    ]
+
+let gen_inequality vars : Lia.lin QCheck.Gen.t =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, map Lia.lin_const (int_range (-2) 1));
+      ( 8,
+        let* k = int_range (-3) 3 in
+        let* cs =
+          list_size (int_range 1 3)
+            (pair (oneofl vars) (oneofl [ -3; -2; -1; 1; 2; 3 ]))
+        in
+        return (lin_of (k, cs)) );
+    ]
+
+let prop_elim_eqs_reference =
+  let vars = [ "a"; "b"; "c"; "d"; "e" ] in
+  QCheck.Test.make
+    ~name:"composed Phase 1 gives the sequential rows, in order" ~count:2000
+    (QCheck.make
+       ~print:(fun (eqs, ineqs) ->
+         Format.asprintf "eqs [%a] ineqs [%a]" pp_rows eqs pp_rows ineqs)
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 6) (gen_equality vars))
+           (list_size (int_range 0 8) (gen_inequality vars))))
+    (fun (eqs, ineqs) ->
+      let run f = match f () with r -> Some r | exception Lia.Infeasible -> None in
+      Option.equal same_rows
+        (run (fun () -> list_elim_eqs eqs ineqs))
+        (run (fun () -> Lia.elim_eqs eqs ineqs)))
+
+(** Fixed systems: two splits that later equalities substitute into
+    (the later split's rows come first), a substitution chain, a
+    contradiction a chain exposes, and a gcd-infeasible equality. *)
+let elim_eqs_cases () =
+  let l k cs = lin_of (k, cs) in
+  List.iter
+    (fun (what, eqs, ineqs, expected) ->
+      let run f =
+        match f () with
+        | r -> Format.asprintf "%a" pp_rows r
+        | exception Lia.Infeasible -> "infeasible"
+      in
+      Alcotest.(check string)
+        (what ^ ": reference") expected
+        (run (fun () -> list_elim_eqs eqs ineqs));
+      Alcotest.(check string)
+        (what ^ ": composed") expected
+        (run (fun () -> Lia.elim_eqs eqs ineqs)))
+    [
+      ( "two splits, then substitutions",
+        [
+          l (-1) [ ("a", 2); ("b", 3) ];
+          l 0 [ ("b", 2); ("c", 4); ("d", 3) ];
+          l 0 [ ("a", 1); ("e", -1) ];
+          l 1 [ ("b", 1); ("c", -1) ];
+        ],
+        [ l 0 [ ("a", 1); ("b", 1) ]; l (-5) [ ("c", 1) ] ],
+        "6*c + 3*d - 2; -6*c - 3*d + 2; 3*c + 2*e - 4; -3*c - 2*e + 4; c + e \
+         - 1; c - 5" );
+      ( "a chain",
+        [ l 1 [ ("a", 1); ("b", -1) ]; l 2 [ ("b", 1); ("c", -1) ];
+          l 0 [ ("c", 1); ("d", -1) ] ],
+        [ l 0 [ ("a", 1); ("d", -2) ] ],
+        "-1*d - 3" );
+      ( "a chain closing on a contradiction",
+        [ l 1 [ ("a", 1); ("b", -1) ]; l 0 [ ("b", 1); ("c", -1) ];
+          l 0 [ ("a", 1); ("c", -1) ] ],
+        [ l 0 [ ("a", 1) ] ],
+        "infeasible" );
+      ("gcd-infeasible", [ l 1 [ ("a", 2); ("b", 4) ] ], [], "infeasible");
+    ]
+
+(** [n] variable names that the 16-bucket tally of [Lia.choose_var]
+    keeps in one bucket, where it meets them in the order they first
+    occur in the rows: a tie then depends on the row order, so a row
+    out of place shows in the FM counts. *)
+let one_bucket_names n =
+  let bucket x = Hashtbl.hash x land 15 in
+  Seq.ints 0
+  |> Seq.map (Printf.sprintf "v%d")
+  |> Seq.filter (fun x -> bucket x = bucket "v0")
+  |> Seq.take n |> Array.of_seq
+
+(** Literal systems of up to three variable-disjoint groups, each with
+    equalities as {!gen_equality} draws them (now and then a
+    contradictory pair), inequalities and disequalities, shuffled
+    together; and goals over no group, one, two or three, with or
+    without a fresh variable, of each literal kind. *)
+let gen_context_case : (Lia.literal list * Lia.literal option list) QCheck.Gen.t
+    =
+  let open QCheck.Gen in
+  let v = one_bucket_names 10 in
+  let groups =
+    [ [ v.(0); v.(1); v.(2) ]; [ v.(3); v.(4); v.(5) ]; [ v.(6); v.(7) ] ]
+  in
+  let group vars =
+    let* eqs = list_size (int_range 0 3) (gen_equality vars) in
+    let* contra =
+      frequency
+        [
+          (6, return []);
+          ( 1,
+            let* e = gen_equality vars in
+            return [ e; { e with const = e.const + 1 } ] );
+        ]
+    in
+    let* ineqs = list_size (int_range 0 5) (gen_inequality vars) in
+    let* diseqs = list_size (int_range 0 1) (gen_inequality vars) in
+    return
+      (List.map (fun e -> Lia.Eq0 e) (eqs @ contra)
+      @ List.map (fun l -> Lia.Le0 l) ineqs
+      @ List.map (fun l -> Lia.Ne0 l) diseqs)
+  in
+  let* ls = map List.concat (flatten_l (List.map group groups)) in
+  let* ls = shuffle_l ls in
+  let goal =
+    let* touched = oneofl [ 0; 1; 1; 1; 2; 2; 3 ] in
+    let* gs = shuffle_l groups in
+    let* fresh = oneofl [ []; []; [ v.(8) ]; [ v.(8); v.(9) ] ] in
+    let* picked =
+      flatten_l (List.map oneofl (List.filteri (fun i _ -> i < touched) gs))
+    in
+    let vars = picked @ fresh in
+    let* form =
+      match vars with
+      | [] -> map Lia.lin_const (int_range (-1) 1)
+      | _ ->
+          let* k = int_range (-2) 2 in
+          let* cs =
+            flatten_l
+              (List.map
+                 (fun x -> map (fun c -> (x, c)) (oneofl [ -2; -1; 1; 2 ]))
+                 vars)
+          in
+          return (lin_of (k, cs))
+    in
+    frequency
+      [
+        (1, return None);
+        (6, return (Some (Lia.Le0 form)));
+        (2, return (Some (Lia.Eq0 form)));
+        (2, return (Some (Lia.Ne0 form)));
+      ]
+  in
+  let* goals = list_size (int_range 1 4) goal in
+  return (ls, goals)
+
+let prop_context_reference =
+  QCheck.Test.make
+    ~name:"sat_with on a context decides as sat_literals, with its FM rows"
+    ~count:10000
+    (QCheck.make
+       ~print:(fun (ls, goals) ->
+         let pp_goal fmt = function
+           | None -> Format.pp_print_string fmt "none"
+           | Some l -> Lia.pp_literal fmt l
+         in
+         Format.asprintf "[%a] goals [%a]"
+           (Format.pp_print_list ~pp_sep:Format.pp_print_space Lia.pp_literal)
+           ls
+           (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_goal)
+           goals)
+       gen_context_case)
+    (fun (ls, goals) ->
+      let c = Lia.context ls in
+      List.for_all
+        (fun g ->
+          theory_counts (fun () -> Lia.sat_with c g)
+          = theory_counts (fun () -> Lia.sat_literals (ls @ Option.to_list g)))
+        goals)
+
+(** Which path decides the merged component: a goal joining one
+    component, or none, takes the component's Phase 1; one merging two
+    components, or an equality, eliminates anew. A component whose
+    equalities contradict each other refutes every goal. *)
+let context_phase1_cases () =
+  let l k cs = lin_of (k, cs) in
+  let ls =
+    [
+      Lia.Eq0 (l 0 [ ("a", 1); ("b", -1) ]);
+      Lia.Le0 (l (-3) [ ("a", 1) ]);
+      Lia.Le0 (l 0 [ ("c", -1) ]);
+    ]
+  in
+  let agrees what ls g =
+    let c = Lia.context ls in
+    let got = Lia.sat_with c g in
+    Alcotest.(check bool)
+      (what ^ ": as sat_literals")
+      (Lia.sat_literals (ls @ Option.to_list g))
+      got;
+    got
+  in
+  List.iter
+    (fun (what, g, expected, prepared, rebuilt) ->
+      let p0 = Profile.count "lia.phase1_prepared"
+      and r0 = Profile.count "lia.phase1_rebuilt" in
+      let got = agrees what ls g in
+      Alcotest.(check (triple bool int int))
+        (what ^ ": verdict, prepared, rebuilt")
+        (expected, prepared, rebuilt)
+        ( got,
+          Profile.count "lia.phase1_prepared" - p0,
+          Profile.count "lia.phase1_rebuilt" - r0 ))
+    [
+      ("no goal", None, true, 0, 0);
+      ("goal refuted through a = b", Some (Lia.Le0 (l 4 [ ("b", -1) ])), false, 1, 0);
+      ("goal on a = b", Some (Lia.Le0 (l 3 [ ("b", -1) ])), true, 1, 0);
+      ("goal and a fresh variable", Some (Lia.Le0 (l 0 [ ("b", 1); ("z", 1) ])), true, 1, 0);
+      ("goal on a fresh variable", Some (Lia.Le0 (l 0 [ ("z", 1) ])), true, 1, 0);
+      ("goal merging two components", Some (Lia.Le0 (l 0 [ ("b", 1); ("c", 1) ])), true, 0, 1);
+      ("equality goal", Some (Lia.Eq0 (l 0 [ ("c", 1) ])), true, 0, 1);
+    ];
+  let ls =
+    ls
+    @ [ Lia.Eq0 (l 0 [ ("x", 1); ("y", -1) ]); Lia.Eq0 (l 1 [ ("x", 1); ("y", -1) ]) ]
+  in
+  List.iter
+    (fun (what, g) ->
+      Alcotest.(check bool) (what ^ ": refuted") false (agrees what ls g))
+    [
+      ("contradictory component, no goal", None);
+      ("contradictory component, goal on a", Some (Lia.Le0 (l 3 [ ("b", -1) ])));
+      ("contradictory component, goal on it", Some (Lia.Le0 (l 0 [ ("x", 1) ])));
+      ("contradictory component, fresh goal", Some (Lia.Le0 (l 0 [ ("z", 1) ])));
+    ]
 
 (** At [fm_limit], counted over row copies. [m·(a+1 ≤ 0) ∧ n·(−a ≤ 0)]
     is refuted while [m + n] copies fit and given up on ("maybe SAT")
@@ -945,11 +1261,17 @@ let tests =
           prop_subst_ground;
           prop_feasible_split;
           prop_fm_multiset;
+          prop_elim_eqs_reference;
+          prop_context_reference;
         ]
     @ [
         Alcotest.test_case "multiset FM at the size limit" `Quick fm_limit_case;
         Alcotest.test_case "multiset FM on an RMat hypothesis" `Quick
           fm_rmat_case;
+        Alcotest.test_case "composed Phase 1 on fixed systems" `Quick
+          elim_eqs_cases;
+        Alcotest.test_case "context: Phase 1 once per component" `Quick
+          context_phase1_cases;
       ]
     @ prepared_context_tests @ division_context_tests
     @ [
