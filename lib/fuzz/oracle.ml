@@ -249,7 +249,10 @@ let implications (t : Term.t) : Term.t * Term.t list =
     theory checks ([lia.fm_rows], [lia.fm_row_copies], less the div/mod
     sign checks' share, which a context may decide once for many
     goals), which pins the lists and the component order the theory
-    received. *)
+    received. Both sides decide disequality cases through [Lia]'s one
+    prepared split, so this compares the prepared query path with the
+    rebuilt one; the case split itself is pinned against the list
+    procedure kept in the smt tests. *)
 let context_mismatch ~(valid_under : Term.t -> Term.t -> bool) (t : Term.t) :
     string option =
   let lhs, goals = implications t in

@@ -288,6 +288,29 @@ let lin_apply (sigma : subst) (a : lin) : lin =
           lin_add { acc with coeffs = SMap.remove x acc.coeffs } (lin_scale c v))
     a.coeffs a
 
+(** What one equality of {!solve_eqs} comes to under the substitution
+    so far. *)
+type solved =
+  | Dropped  (** a true constant *)
+  | Solved_for of string * lin  (** [x = rhs], for the {!solvable_eq} pick *)
+  | Split of lin  (** no unit coefficient: split, as it stands *)
+
+(** [e] under [sigma]. Raises [Infeasible] on a false constant, and on
+    an equality without a unit coefficient whose gcd does not divide its
+    constant. *)
+let solve_eq sigma e =
+  let e = lin_apply sigma e in
+  if lin_is_const e then if e.const <> 0 then raise Infeasible else Dropped
+  else
+    match solvable_eq e with
+    | Some (x, rhs) -> Solved_for (x, rhs)
+    | None ->
+        let g = SMap.fold (fun _ c acc -> gcd c acc) e.coeffs 0 in
+        if g > 1 && e.const mod g <> 0 then raise Infeasible else Split e
+
+(** [sigma] composed with [x := rhs]. *)
+let compose sigma x rhs = SMap.add x rhs (SMap.map (lin_subst x rhs) sigma)
+
 (** The equalities [eqs] (each [= 0]) solved in order: each one under
     the substitution so far is a constant (checked and dropped), is
     solved for the variable {!solvable_eq} picks (the substitution
@@ -297,19 +320,10 @@ let lin_apply (sigma : subst) (a : lin) : lin =
 let solve_eqs (eqs : lin list) : subst * lin list =
   List.fold_left
     (fun (sigma, splits) e ->
-      let e = lin_apply sigma e in
-      if lin_is_const e then
-        if e.const <> 0 then raise Infeasible else (sigma, splits)
-      else
-        match solvable_eq e with
-        | Some (x, rhs) ->
-            (SMap.add x rhs (SMap.map (lin_subst x rhs) sigma), splits)
-        | None ->
-            (* No unit coefficient: check gcd divisibility, then
-               split into two inequalities. *)
-            let g = SMap.fold (fun _ c acc -> gcd c acc) e.coeffs 0 in
-            if g > 1 && e.const mod g <> 0 then raise Infeasible
-            else (sigma, e :: splits))
+      match solve_eq sigma e with
+      | Dropped -> (sigma, splits)
+      | Solved_for (x, rhs) -> (compose sigma x rhs, splits)
+      | Split e -> (sigma, e :: splits))
     (SMap.empty, []) eqs
 
 (** The split equalities under the final substitution, each as [e ≤ 0]
@@ -349,15 +363,15 @@ let feasible_conn ~(eqs : lin list) ~(ineqs : lin list) : bool =
 (** A constraint system split into connected components (constraints
     linked by shared variables). Variables are numbered densely by first
     occurrence, equalities before inequalities and each constraint's
-    variables in key order, and each constraint joins its variables, in
-    the same order, in an array union-find. A component is named by its
-    root's number and lists its equalities and its inequalities in
-    reverse input order. *)
+    variables in key order, and each constraint joins its variables in
+    an array union-find ({!join}). A component is named by its root's
+    number. *)
 type components = {
   ids : (string, int) Hashtbl.t;  (** variable → its number *)
+  eq_nvars : int;  (** the equalities' variables are numbered below it *)
+  eq_vars : int array array;  (** each equality's variables, as {!var_ids} *)
+  ineq_vars : int array array;
   root : int array;  (** number → its component's root *)
-  geqs : lin list array;  (** root → its component's equalities *)
-  gineqs : lin list array;  (** root → its component's inequalities *)
 }
 
 (** [ineqs] (each [≤ 0]) or [eqs] (each [= 0]) hold a false constant
@@ -366,11 +380,29 @@ let constant_contradiction ~eqs ~ineqs =
   List.exists (fun c -> lin_is_const c && c.const <> 0) eqs
   || List.exists (fun c -> lin_is_const c && c.const > 0) ineqs
 
-(** A constraint's variable numbers, largest key first: the first one is
-    joined to each of the others in turn. *)
-let var_ids id c = SMap.fold (fun x _ acc -> id x :: acc) c.coeffs []
+(** A constraint's variable numbers, largest key first; [id] meets the
+    variables in key order. *)
+let var_ids id c =
+  Array.of_list (SMap.fold (fun x _ acc -> id x :: acc) c.coeffs [])
 
-let components ~(eqs : lin list) ~(ineqs : lin list) : components =
+let rec find parent i =
+  let p = parent.(i) in
+  if p = i then i
+  else
+    let r = find parent p in
+    parent.(i) <- r;
+    r
+
+(** Join a constraint's variables: the first one's root is pointed at
+    each other one's root in turn, so the merged set keeps the root of
+    the last set to join. *)
+let join parent vs =
+  for k = 1 to Array.length vs - 1 do
+    let ri = find parent vs.(0) and rj = find parent vs.(k) in
+    if ri <> rj then parent.(ri) <- rj
+  done
+
+let components ~(eqs : lin array) ~(ineqs : lin array) : components =
   let ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let id x =
     match Hashtbl.find_opt ids x with
@@ -380,42 +412,27 @@ let components ~(eqs : lin list) ~(ineqs : lin list) : components =
         Hashtbl.add ids x i;
         i
   in
-  let eq_vars = List.map (var_ids id) eqs in
-  let ineq_vars = List.map (var_ids id) ineqs in
-  let n = Hashtbl.length ids in
-  let parent = Array.init n Fun.id in
-  let rec find i =
-    let p = parent.(i) in
-    if p = i then i
-    else
-      let r = find p in
-      parent.(i) <- r;
-      r
-  in
-  let join = function
-    | [] -> ()
-    | i :: is ->
-        List.iter
-          (fun j ->
-            let ri = find i and rj = find j in
-            if ri <> rj then parent.(ri) <- rj)
-          is
-  in
-  List.iter join eq_vars;
-  List.iter join ineq_vars;
-  let geqs = Array.make n [] and gineqs = Array.make n [] in
-  let collect groups cs vars =
-    List.iter2
-      (fun c -> function
-        | [] -> ()
-        | i :: _ ->
-            let r = find i in
-            groups.(r) <- c :: groups.(r))
-      cs vars
-  in
-  collect geqs eqs eq_vars;
-  collect gineqs ineqs ineq_vars;
-  { ids; root = Array.init n find; geqs; gineqs }
+  let eq_vars = Array.map (var_ids id) eqs in
+  let eq_nvars = Hashtbl.length ids in
+  let ineq_vars = Array.map (var_ids id) ineqs in
+  let parent = Array.init (Hashtbl.length ids) Fun.id in
+  Array.iter (join parent) eq_vars;
+  Array.iter (join parent) ineq_vars;
+  let root = Array.init (Array.length parent) (find parent) in
+  { ids; eq_nvars; eq_vars; ineq_vars; root }
+
+(** Prepend each constraint of [cs] to [groups.(slot r)], for [r] its
+    root: the root of its first variable in [vars] under [root]. A
+    constant and a slot of [-1] are skipped. Each slot lists its
+    constraints in reverse input order. *)
+let collect groups ~slot (cs : lin array) (vars : int array array) root =
+  Array.iteri
+    (fun i l ->
+      let s =
+        if Array.length vars.(i) > 0 then slot root.(vars.(i).(0)) else -1
+      in
+      if s >= 0 then groups.(s) <- l :: groups.(s))
+    cs
 
 (** Decide a component; an empty one (no root) holds. *)
 let decide_component ~eqs ~ineqs =
@@ -432,11 +449,15 @@ let feasible ~(eqs : lin list) ~(ineqs : lin list) : bool =
   (* constant constraints are decided immediately *)
   (not (constant_contradiction ~eqs ~ineqs))
   &&
+  let eqs = Array.of_list eqs and ineqs = Array.of_list ineqs in
   let c = components ~eqs ~ineqs in
   let n = Array.length c.root in
+  let geqs = Array.make n [] and gineqs = Array.make n [] in
+  collect geqs ~slot:Fun.id eqs c.eq_vars c.root;
+  collect gineqs ~slot:Fun.id ineqs c.ineq_vars c.root;
   let rec decide r =
     r >= n
-    || decide_component ~eqs:c.geqs.(r) ~ineqs:c.gineqs.(r) && decide (r + 1)
+    || decide_component ~eqs:geqs.(r) ~ineqs:gineqs.(r) && decide (r + 1)
   in
   decide 0
 
@@ -454,76 +475,17 @@ let pp_literal fmt = function
   | Eq0 l -> Format.fprintf fmt "%a = 0" pp_lin l
   | Ne0 l -> Format.fprintf fmt "%a != 0" pp_lin l
 
-(** Cap on the number of disequalities we case-split on. *)
-let diseq_limit = 12
-
-(** Satisfiability of the conjunction of [eqs] (each [= 0]), [ineqs]
-    (each [≤ 0]) and [diseqs] (each [≠ 0]); [base ()] decides
-    [feasible ~eqs ~ineqs], once at most.
-
-    Disequalities are handled in two steps. First, a cheap relevance
-    filter: [l ≠ 0] only constrains the system if [l = 0] is consistent
-    with it — otherwise the disequality is automatically satisfied and
-    can be dropped (this covers the many negated congruence guards that
-    Ackermannization produces). The few surviving "critical"
-    disequalities are then case-split into [l ≤ -1 ∨ l ≥ 1]. Should
-    more than [diseq_limit] survive, the rest are dropped, which
-    over-approximates satisfiability (sound for the validity checker). *)
-let sat_parts ~eqs ~ineqs ~diseqs ~(base : unit -> bool) : bool =
-  if List.exists (fun l -> lin_is_const l && l.const = 0) diseqs then false
-  else begin
-    let diseqs = List.filter (fun l -> not (lin_is_const l)) diseqs in
-    let le_neg1 d = { d with const = d.const + 1 } (* d ≤ -1 *) in
-    let ge_1 d = { (lin_scale (-1) d) with const = 1 - d.const } (* d ≥ 1 *) in
-    (* exact case split, pruning infeasible prefixes early *)
-    let rec split acc = function
-      | [] -> true
-      | d :: rest ->
-          (let c = le_neg1 d :: acc in
-           feasible ~eqs ~ineqs:(c @ ineqs) && split c rest)
-          || (let c = ge_1 d :: acc in
-              feasible ~eqs ~ineqs:(c @ ineqs) && split c rest)
-    in
-    match diseqs with
-    | [] -> base ()
-    | _ when List.length diseqs <= 4 -> base () && split [] diseqs
-    | _ ->
-        base ()
-        && begin
-             (* keep only the disequalities whose equality is consistent *)
-             let critical =
-               List.filter (fun d -> feasible ~eqs:(d :: eqs) ~ineqs) diseqs
-             in
-             if List.length critical <= diseq_limit then split [] critical
-             else
-               (* many critical disequalities: refute each independently
-                  (over-approximates joint satisfiability, sound) *)
-               not
-                 (List.exists
-                    (fun d ->
-                      (not (feasible ~eqs ~ineqs:(le_neg1 d :: ineqs)))
-                      && not (feasible ~eqs ~ineqs:(ge_1 d :: ineqs)))
-                    critical)
-           end
-  end
-
 let partition (lits : literal list) =
   ( List.filter_map (function Eq0 l -> Some l | _ -> None) lits,
     List.filter_map (function Le0 l -> Some l | _ -> None) lits,
     List.filter_map (function Ne0 l -> Some l | _ -> None) lits )
 
-(** Satisfiability of a conjunction of literals. *)
-let sat_literals (lits : literal list) : bool =
-  let eqs, ineqs, diseqs = partition lits in
-  sat_parts ~eqs ~ineqs ~diseqs ~base:(fun () -> feasible ~eqs ~ineqs)
-
 (* ------------------------------------------------------------------ *)
-(* A conjunction prepared for one more literal                         *)
+(* A conjunction split once                                            *)
 (* ------------------------------------------------------------------ *)
 
 (** A component's Phase 1, done once: its equalities solved, and its
-    split rows and inequalities substituted. A final inequality [g] that
-    joins only this component adds the row [lin_apply sigma g]. *)
+    split rows and inequalities substituted. *)
 type phase1 =
   | Solved of { sigma : subst; splits : lin list; rows : lin list }
   | Contradiction  (** the equalities alone are infeasible *)
@@ -535,69 +497,79 @@ let phase1 ~eqs ~ineqs =
       Solved
         { sigma; splits = split_rows sigma splits; rows = apply_rows sigma ineqs }
 
-(** [fm] on a component's Phase 1 with the extra row [g] under its
-    substitution, first among the inequalities. *)
-let decide_phase1 (p : phase1) (g : lin option) =
+(** Phase 1 of the component's equalities followed by [d]: [d] is
+    reached under the kept substitution, and a variable it is solved for
+    is substituted into the kept rows (by linearity, the rows of the
+    composed substitution). *)
+let extend_phase1 (p : phase1) (d : lin) =
+  match p with
+  | Contradiction -> Contradiction
+  | Solved ({ sigma; splits; rows } as s) -> (
+      match solve_eq sigma d with
+      | exception Infeasible -> Contradiction
+      | Dropped -> p
+      | Split e -> Solved { s with splits = e :: lin_scale (-1) e :: splits }
+      | Solved_for (x, rhs) ->
+          let sub = lin_subst x rhs in
+          Solved
+            {
+              sigma = compose sigma x rhs;
+              splits = List.map sub splits;
+              rows = List.map sub rows;
+            })
+
+(** [fm] on a component's Phase 1 with the rows a case or a final
+    inequality adds, under its substitution: [g] first among the
+    inequalities and [extra] after them. This is [elim_eqs eqs (g ::
+    ineqs @ extra)]. *)
+let decide_phase1 (p : phase1) (g : lin option) (extra : lin list) =
   match p with
   | Contradiction -> false
   | Solved { sigma; splits; rows } -> (
+      let rows =
+        match extra with
+        | [] -> rows
+        | _ -> rows @ List.map (lin_apply sigma) extra
+      in
       let rows =
         match g with Some g -> lin_apply sigma g :: rows | None -> rows
       in
       try fm (splits @ rows) with Infeasible -> false)
 
-(** Prepend each constraint of [cs] to [groups.(slot r)], for [r] its
-    root in [roots]; a constant ([r = -1]) and a slot of [-1] are
-    skipped. Each slot lists its constraints in reverse input order. *)
-let collect groups ~slot (cs : lin array) (roots : int array) =
-  Array.iteri
-    (fun i l ->
-      let s = if roots.(i) >= 0 then slot roots.(i) else -1 in
-      if s >= 0 then groups.(s) <- l :: groups.(s))
-    cs
-
 (* Prepared weakening hypotheses add to peak memory, so the split is
-   kept flat: each constraint's component root, and each variable's, in
-   arrays. Each component's Phase 1 is done the first time a query
-   decides that component, from lists grouped out of those arrays. *)
+   kept flat: beside the variable table, each constraint's variable
+   numbers and each variable's component root, in arrays. Each
+   component's Phase 1 is done the first time a query decides that
+   component, from lists grouped out of those arrays. *)
 type context = {
   c_eqs : lin array;  (** input order *)
-  c_eq_roots : int array;  (** each equality's root; [-1] for a constant *)
   c_ineqs : lin array;
-  c_ineq_roots : int array;
   c_diseqs : lin list;
   c_bad : bool;  (** a constant equality or inequality is false *)
-  c_vars : string array;  (** sorted *)
-  c_var_roots : int array;  (** each variable's root *)
+  c_split : components;  (** of [c_eqs] and [c_ineqs] *)
   c_roots : int array;  (** the components' roots, ascending *)
   c_phase1 : phase1 Lazy.t array Lazy.t;  (** by position in [c_roots] *)
 }
 
-let context (lits : literal list) : context =
-  let eqs, ineqs, diseqs = partition lits in
-  let c = components ~eqs ~ineqs in
-  let root_of l =
-    match SMap.max_binding_opt l.coeffs with
-    | None -> -1
-    | Some (x, _) -> c.root.(Hashtbl.find c.ids x)
+let context_of ~eqs ~ineqs ~diseqs : context =
+  let c_eqs = Array.of_list eqs and c_ineqs = Array.of_list ineqs in
+  let s = components ~eqs:c_eqs ~ineqs:c_ineqs in
+  let n = Array.length s.root in
+  let used = Array.make n false in
+  let mark =
+    Array.iter (fun vs ->
+        if Array.length vs > 0 then used.(s.root.(vs.(0))) <- true)
   in
-  let vars = Hashtbl.fold (fun x i acc -> (x, c.root.(i)) :: acc) c.ids [] in
-  let vars = Array.of_list (List.sort (fun (x, _) (y, _) -> String.compare x y) vars) in
-  let n = Array.length c.root in
-  let roots = ref [] in
-  for r = n - 1 downto 0 do
-    if c.geqs.(r) <> [] || c.gineqs.(r) <> [] then roots := r :: !roots
-  done;
-  let c_eqs = Array.of_list eqs and c_eq_roots = Array.of_list (List.map root_of eqs) in
-  let c_ineqs = Array.of_list ineqs
-  and c_ineq_roots = Array.of_list (List.map root_of ineqs) in
-  let c_roots = Array.of_list !roots in
-  (* from the flat arrays only: the closure must not keep [c] alive *)
+  mark s.eq_vars;
+  mark s.ineq_vars;
+  let c_roots =
+    Array.of_list (List.filter (Array.get used) (List.init n Fun.id))
+  in
   let c_phase1 =
     lazy
       (let geqs = Array.make n [] and gineqs = Array.make n [] in
-       collect geqs ~slot:Fun.id c_eqs c_eq_roots;
-       collect gineqs ~slot:Fun.id c_ineqs c_ineq_roots;
+       collect geqs ~slot:Fun.id c_eqs s.eq_vars s.root;
+       collect gineqs ~slot:Fun.id c_ineqs s.ineq_vars s.root;
        Array.map
          (fun r ->
            let eqs = geqs.(r) and ineqs = gineqs.(r) in
@@ -606,29 +578,17 @@ let context (lits : literal list) : context =
   in
   {
     c_eqs;
-    c_eq_roots;
     c_ineqs;
-    c_ineq_roots;
     c_diseqs = diseqs;
     c_bad = constant_contradiction ~eqs ~ineqs;
-    c_vars = Array.map fst vars;
-    c_var_roots = Array.map snd vars;
+    c_split = s;
     c_roots;
     c_phase1;
   }
 
-(** The root of variable [x]'s component, if [x] occurs. *)
-let var_root c x =
-  let rec search lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let o = String.compare x c.c_vars.(mid) in
-      if o = 0 then Some c.c_var_roots.(mid)
-      else if o < 0 then search lo mid
-      else search (mid + 1) hi
-  in
-  search 0 (Array.length c.c_vars)
+let context (lits : literal list) : context =
+  let eqs, ineqs, diseqs = partition lits in
+  context_of ~eqs ~ineqs ~diseqs
 
 (** The position of the component rooted at [r] in [c.c_roots]. *)
 let root_index c r =
@@ -639,100 +599,269 @@ let root_index c r =
   in
   search 0 (Array.length c.c_roots)
 
-(** [feasible] on the context's equalities and its inequalities followed
-    by [g] ([None]: by nothing), from the context's split. [g] comes
-    last, so its new variables are numbered last and its join comes
-    last: the components it shares no variable with are unchanged, and
-    the ones it touches merge into one, rooted where the union-find
-    would root it and listing its constraints in the same order. An
-    unchanged component is decided from its Phase 1, and so is one that
-    [g] alone joins (with [g]'s row); components [g] merges are
-    eliminated anew. *)
-let feasible_after (c : context) (g : lin option) : bool =
-  let n = Array.length c.c_var_roots in
-  (* the components [g]'s variables belong to, in key order; a new
-     variable is a component of its own, rooted at its new number *)
-  let fresh = ref n in
-  let sets =
-    match g with
-    | None -> []
-    | Some g ->
-        SMap.fold
-          (fun x _ acc ->
-            match var_root c x with
-            | Some r -> r :: acc
-            | None ->
-                let r = !fresh in
-                incr fresh;
-                r :: acc)
-          g.coeffs []
+(** A component of the system with the new rows: the context components
+    it merges, the case rows it holds (last first), and whether it holds
+    the leading equality and the final inequality. It is named by its
+    root. *)
+type group = {
+  g_root : int;
+  mutable g_comps : int list;
+  mutable g_rows : lin list;
+  mutable g_lead : bool;
+  mutable g_final : bool;
+}
+
+(** [feasible ~eqs:(lead @ eqs) ~ineqs:(cs @ ineqs @ g)] for the
+    context's equalities [eqs] and inequalities [ineqs], from the
+    context's split: the same components, decided from the same rows in
+    the same order. [lead] (an equality to check), [cs] (the rows of a
+    disequality case) and [g] (a final inequality) add rows, none of
+    them constant; a context component that none touches is decided
+    from its Phase 1.
+
+    The new rows are numbered as {!components} would: [lead]'s
+    variables first, then the equalities', then those of [cs] in order
+    of first occurrence, then the inequalities', then [g]'s fresh ones.
+    A component is ranked by its root under that numbering ([key]).
+    Roots come from the union-find. A component that neither [lead] nor
+    [cs] touches keeps its context root, and [g] joins last. The joins
+    of the components [lead] or [cs] touches are replayed in the
+    reference order — [lead], equalities, [cs], inequalities, [g] —
+    since theirs come before the inequalities' and can move a root;
+    with one context component and no fresh variable there is no order
+    to find, and no replay.
+
+    A group holding at most one context component is decided from its
+    Phase 1, extended by [lead] (the last of the group's equalities, as
+    they are listed in reverse input order), as [splits @ (σ g :: rows
+    @ σ (rev cs_K))]; one merging two or more runs Phase 1 anew. *)
+let decide_split ?lead (c : context) (cs : lin list) (g : lin option) : bool =
+  let s = c.c_split in
+  let n = Array.length s.root in
+  (* a fresh variable gets the next number; [early] ranks the variables
+     of [lead], [first] those of [cs], by first occurrence *)
+  let fresh = ref [] and next = ref n in
+  let early = ref [] and first = ref [] in
+  let number rank x =
+    let v =
+      match Hashtbl.find_opt s.ids x with
+      | Some v -> v
+      | None -> (
+          match List.assoc_opt x !fresh with
+          | Some v -> v
+          | None ->
+              let v = !next in
+              incr next;
+              fresh := (x, v) :: !fresh;
+              v)
+    in
+    (match rank with
+    | Some r when not (List.mem_assoc v !r) -> r := (v, List.length !r) :: !r
+    | _ -> ());
+    v
   in
-  (* [sets] is in join order: the first variable joins each later one,
-     and the merged component keeps the root of the last to join *)
-  let merged =
-    List.fold_left (fun acc r -> if List.mem r acc then acc else r :: acc) [] sets
+  let lead_vars = Option.map (var_ids (number (Some early))) lead in
+  let cs_vars = List.map (var_ids (number (Some first))) cs in
+  let g_vars = Option.map (var_ids (number None)) g in
+  let roots acc vs =
+    Array.fold_left
+      (fun acc v ->
+        if v < n && not (List.mem s.root.(v) acc) then s.root.(v) :: acc
+        else acc)
+      acc vs
   in
-  let mroot = match merged with r :: _ -> r | [] -> -1 in
+  let early_rows = Option.to_list lead_vars @ cs_vars in
+  let by_early = List.fold_left roots [] early_rows in
+  let touched = Option.fold ~none:by_early ~some:(roots by_early) g_vars in
+  let replay = by_early <> [] && (Array.length c.c_roots > 1 || !next > n) in
+  let parent =
+    Array.init !next (fun v ->
+        if v >= n then v
+        else
+          let r = s.root.(v) in
+          if replay && List.mem r by_early then v else r)
+  in
+  let join_touched vars =
+    if replay then
+      Array.iter
+        (fun vs ->
+          if Array.length vs > 0 && List.mem s.root.(vs.(0)) by_early then
+            join parent vs)
+        vars
+  in
+  Option.iter (join parent) lead_vars;
+  join_touched s.eq_vars;
+  List.iter (join parent) cs_vars;
+  join_touched s.ineq_vars;
+  Option.iter (join parent) g_vars;
+  let groups = ref [] in
+  let group v =
+    let r = find parent v in
+    match List.find_opt (fun gr -> gr.g_root = r) !groups with
+    | Some gr -> gr
+    | None ->
+        let gr =
+          {
+            g_root = r;
+            g_comps = [];
+            g_rows = [];
+            g_lead = false;
+            g_final = false;
+          }
+        in
+        groups := gr :: !groups;
+        gr
+  in
+  List.iter
+    (fun r ->
+      let gr = group r in
+      gr.g_comps <- r :: gr.g_comps)
+    touched;
+  Option.iter (fun vs -> (group vs.(0)).g_lead <- true) lead_vars;
+  List.iter2
+    (fun l vs ->
+      let gr = group vs.(0) in
+      gr.g_rows <- l :: gr.g_rows)
+    cs cs_vars;
+  Option.iter (fun vs -> (group vs.(0)).g_final <- true) g_vars;
+  let l = List.length !early and e = s.eq_nvars and k = List.length !first in
+  let key v =
+    match List.assoc_opt v !early with
+    | Some i -> i
+    | None -> (
+        if v < e then l + v
+        else
+          match List.assoc_opt v !first with
+          | Some i -> l + e + i
+          | None -> l + e + k + v)
+  in
+  let groups =
+    List.sort (fun a b -> compare (key a.g_root) (key b.g_root)) !groups
+  in
+  let merges gr = List.compare_length_with gr.g_comps 1 > 0 in
+  if early_rows <> [] then
+    Profile.incr
+      (if List.exists merges groups then "lia.split_rebuilt"
+       else "lia.split_prepared");
   let phase1 = Lazy.force c.c_phase1 in
-  (* the merged component: [g] after the constraints of the existing
-     components it joins; with one at most, that component's Phase 1
-     with [g]'s row first among its inequalities *)
-  let decide_merged () =
-    match List.filter (fun r -> r < n) merged with
-    | ([] | [ _ ]) as existing ->
-        Profile.incr "lia.phase1_prepared";
+  let decide_group gr =
+    let g = if gr.g_final then g else None in
+    let lead = if gr.g_lead then lead else None in
+    match gr.g_comps with
+    | ([] | [ _ ]) as comps ->
+        if early_rows = [] then Profile.incr "lia.phase1_prepared";
         let p =
-          match existing with
+          match comps with
           | r :: _ -> Lazy.force phase1.(root_index c r)
           | [] -> Solved { sigma = SMap.empty; splits = []; rows = [] }
         in
-        decide_phase1 p g
-    | _ ->
-        Profile.incr "lia.phase1_rebuilt";
+        let p = Option.fold ~none:p ~some:(extend_phase1 p) lead in
+        decide_phase1 p g gr.g_rows
+    | comps ->
+        if early_rows = [] then Profile.incr "lia.phase1_rebuilt";
         let geqs = [| [] |] and gineqs = [| [] |] in
-        let slot r = if List.mem r merged then 0 else -1 in
-        collect geqs ~slot c.c_eqs c.c_eq_roots;
-        collect gineqs ~slot c.c_ineqs c.c_ineq_roots;
-        decide_component ~eqs:geqs.(0) ~ineqs:(Option.to_list g @ gineqs.(0))
+        let slot r = if List.mem r comps then 0 else -1 in
+        collect geqs ~slot c.c_eqs s.eq_vars s.root;
+        collect gineqs ~slot c.c_ineqs s.ineq_vars s.root;
+        decide_component
+          ~eqs:(geqs.(0) @ Option.to_list lead)
+          ~ineqs:(Option.to_list g @ gineqs.(0) @ gr.g_rows)
   in
-  let rec go i merged_done =
-    if i >= Array.length c.c_roots then merged_done || decide_merged ()
+  let m = Array.length c.c_roots in
+  let rec go i gs =
+    if i < m && List.mem c.c_roots.(i) touched then go (i + 1) gs
     else
-      let r = c.c_roots.(i) in
-      if List.mem r merged then go (i + 1) merged_done
-      else if (not merged_done) && mroot < r then
-        decide_merged () && go i true
-      else decide_phase1 (Lazy.force phase1.(i)) None && go (i + 1) merged_done
+      match gs with
+      | gr :: rest when i >= m || key gr.g_root < key c.c_roots.(i) ->
+          decide_group gr && go i rest
+      | _ ->
+          i >= m
+          || decide_phase1 (Lazy.force phase1.(i)) None [] && go (i + 1) gs
   in
-  go 0 (merged = [])
+  go 0 groups
+
+(* ------------------------------------------------------------------ *)
+(* Satisfiability with disequalities                                   *)
+(* ------------------------------------------------------------------ *)
+
+(** Cap on the number of disequalities we case-split on. *)
+let diseq_limit = 12
+
+let le_neg1 d = { d with const = d.const + 1 } (* d ≤ -1 *)
+let ge_1 d = { (lin_scale (-1) d) with const = 1 - d.const } (* d ≥ 1 *)
+
+(** Satisfiability of a system with the disequalities [diseqs] (each
+    [≠ 0]): [base ()] decides the system without them, [case cs] with
+    the case rows [cs] (each [≤ 0], last first) before its inequalities,
+    and [consistent d] with [d = 0] before its equalities.
+
+    A disequality [d ≠ 0] is case-split into [d ≤ -1 ∨ d ≥ 1], pruning
+    infeasible prefixes early. Up to four are split after [base]. Past
+    four, a relevance filter runs first: [d ≠ 0] only constrains the
+    system if [d = 0] is consistent with it, so the others are dropped
+    (this covers the many negated congruence guards that Ackermannization
+    produces). If at most [diseq_limit] critical ones remain they are
+    split; otherwise each is refuted on its own — the system with [d ≤
+    -1] and with [d ≥ 1] each infeasible — which over-approximates their
+    joint satisfiability (sound for the validity checker). *)
+let sat_parts ~diseqs ~(base : unit -> bool) ~(case : lin list -> bool)
+    ~(consistent : lin -> bool) : bool =
+  if List.exists (fun l -> lin_is_const l && l.const = 0) diseqs then false
+  else begin
+    let diseqs = List.filter (fun l -> not (lin_is_const l)) diseqs in
+    let rec split acc = function
+      | [] -> true
+      | d :: rest ->
+          (let c = le_neg1 d :: acc in
+           case c && split c rest)
+          || (let c = ge_1 d :: acc in
+              case c && split c rest)
+    in
+    match diseqs with
+    | [] -> base ()
+    | _ when List.length diseqs <= 4 -> base () && split [] diseqs
+    | _ ->
+        base ()
+        &&
+        let critical = List.filter consistent diseqs in
+        if List.length critical <= diseq_limit then split [] critical
+        else
+          not
+            (List.exists
+               (fun d -> (not (case [ le_neg1 d ])) && not (case [ ge_1 d ]))
+               critical)
+  end
+
+(** {!sat_parts} on a context with the final inequality [g] (not
+    constant) and the disequalities [diseqs]: the base, every case and
+    every relevance check are decided from the context's split. *)
+let sat_context (c : context) (g : lin option) diseqs =
+  sat_parts ~diseqs
+    ~base:(fun () -> (not c.c_bad) && decide_split c [] g)
+    ~case:(fun cs -> decide_split c cs g)
+    ~consistent:(fun d -> decide_split ~lead:d c [] g)
+
+(** Satisfiability of [eqs = 0 ∧ ineqs ≤ 0 ∧ diseqs ≠ 0]: without a
+    disequality to split, [feasible]; with one, through a context. *)
+let sat_lists ~eqs ~ineqs ~diseqs =
+  if List.for_all lin_is_const diseqs then
+    (not (List.exists (fun d -> d.const = 0) diseqs)) && feasible ~eqs ~ineqs
+  else sat_context (context_of ~eqs ~ineqs ~diseqs) None diseqs
+
+let sat_literals (lits : literal list) : bool =
+  let eqs, ineqs, diseqs = partition lits in
+  sat_lists ~eqs ~ineqs ~diseqs
 
 let sat_with (c : context) (extra : literal option) : bool =
-  let split g () = (not c.c_bad) && feasible_after c g in
-  let lists () = (Array.to_list c.c_eqs, Array.to_list c.c_ineqs) in
   match extra with
   | Some (Eq0 g) ->
       (* a new equality is numbered before the inequalities: split anew *)
-      let eqs, ineqs = lists () in
-      let eqs = eqs @ [ g ] in
-      sat_parts ~eqs ~ineqs ~diseqs:c.c_diseqs ~base:(fun () ->
-          Profile.incr "lia.phase1_rebuilt";
-          feasible ~eqs ~ineqs)
-  | None | Some (Le0 _ | Ne0 _) -> (
-      let diseqs =
-        match extra with Some (Ne0 d) -> c.c_diseqs @ [ d ] | _ -> c.c_diseqs
-      in
-      let base =
-        match extra with
-        | Some (Le0 g) when lin_is_const g ->
-            if g.const > 0 then fun () -> false else split None
-        | Some (Le0 g) -> split (Some g)
-        | _ -> split None
-      in
-      match diseqs with
-      | [] -> base ()
-      | _ ->
-          let eqs, ineqs = lists () in
-          let ineqs =
-            match extra with Some (Le0 g) -> ineqs @ [ g ] | _ -> ineqs
-          in
-          sat_parts ~eqs ~ineqs ~diseqs ~base)
+      Profile.incr "lia.phase1_rebuilt";
+      sat_lists
+        ~eqs:(Array.to_list c.c_eqs @ [ g ])
+        ~ineqs:(Array.to_list c.c_ineqs) ~diseqs:c.c_diseqs
+  | Some (Le0 g) when lin_is_const g ->
+      g.const <= 0 && sat_context c None c.c_diseqs
+  | Some (Le0 g) -> sat_context c (Some g) c.c_diseqs
+  | Some (Ne0 d) -> sat_context c None (c.c_diseqs @ [ d ])
+  | None -> sat_context c None c.c_diseqs

@@ -74,34 +74,53 @@ type literal =
 val pp_literal : Format.formatter -> literal -> unit
 
 val sat_literals : literal list -> bool
-(** Satisfiability of a conjunction of literals. Disequalities are
-    pre-filtered (only those whose equality is consistent with the rest
-    constrain anything), then either exactly case-split (few) or
-    refuted independently (many; over-approximate). *)
+(** Satisfiability of a conjunction of literals. Without a non-constant
+    disequality this is {!feasible} (a constant one is decided on its
+    own). With one, the literals are prepared as one {!context} and
+    decided as [sat_with (context lits) None]: the equalities and
+    inequalities first, then each disequality [d ≠ 0] case-split into
+    [d ≤ −1 ∨ d ≥ 1]. Up to four disequalities are split as they come.
+    Past four, a relevance filter runs first and keeps only those whose
+    equality [d = 0] is consistent with the rest; if more than twelve
+    of those remain, each is refuted on its own (both cases infeasible),
+    which over-approximates their joint satisfiability. *)
 
 type context
 (** A conjunction of literals prepared for {!sat_literals} with one more
     literal: its equalities and inequalities split into components once,
-    and kept as each constraint's and each variable's component. Each
-    component's Phase 1 ({!elim_eqs}: its composed substitution, its
-    split rows and its substituted inequalities, or the equalities'
-    contradiction) is done the first time a query decides that
-    component, and kept. *)
+    and kept as each variable's number and component root and each
+    constraint's variable numbers. Each component's Phase 1
+    ({!elim_eqs}: its composed substitution, its split rows and its
+    substituted inequalities, or the equalities' contradiction) is done
+    the first time a query decides that component, and kept. *)
 
 val context : literal list -> context
 
 val sat_with : context -> literal option -> bool
 (** [sat_with (context ls) l] is [sat_literals (ls @ Option.to_list l)],
     and decides the same components, from the same rows, in the same
-    order, with the same [lia.fm_rows]. A final inequality only merges
-    the components it shares a variable with, and a disequality leaves
-    the split as it is; an equality, numbered before every inequality,
-    splits the system anew.
+    order, with the same [lia.fm_rows]. An equality [l], numbered before
+    every inequality, splits the system anew; every other system is
+    decided from the context's split.
 
-    A component the final inequality [g] does not touch is decided from
-    its kept Phase 1, and so is the one [g] alone joins (with fresh
-    variables or none): [g] under the substitution goes first among the
-    inequalities. A merge of two or more components, or an equality,
-    runs Phase 1 anew. The profile counters [lia.phase1_prepared] and
+    A final inequality [g] only merges the components it shares a
+    variable with: a component it does not touch is decided from its
+    kept Phase 1, and so is the one [g] alone joins (with fresh
+    variables or none), [g] under the substitution going first among
+    the inequalities; a merge of two or more components runs Phase 1
+    anew. The profile counters [lia.phase1_prepared] and
     [lia.phase1_rebuilt] count the merged components decided each way.
-    Verdicts are not kept: every query runs {!fm}. *)
+
+    A disequality case adds its rows [c] (last first) before the
+    inequalities, and a relevance check adds [d = 0] before the
+    equalities. Their variables are numbered, and their joins made,
+    where the system [feasible] would split numbers and joins them, so
+    the components a row touches are re-joined in that order to find
+    their roots. A component no row touches is decided from its kept
+    Phase 1; a group of new rows joining at most one component from
+    that component's Phase 1 ([d] solved last, the case rows after its
+    inequalities); a group merging two or more anew. The profile
+    counters [lia.split_prepared] and [lia.split_rebuilt] count the
+    cases and relevance checks decided each way ([rebuilt] when one of
+    their groups merges two or more components). Verdicts are not kept:
+    every query runs {!fm}. *)

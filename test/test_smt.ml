@@ -885,20 +885,94 @@ let one_bucket_names n =
   |> Seq.filter (fun x -> bucket x = bucket "v0")
   |> Seq.take n |> Array.of_seq
 
+(** The reference for the disequality case split: each case [c] (its
+    rows last first) decided by [Lia.feasible ~eqs ~ineqs:(c @ ineqs)]
+    on the whole system, split into components anew. Past four
+    disequalities only the critical ones (those whose equality is
+    consistent) are split, and past [diseq_limit] (12) of those each is
+    refuted on its own. *)
+let list_sat_literals (lits : Lia.literal list) : bool =
+  let pick f = List.filter_map f lits in
+  let eqs = pick (function Lia.Eq0 l -> Some l | _ -> None)
+  and ineqs = pick (function Lia.Le0 l -> Some l | _ -> None)
+  and diseqs = pick (function Lia.Ne0 l -> Some l | _ -> None) in
+  let feasible ineqs = Lia.feasible ~eqs ~ineqs in
+  let is_zero (l : Lia.lin) = Lia.lin_is_const l && l.const = 0 in
+  if List.exists is_zero diseqs then false
+  else
+    let diseqs = List.filter (fun l -> not (Lia.lin_is_const l)) diseqs in
+    let le_neg1 (d : Lia.lin) = { d with const = d.const + 1 } in
+    let ge_1 (d : Lia.lin) =
+      { (Lia.lin_scale (-1) d) with const = 1 - d.const }
+    in
+    let rec split acc = function
+      | [] -> true
+      | d :: rest ->
+          (let c = le_neg1 d :: acc in
+           feasible (c @ ineqs) && split c rest)
+          || (let c = ge_1 d :: acc in
+              feasible (c @ ineqs) && split c rest)
+    in
+    match diseqs with
+    | [] -> feasible ineqs
+    | _ when List.length diseqs <= 4 -> feasible ineqs && split [] diseqs
+    | _ ->
+        feasible ineqs
+        &&
+        let critical =
+          List.filter (fun d -> Lia.feasible ~eqs:(d :: eqs) ~ineqs) diseqs
+        in
+        if List.length critical <= 12 then split [] critical
+        else
+          not
+            (List.exists
+               (fun d ->
+                 (not (feasible (le_neg1 d :: ineqs)))
+                 && not (feasible (ge_1 d :: ineqs)))
+               critical)
+
 (** Literal systems of up to three variable-disjoint groups, each with
     equalities as {!gen_equality} draws them (now and then a
-    contradictory pair), inequalities and disequalities, shuffled
-    together; and goals over no group, one, two or three, with or
-    without a fresh variable, of each literal kind. *)
+    contradictory pair), inequalities and up to three disequalities,
+    shuffled together, most groups' equalities and inequalities holding
+    at a point; now and then disequalities over variables no
+    equality or inequality holds, or bridging two groups, or a burst of
+    them past the split limit. Goals are over no group, one, two or
+    three, with or without a fresh variable, of each literal kind. *)
 let gen_context_case : (Lia.literal list * Lia.literal option list) QCheck.Gen.t
     =
   let open QCheck.Gen in
-  let v = one_bucket_names 10 in
+  let v = one_bucket_names 11 in
   let groups =
     [ [ v.(0); v.(1); v.(2) ]; [ v.(3); v.(4); v.(5) ]; [ v.(6); v.(7) ] ]
   in
+  let fresh_vars = [ v.(8); v.(9); v.(10) ] in
+  (* most groups hold at a point, so that their disequalities get split *)
+  let anchored vars =
+    let* point =
+      flatten_l
+        (List.map (fun x -> map (fun k -> (x, k)) (int_range (-2) 2)) vars)
+    in
+    let at (l : Lia.lin) =
+      Lia.SMap.fold
+        (fun x c acc -> acc + (c * List.assoc x point))
+        l.coeffs l.const
+    in
+    frequency
+      [
+        (1, return (Fun.id, Fun.id));
+        ( 3,
+          let* slack = int_range 0 2 in
+          return
+            ( (fun (e : Lia.lin) -> { e with const = e.const - at e }),
+              fun (l : Lia.lin) ->
+                if at l > 0 then { l with const = l.const - at l - slack }
+                else l ) );
+      ]
+  in
   let group vars =
-    let* eqs = list_size (int_range 0 3) (gen_equality vars) in
+    let* on_eq, on_ineq = anchored vars in
+    let* eqs = list_size (int_range 0 3) (map on_eq (gen_equality vars)) in
     let* contra =
       frequency
         [
@@ -908,15 +982,35 @@ let gen_context_case : (Lia.literal list * Lia.literal option list) QCheck.Gen.t
             return [ e; { e with const = e.const + 1 } ] );
         ]
     in
-    let* ineqs = list_size (int_range 0 5) (gen_inequality vars) in
-    let* diseqs = list_size (int_range 0 1) (gen_inequality vars) in
+    let* ineqs =
+      list_size (int_range 0 5) (map on_ineq (gen_inequality vars))
+    in
+    let* diseqs = list_size (int_range 0 3) (gen_inequality vars) in
     return
       (List.map (fun e -> Lia.Eq0 e) (eqs @ contra)
       @ List.map (fun l -> Lia.Le0 l) ineqs
       @ List.map (fun l -> Lia.Ne0 l) diseqs)
   in
+  let bridge =
+    let* gs = shuffle_l groups in
+    match gs with
+    | g1 :: g2 :: _ -> gen_inequality (g1 @ g2)
+    | _ -> assert false
+  in
+  let extra =
+    let fresh = gen_inequality fresh_vars in
+    let any = oneof [ fresh; bridge; gen_inequality (List.concat groups) ] in
+    frequency
+      [
+        (4, return []);
+        (2, list_size (int_range 1 2) fresh);
+        (2, list_size (int_range 1 2) bridge);
+        (1, list_size (int_range 10 14) any);
+      ]
+  in
   let* ls = map List.concat (flatten_l (List.map group groups)) in
-  let* ls = shuffle_l ls in
+  let* extra = extra in
+  let* ls = shuffle_l (ls @ List.map (fun l -> Lia.Ne0 l) extra) in
   let goal =
     let* touched = oneofl [ 0; 1; 1; 1; 2; 2; 3 ] in
     let* gs = shuffle_l groups in
@@ -969,8 +1063,10 @@ let prop_context_reference =
       let c = Lia.context ls in
       List.for_all
         (fun g ->
-          theory_counts (fun () -> Lia.sat_with c g)
-          = theory_counts (fun () -> Lia.sat_literals (ls @ Option.to_list g)))
+          let ls = ls @ Option.to_list g in
+          let want = theory_counts (fun () -> list_sat_literals ls) in
+          theory_counts (fun () -> Lia.sat_with c g) = want
+          && theory_counts (fun () -> Lia.sat_literals ls) = want)
         goals)
 
 (** Which path decides the merged component: a goal joining one
@@ -1027,6 +1123,61 @@ let context_phase1_cases () =
       ("contradictory component, goal on a", Some (Lia.Le0 (l 3 [ ("b", -1) ])));
       ("contradictory component, goal on it", Some (Lia.Le0 (l 0 [ ("x", 1) ])));
       ("contradictory component, fresh goal", Some (Lia.Le0 (l 0 [ ("z", 1) ])));
+    ]
+
+(** Which path decides each disequality case and relevance check: a
+    group of new rows joining at most one component (or only fresh
+    variables) takes that component's Phase 1; one bridging two
+    components eliminates anew. A base the context refutes decides no
+    case. Each system is also checked against the reference, with its
+    FM rows. *)
+let context_split_cases () =
+  let l k cs = lin_of (k, cs) in
+  let ls =
+    [
+      Lia.Eq0 (l 0 [ ("a", 1); ("b", -1) ]);
+      Lia.Le0 (l (-3) [ ("a", 1) ]);
+      Lia.Le0 (l 0 [ ("c", -1) ]);
+    ]
+  in
+  let fresh k =
+    List.init k (fun i -> Lia.Ne0 (l 0 [ (Printf.sprintf "z%d" i, 1) ]))
+  in
+  List.iter
+    (fun (what, ls, g, expected, prepared, rebuilt) ->
+      let count k = Profile.count ("lia.split_" ^ k) in
+      let p0 = count "prepared" and r0 = count "rebuilt" in
+      let want =
+        theory_counts (fun () -> list_sat_literals (ls @ Option.to_list g))
+      in
+      let got = theory_counts (fun () -> Lia.sat_with (Lia.context ls) g) in
+      Alcotest.(check (triple bool int int))
+        (what ^ ": as the reference") want got;
+      let (verdict, _, _) = got in
+      Alcotest.(check (triple bool int int))
+        (what ^ ": verdict, prepared, rebuilt")
+        (expected, prepared, rebuilt)
+        (verdict, count "prepared" - p0, count "rebuilt" - r0))
+    [
+      ("no disequality", ls, Some (Lia.Le0 (l (-1) [ ("b", 1) ])), true, 0, 0);
+      ("case on one component", ls, Some (Lia.Ne0 (l (-1) [ ("b", 1) ])), true, 1, 0);
+      ("case on a fresh variable", ls, Some (Lia.Ne0 (l 0 [ ("z", 1) ])), true, 1, 0);
+      ( "case bridging two components", ls,
+        Some (Lia.Ne0 (l 0 [ ("b", 1); ("c", -1) ])), true, 0, 1 );
+      ("first case infeasible", ls, Some (Lia.Ne0 (l 0 [ ("c", 1) ])), true, 2, 0);
+      ( "both cases infeasible", ls @ [ Lia.Le0 (l 0 [ ("c", 1) ]) ],
+        Some (Lia.Ne0 (l 0 [ ("c", 1) ])), false, 2, 0 );
+      ( "case beside a goal merging two components",
+        ls @ [ Lia.Ne0 (l (-1) [ ("a", 1) ]) ],
+        Some (Lia.Le0 (l 0 [ ("b", 1); ("c", 1) ])), true, 0, 1 );
+      ( "case beside an equality goal", ls @ [ Lia.Ne0 (l (-1) [ ("a", 1) ]) ],
+        Some (Lia.Eq0 (l (-2) [ ("c", 1) ])), true, 1, 0 );
+      ("five disequalities: relevance checks, then cases", ls @ fresh 5, None, true, 10, 0);
+      ( "a bridging disequality among five",
+        ls @ (Lia.Ne0 (l 0 [ ("b", 1); ("c", -1) ]) :: fresh 4), None, true, 4, 6 );
+      ("thirteen critical disequalities, each refuted alone", ls @ fresh 13, None, true, 26, 0);
+      ( "a refuted base decides no case", ls @ [ Lia.Le0 (l 1 [ ("c", 1) ]) ],
+        Some (Lia.Ne0 (l 0 [ ("a", 1) ])), false, 0, 0 );
     ]
 
 (** At [fm_limit], counted over row copies. [m·(a+1 ≤ 0) ∧ n·(−a ≤ 0)]
@@ -1280,4 +1431,6 @@ let tests =
           prop_cone_reference;
         Alcotest.test_case "cone of influence: pass order and edge cases"
           `Quick cone_cases;
+        Alcotest.test_case "context: disequality cases from the split" `Quick
+          context_split_cases;
       ] )
