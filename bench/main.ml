@@ -26,6 +26,10 @@
     crosscheck sweep; spliced into [BENCH_table1.json] under an
     ["absint"] key.
 
+    [bench/main.exe sweep --out DIR] writes the [flux check --jobs 1
+    --no-cache --dump-solution] transcript of 24 inputs under the three
+    absint modes, for [diff -r] between two checkouts.
+
     [bench/main.exe all] runs [table1], then [ablations].
 
     [table1] additionally writes [BENCH_table1.json]: the same rows in
@@ -1071,6 +1075,85 @@ let ablations () =
       Printf.printf "  %6d  %7.2f  %8b\n" rounds t ok)
     [ 0; 1; 2 ]
 
+(* ------------------------------------------------------------------ *)
+(* Byte-identity sweep                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(** The sweep's 24 inputs, by name: [examples/programs], the 10
+    [Wl_extra] programs, the 7 Table-1 Flux programs, RMat, and the
+    three off-by-one mutants committed in [test/golden]. *)
+let sweep_inputs () : (string * string) list =
+  let files dir suffix =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f suffix)
+    |> List.sort compare
+    |> List.map (fun f ->
+           ( Filename.chop_suffix f ".rs",
+             In_channel.with_open_bin (Filename.concat dir f)
+               In_channel.input_all ))
+  in
+  files "examples/programs" ".rs"
+  @ List.map
+      (fun (e : Flux_workloads.Wl_extra.extra) -> (e.ex_name, e.ex_src))
+      Flux_workloads.Wl_extra.all
+  @ List.map (fun b -> (b.Workloads.bm_name, b.Workloads.bm_flux)) Workloads.all
+  @ [ ("rmat", Workloads.rmat_flux) ]
+  @ files "test/golden" "-mutant.rs"
+
+(** [bench/main.exe sweep --out DIR]: for each input and each absint
+    mode (default, [--no-absint], [--absint-crosscheck]), write
+    [DIR/NAME.MODE.out] as [test/golden/regen.sh] does: the stdout of
+    [flux check --jobs 1 --no-cache --dump-solution], a line [[exit N]],
+    then the stderr. The sources go to [DIR/src/]. Compare two checkouts
+    with [diff -r]; within one, the three modes of an input must match
+    (the CI [absint] job [cmp]s them). Runs [bin/flux.exe] from the
+    same build as this executable, from the root of the checkout. *)
+let sweep out =
+  let flux =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      (Filename.concat "bin" "flux.exe")
+  in
+  if not (Sys.file_exists flux && Sys.file_exists "examples/programs") then begin
+    Printf.eprintf
+      "sweep: run from the root of the checkout after dune build \
+       ./bin/flux.exe (looked for %s)\n"
+      flux;
+    exit 2
+  end;
+  let src = Filename.concat out "src" in
+  List.iter
+    (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+    [ out; src ];
+  let modes =
+    [ ("default", ""); ("no-absint", "--no-absint");
+      ("absint-crosscheck", "--absint-crosscheck") ]
+  in
+  let err = Filename.concat out "stderr.tmp" in
+  let inputs = sweep_inputs () in
+  List.iter
+    (fun (name, text) ->
+      let input = Filename.concat src (name ^ ".rs") in
+      Out_channel.with_open_bin input (fun oc -> output_string oc text);
+      List.iter
+        (fun (mode, flag) ->
+          let path = Filename.concat out (Printf.sprintf "%s.%s.out" name mode) in
+          let code =
+            Sys.command
+              (Printf.sprintf
+                 "%s check --jobs 1 --no-cache --dump-solution %s %s > %s 2> %s"
+                 (Filename.quote flux) flag (Filename.quote input)
+                 (Filename.quote path) (Filename.quote err))
+          in
+          let stderr = In_channel.with_open_bin err In_channel.input_all in
+          Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path
+            (fun oc -> Printf.fprintf oc "[exit %d]\n%s" code stderr))
+        modes)
+    inputs;
+  Sys.remove err;
+  Printf.printf "sweep: %d inputs x %d modes written to %s\n"
+    (List.length inputs) (List.length modes) out
+
 let () =
   let args = Array.to_list Sys.argv in
   let jobs =
@@ -1093,6 +1176,13 @@ let () =
   | "certify" -> certify_bench ~jobs ()
   | "absint" -> absint_bench ~jobs ()
   | "ablations" -> ablations ()
+  | "sweep" ->
+      let rec out = function
+        | "--out" :: d :: _ -> d
+        | _ :: rest -> out rest
+        | [] -> "sweep"
+      in
+      sweep (out args)
   | "all" ->
       table1 ~jobs ();
       Printf.printf "\n";
@@ -1100,6 +1190,6 @@ let () =
   | m ->
       Printf.eprintf
         "unknown mode %s (expected table1 | smoke | fuzz | lint | certify | \
-         absint | ablations | all)\n"
+         absint | ablations | sweep | all)\n"
         m;
       exit 2

@@ -22,22 +22,25 @@
 open Flux_smt
 module SMap = Lia.SMap
 
-(* Saturating weight arithmetic: [None] is +∞. Weights derived from
-   term constants fit comfortably; sums of two stay far from
-   wrap-around after clamping. *)
+(* Saturating weight arithmetic on unboxed ints: [inf] ([max_int]) is
+   +∞. Weights derived from term constants fit comfortably; a sum of
+   two stays far from wrap-around, and [clamp] brings it back into
+   [[-big, big)]. [min] and [<=] on ints are the order with +∞ on
+   top. *)
 let big = 1 lsl 60
-let clamp c = if c >= big then None else Some (max (-big) c)
-let w_add a b = match (a, b) with Some a, Some b -> clamp (a + b) | _ -> None
-let w_min a b = match (a, b) with Some a, Some b -> Some (min a b) | None, w | w, None -> w
-let w_le a b = match (a, b) with Some a, Some b -> a <= b | _, None -> true | None, _ -> false
+let inf = max_int
+let clamp c = if c >= big then inf else max (-big) c
+let w_add a b = if a = inf || b = inf then inf else clamp (a + b)
+let w_min (a : int) b = min a b
+let w_le (a : int) b = a <= b
 
 type t = {
   bot : bool;  (** hypotheses are contradictory: everything is entailed *)
   idx : int SMap.t;  (** variable → matrix index; index 0 is the zero node *)
-  m : int option array array;  (** closed DBM *)
+  m : int array array;  (** closed DBM; [inf] is no edge *)
 }
 
-let top = { bot = false; idx = SMap.empty; m = [| [| Some 0 |] |] }
+let top = { bot = false; idx = SMap.empty; m = [| [| 0 |] |] }
 let bot = { top with bot = true }
 let is_bot (e : t) = e.bot
 
@@ -127,7 +130,7 @@ let rec collect (acc : Lia.lin list) (t : Term.t) : Lia.lin list =
    at most two variables with coefficients {+1}, {−1} or {+1, −1}. *)
 let install idx m (l : Lia.lin) =
   let bindings = SMap.bindings l.Lia.coeffs in
-  let edge i j c = m.(i).(j) <- w_min m.(i).(j) (Some c) in
+  let edge i j c = m.(i).(j) <- w_min m.(i).(j) c in
   match bindings with
   | [] -> if l.Lia.const > 0 then raise Contradiction
   | [ (x, 1) ] -> edge (SMap.find x idx) 0 (-l.Lia.const) (* x ≤ −k *)
@@ -136,19 +139,30 @@ let install idx m (l : Lia.lin) =
       edge (SMap.find x idx) (SMap.find y idx) (-l.Lia.const)
   | _ -> () (* outside the DBM fragment: drop (sound) *)
 
+(* Floyd–Warshall. Round [k] reads [m.(i).(k)] once per row [i], before
+   the row's inner loop. That is exact: within the round, the loop
+   writes [m.(i).(k)] only at [j = k], with [min m.(i).(k) (m.(i).(k) +
+   m.(k).(k))], which changes it only when [m.(k).(k) < 0]; weights
+   only decrease, so [m.(k).(k)] is then still negative when the
+   rounds end and the matrix is ⊥, whatever its other entries hold. A
+   row with no edge to [k] gains nothing from round [k]. *)
 let close m =
   let n = Array.length m in
   for k = 0 to n - 1 do
+    let mk = m.(k) in
     for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        m.(i).(j) <- w_min m.(i).(j) (w_add m.(i).(k) m.(k).(j))
-      done
+      let mi = m.(i) in
+      let mik = mi.(k) in
+      if mik <> inf then
+        for j = 0 to n - 1 do
+          mi.(j) <- w_min mi.(j) (w_add mik mk.(j))
+        done
     done
   done;
   (* negative self-loop = contradictory hypotheses *)
   let neg = ref false in
   for i = 0 to n - 1 do
-    match m.(i).(i) with Some c when c < 0 -> neg := true | _ -> ()
+    if m.(i).(i) < 0 then neg := true
   done;
   !neg
 
@@ -166,7 +180,7 @@ let index (atoms : Lia.lin list) : int SMap.t * int =
 let of_atoms (atoms : Lia.lin list) : t =
   let idx, vars = index atoms in
   let n = vars + 1 in
-  let m = Array.init n (fun i -> Array.init n (fun j -> if i = j then Some 0 else None)) in
+  let m = Array.init n (fun i -> Array.init n (fun j -> if i = j then 0 else inf)) in
   try
     List.iter (install idx m) atoms;
     if close m then bot else { bot = false; idx; m }
@@ -274,7 +288,7 @@ let slice (s : slices) (ks : int list) : t =
           home.(i) <- e;
           at.(i) <- SMap.find x e.idx)
         idx;
-      let m = Array.make_matrix n n None in
+      let m = Array.make_matrix n n inf in
       for i = 0 to n - 1 do
         let ei = home.(i) in
         let from = ei.m.(at.(i)) in
@@ -305,9 +319,8 @@ let assume (e : t) (h : Term.t) : t =
         Array.iteri
           (fun i row ->
             Array.iteri
-              (fun j w ->
-                match w with
-                | Some c when i <> j ->
+              (fun j c ->
+                if c <> inf && i <> j then
                     let l =
                       match (i, j) with
                       | 0, j ->
@@ -323,8 +336,7 @@ let assume (e : t) (h : Term.t) : t =
                                (Lia.lin_var names.(j)))
                             (Lia.lin_const (-c))
                     in
-                    existing := l :: !existing
-                | _ -> ())
+                    existing := l :: !existing)
               row)
           e.m;
         of_atoms (atoms @ !existing)
@@ -337,47 +349,46 @@ let assume (e : t) (h : Term.t) : t =
 
 (* Upper bound of a variable / its negation, as DBM edges. *)
 let var_hi e x =
-  match SMap.find_opt x e.idx with None -> None | Some i -> e.m.(i).(0)
+  match SMap.find_opt x e.idx with None -> inf | Some i -> e.m.(i).(0)
 
 let var_neg_hi e x =
-  match SMap.find_opt x e.idx with None -> None | Some i -> e.m.(0).(i)
+  match SMap.find_opt x e.idx with None -> inf | Some i -> e.m.(0).(i)
 
-(** A sound upper bound of [lin] under the environment, or [None]. Uses
+(** A sound upper bound of [lin] under the environment, or [inf]. Uses
     the pairwise difference edge when the form is exactly [x − y + k];
     otherwise sums per-variable interval bounds. *)
-let upper_bound (e : t) (l : Lia.lin) : int option =
-  if e.bot then Some min_int
+let upper_bound (e : t) (l : Lia.lin) : int =
+  if e.bot then min_int
   else
     let bindings = SMap.bindings l.Lia.coeffs in
     let pairwise =
       match bindings with
       | [ (x, 1); (y, -1) ] | [ (y, -1); (x, 1) ] -> (
           match (SMap.find_opt x e.idx, SMap.find_opt y e.idx) with
-          | Some i, Some j -> w_add e.m.(i).(j) (Some l.Lia.const)
-          | _ -> None)
-      | _ -> None
+          | Some i, Some j -> w_add e.m.(i).(j) l.Lia.const
+          | _ -> inf)
+      | _ -> inf
     in
     let interval =
       List.fold_left
         (fun acc (x, c) ->
           let term_bound =
             if c > 0 then
-              match var_hi e x with Some h -> clamp (c * h) | None -> None
+              let h = var_hi e x in
+              if h = inf then inf else clamp (c * h)
             else
               (* c < 0: c·x ≤ (−c)·(−x) ≤ (−c)·ub(−x) *)
-              match var_neg_hi e x with
-              | Some h -> clamp (-c * h)
-              | None -> None
+              let h = var_neg_hi e x in
+              if h = inf then inf else clamp (-c * h)
           in
           w_add acc term_bound)
-        (Some l.Lia.const) bindings
+        l.Lia.const bindings
     in
     w_min pairwise interval
 
 let lower_bound (e : t) (l : Lia.lin) : int option =
-  match upper_bound e (Lia.lin_scale (-1) l) with
-  | Some b -> Some (-b)
-  | None -> None
+  let b = upper_bound e (Lia.lin_scale (-1) l) in
+  if b = inf then None else Some (-b)
 
 (* ------------------------------------------------------------------ *)
 (* Entailment                                                          *)
@@ -404,21 +415,21 @@ let rec entails (e : t) (goal : Term.t) : bool =
       try
         let d = Lia.lin_sub (lin_of_term a) (lin_of_term b) in
         match op with
-        | Term.Le -> w_le (upper_bound e d) (Some 0)
-        | Term.Lt -> w_le (upper_bound e d) (Some (-1))
-        | Term.Ge -> w_le (upper_bound e (Lia.lin_scale (-1) d)) (Some 0)
-        | Term.Gt -> w_le (upper_bound e (Lia.lin_scale (-1) d)) (Some (-1))
+        | Term.Le -> w_le (upper_bound e d) 0
+        | Term.Lt -> w_le (upper_bound e d) (-1)
+        | Term.Ge -> w_le (upper_bound e (Lia.lin_scale (-1) d)) 0
+        | Term.Gt -> w_le (upper_bound e (Lia.lin_scale (-1) d)) (-1)
       with Nonlinear -> false)
   | Term.Eq (a, b) -> (
       try
         let d = Lia.lin_sub (lin_of_term a) (lin_of_term b) in
-        w_le (upper_bound e d) (Some 0)
-        && w_le (upper_bound e (Lia.lin_scale (-1) d)) (Some 0)
+        w_le (upper_bound e d) 0
+        && w_le (upper_bound e (Lia.lin_scale (-1) d)) 0
       with Nonlinear -> false)
   | Term.Ne (a, b) -> (
       try
         let d = Lia.lin_sub (lin_of_term a) (lin_of_term b) in
-        w_le (upper_bound e d) (Some (-1))
-        || w_le (upper_bound e (Lia.lin_scale (-1) d)) (Some (-1))
+        w_le (upper_bound e d) (-1)
+        || w_le (upper_bound e (Lia.lin_scale (-1) d)) (-1)
       with Nonlinear -> false)
   | _ -> false

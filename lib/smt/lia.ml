@@ -143,10 +143,12 @@ let fm_limit = 20_000
 type entry = { row : lin; mutable mult : int; mutable last : int }
 
 (** Rows compared by their bindings: equal maps may differ in shape. *)
+let row_equal a b = a.const = b.const && SMap.equal Int.equal a.coeffs b.coeffs
+
 module Rows = Hashtbl.Make (struct
   type t = lin
 
-  let equal a b = a.const = b.const && SMap.equal Int.equal a.coeffs b.coeffs
+  let equal = row_equal
 
   let hash a =
     SMap.fold
@@ -155,25 +157,37 @@ module Rows = Hashtbl.Make (struct
     land max_int
 end)
 
+(** A variable's tally: the row copies it occurs in with a positive and
+    with a negative coefficient. *)
+type tally = { mutable pos : int; mutable neg : int }
+
 (** Pick the variable minimizing (#positive × #negative) occurrences,
     counted over row copies, to keep the FM blowup small. Entries come
     in the order of their first copies, so variables enter the tally in
     the order they first occur in the row list, and [Hashtbl.fold]
-    meets them, and breaks ties, as it would over the list. *)
+    meets them, and breaks ties, as it would over the list. Each
+    variable is added once, with a cell the later copies update in
+    place: the same keys in the same order as one [replace] per copy. *)
 let choose_var (es : entry list) : string option =
   let tally = Hashtbl.create 16 in
   List.iter
     (fun e ->
       SMap.iter
         (fun x k ->
-          let p, n = try Hashtbl.find tally x with Not_found -> (0, 0) in
-          if k > 0 then Hashtbl.replace tally x (p + e.mult, n)
-          else Hashtbl.replace tally x (p, n + e.mult))
+          let t =
+            match Hashtbl.find_opt tally x with
+            | Some t -> t
+            | None ->
+                let t = { pos = 0; neg = 0 } in
+                Hashtbl.add tally x t;
+                t
+          in
+          if k > 0 then t.pos <- t.pos + e.mult else t.neg <- t.neg + e.mult)
         e.row.coeffs)
     es;
   Hashtbl.fold
-    (fun x (p, n) best ->
-      let cost = p * n in
+    (fun x t best ->
+      let cost = t.pos * t.neg in
       match best with
       | Some (_, bcost) when bcost <= cost -> best
       | _ -> Some (x, cost))
@@ -197,16 +211,22 @@ let entries (emit : (lin -> int -> int -> unit) -> unit) : entry list =
           order := e :: !order);
   List.rev !order
 
-(** Phase 2 of {!feasible_conn}: eliminate the variables of [rows]
-    (each [≤ 0]) one a round. Raises [Infeasible] on a constant
-    contradiction.
+(** The first round's entries of the row list [rows]: a copy's [last]
+    is its position. *)
+let list_entries (rows : lin list) : entry list =
+  entries (fun add -> List.iteri (fun i row -> add row 1 i) rows)
+
+(** Phase 2 of {!feasible_conn} from the first round's entries [es]:
+    eliminate the variables one a round. Raises [Infeasible] on a
+    constant contradiction. A round builds new entries and never
+    mutates the ones it is given.
 
     A round holds entries, not the row list, yet takes the list
     procedure's decisions. Those read only each round's row multiset
     and the order in which variables first occur in the list (the
     tie-break of [choose_var]), and the entries keep both. DESIGN.md
     ("Fourier–Motzkin on row multisets") gives the argument. *)
-let fm (rows : lin list) : bool =
+let rounds (es : entry list) : bool =
   let rec round (es : entry list) =
     let es =
       List.filter_map
@@ -271,7 +291,116 @@ let fm (rows : lin list) : bool =
           Profile.add "lia.fm_row_copies" (copies pos * copies neg);
           round next
   in
-  round (entries (fun add -> List.iteri (fun i row -> add row 1 i) rows))
+  round es
+
+let fm (rows : lin list) : bool = rounds (list_entries rows)
+
+(** The first round's entries of [splits @ rows], a component's Phase 1,
+    kept for the checks that add rows to it (see {!kept_entries}). *)
+type kept = {
+  k_entries : entry array;  (** first-copy order; never mutated *)
+  k_index : int Rows.t;  (** row → its entry's position in [k_entries] *)
+  k_nsplit : int;  (** how many entries were first seen among [splits] *)
+  k_splits : int;  (** the length of [splits] *)
+  k_rows : int;  (** the length of [rows] *)
+}
+
+let keep (splits : lin list) (rows : lin list) : kept =
+  let s = List.length splits and r = List.length rows in
+  let index = Rows.create 16 in
+  let es = Array.make (s + r) { row = lin_zero; mult = 0; last = 0 } in
+  let n = ref 0 in
+  let add pos row =
+    match Rows.find_opt index row with
+    | Some k ->
+        let e = es.(k) in
+        e.mult <- e.mult + 1;
+        e.last <- pos
+    | None ->
+        Rows.add index row !n;
+        es.(!n) <- { row; mult = 1; last = pos };
+        incr n
+  in
+  List.iteri add splits;
+  let nsplit = !n in
+  List.iteri (fun i row -> add (s + i) row) rows;
+  {
+    k_entries = Array.sub es 0 !n;
+    k_index = index;
+    k_nsplit = nsplit;
+    k_splits = s;
+    k_rows = r;
+  }
+
+(** The first round's entries of [splits @ (g :: rows @ extra)] ([g]
+    when present), for [k] kept from [splits @ rows]: [list_entries] of
+    that list, built from a copy of the kept entries, hashing only [g]
+    and [extra].
+
+    [g], present, stands at position [s] (the length of [splits]), so
+    every copy from [rows] moves up by one. It merges into its entry,
+    or starts a new one; either way its first copy comes right after
+    the entries first seen among [splits], and an entry first seen
+    among [rows] moves there. Each row of [extra] merges into its
+    entry, or starts a new one at the end. With neither, the kept
+    entries themselves are the answer: the rounds do not mutate them. *)
+let kept_entries (k : kept) (g : lin option) (extra : lin list) =
+  match (g, extra) with
+  | None, [] -> Array.to_list k.k_entries
+  | _ ->
+      let s = k.k_splits in
+      let es = Array.map (fun e -> { e with mult = e.mult }) k.k_entries in
+      let shift = if Option.is_some g then 1 else 0 in
+      if shift = 1 then
+        Array.iter (fun e -> if e.last >= s then e.last <- e.last + 1) es;
+      (* the entries of rows [k] does not hold, last first *)
+      let added = ref [] in
+      let merge row pos =
+        match Rows.find_opt k.k_index row with
+        | Some i ->
+            let e = es.(i) in
+            e.mult <- e.mult + 1;
+            if pos > e.last then e.last <- pos;
+            Some i
+        | None -> (
+            match List.find_opt (fun e -> row_equal e.row row) !added with
+            | Some e ->
+                e.mult <- e.mult + 1;
+                e.last <- pos;
+                None
+            | None ->
+                added := { row; mult = 1; last = pos } :: !added;
+                None)
+      in
+      (* [g]'s entry when it comes right after the split-first ones *)
+      let second =
+        match g with
+        | None -> None
+        | Some g -> (
+            match merge g s with
+            | Some i when i < k.k_nsplit -> None
+            | Some i -> Some es.(i)
+            | None -> Some (List.hd !added))
+      in
+      let base = s + shift + k.k_rows in
+      List.iteri (fun j row -> ignore (merge row (base + j))) extra;
+      let moved e = match second with Some e' -> e == e' | None -> false in
+      let acc = ref (List.filter (fun e -> not (moved e)) (List.rev !added)) in
+      for i = Array.length es - 1 downto k.k_nsplit do
+        if not (moved es.(i)) then acc := es.(i) :: !acc
+      done;
+      Option.iter (fun e -> acc := e :: !acc) second;
+      for i = k.k_nsplit - 1 downto 0 do
+        acc := es.(i) :: !acc
+      done;
+      !acc
+
+let fm_kept (k : kept) (g : lin option) (extra : lin list) : bool =
+  rounds (kept_entries k g extra)
+
+let entry_triples = List.map (fun e -> (e.row, e.mult, e.last))
+let first_round rows = entry_triples (list_entries rows)
+let kept_first_round k g extra = entry_triples (kept_entries k g extra)
 
 (** A composed substitution: each eliminated variable's value, over
     variables it does not eliminate. *)
@@ -487,28 +616,38 @@ let partition (lits : literal list) =
 (** A component's Phase 1, done once: its equalities solved, and its
     split rows and inequalities substituted. *)
 type phase1 =
-  | Solved of { sigma : subst; splits : lin list; rows : lin list }
+  | Solved of {
+      sigma : subst;
+      splits : lin list;
+      rows : lin list;
+      kept : kept Lazy.t option;
+          (** the first round's entries of [splits @ rows], when the
+              Phase 1 serves more than one check *)
+    }
   | Contradiction  (** the equalities alone are infeasible *)
 
 let phase1 ~eqs ~ineqs =
   match solve_eqs eqs with
   | exception Infeasible -> Contradiction
   | sigma, splits ->
-      Solved
-        { sigma; splits = split_rows sigma splits; rows = apply_rows sigma ineqs }
+      let splits = split_rows sigma splits and rows = apply_rows sigma ineqs in
+      Solved { sigma; splits; rows; kept = Some (lazy (keep splits rows)) }
 
 (** Phase 1 of the component's equalities followed by [d]: [d] is
     reached under the kept substitution, and a variable it is solved for
     is substituted into the kept rows (by linearity, the rows of the
-    composed substitution). *)
+    composed substitution). It serves one check, so it keeps no
+    entries. *)
 let extend_phase1 (p : phase1) (d : lin) =
   match p with
   | Contradiction -> Contradiction
-  | Solved ({ sigma; splits; rows } as s) -> (
+  | Solved ({ sigma; splits; rows; _ } as s) -> (
       match solve_eq sigma d with
       | exception Infeasible -> Contradiction
       | Dropped -> p
-      | Split e -> Solved { s with splits = e :: lin_scale (-1) e :: splits }
+      | Split e ->
+          Solved
+            { s with splits = e :: lin_scale (-1) e :: splits; kept = None }
       | Solved_for (x, rhs) ->
           let sub = lin_subst x rhs in
           Solved
@@ -516,25 +655,24 @@ let extend_phase1 (p : phase1) (d : lin) =
               sigma = compose sigma x rhs;
               splits = List.map sub splits;
               rows = List.map sub rows;
+              kept = None;
             })
 
 (** [fm] on a component's Phase 1 with the rows a case or a final
     inequality adds, under its substitution: [g] first among the
-    inequalities and [extra] after them. This is [elim_eqs eqs (g ::
-    ineqs @ extra)]. *)
+    inequalities and [extra] after them. This is [fm (elim_eqs eqs (g
+    :: ineqs @ extra))], from the kept first round when there is one. *)
 let decide_phase1 (p : phase1) (g : lin option) (extra : lin list) =
   match p with
   | Contradiction -> false
-  | Solved { sigma; splits; rows } -> (
-      let rows =
-        match extra with
-        | [] -> rows
-        | _ -> rows @ List.map (lin_apply sigma) extra
-      in
-      let rows =
-        match g with Some g -> lin_apply sigma g :: rows | None -> rows
-      in
-      try fm (splits @ rows) with Infeasible -> false)
+  | Solved { sigma; splits; rows; kept } -> (
+      let g = Option.map (lin_apply sigma) g in
+      let extra = List.map (lin_apply sigma) extra in
+      try
+        match kept with
+        | Some k -> fm_kept (Lazy.force k) g extra
+        | None -> fm (splits @ Option.to_list g @ rows @ extra)
+      with Infeasible -> false)
 
 (* Prepared weakening hypotheses add to peak memory, so the split is
    kept flat: beside the variable table, each constraint's variable
@@ -753,7 +891,8 @@ let decide_split ?lead (c : context) (cs : lin list) (g : lin option) : bool =
         let p =
           match comps with
           | r :: _ -> Lazy.force phase1.(root_index c r)
-          | [] -> Solved { sigma = SMap.empty; splits = []; rows = [] }
+          | [] ->
+              Solved { sigma = SMap.empty; splits = []; rows = []; kept = None }
         in
         let p = Option.fold ~none:p ~some:(extend_phase1 p) lead in
         decide_phase1 p g gr.g_rows

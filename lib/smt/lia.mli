@@ -63,7 +63,36 @@ val fm : lin list -> bool
     decisions (variable, size limit, verdict) as the procedure on the
     plain row list. Counts the pairs built in the profile counter
     [lia.fm_rows] and the rows the list procedure builds in
-    [lia.fm_row_copies]. Raises [Infeasible]. *)
+    [lia.fm_row_copies]. Raises [Infeasible].
+
+    [fm] is two steps: the row list becomes the first round's entries
+    ({!first_round}), and the rounds run on those entries without
+    mutating them. A component's Phase 1 keeps its entries ({!kept}),
+    so a check that adds rows to it starts the rounds from them. *)
+
+val first_round : lin list -> (lin * int * int) list
+(** The first round's entries of a row list, in the order of their
+    first copies: each distinct row (equal by bindings) with its number
+    of copies and the position of its last copy. *)
+
+type kept
+(** The first round's entries of [splits @ rows], kept: the distinct
+    rows with their multiplicities and last positions, an index from
+    each row to its entry, and how many entries were first seen among
+    [splits]. *)
+
+val keep : lin list -> lin list -> kept
+(** [keep splits rows]. *)
+
+val kept_first_round : kept -> lin option -> lin list -> (lin * int * int) list
+(** [kept_first_round (keep splits rows) g extra] is [first_round
+    (splits @ Option.to_list g @ rows @ extra)], built from a copy of
+    the kept entries: only [g] and [extra] are hashed. *)
+
+val fm_kept : kept -> lin option -> lin list -> bool
+(** [fm_kept (keep splits rows) g extra] is [fm (splits @
+    Option.to_list g @ rows @ extra)]: the same verdict and the same
+    profile counts, from the same entries. Raises [Infeasible]. *)
 
 (** Literals as consumed from the DPLL layer. *)
 type literal =
@@ -92,7 +121,10 @@ type context
     constraint's variable numbers. Each component's Phase 1
     ({!elim_eqs}: its composed substitution, its split rows and its
     substituted inequalities, or the equalities' contradiction) is done
-    the first time a query decides that component, and kept. *)
+    the first time a query decides that component, and kept, and so are
+    the first round's entries of its rows ({!kept}) the first time a
+    query runs {!fm} on them: every later check of the component starts
+    from a copy of those entries and hashes only the rows it adds. *)
 
 val context : literal list -> context
 

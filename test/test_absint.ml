@@ -424,6 +424,91 @@ let slice_env_cases () =
   | Some m -> Alcotest.fail m
 
 (* ------------------------------------------------------------------ *)
+(* The unboxed closure against the boxed one                           *)
+(* ------------------------------------------------------------------ *)
+
+(** The reference for {!Env.of_atoms}' matrix: weights boxed as [int
+    option] ([None] is +∞), installed and closed by Floyd–Warshall as
+    written before the matrix was unboxed. Returns whether the atoms are
+    contradictory and, when not, the closed matrix. *)
+let boxed_closure (atoms : Lia.lin list) : bool * int option array array =
+  let clamp c = if c >= Env.big then None else Some (max (-Env.big) c) in
+  let w_add a b =
+    match (a, b) with Some a, Some b -> clamp (a + b) | _ -> None
+  in
+  let w_min a b =
+    match (a, b) with
+    | Some a, Some b -> Some (min a b)
+    | None, w | w, None -> w
+  in
+  let idx, vars = Env.index atoms in
+  let n = vars + 1 in
+  let m =
+    Array.init n (fun i -> Array.init n (fun j -> if i = j then Some 0 else None))
+  in
+  let edge i j c = m.(i).(j) <- w_min m.(i).(j) (Some c) in
+  let install (l : Lia.lin) =
+    let at x = Env.SMap.find x idx in
+    match Env.SMap.bindings l.coeffs with
+    | [] -> if l.const > 0 then raise Exit
+    | [ (x, 1) ] -> edge (at x) 0 (-l.const)
+    | [ (x, -1) ] -> edge 0 (at x) (-l.const)
+    | [ (x, 1); (y, -1) ] | [ (y, -1); (x, 1) ] -> edge (at x) (at y) (-l.const)
+    | _ -> ()
+  in
+  match List.iter install atoms with
+  | exception Exit -> (true, m)
+  | () ->
+      for k = 0 to n - 1 do
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            m.(i).(j) <- w_min m.(i).(j) (w_add m.(i).(k) m.(k).(j))
+          done
+        done
+      done;
+      let neg = ref false in
+      for i = 0 to n - 1 do
+        match m.(i).(i) with Some c when c < 0 -> neg := true | _ -> ()
+      done;
+      (!neg, m)
+
+(** Atoms [lin ≤ 0] over a small pool: bounds and differences (so
+    cycles, negative ones included, are common), constants at or near
+    the clamp, constant atoms either way, and atoms outside the DBM
+    fragment. *)
+let gen_dbm_atoms : Lia.lin list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let v = map (fun i -> Lia.lin_var env_pool.(i)) (int_bound 4) in
+  let k = map Lia.lin_const gen_const in
+  let atom =
+    frequency
+      [
+        (6, map3 (fun a b c -> Lia.lin_add (Lia.lin_sub a b) c) v v k);
+        (2, map2 Lia.lin_add v k);
+        (2, map2 (fun a c -> Lia.lin_add (Lia.lin_scale (-1) a) c) v k);
+        (1, map Lia.lin_const (int_range (-2) 1));
+        (1, map3 (fun a b c -> Lia.lin_add (Lia.lin_add a b) c) v v k);
+        (1, map2 (fun a c -> Lia.lin_add (Lia.lin_scale 2 a) c) v k);
+      ]
+  in
+  list_size (int_range 0 16) atom
+
+let prop_unboxed_closure =
+  QCheck.Test.make ~name:"unboxed DBM closure matches the boxed one"
+    ~count:3000
+    (QCheck.make gen_dbm_atoms ~print:(fun atoms ->
+         Format.asprintf "[%a]"
+           (Format.pp_print_list ~pp_sep:Format.pp_print_space Lia.pp_lin)
+           atoms))
+    (fun atoms ->
+      let got = Env.of_atoms atoms in
+      let bot, m = boxed_closure atoms in
+      got.Env.bot = bot
+      && (bot
+         || got.Env.m
+            = Array.map (Array.map (Option.value ~default:Env.inf)) m))
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_seed = 0xab51
 
@@ -457,4 +542,7 @@ let tests =
         QCheck_alcotest.to_alcotest
           ~rand:(Random.State.make [| qcheck_seed |])
           prop_slice_envs;
+        QCheck_alcotest.to_alcotest
+          ~rand:(Random.State.make [| qcheck_seed |])
+          prop_unboxed_closure;
       ] )

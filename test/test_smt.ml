@@ -763,10 +763,12 @@ let rec list_elim_eqs (eqs : Lia.lin list) (ineqs : Lia.lin list) :
             if g > 1 && e.const mod g <> 0 then raise Lia.Infeasible
             else list_elim_eqs rest (e :: Lia.lin_scale (-1) e :: ineqs))
 
+(** Rows equal by bindings. *)
+let same_row (a : Lia.lin) (b : Lia.lin) =
+  a.const = b.const && Lia.SMap.equal Int.equal a.coeffs b.coeffs
+
 (** Rows equal by bindings, in the same order. *)
-let same_rows =
-  List.equal (fun (a : Lia.lin) (b : Lia.lin) ->
-      a.const = b.const && Lia.SMap.equal Int.equal a.coeffs b.coeffs)
+let same_rows = List.equal same_row
 
 let pp_rows =
   Format.pp_print_list
@@ -831,6 +833,112 @@ let prop_elim_eqs_reference =
       Option.equal same_rows
         (run (fun () -> list_elim_eqs eqs ineqs))
         (run (fun () -> Lia.elim_eqs eqs ineqs)))
+
+(* ------------------------------------------------------------------ *)
+(* Lia: Phase 2 from a component's kept first round                    *)
+(* ------------------------------------------------------------------ *)
+
+(** A kept component and the checks run on it: split rows, the other
+    rows, and each check's final row [g] and extra rows. Rows come from
+    a small pool, so they repeat; [g] is often a split row or a row
+    first seen among the other rows, and an extra row is often [g], a
+    kept row or another extra row. Constant rows occur, and either kept
+    part may be empty. *)
+let gen_kept_case :
+    (Lia.lin list * Lia.lin list * (Lia.lin option * Lia.lin list) list)
+    QCheck.Gen.t =
+  let open QCheck.Gen in
+  let vars = [ "a"; "b"; "c" ] in
+  let form =
+    let* k = int_range (-3) 3 in
+    let* cs =
+      list_size (int_range 1 3) (pair (oneofl vars) (oneofl [ -2; -1; 1; 2 ]))
+    in
+    return (lin_of (k, cs))
+  in
+  let fresh =
+    frequency [ (1, map Lia.lin_const (int_range (-1) 1)); (6, form) ]
+  in
+  let* pool = list_size (int_range 1 5) fresh in
+  let pool = Array.of_list pool in
+  let from_pool = map (fun i -> pool.(i)) (int_bound (Array.length pool - 1)) in
+  let* splits = list_size (int_range 0 5) from_pool in
+  let* rows =
+    list_size (int_range 0 10) (frequency [ (4, from_pool); (1, fresh) ])
+  in
+  let first_in_rows =
+    List.filter (fun r -> not (List.exists (same_row r) splits)) rows
+  in
+  let pick l = if l = [] then fresh else oneofl l in
+  let check =
+    let* g =
+      frequency
+        [
+          (1, return None);
+          (2, map Option.some (pick splits));
+          (2, map Option.some (pick first_in_rows));
+          (1, map Option.some (pick rows));
+          (1, map Option.some fresh);
+        ]
+    in
+    let* n = int_range 0 4 in
+    let rec extras acc n =
+      if n = 0 then return (List.rev acc)
+      else
+        let* r =
+          frequency
+            [
+              (2, match g with Some g -> return g | None -> fresh);
+              (2, pick (splits @ rows));
+              (2, pick acc);
+              (1, fresh);
+            ]
+        in
+        extras (r :: acc) (n - 1)
+    in
+    let* extra = extras [] n in
+    return (g, extra)
+  in
+  let* checks = list_size (int_range 1 4) check in
+  return (splits, rows, checks)
+
+let pp_kept_case (splits, rows, checks) =
+  let pp_check fmt (g, extra) =
+    Format.fprintf fmt "(g %s; extra [%a])"
+      (match g with None -> "none" | Some g -> Format.asprintf "%a" Lia.pp_lin g)
+      pp_rows extra
+  in
+  Format.asprintf "splits [%a] rows [%a] checks [%a]" pp_rows splits pp_rows
+    rows
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_check)
+    checks
+
+(** Every check on one kept component — and the first one again, after
+    the others — builds the entries [Lia.first_round] builds from the
+    check's row list (the same rows, multiplicities and last positions,
+    in the same order), and decides as the list procedure with the
+    counts of [Lia.fm] on that list. *)
+let prop_kept_reference =
+  QCheck.Test.make
+    ~name:"Phase 2 from a kept first round: the list's entries and counts"
+    ~count:3000
+    (QCheck.make ~print:pp_kept_case gen_kept_case)
+    (fun (splits, rows, checks) ->
+      let k = Lia.keep splits rows in
+      let same_entry (r, m, l) (r', m', l') =
+        same_row r r' && m = m' && l = l'
+      in
+      let agrees (g, extra) =
+        let list = splits @ Option.to_list g @ rows @ extra in
+        let decide f () = try f () with Lia.Infeasible -> false in
+        let verdict, built = list_fm list in
+        let ((verdict', _, copies) as want) = multiset_fm list in
+        List.equal same_entry (Lia.first_round list)
+          (Lia.kept_first_round k g extra)
+        && theory_counts (decide (fun () -> Lia.fm_kept k g extra)) = want
+        && verdict = verdict' && built = copies
+      in
+      List.for_all agrees checks && agrees (List.hd checks))
 
 (** Fixed systems: two splits that later equalities substitute into
     (the later split's rows come first), a substitution chain, a
@@ -1433,4 +1541,7 @@ let tests =
           `Quick cone_cases;
         Alcotest.test_case "context: disequality cases from the split" `Quick
           context_split_cases;
+        QCheck_alcotest.to_alcotest
+          ~rand:(Random.State.make [| qcheck_seed |])
+          prop_kept_reference;
       ] )
