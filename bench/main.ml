@@ -783,6 +783,7 @@ let certify_bench ~jobs () =
   let emitted = profile_count "cert.emitted" in
   let incomplete = profile_count "cert.incomplete" in
   let emit_s = profile_time "cert.emit_s" in
+  let theory_checks = profile_count "cert.theory_checks" in
   (* the solver work proper: cold wall-clock minus certificate
      construction (emission is the only certify-specific cold cost) *)
   let solve_s = cold_t -. emit_s in
@@ -807,11 +808,11 @@ let certify_bench ~jobs () =
   Printf.printf
     "Certify (7 workloads, --jobs %d):\n\
     \  cold: %.2fs  (%.2fs solving + %.2fs certificate emission; %d \
-     certificate(s), %d function(s) uncertified)\n\
+     certificate(s), %d theory check(s), %d function(s) uncertified)\n\
     \  warm: %.2fs  (%.3fs replaying %d certificate(s), %d rejected, %d \
      solver queries)\n\
     \  replay / solve: %.1f%%  (budget 5%%)\n"
-    jobs cold_t solve_s emit_s emitted incomplete warm_t replay_s replayed
+    jobs cold_t solve_s emit_s emitted theory_checks incomplete warm_t replay_s replayed
     failed warm_queries (100.0 *. ratio);
   let pass =
     cold_ok && warm_ok && emitted > 0 && incomplete = 0 && failed = 0
@@ -832,6 +833,7 @@ let certify_bench ~jobs () =
         ("replayed", Json.Int replayed);
         ("failed", Json.Int failed);
         ("incomplete", Json.Int incomplete);
+        ("theory_checks", Json.Int theory_checks);
         ("warm_solver_queries", Json.Int warm_queries);
         ("replay_over_solve", Json.Float ratio);
         ("ok", Json.Bool pass);

@@ -12,13 +12,22 @@ open Flux_smt
 let path (dir : string) (key : string) : string =
   Filename.concat dir (key ^ ".cert")
 
+(* Numbers the temp files of this process's writers. *)
+let writes = Atomic.make 0
+
 (** Atomic write (temp file + rename); never raises — certificate
     emission is an optimization, losing one is only a future cache
-    demotion. *)
+    demotion. The temp file is the writer's own, not the process's:
+    fluxd sessions and [--jobs] workers are domains of one process, and
+    two of them saving one key through one temp path could rename the
+    other's half-written file into place. *)
 let save (dir : string) (key : string) (entries : (int * Proof.t) list) :
     unit =
   let file = path dir key in
-  let tmp = Printf.sprintf "%s.tmp.%d" file (Unix.getpid ()) in
+  let tmp =
+    Printf.sprintf "%s.tmp.%d.%d" file (Unix.getpid ())
+      (Atomic.fetch_and_add writes 1)
+  in
   match open_out_bin tmp with
   | exception Sys_error _ -> ()
   | oc ->

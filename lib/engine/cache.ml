@@ -260,11 +260,19 @@ let read_marshalled : 'a. string -> 'a option =
           | e -> Some e
           | exception _ -> None)
 
+(* Numbers the temp files of this process's writers. *)
+let writes = Atomic.make 0
+
 (** Write one marshalled value atomically (temp file + rename), never
-    raising: a full disk or permission flip degrades to not caching. *)
+    raising: a full disk or permission flip degrades to not caching.
+    Each write has its own temp file, so domains of one process writing
+    one key never share one. *)
 let write_marshalled : 'a. string -> 'a -> unit =
  fun file v ->
-  let tmp = Printf.sprintf "%s.tmp.%d" file (Unix.getpid ()) in
+  let tmp =
+    Printf.sprintf "%s.tmp.%d.%d" file (Unix.getpid ())
+      (Atomic.fetch_and_add writes 1)
+  in
   match open_out_bin tmp with
   | exception Sys_error _ -> ()
   | oc ->

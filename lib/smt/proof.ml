@@ -9,12 +9,14 @@
     theory leaf — a Farkas-style nonnegative combination of the path
     hypotheses deriving [0 < 0].
 
-    The types here are pure data plus an s-expression codec; they
-    depend only on {!Term} and {!Sort} so the replay checker shares no
-    code with the solver. Steps deliberately do {e not} store the
-    intermediate linear forms: replay recomputes every combination with
-    its own arithmetic, so a tampered multiplier cannot be papered over
-    by a tampered intermediate. *)
+    The types here are pure data plus an s-expression codec: a parser
+    to an s-expression tree, decoders from it, and printers that write
+    the text straight into a buffer. They depend only on {!Term} and
+    {!Sort} so the replay checker shares no code with the solver; the
+    fuzz reproducer files use the same parser and term codec. Steps
+    deliberately do {e not} store the intermediate linear forms: replay
+    recomputes every combination with its own arithmetic, so a tampered
+    multiplier cannot be papered over by a tampered intermediate. *)
 
 (* ------------------------------------------------------------------ *)
 (* Certificate syntax                                                  *)
@@ -64,7 +66,12 @@ type trefut =
 (** The DPLL search tree over the boolean skeleton. *)
 type tree =
   | Split of int * tree * tree  (** branch on atom: true / false *)
-  | Unit of int * bool * tree  (** forced literal (unit propagation) *)
+  | Unit of int * bool * tree
+      (** a literal forced by the skeleton: under the path's assignment,
+          the opposite value makes skeleton and defs simplify to
+          [false] propositionally, so only this side needs a proof.
+          The search emits one for each literal reached through
+          conjunctions alone, however deep. *)
   | BoolLeaf  (** the skeleton simplifies to [false] propositionally *)
   | TheoryLeaf of trefut  (** the path's theory literals are infeasible *)
 
@@ -78,7 +85,7 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* S-expressions (same tiny grammar as the fuzz reproducer files)      *)
+(* S-expressions (shared with the fuzz reproducer files)               *)
 (* ------------------------------------------------------------------ *)
 
 type sexp = Atom of string | List of sexp list
@@ -139,26 +146,6 @@ let parse_sexps (src : string) : sexp list =
   in
   top []
 
-let rec pp_sexp buf = function
-  | Atom a -> Buffer.add_string buf a
-  | List xs ->
-      Buffer.add_char buf '(';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ' ';
-          pp_sexp buf x)
-        xs;
-      Buffer.add_char buf ')'
-
-let sexps_to_string (xs : sexp list) : string =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun x ->
-      pp_sexp buf x;
-      Buffer.add_char buf '\n')
-    xs;
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* Term codec                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -189,27 +176,71 @@ let cmpop_tag = function
   | Term.Gt -> "gt"
   | Term.Ge -> "ge"
 
-let rec term_to_sexp (t : Term.t) : sexp =
-  let l tag xs = List (Atom tag :: xs) in
+(* The printers write each value straight into a buffer, as the text of
+   the s-expression the decoders read: atoms separated by one space, no
+   other whitespace. No s-expression tree is built on the way, so
+   printing a large certificate allocates little beyond the buffer. *)
+
+let open_tag buf tag =
+  Buffer.add_char buf '(';
+  Buffer.add_string buf tag
+
+(** A space, then the atom [a]. *)
+let add_atom buf a =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf a
+
+(** A space, then the integer [n]. *)
+let add_int buf n = add_atom buf (string_of_int n)
+
+let close buf = Buffer.add_char buf ')'
+
+(** A space, then [x] printed by [add]. *)
+let add_arg buf add x =
+  Buffer.add_char buf ' ';
+  add buf x
+
+(** [(tag x₁ … xₙ)], each [xᵢ] printed by [add]. *)
+let add_node buf tag add xs =
+  open_tag buf tag;
+  List.iter (add_arg buf add) xs;
+  close buf
+
+let rec add_term buf (t : Term.t) =
   match t with
-  | Term.Var (x, s) -> l "var" [ Atom x; Atom (sort_to_atom s) ]
-  | Term.Int n -> l "int" [ Atom (string_of_int n) ]
-  | Term.Bool b -> l "bool" [ Atom (string_of_bool b) ]
-  | Term.Real x -> l "real" [ Atom (string_of_float x) ]
-  | Term.Binop (op, a, b) ->
-      l (binop_tag op) [ term_to_sexp a; term_to_sexp b ]
-  | Term.Neg a -> l "neg" [ term_to_sexp a ]
-  | Term.Cmp (op, a, b) -> l (cmpop_tag op) [ term_to_sexp a; term_to_sexp b ]
-  | Term.Eq (a, b) -> l "eq" [ term_to_sexp a; term_to_sexp b ]
-  | Term.Ne (a, b) -> l "ne" [ term_to_sexp a; term_to_sexp b ]
-  | Term.And ts -> l "and" (List.map term_to_sexp ts)
-  | Term.Or ts -> l "or" (List.map term_to_sexp ts)
-  | Term.Not a -> l "not" [ term_to_sexp a ]
-  | Term.Imp (a, b) -> l "imp" [ term_to_sexp a; term_to_sexp b ]
-  | Term.Iff (a, b) -> l "iff" [ term_to_sexp a; term_to_sexp b ]
-  | Term.Ite (c, a, b) ->
-      l "ite" [ term_to_sexp c; term_to_sexp a; term_to_sexp b ]
-  | Term.App (f, ts) -> l "app" (Atom f :: List.map term_to_sexp ts)
+  | Term.Var (x, s) ->
+      open_tag buf "var";
+      add_atom buf x;
+      add_atom buf (sort_to_atom s);
+      close buf
+  | Term.Int n ->
+      open_tag buf "int";
+      add_int buf n;
+      close buf
+  | Term.Bool b ->
+      open_tag buf "bool";
+      add_atom buf (string_of_bool b);
+      close buf
+  | Term.Real x ->
+      open_tag buf "real";
+      add_atom buf (string_of_float x);
+      close buf
+  | Term.Binop (op, a, b) -> add_node buf (binop_tag op) add_term [ a; b ]
+  | Term.Neg a -> add_node buf "neg" add_term [ a ]
+  | Term.Cmp (op, a, b) -> add_node buf (cmpop_tag op) add_term [ a; b ]
+  | Term.Eq (a, b) -> add_node buf "eq" add_term [ a; b ]
+  | Term.Ne (a, b) -> add_node buf "ne" add_term [ a; b ]
+  | Term.And ts -> add_node buf "and" add_term ts
+  | Term.Or ts -> add_node buf "or" add_term ts
+  | Term.Not a -> add_node buf "not" add_term [ a ]
+  | Term.Imp (a, b) -> add_node buf "imp" add_term [ a; b ]
+  | Term.Iff (a, b) -> add_node buf "iff" add_term [ a; b ]
+  | Term.Ite (c, a, b) -> add_node buf "ite" add_term [ c; a; b ]
+  | Term.App (f, ts) ->
+      open_tag buf "app";
+      add_atom buf f;
+      List.iter (add_arg buf add_term) ts;
+      close buf
 
 (* Decoding rebuilds with the smart constructors: on terms that were
    themselves built with the smart constructors (everything a
@@ -308,14 +339,89 @@ let bool_of_atom = function
   | Atom "false" -> false
   | _ -> raise (Parse_error "expected boolean atom")
 
-let fresh_to_sexp = function
+let add_fresh buf = function
   | Divmod (a, c, q) ->
-      List [ Atom "divmod"; term_to_sexp a; Atom (string_of_int c); Atom q ]
+      open_tag buf "divmod";
+      add_arg buf add_term a;
+      add_int buf c;
+      add_atom buf q;
+      close buf
   | Opaque (key, v, s) ->
-      List [ Atom "opaque"; term_to_sexp key; Atom v; Atom (sort_to_atom s) ]
+      open_tag buf "opaque";
+      add_arg buf add_term key;
+      add_atom buf v;
+      add_atom buf (sort_to_atom s);
+      close buf
   | IteV (c, a, b, v) ->
-      List [ Atom "itev"; term_to_sexp c; term_to_sexp a; term_to_sexp b;
-             Atom v ]
+      open_tag buf "itev";
+      List.iter (add_arg buf add_term) [ c; a; b ];
+      add_atom buf v;
+      close buf
+
+let add_src buf src =
+  let indexed tag i =
+    open_tag buf tag;
+    add_int buf i;
+    close buf
+  in
+  match src with
+  | Hyp (i, pol, dir) ->
+      open_tag buf "hyp";
+      add_int buf i;
+      add_atom buf (string_of_bool pol);
+      add_int buf dir;
+      close buf
+  | Step i -> indexed "step" i
+  | Dle i -> indexed "dle" i
+  | Dge i -> indexed "dge" i
+
+let add_step buf = function
+  | Comb ks ->
+      add_node buf "comb"
+        (fun buf (k, s) ->
+          Buffer.add_char buf '(';
+          Buffer.add_string buf (string_of_int k);
+          add_arg buf add_src s;
+          close buf)
+        ks
+  | Tight s -> add_node buf "tight" add_src [ s ]
+
+let rec add_trefut buf = function
+  | Steps ss -> add_node buf "steps" add_step ss
+  | Dsplit (i, l, r) ->
+      open_tag buf "dsplit";
+      add_int buf i;
+      List.iter (add_arg buf add_trefut) [ l; r ];
+      close buf
+
+let rec add_tree buf = function
+  | Split (i, l, r) ->
+      open_tag buf "split";
+      add_int buf i;
+      List.iter (add_arg buf add_tree) [ l; r ];
+      close buf
+  | Unit (i, pol, sub) ->
+      open_tag buf "unit";
+      add_int buf i;
+      add_atom buf (string_of_bool pol);
+      add_arg buf add_tree sub;
+      close buf
+  | BoolLeaf -> Buffer.add_string buf "(bfalse)"
+  | TheoryLeaf tr -> add_node buf "theory" add_trefut [ tr ]
+
+let add_proof buf (p : t) =
+  let field tag add xs =
+    Buffer.add_char buf ' ';
+    add_node buf tag add xs
+  in
+  open_tag buf "proof";
+  field "goal" add_term [ p.goal ];
+  field "fresh" add_fresh p.fresh;
+  field "skeleton" add_term [ p.skeleton ];
+  field "defs" add_term p.defs;
+  field "atoms" add_term (Array.to_list p.atoms);
+  field "tree" add_tree [ p.tree ];
+  close buf
 
 let fresh_of_sexp = function
   | List [ Atom "divmod"; a; c; Atom q ] ->
@@ -326,15 +432,6 @@ let fresh_of_sexp = function
       IteV (term_of_sexp c, term_of_sexp a, term_of_sexp b, v)
   | _ -> raise (Parse_error "fresh")
 
-let src_to_sexp = function
-  | Hyp (i, pol, dir) ->
-      List
-        [ Atom "hyp"; Atom (string_of_int i); Atom (string_of_bool pol);
-          Atom (string_of_int dir) ]
-  | Step i -> List [ Atom "step"; Atom (string_of_int i) ]
-  | Dle i -> List [ Atom "dle"; Atom (string_of_int i) ]
-  | Dge i -> List [ Atom "dge"; Atom (string_of_int i) ]
-
 let src_of_sexp = function
   | List [ Atom "hyp"; i; pol; dir ] ->
       Hyp (int_of_atom i, bool_of_atom pol, int_of_atom dir)
@@ -342,15 +439,6 @@ let src_of_sexp = function
   | List [ Atom "dle"; i ] -> Dle (int_of_atom i)
   | List [ Atom "dge"; i ] -> Dge (int_of_atom i)
   | _ -> raise (Parse_error "src")
-
-let step_to_sexp = function
-  | Comb ks ->
-      List
-        (Atom "comb"
-        :: List.map
-             (fun (k, s) -> List [ Atom (string_of_int k); src_to_sexp s ])
-             ks)
-  | Tight s -> List [ Atom "tight"; src_to_sexp s ]
 
 let step_of_sexp = function
   | List (Atom "comb" :: ks) ->
@@ -363,29 +451,11 @@ let step_of_sexp = function
   | List [ Atom "tight"; s ] -> Tight (src_of_sexp s)
   | _ -> raise (Parse_error "step")
 
-let rec trefut_to_sexp = function
-  | Steps ss -> List (Atom "steps" :: List.map step_to_sexp ss)
-  | Dsplit (i, l, r) ->
-      List
-        [ Atom "dsplit"; Atom (string_of_int i); trefut_to_sexp l;
-          trefut_to_sexp r ]
-
 let rec trefut_of_sexp = function
   | List (Atom "steps" :: ss) -> Steps (List.map step_of_sexp ss)
   | List [ Atom "dsplit"; i; l; r ] ->
       Dsplit (int_of_atom i, trefut_of_sexp l, trefut_of_sexp r)
   | _ -> raise (Parse_error "trefut")
-
-let rec tree_to_sexp = function
-  | Split (i, l, r) ->
-      List
-        [ Atom "split"; Atom (string_of_int i); tree_to_sexp l; tree_to_sexp r ]
-  | Unit (i, pol, sub) ->
-      List
-        [ Atom "unit"; Atom (string_of_int i); Atom (string_of_bool pol);
-          tree_to_sexp sub ]
-  | BoolLeaf -> List [ Atom "bfalse" ]
-  | TheoryLeaf tr -> List [ Atom "theory"; trefut_to_sexp tr ]
 
 let rec tree_of_sexp = function
   | List [ Atom "split"; i; l; r ] ->
@@ -395,18 +465,6 @@ let rec tree_of_sexp = function
   | List [ Atom "bfalse" ] -> BoolLeaf
   | List [ Atom "theory"; tr ] -> TheoryLeaf (trefut_of_sexp tr)
   | _ -> raise (Parse_error "tree")
-
-let to_sexp (p : t) : sexp =
-  List
-    [
-      Atom "proof";
-      List (Atom "goal" :: [ term_to_sexp p.goal ]);
-      List (Atom "fresh" :: List.map fresh_to_sexp p.fresh);
-      List (Atom "skeleton" :: [ term_to_sexp p.skeleton ]);
-      List (Atom "defs" :: List.map term_to_sexp p.defs);
-      List (Atom "atoms" :: List.map term_to_sexp (Array.to_list p.atoms));
-      List (Atom "tree" :: [ tree_to_sexp p.tree ]);
-    ]
 
 let of_sexp (s : sexp) : t =
   match s with
@@ -430,7 +488,11 @@ let of_sexp (s : sexp) : t =
       }
   | _ -> raise (Parse_error "proof")
 
-let to_string (p : t) : string = sexps_to_string [ to_sexp p ]
+let to_string (p : t) : string =
+  let buf = Buffer.create 1024 in
+  add_proof buf p;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
 
 let of_string (src : string) : t =
   match parse_sexps src with
@@ -446,11 +508,16 @@ let of_string (src : string) : t =
     in the cache as s-expression text under the same content key, so a
     certificate can never be replayed against the wrong source. *)
 let cert_to_string (entries : (int * t) list) : string =
-  sexps_to_string
-    (List.map
-       (fun (tag, p) ->
-         List [ Atom "cert"; Atom (string_of_int tag); to_sexp p ])
-       entries)
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (tag, p) ->
+      open_tag buf "cert";
+      add_int buf tag;
+      add_arg buf add_proof p;
+      close buf;
+      Buffer.add_char buf '\n')
+    entries;
+  Buffer.contents buf
 
 let cert_of_string (src : string) : (int * t) list =
   List.map

@@ -596,51 +596,70 @@ let dpll_sat (atom_arr : Term.t array) (f : bform) : bool =
 (* Certifying refutation and model-producing search                    *)
 (* ------------------------------------------------------------------ *)
 
-(** Like {!dpll_sat} on an unsatisfiable skeleton, but building the
-    search tree as a {!Proof.tree}: unit propagations become [Unit]
-    nodes, branches become [Split] nodes, and every closed path carries
-    either a propositional [BoolLeaf] or a {!Farkas.refute} certificate
-    of its theory literals. Returns [None] when the skeleton is
-    satisfiable {e or} when some infeasible path cannot be certified —
-    never a wrong tree (the replay checker re-validates everything
-    anyway). *)
-let dpll_refute (atom_arr : Term.t array) (f : bform) : Proof.tree option =
-  let n = Array.length atom_arr in
-  let assign = Array.make n 0 in
-  let assigned_hyps () =
+(** The first literal reached from the root of [f] through [BAnd]
+    nodes alone. Every model of [f] gives it this polarity: the opposite
+    value falsifies each conjunction on the way up, so [f] simplifies to
+    [BFalse] propositionally. *)
+let rec forced_literal = function
+  | BLit (i, pol) -> Some (i, pol)
+  | BAnd fs -> List.find_map forced_literal fs
+  | BOr _ | BTrue | BFalse -> None
+
+(** The theory step of the certifying search: the theory literals of the
+    atoms [assign] gives a value are infeasible, with a {!Farkas.refute}
+    certificate. [None] when they are feasible or when Farkas cannot
+    certify them. Each call is one [cert.theory_checks]. *)
+let theory_refute (atom_arr : Term.t array) (assign : int array) :
+    Proof.trefut option =
+  Profile.incr "cert.theory_checks";
+  let hyps =
     fold_assigned atom_arr assign (fun i v l acc -> (i, v, l) :: acc) []
   in
-  let theory_refute () : Proof.trefut option =
-    let hyps = assigned_hyps () in
-    if Lia.sat_literals (List.map (fun (_, _, l) -> l) hyps) then None
-    else
-      match Farkas.refute hyps with
-      | Some tr -> Some tr
-      | None ->
-          (* the theory found the path infeasible but the certifying
-             mirror could not reproduce it — a completeness gap, not a
-             soundness problem; the caller keeps searching deeper or
-             gives up *)
-          Profile.incr "cert.farkas_gap";
-          None
+  if Lia.sat_literals (List.map (fun (_, _, l) -> l) hyps) then None
+  else
+    match Farkas.refute hyps with
+    | Some tr -> Some tr
+    | None ->
+        (* the theory found the path infeasible but the certifying
+           mirror could not reproduce it — a completeness gap, not a
+           soundness problem; the caller keeps searching deeper or
+           gives up *)
+        Profile.incr "cert.farkas_gap";
+        None
+
+(** A refutation of the skeleton [f] as a {!Proof.tree}. Every literal
+    forced by the conjunctive structure ({!forced_literal}), however
+    deeply nested in conjunctions, becomes a [Unit] node with no theory
+    check; once none is left, the literals assigned so far are asked
+    for a theory refutation, and only when there is none does the
+    search split on the first unassigned atom. Closed paths carry a
+    propositional [BoolLeaf] or a {!theory_refute} certificate. Unlike
+    {!dpll}, a hypothesis of n literals costs one theory check, not
+    one per literal. Returns [None] when the skeleton is satisfiable
+    {e or} when some infeasible path cannot be certified — never a
+    wrong tree (the replay checker re-validates everything anyway). *)
+let dpll_refute (atom_arr : Term.t array) (f : bform) : Proof.tree option =
+  let assign = Array.make (Array.length atom_arr) 0 in
+  let theory_leaf () =
+    Option.map (fun tr -> Proof.TheoryLeaf tr) (theory_refute atom_arr assign)
   in
   let rec go f : Proof.tree option =
     match simplify assign f with
     | BFalse -> Some Proof.BoolLeaf
-    | BTrue -> Option.map (fun tr -> Proof.TheoryLeaf tr) (theory_refute ())
+    | BTrue -> theory_leaf ()
     | f' -> (
-        match unit_literals f' with
-        | (i, pol) :: _ ->
+        match forced_literal f' with
+        | Some (i, pol) ->
             assign.(i) <- (if pol then 1 else 2);
             let sub = go f' in
             assign.(i) <- 0;
             Option.map (fun t -> Proof.Unit (i, pol, t)) sub
-        | [] -> (
-            (* early pruning, mirroring the sat search: a path already
-               infeasible closes here if Farkas can certify it; if not,
-               branching deeper adds literals and may still succeed *)
-            match theory_refute () with
-            | Some tr -> Some (Proof.TheoryLeaf tr)
+        | None -> (
+            (* early pruning: a path already infeasible closes here if
+               Farkas can certify it; if not, branching deeper adds
+               literals and may still succeed *)
+            match theory_leaf () with
+            | Some _ as leaf -> leaf
             | None -> (
                 match first_lit f' with
                 | None -> None
@@ -1186,12 +1205,13 @@ let sliced_implication (hyps : Term.t list) (goal : Term.t) : Term.t =
 (* Certificates and models                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** Produce a replayable validity certificate for [goal], or [None] if
-    the certifying search cannot close it (including when [goal] is
-    simply not valid). Independent of {!valid}: the div/mod encoding
-    always takes the split form the replay checker knows how to
-    re-derive. *)
-let certify (goal : Term.t) : Proof.t option =
+(** Produce a replayable validity certificate for [goal] with the
+    refutation [search], or [None] if it cannot close the skeleton
+    (including when [goal] is simply not valid). Independent of
+    {!valid}: the div/mod encoding always takes the split form the
+    replay checker knows how to re-derive. [search atom_arr conj f] gets
+    the atom table, the conjunction of skeleton and defs, and its NNF. *)
+let certify_gen search (goal : Term.t) : Proof.t option =
   let t0 = Unix.gettimeofday () in
   let result =
     match
@@ -1217,7 +1237,7 @@ let certify (goal : Term.t) : Proof.t option =
           let atoms = { table = SmallTbl.create 64; list = []; n = 0 } in
           let f = to_bform atoms true full in
           let atom_arr = Array.of_list (List.rev atoms.list) in
-          match dpll_refute atom_arr f with
+          match search atom_arr full f with
           | None -> None
           | Some tree ->
               Some
@@ -1229,6 +1249,9 @@ let certify (goal : Term.t) : Proof.t option =
   in
   Profile.add_time "cert.certify_s" (Unix.gettimeofday () -. t0);
   result
+
+let certify = certify_gen (fun atom_arr _ f -> dpll_refute atom_arr f)
+let certify_by search = certify_gen (fun atom_arr full _ -> search atom_arr full)
 
 (** A satisfying assignment for [t] over its free variables, verified
     by ground evaluation before being returned — [Some env] is

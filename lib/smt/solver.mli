@@ -148,6 +148,20 @@ val certify : Term.t -> Proof.t option
     when it is simply not valid; a returned certificate always replays
     against [goal] itself. Independent of {!valid}. *)
 
+val certify_by :
+  (Term.t array -> Term.t -> Proof.tree option) -> Term.t -> Proof.t option
+(** {!certify} with another refutation search, for holding the search
+    to a reference: [search atoms conj] refutes [conj], the conjunction
+    of the certificate's skeleton and defs, over the atom table [atoms].
+    The certificate is returned unchecked. *)
+
+val theory_refute : Term.t array -> int array -> Proof.trefut option
+(** The theory step of {!certify}'s search: [theory_refute atoms assign]
+    refutes the theory literals of the atoms that [assign] gives a value
+    ([1] true, [2] false, [0] unassigned), or is [None]. Bumps the
+    profile counter [cert.theory_checks], and [cert.farkas_gap] when the
+    literals are infeasible but Farkas cannot certify them. *)
+
 val model : Term.t -> (string * Eval.value) list option
 (** A satisfying assignment for [t] over its free variables.
     Verified by ground evaluation before being returned, so

@@ -269,6 +269,460 @@ let model_tests =
         Alcotest.(check bool) "unsat has no model" true (Solver.model t = None));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The search and the printer against their previous forms             *)
+(* ------------------------------------------------------------------ *)
+
+(** [conj]'s NNF over [atoms], numbered as the certifying search
+    numbers them. *)
+let bform_of (atoms : Term.t array) (conj : Term.t) : Replay.bform =
+  let ids = Replay.TermTbl.create 64 in
+  Array.iteri
+    (fun i a -> if not (Replay.TermTbl.mem ids a) then Replay.TermTbl.add ids a i)
+    atoms;
+  Replay.to_bform ids true conj
+
+(** The certifying search before literals were forced through
+    conjunctions: a unit only from a top-level literal, and every other
+    literal a decision, each preceded by a theory check. Its trees are
+    the ones certificates had before, so warm caches hold them. *)
+let reference_search (atoms : Term.t array) (conj : Term.t) :
+    Proof.tree option =
+  let assign = Array.make (Array.length atoms) 0 in
+  let rec first_lit = function
+    | Replay.BLit (i, _) -> Some i
+    | Replay.BAnd fs | Replay.BOr fs -> List.find_map first_lit fs
+    | Replay.BTrue | Replay.BFalse -> None
+  in
+  let unit_literals = function
+    | Replay.BLit (i, pol) -> [ (i, pol) ]
+    | Replay.BAnd fs ->
+        List.filter_map
+          (function Replay.BLit (i, pol) -> Some (i, pol) | _ -> None)
+          fs
+    | _ -> []
+  in
+  let theory_leaf () =
+    Option.map
+      (fun tr -> Proof.TheoryLeaf tr)
+      (Solver.theory_refute atoms assign)
+  in
+  let rec go f =
+    match Replay.simplify assign f with
+    | Replay.BFalse -> Some Proof.BoolLeaf
+    | Replay.BTrue -> theory_leaf ()
+    | f' -> (
+        match unit_literals f' with
+        | (i, pol) :: _ ->
+            assign.(i) <- (if pol then 1 else 2);
+            let sub = go f' in
+            assign.(i) <- 0;
+            Option.map (fun t -> Proof.Unit (i, pol, t)) sub
+        | [] -> (
+            match theory_leaf () with
+            | Some _ as leaf -> leaf
+            | None -> (
+                match first_lit f' with
+                | None -> None
+                | Some i -> (
+                    assign.(i) <- 1;
+                    let l = go f' in
+                    assign.(i) <- 0;
+                    match l with
+                    | None -> None
+                    | Some lt -> (
+                        assign.(i) <- 2;
+                        let r = go f' in
+                        assign.(i) <- 0;
+                        Option.map (fun rt -> Proof.Split (i, lt, rt)) r)))))
+  in
+  go (bform_of atoms conj)
+
+(* The s-expression printer certificates were written with before the
+   direct printer: build the tree, then print it. *)
+
+let rec pp_sexp buf = function
+  | Proof.Atom a -> Buffer.add_string buf a
+  | Proof.List xs ->
+      Buffer.add_char buf '(';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ' ';
+          pp_sexp buf x)
+        xs;
+      Buffer.add_char buf ')'
+
+let sexps_to_string xs =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun x ->
+      pp_sexp buf x;
+      Buffer.add_char buf '\n')
+    xs;
+  Buffer.contents buf
+
+let sexp_of_term =
+  let open Proof in
+  let rec go (t : Term.t) =
+    let l tag xs = List (Atom tag :: xs) in
+    match t with
+    | Term.Var (x, s) -> l "var" [ Atom x; Atom (sort_to_atom s) ]
+    | Term.Int n -> l "int" [ Atom (string_of_int n) ]
+    | Term.Bool b -> l "bool" [ Atom (string_of_bool b) ]
+    | Term.Real x -> l "real" [ Atom (string_of_float x) ]
+    | Term.Binop (op, a, b) -> l (binop_tag op) [ go a; go b ]
+    | Term.Neg a -> l "neg" [ go a ]
+    | Term.Cmp (op, a, b) -> l (cmpop_tag op) [ go a; go b ]
+    | Term.Eq (a, b) -> l "eq" [ go a; go b ]
+    | Term.Ne (a, b) -> l "ne" [ go a; go b ]
+    | Term.And ts -> l "and" (List.map go ts)
+    | Term.Or ts -> l "or" (List.map go ts)
+    | Term.Not a -> l "not" [ go a ]
+    | Term.Imp (a, b) -> l "imp" [ go a; go b ]
+    | Term.Iff (a, b) -> l "iff" [ go a; go b ]
+    | Term.Ite (c, a, b) -> l "ite" [ go c; go a; go b ]
+    | Term.App (f, ts) -> l "app" (Atom f :: List.map go ts)
+  in
+  go
+
+let sexp_of_proof (p : Proof.t) : Proof.sexp =
+  let open Proof in
+  let int n = Atom (string_of_int n) and bool b = Atom (string_of_bool b) in
+  let fresh = function
+    | Divmod (a, c, q) -> List [ Atom "divmod"; sexp_of_term a; int c; Atom q ]
+    | Opaque (key, v, s) ->
+        List [ Atom "opaque"; sexp_of_term key; Atom v; Atom (sort_to_atom s) ]
+    | IteV (c, a, b, v) ->
+        List
+          [ Atom "itev"; sexp_of_term c; sexp_of_term a; sexp_of_term b;
+            Atom v ]
+  in
+  let src = function
+    | Hyp (i, pol, dir) -> List [ Atom "hyp"; int i; bool pol; int dir ]
+    | Step i -> List [ Atom "step"; int i ]
+    | Dle i -> List [ Atom "dle"; int i ]
+    | Dge i -> List [ Atom "dge"; int i ]
+  in
+  let step = function
+    | Comb ks ->
+        List (Atom "comb" :: List.map (fun (k, s) -> List [ int k; src s ]) ks)
+    | Tight s -> List [ Atom "tight"; src s ]
+  in
+  let rec trefut = function
+    | Steps ss -> List (Atom "steps" :: List.map step ss)
+    | Dsplit (i, l, r) -> List [ Atom "dsplit"; int i; trefut l; trefut r ]
+  in
+  let rec tree = function
+    | Split (i, l, r) -> List [ Atom "split"; int i; tree l; tree r ]
+    | Unit (i, pol, sub) -> List [ Atom "unit"; int i; bool pol; tree sub ]
+    | BoolLeaf -> List [ Atom "bfalse" ]
+    | TheoryLeaf tr -> List [ Atom "theory"; trefut tr ]
+  in
+  List
+    [
+      Atom "proof";
+      List [ Atom "goal"; sexp_of_term p.goal ];
+      List (Atom "fresh" :: List.map fresh p.fresh);
+      List [ Atom "skeleton"; sexp_of_term p.skeleton ];
+      List (Atom "defs" :: List.map sexp_of_term p.defs);
+      List (Atom "atoms" :: List.map sexp_of_term (Array.to_list p.atoms));
+      List [ Atom "tree"; tree p.tree ];
+    ]
+
+let sexp_cert_to_string entries =
+  sexps_to_string
+    (List.map
+       (fun (tag, p) ->
+         Proof.List [ Proof.Atom "cert"; Proof.Atom (string_of_int tag);
+                      sexp_of_proof p ])
+       entries)
+
+(** Every clause query of the Table-1 programs and RMat, under the
+    solution the fixpoint solver finds for its function. *)
+let table1_goals : Term.t list Lazy.t =
+  lazy
+    (let module W = Flux_workloads.Workloads in
+     let module Solve = Flux_fixpoint.Solve in
+     let srcs = List.map (fun b -> b.W.bm_flux) W.all @ [ W.rmat_flux ] in
+     List.concat_map
+       (fun src ->
+         let prog = Flux_syntax.Parser.parse_program src in
+         Flux_syntax.Typeck.check_program prog;
+         let genv = Flux_check.Genv.build prog in
+         List.concat_map
+           (fun (fd : Flux_syntax.Ast.fn_def) ->
+             match Flux_check.Genv.find_body genv fd.fn_name with
+             | Some body when not fd.fn_trusted ->
+                 let module C = Flux_check.Checker in
+                 let pr = C.prepare genv fd body in
+                 if C.prepared_early pr then []
+                 else
+                   let kvars = C.prepared_kvars pr in
+                   let clauses = C.prepared_clauses pr in
+                   let sol =
+                     match Solve.solve_clauses_incremental ~kvars clauses with
+                     | Solve.Sat sol | Solve.Unsat (_, sol) -> sol
+                   in
+                   List.map (Solve.clause_query ~kvars sol) clauses
+             | _ -> [])
+           (Flux_syntax.Ast.program_fns prog))
+       srcs)
+
+(** Terms of the certificate fuzz oracle ([flux fuzz --oracle cert]). *)
+let fuzz_goals n =
+  let root = Flux_fuzz.Rng.make 42 in
+  List.init n (fun case -> Flux_fuzz.Tgen.gen (Flux_fuzz.Rng.split root case))
+
+let theory_checks f =
+  Profile.reset ();
+  let r = f () in
+  let n =
+    match List.assoc_opt "cert.theory_checks" (Profile.snapshot ()) with
+    | Some (n, _, _) -> n
+    | None -> 0
+  in
+  (r, n)
+
+(** [certify] and the reference agree on whether [goal] has a
+    certificate, and each certificate replays, printed and parsed too.
+    Returns the theory checks each made. *)
+let agree name goal =
+  let p, n = theory_checks (fun () -> Solver.certify goal) in
+  let r, n_ref =
+    theory_checks (fun () -> Solver.certify_by reference_search goal)
+  in
+  if Option.is_some p <> Option.is_some r then
+    Alcotest.failf "%s: certify %s, the reference %s" name
+      (if p = None then "gives up" else "certifies")
+      (if r = None then "gives up" else "certifies");
+  List.iter
+    (fun (who, c) ->
+      Option.iter
+        (fun c ->
+          let ok = result_str (Replay.check ~goal c) in
+          let ok_text =
+            result_str (Replay.check_string ~goal (Proof.to_string c))
+          in
+          if ok <> "ok" || ok_text <> "ok" then
+            Alcotest.failf "%s: %s's certificate does not replay (%s, %s)"
+              name who ok ok_text)
+        c)
+    [ ("certify", p); ("the reference", r) ];
+  (n, n_ref)
+
+(** The literals reached from the root of a certificate's skeleton
+    through conjunctions alone. *)
+let forced_at_root (p : Proof.t) : (int * bool) list =
+  let rec go = function
+    | Replay.BLit (i, pol) -> [ (i, pol) ]
+    | Replay.BAnd fs -> List.concat_map go fs
+    | _ -> []
+  in
+  go (bform_of p.Proof.atoms (Term.mk_and (p.Proof.skeleton :: p.Proof.defs)))
+
+(** The [Unit] literals from the root of [t] down to its first other
+    node. *)
+let rec root_units = function
+  | Proof.Unit (i, pol, sub) -> (i, pol) :: root_units sub
+  | _ -> []
+
+(** The atoms [t] splits on. *)
+let rec split_atoms = function
+  | Proof.Split (i, l, r) -> (i :: split_atoms l) @ split_atoms r
+  | Proof.Unit (_, _, sub) -> split_atoms sub
+  | Proof.BoolLeaf | Proof.TheoryLeaf _ -> []
+
+let nested_goal =
+  Term.(
+    mk_imp
+      (mk_and [ ge x (int 0); mk_and [ le x (int 10); eq y x ] ])
+      (ge (div y (int 2)) (int 0)))
+
+let search_tests =
+  [
+    Alcotest.test_case "nested hypothesis literals are units" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, goal) ->
+            let p = certify_exn name goal in
+            let units = root_units p.Proof.tree in
+            List.iter
+              (fun l ->
+                if not (List.mem l units) then
+                  Alcotest.failf "%s: forced literal %d is not a root unit"
+                    name (fst l))
+              (forced_at_root p))
+          (("nested", nested_goal) :: valid_pool);
+        (* the hypothesis literals sit under two conjunctions: the
+           reference decides them, the search never does *)
+        let p = certify_exn "nested" nested_goal in
+        let forced = List.map fst (forced_at_root p) in
+        Alcotest.(check bool)
+          "the hypothesis literals are forced" true
+          (List.length forced >= 4);
+        let decides_forced (t : Proof.tree) =
+          List.exists (fun i -> List.mem i forced) (split_atoms t)
+        in
+        Alcotest.(check bool)
+          "the search decides no forced literal" false
+          (decides_forced p.Proof.tree);
+        match Solver.certify_by reference_search nested_goal with
+        | None -> Alcotest.fail "the reference gives up"
+        | Some r ->
+            Alcotest.(check bool)
+              "the reference decides forced literals" true
+              (decides_forced r.Proof.tree));
+    Alcotest.test_case "certify agrees with the reference on fuzz terms"
+      `Quick (fun () ->
+        let n, n_ref =
+          List.fold_left
+            (fun (a, b) (i, goal) ->
+              let n, n_ref = agree (Printf.sprintf "fuzz term %d" i) goal in
+              (a + n, b + n_ref))
+            (0, 0)
+            (List.mapi (fun i t -> (i, t)) (fuzz_goals 1500))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "no more theory checks (%d vs %d)" n n_ref)
+          true (n <= n_ref));
+    Alcotest.test_case "certify agrees with the reference on Table 1" `Slow
+      (fun () ->
+        let goals = Lazy.force table1_goals in
+        Alcotest.(check bool) "clauses found" true (List.length goals > 900);
+        let n, n_ref =
+          List.fold_left
+            (fun (a, b) (i, goal) ->
+              let n, n_ref = agree (Printf.sprintf "clause %d" i) goal in
+              (a + n, b + n_ref))
+            (0, 0)
+            (List.mapi (fun i t -> (i, t)) goals)
+        in
+        (* one check per forced path, not one per hypothesis literal *)
+        Alcotest.(check bool)
+          (Printf.sprintf "a quarter of the theory checks (%d vs %d)" n n_ref)
+          true (4 * n <= n_ref));
+  ]
+
+let printer_tests =
+  [
+    Alcotest.test_case "direct printer matches the s-expression printer"
+      `Slow (fun () ->
+        let goals =
+          List.map snd valid_pool @ fuzz_goals 500 @ Lazy.force table1_goals
+        in
+        let certs =
+          List.concat_map
+            (fun goal ->
+              List.filter_map Fun.id
+                [ Solver.certify goal;
+                  Solver.certify_by reference_search goal ])
+            goals
+        in
+        Alcotest.(check bool) "certificates" true (List.length certs > 1000);
+        List.iteri
+          (fun i p ->
+            let s = Proof.to_string p in
+            Alcotest.(check string)
+              (Printf.sprintf "certificate %d bytes" i)
+              (sexps_to_string [ sexp_of_proof p ])
+              s;
+            let p' = Proof.of_string s in
+            if p' <> p then
+              Alcotest.failf "certificate %d does not parse back" i)
+          certs;
+        let entries = List.mapi (fun i p -> (i, p)) certs in
+        let s = Proof.cert_to_string entries in
+        Alcotest.(check string) "function certificate bytes"
+          (sexp_cert_to_string entries) s;
+        Alcotest.(check bool) "function certificate parses back" true
+          (Proof.cert_of_string s = entries);
+        (* the fuzz reproducer files print terms the same way *)
+        List.iter
+          (fun t ->
+            Alcotest.(check string) "reproducer term bytes"
+              (sexps_to_string [ sexp_of_term t ])
+              (Flux_fuzz.Repro.term_to_string t))
+          goals);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Concurrent writers of one file                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Cert_store = Flux_cert.Store
+module Cache = Flux_engine.Cache
+
+(** Two domains [save] one file into a fresh directory 100 times each
+    while a third domain [load]s it; [load] says whether what it read
+    was whole ([Some true]), torn ([Some false]) or missing ([None]).
+    Checks that no load was torn and that no temp file is left. The
+    value saved is a few hundred kilobytes, so that writes take several
+    system calls and interleave. *)
+let no_torn_loads ~(save : string -> unit) ~(load : string -> bool option)
+    () =
+  let dir = Filename.temp_dir "flux-writers" "" in
+  let writer () =
+    for _ = 1 to 100 do
+      save dir
+    done
+  in
+  let stop = Atomic.make false in
+  let reader () =
+    let torn = ref 0 and loads = ref 0 in
+    while not (Atomic.get stop) do
+      incr loads;
+      if load dir = Some false then incr torn
+    done;
+    (!torn, !loads)
+  in
+  let r = Domain.spawn reader in
+  let w1 = Domain.spawn writer and w2 = Domain.spawn writer in
+  Domain.join w1;
+  Domain.join w2;
+  Atomic.set stop true;
+  let torn, loads = Domain.join r in
+  let files = Array.to_list (Sys.readdir dir) in
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+  Unix.rmdir dir;
+  Alcotest.(check bool) "the reader ran" true (loads > 0);
+  Alcotest.(check int) "torn loads" 0 torn;
+  Alcotest.(check int) "files left" 1 (List.length files)
+
+let store_tests =
+  [
+    Alcotest.test_case "two domains saving one certificate never tear it"
+      `Quick (fun () ->
+        let p = certify_exn "div" divgoal in
+        let entries = List.init 400 (fun i -> (i, p)) in
+        no_torn_loads
+          ~save:(fun dir -> Cert_store.save dir "k" entries)
+          ~load:(fun dir ->
+            match Cert_store.load dir "k" with
+            | Cert_store.Missing -> None
+            | Cert_store.Loaded l -> Some (List.length l = 400)
+            | Cert_store.Corrupt -> Some false)
+          ());
+    Alcotest.test_case "two domains writing one cache file never tear it"
+      `Quick (fun () ->
+        let v = List.init 20_000 (fun i -> string_of_int i) in
+        (* once the file exists it is never removed: a failed read after
+           the first good one is a torn file *)
+        let seen = ref false in
+        no_torn_loads
+          ~save:(fun dir -> Cache.write_marshalled (Filename.concat dir "k") v)
+          ~load:(fun dir ->
+            match
+              (Cache.read_marshalled (Filename.concat dir "k")
+                : string list option)
+            with
+            | Some l ->
+                seen := true;
+                Some (List.length l = 20_000)
+            | None -> if !seen then Some false else None)
+          ());
+  ]
+
 let tests =
   ( "cert",
-    roundtrip_tests @ no_cert_tests @ tamper_tests @ model_tests )
+    roundtrip_tests @ no_cert_tests @ tamper_tests @ model_tests
+    @ search_tests @ printer_tests @ store_tests )
