@@ -18,7 +18,6 @@ module Genv = Flux_check.Genv
 module Engine = Flux_engine.Engine
 module Cache = Flux_engine.Cache
 module Json = Flux_json.Json
-open Flux_fixpoint
 
 type config = {
   jobs : int;  (** worker domains; [<= 0] selects one per core *)
@@ -69,57 +68,41 @@ let lint_programs ?cancel ?(config = Flux_smt.Config.default) (cfg : config)
     (progs : Ast.program list) : run list =
   let t0 = Unix.gettimeofday () in
   let salt = lint_config_string config cfg.passes in
-  let quals_fp = Cache.qualifiers_fingerprint Qualifier.default in
   let tasks = ref [] in
   let n_tasks = ref 0 in
   let slots =
     List.map
       (fun prog ->
         let genv = Genv.build prog in
-        let senv_fp =
-          if cfg.cache_dir = None then ""
-          else Cache.struct_env_fingerprint genv.Genv.senv
-        in
-        List.filter_map
-          (fun (fd : Ast.fn_def) ->
-            if fd.Ast.fn_trusted then None
-            else
-              match Genv.find_body genv fd.Ast.fn_name with
-              | None -> None
-              | Some body ->
-                  let key =
-                    Option.map
-                      (fun _dir ->
-                        Cache.flux_key ~config:salt ~senv_fp ~quals_fp
-                          ~lookup:(Genv.find_sig genv) fd body)
-                      cfg.cache_dir
-                  in
-                  let hit =
-                    match (key, cfg.cache_dir) with
-                    | Some k, Some dir ->
-                        Option.map
-                          (fun (_ : Cache.entry) ->
-                            {
-                              lo_fn = fd.Ast.fn_name;
-                              lo_diags = [];
-                              lo_cached = true;
-                              lo_errors = [];
-                            })
-                          (Cache.load ~dir k)
-                    | _ -> None
-                  in
-                  (match hit with
-                  | Some o ->
-                      Flux_smt.Profile.incr "lint.cache_hits";
-                      Some (`Hit o)
-                  | None ->
-                      if key <> None then
-                        Flux_smt.Profile.incr "lint.cache_misses";
-                      let i = !n_tasks in
-                      incr n_tasks;
-                      tasks := (genv, fd, body, key) :: !tasks;
-                      Some (`Todo (i, fd.Ast.fn_name, key))))
-          (Ast.program_fns prog))
+        List.map
+          (fun ((fd : Ast.fn_def), body, key) ->
+            let hit =
+              match (key, cfg.cache_dir) with
+              | Some k, Some dir ->
+                  Option.map
+                    (fun (_ : Cache.entry) ->
+                      {
+                        lo_fn = fd.Ast.fn_name;
+                        lo_diags = [];
+                        lo_cached = true;
+                        lo_errors = [];
+                      })
+                    (Cache.load ~dir k)
+              | _ -> None
+            in
+            match hit with
+            | Some o ->
+                Flux_smt.Profile.incr "lint.cache_hits";
+                `Hit o
+            | None ->
+                if key <> None then
+                  Flux_smt.Profile.incr "lint.cache_misses";
+                let i = !n_tasks in
+                incr n_tasks;
+                tasks := (genv, fd, body, key) :: !tasks;
+                `Todo (i, fd.Ast.fn_name, key))
+          (Cache.program_keys ~keyed:(cfg.cache_dir <> None) ~config:salt
+             genv prog))
       progs
   in
   let task_arr = Array.of_list (List.rev !tasks) in

@@ -29,6 +29,7 @@
 
 module Ast = Flux_syntax.Ast
 module Ir = Flux_mir.Ir
+module Genv = Flux_check.Genv
 open Flux_smt
 open Flux_rtype
 open Flux_fixpoint
@@ -81,8 +82,7 @@ let hex s = Digest.to_hex (Digest.string s)
 
 (** The printers used below render no source spans, so fingerprints are
     stable under edits that only move code around. *)
-let body_fingerprint (b : Ir.body) : string =
-  hex (Format.asprintf "%a" Ir.pp_body b)
+let body_fingerprint (b : Ir.body) : string = hex (Ir.body_to_string b)
 
 let pp_sorted_binders fmt bs =
   List.iter (fun (x, s) -> Format.fprintf fmt "%s:%a;" x Sort.pp s) bs
@@ -116,12 +116,28 @@ let struct_env_fingerprint (senv : Rty.struct_env) : string =
               si.Rty.si_invariant))
        infos)
 
+(* The last qualifier set fingerprinted, with its fingerprint. Every
+   request keys under the same immutable [Qualifier.default], so the
+   list's identity is the memo key, and the string is computed once per
+   process, on first use (not at start-up, which every CLI run would
+   pay). An [Atomic.t], not a [Lazy.t]: two session domains may ask at
+   once, and forcing one lazy value from two domains raises
+   [Lazy.Undefined]; racing domains compute the same string. *)
+let last_quals : (Qualifier.t list * string) option Atomic.t = Atomic.make None
+
 let qualifiers_fingerprint (qs : Qualifier.t list) : string =
-  hex
-    (Format.asprintf "%a|limit:%d"
-       (Format.pp_print_list Qualifier.pp)
-       qs
-       Qualifier.multi_wildcard_scope_limit)
+  match Atomic.get last_quals with
+  | Some (qs', fp) when qs' == qs -> fp
+  | _ ->
+      let fp =
+        hex
+          (Format.asprintf "%a|limit:%d"
+             (Format.pp_print_list Qualifier.pp)
+             qs
+             Qualifier.multi_wildcard_scope_limit)
+      in
+      Atomic.set last_quals (Some (qs, fp));
+      fp
 
 (** A function's Prusti-side interface: plain types plus contract. *)
 let contract_fingerprint (fd : Ast.fn_def) : string =
@@ -150,15 +166,29 @@ let callees (b : Ir.body) : string list =
 (* Keys                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let callee_material ~fingerprint ~lookup names =
+(* [fp f] is the fingerprint of callee [f]'s signature, if it has one. *)
+let callee_material fp names =
   List.map
     (fun f ->
-      match lookup f with
-      | Some x -> f ^ "=" ^ fingerprint x
+      match fp f with
+      | Some x -> f ^ "=" ^ x
       (* no user signature: semantics are built in (e.g. [RVec::*]),
          covered by the version salt *)
       | None -> f ^ "=builtin")
     names
+
+(* {!flux_key} over [sig_fp], which maps a function name to the
+   fingerprint of its signature, if it has one. *)
+let flux_key_fp ~config ~senv_fp ~quals_fp ~sig_fp (fd : Ast.fn_def)
+    (body : Ir.body) : string =
+  let own =
+    match sig_fp fd.Ast.fn_name with Some fp -> fp | None -> "default"
+  in
+  hex
+    (String.concat "\n"
+       ([ version; "flux"; config; senv_fp; quals_fp; own;
+          body_fingerprint body ]
+       @ callee_material sig_fp (callees body)))
 
 (** Cache key for one Flux per-function check. [config] captures the
     flag state the check runs under (underflow checking, slicing);
@@ -166,17 +196,42 @@ let callee_material ~fingerprint ~lookup names =
 let flux_key ~(config : string) ~(senv_fp : string) ~(quals_fp : string)
     ~(lookup : string -> Specconv.fsig option) (fd : Ast.fn_def)
     (body : Ir.body) : string =
-  let own =
-    match lookup fd.Ast.fn_name with
-    | Some s -> fsig_fingerprint s
-    | None -> "default"
+  flux_key_fp ~config ~senv_fp ~quals_fp
+    ~sig_fp:(fun f -> Option.map fsig_fingerprint (lookup f))
+    fd body
+
+(** The checkable functions of [prog] — untrusted, with a body — in
+    declaration order, each with its {!flux_key} under [config] and the
+    default qualifier set when [keyed]. The one key path of check and
+    lint requests: the struct environment and each signature are
+    fingerprinted once per program, not once per caller. *)
+let program_keys ~(keyed : bool) ~(config : string) (genv : Genv.t)
+    (prog : Ast.program) : (Ast.fn_def * Ir.body * string option) list =
+  let key =
+    if not keyed then fun _ _ -> None
+    else begin
+      let senv_fp = struct_env_fingerprint genv.Genv.senv
+      and quals_fp = qualifiers_fingerprint Qualifier.default
+      and sigs = Hashtbl.create 16 in
+      let sig_fp f =
+        match Hashtbl.find_opt sigs f with
+        | Some fp -> fp
+        | None ->
+            let fp = Option.map fsig_fingerprint (Genv.find_sig genv f) in
+            Hashtbl.add sigs f fp;
+            fp
+      in
+      fun fd body -> Some (flux_key_fp ~config ~senv_fp ~quals_fp ~sig_fp fd body)
+    end
   in
-  hex
-    (String.concat "\n"
-       ([ version; "flux"; config; senv_fp; quals_fp; own;
-          body_fingerprint body ]
-       @ callee_material ~fingerprint:fsig_fingerprint ~lookup
-           (callees body)))
+  List.filter_map
+    (fun (fd : Ast.fn_def) ->
+      if fd.Ast.fn_trusted then None
+      else
+        Option.map
+          (fun body -> (fd, body, key fd body))
+          (Genv.find_body genv fd.Ast.fn_name))
+    (Ast.program_fns prog)
 
 (** Cache key for one WP (Prusti-baseline) per-function check. *)
 let wp_key ~(config : string) ~(lookup : string -> Ast.fn_def option)
@@ -185,7 +240,8 @@ let wp_key ~(config : string) ~(lookup : string -> Ast.fn_def option)
     (String.concat "\n"
        ([ version; "wp"; config; contract_fingerprint fd;
           body_fingerprint body ]
-       @ callee_material ~fingerprint:contract_fingerprint ~lookup
+       @ callee_material
+           (fun f -> Option.map contract_fingerprint (lookup f))
            (callees body)))
 
 (** Cache key for one SCC slice of a function's fixpoint computation.
@@ -214,37 +270,33 @@ let rec mkdir_p (dir : string) : unit =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(** [ensure_dir dir]: create the cache directory (with parents) and
-    probe that it is writable, returning a human-readable reason on
-    failure. The CLI and daemon call this once per run and degrade to
-    uncached verification with a clear warning instead of the silent
-    no-op (or raw [Sys_error]) a bad [--cache-dir] used to produce —
-    e.g. a daemon started under a read-only home. *)
+(** [ensure_dir dir]: create the cache directory (with parents) if it
+    is missing and check, without writing to it, that it is a directory
+    this process may create files in; returns a human-readable reason on
+    failure. Every CLI run and every daemon request calls this, and
+    degrades to uncached verification with a clear warning instead of
+    the silent no-op (or raw [Sys_error]) a bad [--cache-dir] used to
+    produce — e.g. a daemon started under a read-only home. On a warm
+    request it costs one [stat] and one [access]. *)
 let ensure_dir (dir : string) : (unit, string) result =
-  match mkdir_p dir with
+  match
+    try Unix.stat dir
+    with Unix.Unix_error (Unix.ENOENT, _, _) ->
+      mkdir_p dir;
+      Unix.stat dir
+  with
   | exception Unix.Unix_error (e, _, at) ->
       Error
         (Printf.sprintf "cannot create cache directory `%s' (%s: %s)" dir at
            (Unix.error_message e))
-  | () ->
-      if not (try Sys.is_directory dir with Sys_error _ -> false) then
-        Error
-          (Printf.sprintf
-             "cache directory `%s' is not a directory" dir)
-      else begin
-        let probe =
-          Filename.concat dir (Printf.sprintf ".probe.%d" (Unix.getpid ()))
-        in
-        match open_out_bin probe with
-        | exception Sys_error msg ->
-            Error
-              (Printf.sprintf "cache directory `%s' is not writable (%s)" dir
-                 msg)
-        | oc ->
-            close_out_noerr oc;
-            (try Sys.remove probe with Sys_error _ -> ());
-            Ok ()
-      end
+  | { Unix.st_kind = Unix.S_DIR; _ } -> (
+      match Unix.access dir [ Unix.W_OK; Unix.X_OK ] with
+      | () -> Ok ()
+      | exception Unix.Unix_error (e, _, _) ->
+          Error
+            (Printf.sprintf "cache directory `%s' is not writable (%s)" dir
+               (Unix.error_message e)))
+  | _ -> Error (Printf.sprintf "cache directory `%s' is not a directory" dir)
 
 (** Read one marshalled value; any failure (missing file, short read,
     wrong type tag from an old executable) degrades to a miss. *)

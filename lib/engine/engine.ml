@@ -388,58 +388,42 @@ let check_programs ?cancel ?(certify = false) ?(config = Config.default)
     List.map
       (fun prog ->
         let genv = Genv.build prog in
-        let senv_fp =
-          if cfg.cache_dir = None then ""
-          else Cache.struct_env_fingerprint genv.Genv.senv
-        in
-        List.filter_map
-          (fun (fd : Ast.fn_def) ->
-            if fd.Ast.fn_trusted then None
-            else
-              match Genv.find_body genv fd.Ast.fn_name with
-              | None -> None
-              | Some body ->
-                  let key =
-                    Option.map
-                      (fun _dir ->
-                        Cache.flux_key ~config:salt ~senv_fp ~quals_fp
-                          ~lookup:(Genv.find_sig genv) fd body)
-                      cfg.cache_dir
-                  in
-                  let hit =
-                    match (key, cfg.cache_dir) with
-                    | Some k, Some dir -> (
-                        match Cache.load ~dir k with
-                        | Some _ when certify && not (cert_replay_ok ~dir k)
-                          ->
-                            (* verdict present but certificate missing
-                               or not replaying: demote to a miss so the
-                               re-check re-emits it *)
-                            None
-                        | Some (e : Cache.entry) ->
-                            Some
-                              {
-                                Checker.fr_name = fd.Ast.fn_name;
-                                fr_errors = [];
-                                fr_solution = None;
-                                fr_kvars = e.Cache.e_kvars;
-                                fr_clauses = e.Cache.e_clauses;
-                                fr_time = 0.0;
-                              }
-                        | None -> None)
-                    | _ -> None
-                  in
-                  (match hit with
-                  | Some r ->
-                      Profile.incr "engine.cache_hits";
-                      Some (Hit r)
-                  | None ->
-                      if key <> None then Profile.incr "engine.cache_misses";
-                      let i = !n_tasks in
-                      incr n_tasks;
-                      tasks := (genv, fd, body, key) :: !tasks;
-                      Some (Todo (i, key))))
-          (Ast.program_fns prog))
+        List.map
+          (fun ((fd : Ast.fn_def), body, key) ->
+            let hit =
+              match (key, cfg.cache_dir) with
+              | Some k, Some dir -> (
+                  match Cache.load ~dir k with
+                  | Some _ when certify && not (cert_replay_ok ~dir k) ->
+                      (* verdict present but certificate missing or not
+                         replaying: demote to a miss so the re-check
+                         re-emits it *)
+                      None
+                  | Some (e : Cache.entry) ->
+                      Some
+                        {
+                          Checker.fr_name = fd.Ast.fn_name;
+                          fr_errors = [];
+                          fr_solution = None;
+                          fr_kvars = e.Cache.e_kvars;
+                          fr_clauses = e.Cache.e_clauses;
+                          fr_time = 0.0;
+                        }
+                  | None -> None)
+              | _ -> None
+            in
+            match hit with
+            | Some r ->
+                Profile.incr "engine.cache_hits";
+                Hit r
+            | None ->
+                if key <> None then Profile.incr "engine.cache_misses";
+                let i = !n_tasks in
+                incr n_tasks;
+                tasks := (genv, fd, body, key) :: !tasks;
+                Todo (i, key))
+          (Cache.program_keys ~keyed:(cfg.cache_dir <> None) ~config:salt
+             genv prog))
       progs
   in
   let task_arr = Array.of_list (List.rev !tasks) in

@@ -191,81 +191,166 @@ let compute_loop_heads (blocks : block array) : bool array =
   heads
 
 (* ------------------------------------------------------------------ *)
-(* Pretty printing                                                     *)
+(* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let pp_place (b : body) fmt (p : place) =
-  let base = b.mb_locals.(p.base).ld_name in
-  let rec go fmt = function
-    | [] -> Format.pp_print_string fmt base
-    | PDeref :: rest -> Format.fprintf fmt "(*%a)" go rest
-    | PField f :: rest -> Format.fprintf fmt "%a.%s" go rest f
+(* The printer writes straight into a buffer. Its bytes are both the
+   [--dump-mir] text and the material of every cache key
+   ({!Flux_engine.Cache.body_fingerprint}), so an edit that changes them
+   invalidates every persistent cache entry: test/test_mir.ml pins them
+   against a Format reference printer kept there. It renders no source
+   spans. *)
+
+let add_place (b : body) buf (p : place) =
+  let rec go = function
+    | [] -> Buffer.add_string buf b.mb_locals.(p.base).ld_name
+    | PDeref :: rest ->
+        Buffer.add_string buf "(*";
+        go rest;
+        Buffer.add_char buf ')'
+    | PField f :: rest ->
+        go rest;
+        Buffer.add_char buf '.';
+        Buffer.add_string buf f
   in
-  go fmt (List.rev p.projs)
+  go (List.rev p.projs)
 
-let pp_constant fmt = function
-  | CInt (n, k) -> Format.fprintf fmt "%d_%s" n (Ast.int_kind_str k)
-  | CFloat f -> Format.fprintf fmt "%g" f
-  | CBool b -> Format.pp_print_bool fmt b
-  | CUnit -> Format.pp_print_string fmt "()"
+let add_int buf n = Buffer.add_string buf (string_of_int n)
 
-let pp_operand (b : body) fmt = function
-  | Copy p -> Format.fprintf fmt "copy %a" (pp_place b) p
-  | Move p -> Format.fprintf fmt "move %a" (pp_place b) p
-  | Const c -> pp_constant fmt c
+let add_constant buf = function
+  | CInt (n, k) ->
+      add_int buf n;
+      Buffer.add_char buf '_';
+      Buffer.add_string buf (Ast.int_kind_str k)
+  | CFloat f -> Printf.bprintf buf "%g" f
+  | CBool v -> Buffer.add_string buf (string_of_bool v)
+  | CUnit -> Buffer.add_string buf "()"
 
-let pp_rvalue (b : body) fmt = function
-  | RUse op -> pp_operand b fmt op
+let add_operand (b : body) buf = function
+  | Copy p ->
+      Buffer.add_string buf "copy ";
+      add_place b buf p
+  | Move p ->
+      Buffer.add_string buf "move ";
+      add_place b buf p
+  | Const c -> add_constant buf c
+
+let add_list buf add = function
+  | [] -> ()
+  | x :: rest ->
+      add x;
+      List.iter
+        (fun y ->
+          Buffer.add_string buf ", ";
+          add y)
+        rest
+
+let add_rvalue (b : body) buf = function
+  | RUse op -> add_operand b buf op
   | RBin (op, a1, a2) ->
-      Format.fprintf fmt "%a %s %a" (pp_operand b) a1 (Ast.binop_str op)
-        (pp_operand b) a2
-  | RUn (Ast.Not, a) -> Format.fprintf fmt "!%a" (pp_operand b) a
-  | RUn (Ast.NegOp, a) -> Format.fprintf fmt "-%a" (pp_operand b) a
-  | RRef (Ast.Imm, p) -> Format.fprintf fmt "&%a" (pp_place b) p
-  | RRef (Ast.Mut, p) -> Format.fprintf fmt "&mut %a" (pp_place b) p
+      add_operand b buf a1;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (Ast.binop_str op);
+      Buffer.add_char buf ' ';
+      add_operand b buf a2
+  | RUn (Ast.Not, a) ->
+      Buffer.add_char buf '!';
+      add_operand b buf a
+  | RUn (Ast.NegOp, a) ->
+      Buffer.add_char buf '-';
+      add_operand b buf a
+  | RRef (Ast.Imm, p) ->
+      Buffer.add_char buf '&';
+      add_place b buf p
+  | RRef (Ast.Mut, p) ->
+      Buffer.add_string buf "&mut ";
+      add_place b buf p
   | RAggregate (s, fields) ->
-      Format.fprintf fmt "%s { %a }" s
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-           (fun fmt (f, op) -> Format.fprintf fmt "%s: %a" f (pp_operand b) op))
-        fields
+      Buffer.add_string buf s;
+      Buffer.add_string buf " { ";
+      add_list buf
+        (fun (f, op) ->
+          Buffer.add_string buf f;
+          Buffer.add_string buf ": ";
+          add_operand b buf op)
+        fields;
+      Buffer.add_string buf " }"
 
-let pp_stmt (b : body) fmt = function
+(* One line each, indented by four. *)
+let add_stmt (b : body) buf = function
   | SAssign (p, rv, _) ->
-      Format.fprintf fmt "%a = %a;" (pp_place b) p (pp_rvalue b) rv
-  | SInvariant (e, _) -> Format.fprintf fmt "invariant(%a);" Ast.pp_expr e
-  | SNop -> Format.pp_print_string fmt "nop;"
+      Buffer.add_string buf "    ";
+      add_place b buf p;
+      Buffer.add_string buf " = ";
+      add_rvalue b buf rv;
+      Buffer.add_string buf ";\n"
+  | SInvariant (e, _) ->
+      (* [Ast.pp_expr] may open boxes, so this line goes through
+         Format, alone on a fresh formatter: its layout depends on
+         nothing printed before it *)
+      Buffer.add_string buf
+        (Format.asprintf "    invariant(%a);" Ast.pp_expr e);
+      Buffer.add_char buf '\n'
+  | SNop -> Buffer.add_string buf "    nop;\n"
 
-let pp_terminator (b : body) fmt = function
-  | TGoto i -> Format.fprintf fmt "goto bb%d;" i
+let add_terminator (b : body) buf t =
+  Buffer.add_string buf "    ";
+  (match t with
+  | TGoto i ->
+      Buffer.add_string buf "goto bb";
+      add_int buf i;
+      Buffer.add_char buf ';'
   | TSwitch (op, t, f) ->
-      Format.fprintf fmt "if %a -> [bb%d, bb%d];" (pp_operand b) op t f
+      Buffer.add_string buf "if ";
+      add_operand b buf op;
+      Buffer.add_string buf " -> [bb";
+      add_int buf t;
+      Buffer.add_string buf ", bb";
+      add_int buf f;
+      Buffer.add_string buf "];"
   | TCall { tc_func; tc_args; tc_dest; tc_target; _ } ->
-      Format.fprintf fmt "%a = %s(%a) -> bb%d;" (pp_place b) tc_dest tc_func
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-           (pp_operand b))
-        tc_args tc_target
-  | TReturn -> Format.pp_print_string fmt "return;"
-  | TUnreachable -> Format.pp_print_string fmt "unreachable;"
+      add_place b buf tc_dest;
+      Buffer.add_string buf " = ";
+      Buffer.add_string buf tc_func;
+      Buffer.add_char buf '(';
+      add_list buf (add_operand b buf) tc_args;
+      Buffer.add_string buf ") -> bb";
+      add_int buf tc_target;
+      Buffer.add_char buf ';'
+  | TReturn -> Buffer.add_string buf "return;"
+  | TUnreachable -> Buffer.add_string buf "unreachable;");
+  Buffer.add_char buf '\n'
 
-let pp_body fmt (b : body) =
-  Format.fprintf fmt "fn %s {@." b.mb_name;
+let body_to_string (b : body) : string =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "fn ";
+  Buffer.add_string buf b.mb_name;
+  Buffer.add_string buf " {\n";
   Array.iteri
     (fun i (d : local_decl) ->
-      Format.fprintf fmt "  let %s: %a; // _%d %s@." d.ld_name Ast.pp_ty d.ld_ty
-        i
+      Buffer.add_string buf "  let ";
+      Buffer.add_string buf d.ld_name;
+      Buffer.add_string buf ": ";
+      Ast.add_ty buf d.ld_ty;
+      Buffer.add_string buf "; // _";
+      add_int buf i;
+      Buffer.add_string buf
         (match d.ld_kind with
-        | KReturn -> "(return)"
-        | KArg -> "(arg)"
-        | KUser -> ""
-        | KTemp -> "(temp)"))
+        | KReturn -> " (return)\n"
+        | KArg -> " (arg)\n"
+        | KUser -> " \n"
+        | KTemp -> " (temp)\n"))
     b.mb_locals;
   Array.iteri
     (fun i blk ->
-      Format.fprintf fmt "  bb%d%s:@." i
-        (if b.mb_loop_heads.(i) then " (loop head)" else "");
-      List.iter (fun s -> Format.fprintf fmt "    %a@." (pp_stmt b) s) blk.stmts;
-      Format.fprintf fmt "    %a@." (pp_terminator b) blk.term)
+      Buffer.add_string buf "  bb";
+      add_int buf i;
+      Buffer.add_string buf
+        (if b.mb_loop_heads.(i) then " (loop head):\n" else ":\n");
+      List.iter (add_stmt b buf) blk.stmts;
+      add_terminator b buf blk.term)
     b.mb_blocks;
-  Format.fprintf fmt "}@."
+  Buffer.add_string buf "}\n";
+  Buffer.contents buf
+
+let pp_body fmt (b : body) = Format.pp_print_string fmt (body_to_string b)

@@ -128,10 +128,10 @@ let run ?deadline_ms ?(check_alive = fun () -> true) (o : opts)
     Format.pp_print_flush err ();
     { out = Buffer.contents out_buf; err = Buffer.contents err_buf; code }
   in
-  (* Satellite fix: a bad --cache-dir used to surface as a raw
-     Sys_error (or a silent no-op) from deep inside Cache.store; now
-     the directory is created (with parents) and probed up front, and
-     failure degrades to uncached verification with one warning. *)
+  (* A bad --cache-dir degrades to uncached verification with one
+     warning, not a raw Sys_error (or a silent no-op) from deep inside
+     Cache.store: the directory is created (with parents) if missing
+     and checked, without writing to it, on every request. *)
   let cache_dir_if enabled =
     if not enabled then None
     else

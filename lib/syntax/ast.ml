@@ -59,17 +59,33 @@ let int_kind_str = function
   | Usize -> "usize"
   | Isize -> "isize"
 
-let rec pp_ty fmt = function
-  | TInt k -> Format.pp_print_string fmt (int_kind_str k)
-  | TFloat -> Format.pp_print_string fmt "f32"
-  | TBool -> Format.pp_print_string fmt "bool"
-  | TUnit -> Format.pp_print_string fmt "()"
-  | TVec t -> Format.fprintf fmt "RVec<%a>" pp_ty t
-  | TStruct s -> Format.pp_print_string fmt s
-  | TRef (Imm, t) -> Format.fprintf fmt "&%a" pp_ty t
-  | TRef (Mut, t) -> Format.fprintf fmt "&mut %a" pp_ty t
-  | TParam x -> Format.pp_print_string fmt x
-  | TInfer i -> Format.fprintf fmt "_%d" i
+(** Types print on one line, with no break hints, so {!pp_ty} prints
+    the same bytes as {!add_ty} under any formatter state. *)
+let rec add_ty buf = function
+  | TInt k -> Buffer.add_string buf (int_kind_str k)
+  | TFloat -> Buffer.add_string buf "f32"
+  | TBool -> Buffer.add_string buf "bool"
+  | TUnit -> Buffer.add_string buf "()"
+  | TVec t ->
+      Buffer.add_string buf "RVec<";
+      add_ty buf t;
+      Buffer.add_char buf '>'
+  | TStruct s -> Buffer.add_string buf s
+  | TRef (Imm, t) ->
+      Buffer.add_char buf '&';
+      add_ty buf t
+  | TRef (Mut, t) ->
+      Buffer.add_string buf "&mut ";
+      add_ty buf t
+  | TParam x -> Buffer.add_string buf x
+  | TInfer i ->
+      Buffer.add_char buf '_';
+      Buffer.add_string buf (string_of_int i)
+
+let pp_ty fmt t =
+  let buf = Buffer.create 16 in
+  add_ty buf t;
+  Format.pp_print_string fmt (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)

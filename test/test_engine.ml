@@ -656,6 +656,85 @@ let slices_every_evaluation name src =
         (Printf.sprintf "%d evaluations, %d slices" !evaluations !slices)
         true (!slices > 0))
 
+(* ------------------------------------------------------------------ *)
+(* Pinned cache keys                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module Cache = Flux_engine.Cache
+module Genv = Flux_check.Genv
+module Wl_extra = Flux_workloads.Wl_extra
+
+(* Keys of every function of two programs, one of them over a refined
+   struct, as the engine computed them before the MIR printer moved from
+   Format to a buffer. A printer or fingerprint edit that changes them
+   silently invalidates every persistent cache and every daemon's memory
+   tier, so it must be deliberate and come with a [Cache.version] bump. *)
+let pinned_keys =
+  [
+    ( (fun () ->
+        In_channel.with_open_bin "../examples/programs/init_zeros.rs"
+          In_channel.input_all),
+      [ ("init_zeros", "8e5eb1957b575fff848a2bbe6f1628b6") ] );
+    ( (fun () -> (Option.get (Wl_extra.find "dot_matrix_row")).Wl_extra.ex_src),
+      [
+        ("RMat::rows", "930400ed51aaa84342ec22cf69cbb4c2");
+        ("RMat::row", "700f66c4416fa2e8345819f5354be286");
+        ("dot", "17a64aedc5f368be31096d621168cd2a");
+        ("row_dot", "8e2cb990e6f5135ad557bc2328a49b7a");
+      ] );
+  ]
+
+let cache_pinned_keys =
+  Alcotest.test_case "cache keys are pinned" `Quick (fun () ->
+      let config = Engine.flux_config_string () in
+      List.iter
+        (fun (src, expected) ->
+          let prog = Flux_syntax.Parser.parse_program (src ()) in
+          Flux_syntax.Typeck.check_program prog;
+          let genv = Genv.build prog in
+          let keys = Cache.program_keys ~keyed:true ~config genv prog in
+          Alcotest.(check (list (pair string string)))
+            "the engine's keys"
+            expected
+            (List.map
+               (fun ((fd : Flux_syntax.Ast.fn_def), _, k) ->
+                 (fd.fn_name, Option.get k))
+               keys);
+          (* the one-function entry point agrees *)
+          let senv_fp = Cache.struct_env_fingerprint genv.Genv.senv
+          and quals_fp = Cache.qualifiers_fingerprint Qualifier.default in
+          List.iter
+            (fun (fd, body, k) ->
+              Alcotest.(check string) "flux_key" (Option.get k)
+                (Cache.flux_key ~config ~senv_fp ~quals_fp
+                   ~lookup:(Genv.find_sig genv) fd body))
+            keys)
+        pinned_keys;
+      (* and a check stores its verdict under exactly that key *)
+      let src, expected = List.hd pinned_keys in
+      let dir = fresh_cache_dir () in
+      let r = check_with dir (src ()) in
+      Alcotest.(check bool) "verifies" true (Engine.run_ok r);
+      Alcotest.(check (list string)) "entries written"
+        (List.map (fun (_, k) -> k ^ ".entry") expected)
+        (Sys.readdir dir |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".entry")))
+
+let quals_fingerprint_memo =
+  Alcotest.test_case "qualifier fingerprint memo is domain-safe" `Quick
+    (fun () ->
+      (* a copy of the set is a different list: this computes afresh,
+         and leaves the memo on the copy so both domains below miss *)
+      let fresh = Cache.qualifiers_fingerprint (List.map Fun.id Qualifier.default) in
+      let ask () =
+        Domain.spawn (fun () -> Cache.qualifiers_fingerprint Qualifier.default)
+      in
+      let d1 = ask () and d2 = ask () in
+      Alcotest.(check string) "first domain" fresh (Domain.join d1);
+      Alcotest.(check string) "second domain" fresh (Domain.join d2);
+      Alcotest.(check string) "memoised" fresh
+        (Cache.qualifiers_fingerprint Qualifier.default))
+
 let tests =
   ( "engine",
     [
@@ -669,6 +748,8 @@ let tests =
       cache_disabled;
       cache_failing_not_stored;
       cache_slice_reuse;
+      cache_pinned_keys;
+      quals_fingerprint_memo;
       cache_config_salt "flux" flux_salt;
       cache_config_salt "wp" wp_salt;
       cache_config_salt "lint" lint_salt;

@@ -460,6 +460,22 @@ let ensure_dir_diagnostics () =
   (match Cache.ensure_dir nested with
   | Ok () -> Alcotest.(check bool) "nested dir created" true (Sys.is_directory nested)
   | Error e -> Alcotest.fail ("ensure_dir: " ^ e));
+  (* an existing directory is checked without writing to it: same
+     listing, and a modification time set into the past stays put (a
+     file created and removed in it would move it) *)
+  let oc = open_out (Filename.concat nested "k.entry") in
+  close_out oc;
+  Unix.utimes nested 1000. 1000.;
+  let listing () = List.sort compare (Array.to_list (Sys.readdir nested)) in
+  let before = listing () in
+  for _ = 1 to 3 do
+    match Cache.ensure_dir nested with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail ("ensure_dir on an existing dir: " ^ e)
+  done;
+  Alcotest.(check (list string)) "listing unchanged" before (listing ());
+  Alcotest.(check (float 0.)) "mtime unchanged" 1000.
+    (Unix.stat nested).Unix.st_mtime;
   (* a path under a regular file cannot be created: readable error, no
      exception (chmod tricks don't work for root, ENOTDIR always does) *)
   let file = Filename.concat base "plainfile" in
