@@ -735,6 +735,84 @@ let quals_fingerprint_memo =
       Alcotest.(check string) "memoised" fresh
         (Cache.qualifiers_fingerprint Qualifier.default))
 
+(* ------------------------------------------------------------------ *)
+(* --certify on a warm cache                                           *)
+(* ------------------------------------------------------------------ *)
+
+(** A tool's [--certify] run on {!cache_src_v1} against the cache in
+    [dir]: (function, replayed from the cache) in declaration order. *)
+let certify_flux ~dir =
+  cached_flags
+    (Engine.check_source ~certify:true
+       { Engine.jobs = 1; cache_dir = Some dir }
+       cache_src_v1)
+
+let certify_wp ~dir =
+  List.map
+    (fun o -> (o.Engine.wo_report.Wp.fr_name, o.Engine.wo_cached))
+    (Engine.verify_source ~certify:true
+       { Engine.jobs = 1; cache_dir = Some dir }
+       cache_src_v1)
+      .Engine.wr_fns
+
+(** Under [--certify] a warm hit stands only if its certificate
+    replays: one whose certificate file is gone, or corrupt, is demoted
+    to a miss and its certificate written again (a corrupt one also
+    counts as [cert.failed]); one that replays stays a hit and counts
+    its entries as [cert.replayed]. *)
+let certify_demotion name (tool : dir:string -> (string * bool) list) =
+  Alcotest.test_case (name ^ ": --certify demotes hits that do not replay")
+    `Quick (fun () ->
+      let dir = fresh_cache_dir () in
+      let count k =
+        match List.assoc_opt k (Profile.snapshot ()) with
+        | Some (n, _, _) -> n
+        | None -> 0
+      in
+      let certs () =
+        Sys.readdir dir |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".cert")
+        |> List.sort compare
+      in
+      let all b = [ ("f", b); ("g", b); ("h", b) ] in
+      Alcotest.(check flags) "cold run misses everything" (all false)
+        (tool ~dir);
+      let files = certs () in
+      Alcotest.(check int) "one certificate per function" 3
+        (List.length files);
+      let file = Filename.concat dir (List.hd files) in
+      let contents () = In_channel.with_open_bin file In_channel.input_all in
+      let emitted = contents () in
+      let misses flags = List.length (List.filter (fun (_, c) -> not c) flags) in
+      (* replaying certificates keep every hit *)
+      Profile.reset ();
+      Alcotest.(check flags) "warm run hits everything" (all true) (tool ~dir);
+      Alcotest.(check bool) "cert.replayed bumped" true
+        (count "cert.replayed" > 0);
+      Alcotest.(check int) "no cert.failed" 0 (count "cert.failed");
+      (* a deleted certificate demotes its function to a miss *)
+      Sys.remove file;
+      Profile.reset ();
+      Alcotest.(check int) "deleted: one function re-checked" 1
+        (misses (tool ~dir));
+      Alcotest.(check int) "deleted: no cert.failed" 0 (count "cert.failed");
+      Alcotest.(check (list string)) "deleted: certificate written again"
+        files (certs ());
+      Alcotest.(check string) "deleted: same certificate" emitted (contents ());
+      (* a corrupt one does the same and counts as a replay failure *)
+      Out_channel.with_open_bin file (fun oc ->
+          Out_channel.output_string oc "(cert 0 (");
+      Profile.reset ();
+      Alcotest.(check int) "corrupt: one function re-checked" 1
+        (misses (tool ~dir));
+      Alcotest.(check int) "corrupt: cert.failed bumped" 1
+        (count "cert.failed");
+      Alcotest.(check string) "corrupt: certificate written again" emitted
+        (contents ());
+      Profile.reset ();
+      Alcotest.(check flags) "then every hit stands" (all true) (tool ~dir);
+      Alcotest.(check int) "then no cert.failed" 0 (count "cert.failed"))
+
 let tests =
   ( "engine",
     [
@@ -765,4 +843,6 @@ let tests =
       slices_every_evaluation "RMat" Workloads.rmat_flux;
       slices_every_evaluation "bsearch"
         (Option.get (Workloads.find "bsearch")).Workloads.bm_flux;
+      certify_demotion "flux" certify_flux;
+      certify_demotion "wp" certify_wp;
     ] )
