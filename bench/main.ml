@@ -178,29 +178,12 @@ let json_engine (e : engine_meas) ~seq_time : Json.t =
 (* ------------------------------------------------------------------ *)
 
 (* Check [src] with the incremental schedule verification runs, or
-   with the reference sweep ([Solve.solve_clauses_full]) it is measured
+   with the reference sweep ([Flux_fuzz.Reference]) it is measured
    against; true when every function verifies. *)
 let with_schedule inc src =
-  if inc then Checker.report_ok (Checker.check_source src)
-  else
-    let prog = Flux_syntax.Parser.parse_program src in
-    Flux_syntax.Typeck.check_program prog;
-    let genv = Flux_check.Genv.build prog in
-    let check (fd : Flux_syntax.Ast.fn_def) =
-      match Flux_check.Genv.find_body genv fd.fn_name with
-      | Some body when not fd.fn_trusted -> (
-          let pr = Checker.prepare genv fd body in
-          (not (Checker.prepared_early pr))
-          &&
-          match
-            Flux_fixpoint.Solve.solve_clauses_full
-              ~kvars:(Checker.prepared_kvars pr) (Checker.prepared_clauses pr)
-          with
-          | Flux_fixpoint.Solve.Sat _ -> true
-          | Flux_fixpoint.Solve.Unsat _ -> false)
-      | _ -> true
-    in
-    List.for_all Fun.id (List.map check (Flux_syntax.Ast.program_fns prog))
+  Checker.report_ok
+    (if inc then Checker.check_source src
+     else Flux_fuzz.Reference.check_source src)
 
 (* Two sequential loops whose join κs land in distinct SCC slices; the
    return postcondition only reaches the later slice, so editing it

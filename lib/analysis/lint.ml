@@ -3,14 +3,16 @@
     and persistent cache as verification.
 
     Functions are independent lint tasks, exactly as they are
-    independent verification tasks, so misses are scheduled on the
-    engine's domain pool ([--jobs]). The cache reuses the engine's
-    content-addressed key ({!Flux_engine.Cache.flux_key}) with the
-    enabled pass set folded into the configuration salt; only {e
-    clean} results — zero findings, verification OK — are stored, so a
-    hit soundly replays "nothing to report" without a single SMT query,
-    and anything that produced findings (whose messages carry source
-    spans the key deliberately ignores) is re-linted. *)
+    independent verification tasks, so lint runs through the engine's
+    cached-run driver ({!Flux_engine.Engine.cached_run}), like check
+    and verify: misses are scheduled on the engine's domain pool
+    ([--jobs]). The cache reuses the engine's content-addressed keys
+    ({!Flux_engine.Cache.program_keys}) with the enabled pass set folded
+    into the configuration salt; only {e clean} results — zero
+    findings, verification OK — are stored, so a hit soundly replays
+    "nothing to report" without a single SMT query, and anything that
+    produced findings (whose messages carry source spans the key
+    deliberately ignores) is re-linted. *)
 
 module Ast = Flux_syntax.Ast
 module Checker = Flux_check.Checker
@@ -62,100 +64,48 @@ let run_diags (r : run) : Passes.diag list =
 
 let run_clean (r : run) = run_diags r = []
 
-(** Lint several programs through one shared pool schedule (mirrors
-    {!Flux_engine.Engine.check_programs}). *)
+(** Lint several programs through one shared schedule, with the
+    engine's cached-run driver ({!Flux_engine.Engine.cached_run}). *)
 let lint_programs ?cancel ?(config = Flux_smt.Config.default) (cfg : config)
     (progs : Ast.program list) : run list =
-  let t0 = Unix.gettimeofday () in
   let salt = lint_config_string config cfg.passes in
-  let tasks = ref [] in
-  let n_tasks = ref 0 in
-  let slots =
-    List.map
-      (fun prog ->
-        let genv = Genv.build prog in
-        List.map
-          (fun ((fd : Ast.fn_def), body, key) ->
-            let hit =
-              match (key, cfg.cache_dir) with
-              | Some k, Some dir ->
-                  Option.map
-                    (fun (_ : Cache.entry) ->
-                      {
-                        lo_fn = fd.Ast.fn_name;
-                        lo_diags = [];
-                        lo_cached = true;
-                        lo_errors = [];
-                      })
-                    (Cache.load ~dir k)
-              | _ -> None
-            in
-            match hit with
-            | Some o ->
-                Flux_smt.Profile.incr "lint.cache_hits";
-                `Hit o
-            | None ->
-                if key <> None then
-                  Flux_smt.Profile.incr "lint.cache_misses";
-                let i = !n_tasks in
-                incr n_tasks;
-                tasks := (genv, fd, body, key) :: !tasks;
-                `Todo (i, fd.Ast.fn_name, key))
-          (Cache.program_keys ~keyed:(cfg.cache_dir <> None) ~config:salt
-             genv prog))
-      progs
-  in
-  let task_arr = Array.of_list (List.rev !tasks) in
-  let sizes = Array.map (fun (_, _, body, _) -> Engine.body_size body) task_arr in
-  let fns =
-    Array.map
-      (fun (genv, fd, body, _) () ->
-        Passes.run_function ~config ~passes:cfg.passes genv fd body)
-      task_arr
-  in
-  let results = Engine.run_pool ?cancel ~jobs:cfg.jobs ~sizes fns in
-  (* Store clean results only: a hit must imply "nothing to report". *)
-  (match cfg.cache_dir with
-  | Some dir ->
-      Array.iteri
-        (fun i (_, _, _, key) ->
-          let fr, diags = results.(i) in
-          match key with
-          | Some k when diags = [] && Checker.fn_ok fr ->
-              Cache.store ~dir k
-                {
-                  Cache.e_kvars = fr.Checker.fr_kvars;
-                  e_clauses = fr.Checker.fr_clauses;
-                  e_time = fr.Checker.fr_time;
-                }
-          | _ -> ())
-        task_arr
-  | None -> ());
-  let elapsed = Unix.gettimeofday () -. t0 in
-  List.map
-    (fun prog_slots ->
-      let fns =
-        List.map
-          (function
-            | `Hit o -> o
-            | `Todo (i, name, _) ->
-                let fr, diags = results.(i) in
-                {
-                  lo_fn = name;
-                  lo_diags = diags;
-                  lo_cached = false;
-                  lo_errors = fr.Checker.fr_errors;
-                })
-          prog_slots
-      in
-      let hits = List.length (List.filter (fun o -> o.lo_cached) fns) in
+  Engine.cached_run ~cache_dir:cfg.cache_dir
+    ~counters:("lint.cache_hits", "lint.cache_misses")
+    ~tasks:(fun prog ->
+      let genv = Genv.build prog in
+      List.map
+        (fun (fd, body, key) -> ((genv, fd, body), key))
+        (Cache.program_keys ~keyed:(cfg.cache_dir <> None) ~config:salt genv
+           prog))
+    ~hit:(fun ~dir:_ _ (_, (fd : Ast.fn_def), _) _ ->
+      Some
+        { lo_fn = fd.Ast.fn_name; lo_diags = []; lo_cached = true; lo_errors = [] })
+    ~run:(fun tasks ->
+      Engine.run_pool ?cancel ~jobs:cfg.jobs
+        ~sizes:(Array.map (fun (_, _, body) -> Engine.body_size body) tasks)
+        (Array.map
+           (fun (genv, fd, body) () ->
+             Passes.run_function ~config ~passes:cfg.passes genv fd body)
+           tasks))
+    ~store:(fun ~dir k _ (fr, diags) ->
+      (* clean results only: a hit must imply "nothing to report" *)
+      if diags = [] && Checker.fn_ok fr then
+        Cache.store ~dir k
+          {
+            Cache.e_kvars = fr.Checker.fr_kvars;
+            e_clauses = fr.Checker.fr_clauses;
+            e_time = fr.Checker.fr_time;
+          })
+    ~fresh:(fun (_, (fd : Ast.fn_def), _) (fr, diags) ->
       {
-        lr_fns = fns;
-        lr_hits = hits;
-        lr_misses = List.length fns - hits;
-        lr_time = elapsed;
+        lo_fn = fd.Ast.fn_name;
+        lo_diags = diags;
+        lo_cached = false;
+        lo_errors = fr.Checker.fr_errors;
       })
-    slots
+    ~assemble:(fun fns ~hits ~misses ~time ->
+      { lr_fns = fns; lr_hits = hits; lr_misses = misses; lr_time = time })
+    progs
 
 let lint_program_ast ?cancel ?config (cfg : config) (prog : Ast.program) :
     run =

@@ -151,9 +151,83 @@ let report_of_run (r : run) : Checker.report =
 
 let run_ok (r : run) = List.for_all (fun o -> Checker.fn_ok o.fo_report) r.run_fns
 
+(* ------------------------------------------------------------------ *)
+(* The cached-run driver                                               *)
+(* ------------------------------------------------------------------ *)
+
 (* A per-function slot is either replayed from the cache or an index
-   into the shared task arrays. *)
-type 'r slot = Hit of 'r | Todo of int * string option
+   into the batch of misses. *)
+type 'o slot = Hit of 'o | Todo of int
+
+(** The driver check, verify and lint share. [tasks] gives each
+    program's (task, cache key) pairs in declaration order. Every keyed
+    function is probed in [cache_dir]: a loaded entry is a hit if [hit]
+    turns it into an outcome, and a miss otherwise ([hit] returns [None]
+    to demote it). The misses of all programs run as one batch ([run]
+    gets them in probe order and returns their results in that order),
+    [store] is offered each keyed miss's result, and [assemble] builds
+    each program's record from its outcomes in declaration order (a
+    miss's from [fresh]), its hit and miss counts and the wall-clock of
+    the whole call. [counters] names the profile counters of hits and
+    of misses; a function without a key counts as neither. Without a
+    [cache_dir] nothing is probed or stored. *)
+let cached_run ~(cache_dir : string option) ~(counters : string * string)
+    ~(tasks : Ast.program -> ('t * string option) list)
+    ~(hit : dir:string -> string -> 't -> Cache.entry -> 'o option)
+    ~(run : 't array -> 'r array)
+    ~(store : dir:string -> string -> 't -> 'r -> unit)
+    ~(fresh : 't -> 'r -> 'o)
+    ~(assemble : 'o list -> hits:int -> misses:int -> time:float -> 'run)
+    (progs : Ast.program list) : 'run list =
+  let t0 = Unix.gettimeofday () in
+  let hit_counter, miss_counter = counters in
+  let todo = ref [] and n_todo = ref 0 in
+  let probe (task, key) =
+    let cached =
+      match (key, cache_dir) with
+      | Some k, Some dir -> (
+          match Cache.load ~dir k with
+          | Some e -> hit ~dir k task e
+          | None -> None)
+      | _ -> None
+    in
+    match cached with
+    | Some o ->
+        Profile.incr hit_counter;
+        Hit o
+    | None ->
+        if key <> None then Profile.incr miss_counter;
+        todo := (task, key) :: !todo;
+        incr n_todo;
+        Todo (!n_todo - 1)
+  in
+  let slots = List.map (fun prog -> List.map probe (tasks prog)) progs in
+  let todo = Array.of_list (List.rev !todo) in
+  let results = run (Array.map fst todo) in
+  Option.iter
+    (fun dir ->
+      Array.iteri
+        (fun i (task, key) ->
+          Option.iter (fun k -> store ~dir k task results.(i)) key)
+        todo)
+    cache_dir;
+  let time = Unix.gettimeofday () -. t0 in
+  List.map
+    (fun slots ->
+      let hits = ref 0 in
+      let outcomes =
+        List.map
+          (function
+            | Hit o ->
+                incr hits;
+                o
+            | Todo i -> fresh (fst todo.(i)) results.(i))
+          slots
+      in
+      assemble outcomes ~hits:!hits
+        ~misses:(List.length outcomes - !hits)
+        ~time)
+    slots
 
 (* ------------------------------------------------------------------ *)
 (* Certificates (--certify)                                            *)
@@ -374,106 +448,63 @@ let check_split ?cancel ~(certify : bool) (cfg : config) ~(config : Config.t)
               (Some (Solve.finish sprep)),
             Some (Checker.prepared_kvars p, Checker.prepared_clauses p) ))
 
-(** Check several programs through one shared schedule. Genvs are built
-    sequentially on the calling domain and are read-only afterwards, so
-    worker domains may read them concurrently. *)
+(** Check several programs through one shared schedule
+    ({!cached_run}). Genvs are built sequentially on the calling domain
+    and are read-only afterwards, so worker domains may read them
+    concurrently. Under [certify] a hit stands only if its certificate
+    replays ({!cert_replay_ok}), and each verified miss emits one. *)
 let check_programs ?cancel ?(certify = false) ?(config = Config.default)
     (cfg : config) (progs : Ast.program list) : run list =
-  let t0 = Unix.gettimeofday () in
   let salt = Config.fingerprint config in
-  let quals_fp = Cache.qualifiers_fingerprint Qualifier.default in
-  let tasks = ref [] in
-  let n_tasks = ref 0 in
-  let slots =
-    List.map
-      (fun prog ->
-        let genv = Genv.build prog in
-        List.map
-          (fun ((fd : Ast.fn_def), body, key) ->
-            let hit =
-              match (key, cfg.cache_dir) with
-              | Some k, Some dir -> (
-                  match Cache.load ~dir k with
-                  | Some _ when certify && not (cert_replay_ok ~dir k) ->
-                      (* verdict present but certificate missing or not
-                         replaying: demote to a miss so the re-check
-                         re-emits it *)
-                      None
-                  | Some (e : Cache.entry) ->
-                      Some
-                        {
-                          Checker.fr_name = fd.Ast.fn_name;
-                          fr_errors = [];
-                          fr_solution = None;
-                          fr_kvars = e.Cache.e_kvars;
-                          fr_clauses = e.Cache.e_clauses;
-                          fr_time = 0.0;
-                        }
-                  | None -> None)
-              | _ -> None
-            in
-            match hit with
-            | Some r ->
-                Profile.incr "engine.cache_hits";
-                Hit r
-            | None ->
-                if key <> None then Profile.incr "engine.cache_misses";
-                let i = !n_tasks in
-                incr n_tasks;
-                tasks := (genv, fd, body, key) :: !tasks;
-                Todo (i, key))
-          (Cache.program_keys ~keyed:(cfg.cache_dir <> None) ~config:salt
-             genv prog))
-      progs
-  in
-  let task_arr = Array.of_list (List.rev !tasks) in
-  let sizes = Array.map (fun (_, _, body, _) -> body_size body) task_arr in
-  let results =
-    check_split ?cancel ~certify cfg ~config ~quals_fp ~sizes task_arr
-  in
-  (match cfg.cache_dir with
-  | Some dir ->
-      Array.iteri
-        (fun i (_, _, _, key) ->
-          match key with
-          | Some k when Checker.fn_ok (fst results.(i)) ->
-              let r, payload = results.(i) in
-              Cache.store ~dir k
-                {
-                  Cache.e_kvars = r.Checker.fr_kvars;
-                  e_clauses = r.Checker.fr_clauses;
-                  e_time = r.Checker.fr_time;
-                };
-              if certify then begin
-                match (payload, r.Checker.fr_solution) with
-                | Some (kvars, clauses), Some sol ->
-                    emit_flux_cert ~config ~dir k ~kvars sol clauses
-                | _ -> ()
-              end
-          | _ -> ())
-        task_arr
-  | None -> ());
-  let elapsed = Unix.gettimeofday () -. t0 in
-  List.map
-    (fun prog_slots ->
-      let fns =
-        List.map
-          (function
-            | Hit r -> { fo_report = r; fo_cached = true }
-            | Todo (i, _) ->
-                { fo_report = fst results.(i); fo_cached = false })
-          prog_slots
-      in
-      let hits =
-        List.length (List.filter (fun o -> o.fo_cached) fns)
-      in
-      {
-        run_fns = fns;
-        run_hits = hits;
-        run_misses = List.length fns - hits;
-        run_time = elapsed;
-      })
-    slots
+  cached_run ~cache_dir:cfg.cache_dir
+    ~counters:("engine.cache_hits", "engine.cache_misses")
+    ~tasks:(fun prog ->
+      let genv = Genv.build prog in
+      List.map
+        (fun (fd, body, key) -> ((genv, fd, body, key), key))
+        (Cache.program_keys ~keyed:(cfg.cache_dir <> None) ~config:salt genv
+           prog))
+    ~hit:(fun ~dir k (_, (fd : Ast.fn_def), _, _) (e : Cache.entry) ->
+      (* a verdict whose certificate is missing or does not replay is
+         demoted to a miss, so the re-check re-emits it *)
+      if certify && not (cert_replay_ok ~dir k) then None
+      else
+        Some
+          {
+            fo_report =
+              {
+                Checker.fr_name = fd.Ast.fn_name;
+                fr_errors = [];
+                fr_solution = None;
+                fr_kvars = e.Cache.e_kvars;
+                fr_clauses = e.Cache.e_clauses;
+                fr_time = 0.0;
+              };
+            fo_cached = true;
+          })
+    ~run:(fun tasks ->
+      check_split ?cancel ~certify cfg ~config
+        ~quals_fp:(Cache.qualifiers_fingerprint Qualifier.default)
+        ~sizes:(Array.map (fun (_, _, body, _) -> body_size body) tasks)
+        tasks)
+    ~store:(fun ~dir k _ (r, payload) ->
+      if Checker.fn_ok r then begin
+        Cache.store ~dir k
+          {
+            Cache.e_kvars = r.Checker.fr_kvars;
+            e_clauses = r.Checker.fr_clauses;
+            e_time = r.Checker.fr_time;
+          };
+        if certify then
+          match (payload, r.Checker.fr_solution) with
+          | Some (kvars, clauses), Some sol ->
+              emit_flux_cert ~config ~dir k ~kvars sol clauses
+          | _ -> ()
+      end)
+    ~fresh:(fun _ (r, _) -> { fo_report = r; fo_cached = false })
+    ~assemble:(fun fns ~hits ~misses ~time ->
+      { run_fns = fns; run_hits = hits; run_misses = misses; run_time = time })
+    progs
 
 let check_program_ast ?cancel ?certify ?config (cfg : config)
     (prog : Ast.program) : run =
@@ -508,106 +539,62 @@ let wp_report_of_run (r : wp_run) : Wp.report =
 
 let wp_run_ok (r : wp_run) = List.for_all (fun o -> Wp.fn_ok o.wo_report) r.wr_fns
 
+(** Verify several programs with the WP baseline through one shared
+    schedule ({!cached_run}), with the same [certify] policy as
+    {!check_programs}. *)
 let verify_programs ?cancel ?(certify = false) ?(config = Config.default)
     (cfg : config) (progs : Ast.program list) : wp_run list =
-  let t0 = Unix.gettimeofday () in
   let salt = Config.fingerprint config in
-  let tasks = ref [] in
-  let n_tasks = ref 0 in
-  let slots =
-    List.map
-      (fun prog ->
-        let bodies = Flux_mir.Lower.lower_program prog in
-        List.filter_map
-          (fun (fd : Ast.fn_def) ->
-            if fd.Ast.fn_trusted then None
-            else
-              match List.assoc_opt fd.Ast.fn_name bodies with
-              | None -> None
-              | Some body ->
-                  let key =
-                    Option.map
-                      (fun _dir ->
-                        Cache.wp_key ~config:salt ~lookup:(Ast.find_fn prog)
-                          fd body)
-                      cfg.cache_dir
-                  in
-                  let hit =
-                    match (key, cfg.cache_dir) with
-                    | Some k, Some dir -> (
-                        match Cache.load ~dir k with
-                        | Some _ when certify && not (cert_replay_ok ~dir k)
-                          ->
-                            None
-                        | Some (e : Cache.entry) ->
-                            Some
-                              {
-                                Wp.fr_name = fd.Ast.fn_name;
-                                fr_errors = [];
-                                fr_vcs = e.Cache.e_clauses;
-                                fr_time = 0.0;
-                                fr_goals = [];
-                              }
-                        | None -> None)
-                    | _ -> None
-                  in
-                  (match hit with
-                  | Some r ->
-                      Profile.incr "engine.cache_hits";
-                      Some (Hit r)
-                  | None ->
-                      if key <> None then Profile.incr "engine.cache_misses";
-                      let i = !n_tasks in
-                      incr n_tasks;
-                      tasks := (prog, fd, body, key) :: !tasks;
-                      Some (Todo (i, key))))
-          (Ast.program_fns prog))
-      progs
-  in
-  let task_arr = Array.of_list (List.rev !tasks) in
-  let sizes = Array.map (fun (_, _, body, _) -> body_size body) task_arr in
-  let fns =
-    Array.map
-      (fun (prog, fd, body, _) () ->
-        Wp.verify_body ~config ~certify prog fd body)
-      task_arr
-  in
-  let results = run_pool ?cancel ~jobs:cfg.jobs ~sizes fns in
-  (match cfg.cache_dir with
-  | Some dir ->
-      Array.iteri
-        (fun i (_, _, _, key) ->
-          match key with
-          | Some k when Wp.fn_ok results.(i) ->
-              let r = results.(i) in
-              Cache.store ~dir k
-                {
-                  Cache.e_kvars = 0;
-                  e_clauses = r.Wp.fr_vcs;
-                  e_time = r.Wp.fr_time;
-                };
-              if certify then emit_wp_cert ~dir k r.Wp.fr_goals
-          | _ -> ())
-        task_arr
-  | None -> ());
-  let elapsed = Unix.gettimeofday () -. t0 in
-  List.map
-    (fun prog_slots ->
-      let fns =
-        List.map
-          (function
-            | Hit r -> { wo_report = r; wo_cached = true }
-            | Todo (i, _) -> { wo_report = results.(i); wo_cached = false })
-          prog_slots
-      in
-      let hits = List.length (List.filter (fun o -> o.wo_cached) fns) in
-      {
-        wr_fns = fns;
-        wr_hits = hits;
-        wr_misses = List.length fns - hits;
-        wr_time = elapsed;
-      })
-    slots
+  cached_run ~cache_dir:cfg.cache_dir
+    ~counters:("engine.cache_hits", "engine.cache_misses")
+    ~tasks:(fun prog ->
+      let bodies = Flux_mir.Lower.lower_program prog in
+      List.filter_map
+        (fun (fd : Ast.fn_def) ->
+          if fd.Ast.fn_trusted then None
+          else
+            Option.map
+              (fun body ->
+                ( (prog, fd, body),
+                  Option.map
+                    (fun _dir ->
+                      Cache.wp_key ~config:salt ~lookup:(Ast.find_fn prog) fd
+                        body)
+                    cfg.cache_dir ))
+              (List.assoc_opt fd.Ast.fn_name bodies))
+        (Ast.program_fns prog))
+    ~hit:(fun ~dir k (_, (fd : Ast.fn_def), _) (e : Cache.entry) ->
+      if certify && not (cert_replay_ok ~dir k) then None
+      else
+        Some
+          {
+            wo_report =
+              {
+                Wp.fr_name = fd.Ast.fn_name;
+                fr_errors = [];
+                fr_vcs = e.Cache.e_clauses;
+                fr_time = 0.0;
+                fr_goals = [];
+              };
+            wo_cached = true;
+          })
+    ~run:(fun tasks ->
+      run_pool ?cancel ~jobs:cfg.jobs
+        ~sizes:(Array.map (fun (_, _, body) -> body_size body) tasks)
+        (Array.map
+           (fun (prog, fd, body) () ->
+             Wp.verify_body ~config ~certify prog fd body)
+           tasks))
+    ~store:(fun ~dir k _ r ->
+      if Wp.fn_ok r then begin
+        Cache.store ~dir k
+          { Cache.e_kvars = 0; e_clauses = r.Wp.fr_vcs; e_time = r.Wp.fr_time };
+        if certify then emit_wp_cert ~dir k r.Wp.fr_goals
+      end)
+    ~fresh:(fun _ r -> { wo_report = r; wo_cached = false })
+    ~assemble:(fun fns ~hits ~misses ~time ->
+      { wr_fns = fns; wr_hits = hits; wr_misses = misses; wr_time = time })
+    progs
 
 let verify_program_ast ?cancel ?certify ?config (cfg : config)
     (prog : Ast.program) : wp_run =

@@ -19,8 +19,10 @@ exception Cancelled
 
 type 'a outcome = Done of 'a | Failed of exn * Printexc.raw_backtrace
 
-(** [run ~jobs tasks]: execute every task and return the results in
-    task order. [jobs <= 0] selects {!default_jobs}; [jobs <= 1] (or a
+(** [run_spawning ~spawn ~jobs tasks]: execute every task and return
+    the results in task order, starting each worker domain with
+    [spawn]; {!run} passes {!Domain.spawn}, tests pass one that fails.
+    A failed spawn is not an error: the tasks run on fewer domains. [jobs <= 0] selects {!default_jobs}; [jobs <= 1] (or a
     single task) runs inline on the calling domain, so sequential mode
     has no domain overhead and shares the caller's domain-local state.
     Requested jobs are clamped to the physical core count: verification
@@ -33,12 +35,14 @@ type 'a outcome = Done of 'a | Failed of exn * Printexc.raw_backtrace
     (identically for sequential and parallel runs).
 
     [cancel] is polled before every task claim — on the calling domain
-    when sequential, on each worker domain when parallel, so it must be
+    when sequential (or draining beside too few workers), on each
+    worker domain when parallel, so it must be
     safe to call concurrently (the daemon's deadline/disconnect checks
     are plain syscalls). Once it reports [true], {!Cancelled} is raised
     after the in-flight tasks finish. *)
-let run (type a) ?(cancel = fun () -> false) ~(jobs : int)
-    (tasks : (unit -> a) array) : a array =
+let run_spawning (type a) ~(spawn : (unit -> unit) -> unit Domain.t)
+    ?(cancel = fun () -> false) ~(jobs : int) (tasks : (unit -> a) array) :
+    a array =
   let n = Array.length tasks in
   let results : a outcome option array = Array.make n None in
   let exec i =
@@ -74,9 +78,21 @@ let run (type a) ?(cancel = fun () -> false) ~(jobs : int)
        loop ()
      in
      (* Workers catch everything, so [Domain.join] never re-raises;
-        failures are reported positionally below instead. *)
-     let doms = Array.init (min jobs n) (fun _ -> Domain.spawn worker) in
-     Array.iter Domain.join doms;
+        failures are reported positionally below instead. A spawn can
+        fail when the runtime's domain table is full (every fluxd
+        session spawns its own workers): spawning stops there, the
+        calling domain drains the queue beside the workers that did
+        start, and every one of them is joined before returning. *)
+     let rec start k doms =
+       if k = 0 then (doms, true)
+       else
+         match spawn worker with
+         | d -> start (k - 1) (d :: doms)
+         | exception _ -> (doms, false)
+     in
+     let doms, all_started = start (min jobs n) [] in
+     if not all_started then worker ();
+     List.iter Domain.join doms;
      if Atomic.get stop then raise Cancelled
    end);
   Array.init n (fun i ->
@@ -84,3 +100,6 @@ let run (type a) ?(cancel = fun () -> false) ~(jobs : int)
       | Some (Done r) -> r
       | Some (Failed (e, bt)) -> Printexc.raise_with_backtrace e bt
       | None -> assert false)
+
+(** [run_spawning] with the runtime's own {!Domain.spawn}. *)
+let run ?cancel ~jobs tasks = run_spawning ~spawn:Domain.spawn ?cancel ~jobs tasks

@@ -19,8 +19,8 @@
     Slice 0 is a synthetic root holding the κ-free concrete-head
     clauses; it declares no κs and depends on nothing. Clause indices
     ([int] paired with each clause) are positions in the input list, so
-    failure reports can be re-sorted into the exact order the
-    non-incremental reference loop produces.
+    failure reports can be re-sorted into the exact order the reference
+    sweep ([Flux_fuzz.Reference]) reports them in.
 
     Undeclared κs in hypothesis position are ignored (the solver treats
     them as ⊤, see {!Solve.apply_hyp}); heads are assumed declared —

@@ -8,20 +8,20 @@
     qualifier lattice; the remaining concrete-head clauses are then
     checked once under it.
 
-    Two equivalent schedules drive the weakening. The reference
-    schedule ({!solve_clauses_full}) sweeps every κ-headed clause until
-    nothing changes; it is kept only as the baseline the tests and the
-    fuzzer compare against. The incremental schedule
-    ({!solve_clauses_incremental}, the one verification runs)
-    decomposes the system along the κ-dependency graph ({!Kgraph}): SCCs are solved in
-    topological order, a clause is re-weakened only when the solution of
-    a κ in its hypotheses shrank since its last evaluation, and
-    concrete-head clauses are final-checked as soon as their last κ
-    hypothesis is final. The weakening operator is monotone on the
-    finite lattice of conjunct subsets, so both chaotic-iteration
-    schedules converge to the same (strongest) fixpoint — verdicts,
-    solutions and failure order are identical, which the differential
-    tests and the fuzzer's [incremental] oracle enforce.
+    One schedule drives the weakening: the incremental one
+    ({!solve_clauses_incremental}) decomposes the system along the
+    κ-dependency graph ({!Kgraph}): SCCs are solved in topological
+    order, a clause is re-weakened only when the solution of a κ in its
+    hypotheses shrank since its last evaluation, and concrete-head
+    clauses are final-checked as soon as their last κ hypothesis is
+    final. The weakening operator is monotone on the finite lattice of
+    conjunct subsets, so it converges to the same (strongest) fixpoint
+    as the plain sweep of every κ-headed clause until nothing changes —
+    verdicts, solutions and failure order are identical. That sweep is
+    the reference the differential tests and the fuzzer's [incremental]
+    oracle compare against; it lives with them ([Flux_fuzz.Reference])
+    and shares only {!init_system}, {!sliced_hyps} and {!final_check}
+    with this module.
 
     The slice API ({!prepare} / {!run_slice} / {!apply_slice} /
     {!finish}) exposes the incremental schedule one SCC at a time so the
@@ -43,6 +43,8 @@ type failure = {
 }
 
 type result = Sat of solution | Unsat of failure list * solution
+
+type kenv = (string, Horn.kvar) Hashtbl.t
 
 exception Unbound_kvar of string
 (** Raised when a clause's {e head} applies a κ that was never declared:
@@ -97,8 +99,7 @@ let subst_kapp (kv : Horn.kvar) (conjuncts : Term.t list) k
 (** Substitute the current solution into a hypothesis predicate. An
     unknown κ becomes ⊤ — dropping a hypothesis only weakens the
     left-hand side, which is sound. *)
-let apply_hyp (kenv : (string, Horn.kvar) Hashtbl.t) (sol : solution)
-    (p : Horn.pred) : Term.t =
+let apply_hyp (kenv : kenv) (sol : solution) (p : Horn.pred) : Term.t =
   match p with
   | Horn.Conc t -> t
   | Horn.Kapp (k, args) -> (
@@ -109,8 +110,7 @@ let apply_hyp (kenv : (string, Horn.kvar) Hashtbl.t) (sol : solution)
 (** Substitute the current solution into a head predicate. Unknown κs
     raise {!Unbound_kvar}: a ⊤ head would make the clause vacuously
     valid and mask a missing declaration. *)
-let apply_head (kenv : (string, Horn.kvar) Hashtbl.t) (sol : solution)
-    (p : Horn.pred) : Term.t =
+let apply_head (kenv : kenv) (sol : solution) (p : Horn.pred) : Term.t =
   match p with
   | Horn.Conc t -> t
   | Horn.Kapp (k, args) -> (
@@ -119,9 +119,9 @@ let apply_head (kenv : (string, Horn.kvar) Hashtbl.t) (sol : solution)
       | _ -> raise (Unbound_kvar k))
 
 (** Reject clauses whose head applies an undeclared κ, before solving
-    begins — shared by both schedules so they fail identically. *)
-let check_heads (kenv : (string, Horn.kvar) Hashtbl.t)
-    (clauses : Horn.clause list) : unit =
+    begins — through {!init_system}, so the schedule and the reference
+    sweep fail identically. *)
+let check_heads (kenv : kenv) (clauses : Horn.clause list) : unit =
   List.iter
     (fun cl ->
       match cl.Horn.head with
@@ -161,14 +161,15 @@ let slice_terms (hyps : Term.cone) : int list option -> Term.t list = function
 let slice_prepared config hyps rhs : Term.t =
   Term.mk_and (slice_terms hyps (slice_of config hyps rhs))
 
-let sliced_lhs config kenv sol (c : Horn.clause) (rhs : Term.t) : Term.t =
-  slice_prepared config (prepare_hyps kenv sol c) rhs
+(** A clause's hypotheses under [sol], prepared once: the result cuts
+    the sliced hypothesis for each goal it is given. *)
+let sliced_hyps config kenv sol (c : Horn.clause) : Term.t -> Term.t =
+  slice_prepared config (prepare_hyps kenv sol c)
 
 (** Build the initial environment and solution (every κ at its full
     qualifier instantiation) for a clause system. *)
 let init_system ~qualifiers ~(kvars : Horn.kvar list)
-    (clauses : Horn.clause list) :
-    (string, Horn.kvar) Hashtbl.t * solution =
+    (clauses : Horn.clause list) : kenv * solution =
   let kenv = Hashtbl.create 16 in
   List.iter (fun kv -> Hashtbl.replace kenv kv.Horn.kname kv) kvars;
   check_heads kenv clauses;
@@ -180,51 +181,6 @@ let init_system ~qualifiers ~(kvars : Horn.kvar list)
            kv.Horn.kparams))
     kvars;
   (kenv, sol)
-
-(** One weakening step for a κ-headed clause against [sol]: knock out
-    the head κ's conjuncts not implied by the hypotheses. Returns
-    whether the κ's solution shrank. *)
-let weaken_clause config stats kenv (sol : solution) (cl : Horn.clause) : bool =
-  match cl.Horn.head with
-  | Horn.Conc _ -> false
-  | Horn.Kapp (k, args) -> (
-      match Hashtbl.find_opt sol k with
-      | None -> raise (Unbound_kvar k)
-      | Some [] -> false
-      | Some conjuncts ->
-          let kv = Hashtbl.find kenv k in
-          let m = List.map2 (fun (x, _) a -> (x, a)) kv.Horn.kparams args in
-          let prepared = prepare_hyps kenv sol cl in
-          (* The slice depends on the goal only through its
-             free-variable set, and the qualifiers of one sweep mostly
-             range over a handful of variable sets — share the cone
-             computation across them. *)
-          let slices = ref [] in
-          let slice_for rhs =
-            let seed = Term.free_vars rhs in
-            match
-              List.find_opt (fun (s, _) -> Term.VarSet.equal s seed) !slices
-            with
-            | Some (_, lhs) -> lhs
-            | None ->
-                let lhs = slice_prepared config prepared rhs in
-                slices := (seed, lhs) :: !slices;
-                lhs
-          in
-          let keep =
-            List.filter
-              (fun q ->
-                stats.weaken_checks <- stats.weaken_checks + 1;
-                Profile.incr "fixpoint.weaken_checks";
-                let rhs = Term.subst m q in
-                Discharge.valid config (Term.mk_imp (slice_for rhs) rhs))
-              conjuncts
-          in
-          if List.length keep <> List.length conjuncts then begin
-            Hashtbl.replace sol k keep;
-            true
-          end
-          else false)
 
 (** Slice-global memo of decided implications [lhs ⇒ rhs], one {e row}
     per hypothesis keyed by goal. Hypotheses are wide (~100 conjuncts
@@ -274,12 +230,15 @@ type bucket = {
       (** undecided (conjunct, goal) pairs, latest first *)
 }
 
-(** Incremental variant of {!weaken_clause}; it keeps the exact kept
-    set, so the fixpoint (and hence the verdict) is identical. Each
-    goal is triaged against the slice's {!qmemo}: an implication
-    already decided — by this clause on an earlier pass, or by a
-    sibling clause with the same hypothesis and goal (pre/post join-κ
-    pairs produce many) — reuses its verdict. The rest are grouped into
+(** One weakening step for a κ-headed clause against [sol]: knock out
+    the head κ's conjuncts not implied by the hypotheses, and return
+    whether the κ's solution shrank. It keeps exactly the conjuncts a
+    plain goal-by-goal check keeps, so the fixpoint (and hence the
+    verdict) is the reference sweep's. Each goal is triaged against
+    the slice's {!qmemo}: an implication already decided — by this
+    clause on an earlier pass, or by a sibling clause with the same
+    hypothesis and goal (pre/post join-κ pairs produce many) — reuses
+    its verdict. The rest are grouped into
     buckets by sliced hypothesis. The evaluation pays for its
     hypotheses once, for all its buckets: each conjunct's variables are
     numbered and its hash taken once, so a slice is cut on ints and its
@@ -297,7 +256,7 @@ type bucket = {
     it. A walk records its verdicts only when it ends, so a twin within
     one walk is asked, and solved, again: the exact counters of
     [perfbench/baseline_counters.json] pin that query count. *)
-let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
+let weaken_clause config stats kenv (sol : solution) ~(qmemo : qmemo)
     (cl : Horn.clause) : bool =
   match cl.Horn.head with
   | Horn.Conc _ -> false
@@ -462,45 +421,17 @@ let weaken_clause_memo config stats kenv (sol : solution) ~(qmemo : qmemo)
           else false)
 
 (** Final-check one concrete-head clause under the (final) solution. *)
-let final_check config stats kenv (sol : solution) (cl : Horn.clause) :
+let final_check config kenv (sol : solution) (cl : Horn.clause) :
     failure option =
   match cl.Horn.head with
   | Horn.Kapp _ -> None
   | Horn.Conc rhs ->
+      let stats = stats () in
       stats.final_checks <- stats.final_checks + 1;
       Profile.incr "fixpoint.final_checks";
-      let lhs = sliced_lhs config kenv sol cl rhs in
+      let lhs = sliced_hyps config kenv sol cl rhs in
       if Discharge.valid config (Term.mk_imp lhs rhs) then None
       else Some { f_tag = cl.Horn.tag; f_clause = cl; f_lhs = lhs; f_rhs = rhs }
-
-(** The reference schedule: sweep every κ-headed clause until no
-    solution changes, then check all concrete heads. Retained verbatim
-    as the differential baseline for the incremental schedule. *)
-let solve_clauses_full ?(config = Config.default)
-    ?(qualifiers = Qualifier.default) ~(kvars : Horn.kvar list)
-    (clauses : Horn.clause list) : result =
-  Profile.time "fixpoint.solve_s" @@ fun () ->
-  let stats = stats () in
-  let kenv, sol = init_system ~qualifiers ~kvars clauses in
-  let kclauses, cclauses =
-    List.partition
-      (fun cl -> match cl.Horn.head with Horn.Kapp _ -> true | _ -> false)
-      clauses
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    stats.iterations <- stats.iterations + 1;
-    Profile.incr "fixpoint.iterations";
-    List.iter
-      (fun cl ->
-        if weaken_clause config stats kenv sol cl then changed := true)
-      kclauses
-  done;
-  let failures =
-    List.filter_map (final_check config stats kenv sol) cclauses
-  in
-  if failures = [] then Sat sol else Unsat (failures, sol)
 
 (* -------------------------------------------------------------------- *)
 (* Incremental (SCC-sliced) schedule                                     *)
@@ -508,7 +439,7 @@ let solve_clauses_full ?(config = Config.default)
 
 type prep = {
   p_config : Config.t;
-  p_kenv : (string, Horn.kvar) Hashtbl.t;
+  p_kenv : kenv;
   p_sol : solution;
       (** authoritative solution; extended slice by slice via
           {!apply_slice}. Workers never write it — {!run_slice} copies
@@ -645,7 +576,7 @@ let run_slice (p : prep) (i : int) : slice_result =
       | _ ->
           last.(j) <- Some cur;
           if
-            weaken_clause_memo p.p_config stats p.p_kenv wsol ~qmemo cl
+            weaken_clause p.p_config stats p.p_kenv wsol ~qmemo cl
           then begin
             (match cl.Horn.head with
             | Horn.Kapp (k, _) -> Hashtbl.replace version k (ver k + 1)
@@ -659,7 +590,7 @@ let run_slice (p : prep) (i : int) : slice_result =
       (fun (idx, cl) ->
         Option.map
           (fun f -> (idx, f))
-          (final_check p.p_config stats p.p_kenv wsol cl))
+          (final_check p.p_config p.p_kenv wsol cl))
       sl.Kgraph.sl_cclauses
   in
   {
@@ -712,8 +643,7 @@ let clause_query ?(config = Config.default) ~(kvars : Horn.kvar list)
   let kenv = Hashtbl.create 16 in
   List.iter (fun kv -> Hashtbl.replace kenv kv.Horn.kname kv) kvars;
   let rhs = apply_head kenv sol cl.Horn.head in
-  let lhs = sliced_lhs config kenv sol cl rhs in
-  Term.mk_imp lhs rhs
+  Term.mk_imp (sliced_hyps config kenv sol cl rhs) rhs
 
 let check_clause ?(config = Config.default) ~(kvars : Horn.kvar list)
     (sol : solution) (cl : Horn.clause) : bool =

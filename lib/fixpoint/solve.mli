@@ -7,14 +7,15 @@
     reached (the strongest solution in the qualifier lattice); the
     remaining concrete-head clauses are then checked under it.
 
-    Two equivalent schedules are provided: the incremental one
-    ({!solve_clauses_incremental} and the slice API below), which
-    verification runs, solves the κ-dependency graph SCC by SCC in
-    topological order ({!Kgraph}), re-weakening a clause only when a κ
-    hypothesis shrank; the reference full sweep ({!solve_clauses_full})
-    is kept as the baseline tests and the fuzzer compare it against.
-    Both converge to the same fixpoint and report identical verdicts,
-    solutions and failure order.
+    One schedule is provided: the incremental one
+    ({!solve_clauses_incremental} and the slice API below) solves the
+    κ-dependency graph SCC by SCC in topological order ({!Kgraph}),
+    re-weakening a clause only when a κ hypothesis shrank. It converges
+    to the fixpoint of the plain sweep over every κ-headed clause, with
+    identical verdicts, solutions and failure order. That sweep is the
+    reference the tests and the fuzzer compare against
+    ([Flux_fuzz.Reference]); it builds on {!init_system},
+    {!sliced_hyps} and {!final_check}.
 
     The solving and clause-checking entry points take an optional
     [config] (default
@@ -57,15 +58,6 @@ val stats : unit -> stats
     {!Flux_smt.Solver.stats}). *)
 
 val reset_stats : unit -> unit
-
-val solve_clauses_full :
-  ?config:Config.t ->
-  ?qualifiers:Qualifier.t list ->
-  kvars:Horn.kvar list ->
-  Horn.clause list ->
-  result
-(** The reference schedule: sweep every κ-headed clause until nothing
-    changes. Retained as the differential baseline. *)
 
 val solve_clauses_incremental :
   ?config:Config.t ->
@@ -168,3 +160,28 @@ val validate_solution :
     enforces. *)
 
 val pp_solution : Format.formatter -> solution -> unit
+
+(** {2 Building blocks of the reference sweep} *)
+
+type kenv = (string, Horn.kvar) Hashtbl.t
+(** κ name → declaration. *)
+
+val init_system :
+  qualifiers:Qualifier.t list ->
+  kvars:Horn.kvar list ->
+  Horn.clause list ->
+  kenv * solution
+(** The declarations and the initial solution: every κ at its full
+    qualifier instantiation. Raises {!Unbound_kvar} on undeclared head
+    κs. *)
+
+val sliced_hyps : Config.t -> kenv -> solution -> Horn.clause -> Term.t -> Term.t
+(** [sliced_hyps config kenv sol cl] substitutes [sol] into [cl]'s
+    hypotheses and flattens them once; applied to a goal, it returns
+    the hypothesis the schedule decides that goal under (sliced to the
+    goal's cone of influence when [config.slice] is on). *)
+
+val final_check :
+  Config.t -> kenv -> solution -> Horn.clause -> failure option
+(** Check a concrete-head clause under the final solution, counting it
+    in [fixpoint.final_checks]; κ-headed clauses give [None]. *)

@@ -32,7 +32,7 @@
     - {b full-vs-incremental differential} — the SCC-sliced schedule
       ({!Flux_fixpoint.Solve.solve_clauses_incremental}) promises
       verdicts, failure order and rendered solutions {e byte-identical}
-      to the reference sweep ({!Flux_fixpoint.Solve.solve_clauses_full});
+      to the reference sweep ({!Reference.solve_clauses});
       any textual divergence on any generated κ system is a bug in the
       dependency graph, the skip bookkeeping, or the memo layers.
 
@@ -563,7 +563,7 @@ let incremental_mismatch
     | r -> render_result r
     | exception Solve.Unbound_kvar k -> "raised Unbound_kvar " ^ k
   in
-  let full = outcome (fun ~kvars cls -> Solve.solve_clauses_full ~kvars cls) in
+  let full = outcome (fun ~kvars cls -> Reference.solve_clauses ~kvars cls) in
   let inc = outcome incremental in
   if String.equal full inc then None
   else

@@ -813,6 +813,42 @@ let certify_demotion name (tool : dir:string -> (string * bool) list) =
       Alcotest.(check flags) "then every hit stands" (all true) (tool ~dir);
       Alcotest.(check int) "then no cert.failed" 0 (count "cert.failed"))
 
+(* ------------------------------------------------------------------ *)
+(* The domain pool                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(** A spawn that fails (a full domain table) stops spawning: the calling
+    domain drains the queue beside the workers that did start, every
+    task runs once and the results stay positional. *)
+let pool_spawn_failure =
+  Alcotest.test_case "pool: a failed spawn drains on the calling domain"
+    `Quick (fun () ->
+      List.iter
+        (fun fail_at ->
+          let calls = ref 0 in
+          let spawn f =
+            incr calls;
+            if !calls = fail_at then failwith "domain table full"
+            else Domain.spawn f
+          in
+          let n = 64 in
+          let ran = Array.init n (fun _ -> Atomic.make 0) in
+          let tasks =
+            Array.init n (fun i () ->
+                Atomic.incr ran.(i);
+                i * i)
+          in
+          let what = Printf.sprintf "spawn %d fails" fail_at in
+          Alcotest.(check (array int))
+            (what ^ ": positional results")
+            (Array.init n (fun i -> i * i))
+            (Flux_engine.Pool.run_spawning ~spawn ~jobs:(-4) tasks);
+          Alcotest.(check (array int))
+            (what ^ ": every task ran once") (Array.make n 1)
+            (Array.map Atomic.get ran);
+          Alcotest.(check int) (what ^ ": no spawn after it") fail_at !calls)
+        [ 1; 2 ])
+
 let tests =
   ( "engine",
     [
@@ -845,4 +881,5 @@ let tests =
         (Option.get (Workloads.find "bsearch")).Workloads.bm_flux;
       certify_demotion "flux" certify_flux;
       certify_demotion "wp" certify_wp;
+      pool_spawn_failure;
     ] )

@@ -283,7 +283,7 @@ let test_unbound_head_kvar () =
       1
   in
   Alcotest.check_raises "full schedule raises" (Solve.Unbound_kvar "ghost")
-    (fun () -> ignore (Solve.solve_clauses_full ~kvars:[] [ cl ]));
+    (fun () -> ignore (Flux_fuzz.Reference.solve_clauses ~kvars:[] [ cl ]));
   Alcotest.check_raises "incremental schedule raises"
     (Solve.Unbound_kvar "ghost") (fun () ->
       ignore (Solve.solve_clauses_incremental ~kvars:[] [ cl ]))
@@ -309,7 +309,7 @@ let test_unbound_hyp_kvar_top () =
           (List.map (fun f -> f.Solve.f_tag) fails)
     | Solve.Sat _ -> Alcotest.failf "%s: expected UNSAT under the ⊤ default" name
   in
-  run "full" (fun () -> Solve.solve_clauses_full ~kvars:[] [ cl ]);
+  run "full" (fun () -> Flux_fuzz.Reference.solve_clauses ~kvars:[] [ cl ]);
   run "incremental" (fun () ->
       Solve.solve_clauses_incremental ~kvars:[] [ cl ])
 

@@ -4,14 +4,14 @@
     a seeded random Horn corpus, the two schedules must produce
     identical verdicts, errors, κ/clause counts and rendered solutions —
     wall-clock excluded. The default side is the engine pipeline the
-    CLI and the daemon run; the reference side is {!Checker.prepare} +
-    {!Solve.solve_clauses_full} + {!Checker.finish}. *)
+    CLI and the daemon run; the reference side is
+    {!Reference.check_source}. *)
 
 module Checker = Flux_check.Checker
-module Genv = Flux_check.Genv
 module Engine = Flux_engine.Engine
 module Workloads = Flux_workloads.Workloads
 module Oracle = Flux_fuzz.Oracle
+module Reference = Flux_fuzz.Reference
 module Rng = Flux_fuzz.Rng
 module Hgen = Flux_fuzz.Hgen
 open Flux_fixpoint
@@ -28,31 +28,6 @@ let render_fn (fr : Checker.fn_report) : string =
     | None -> "-"
     | Some sol -> Format.asprintf "%a" Solve.pp_solution sol)
 
-(** The whole checker pipeline over the reference sweep:
-    {!Checker.prepare}, {!Solve.solve_clauses_full} and
-    {!Checker.finish} per function. *)
-let reference_check_source (src : string) : Checker.report =
-  let prog = Flux_syntax.Parser.parse_program src in
-  Flux_syntax.Typeck.check_program prog;
-  let genv = Genv.build prog in
-  let check (fd : Flux_syntax.Ast.fn_def) =
-    match Genv.find_body genv fd.fn_name with
-    | Some body when not fd.fn_trusted ->
-        let pr = Checker.prepare genv fd body in
-        Some
-          (Checker.finish pr
-             (if Checker.prepared_early pr then None
-              else
-                Some
-                  (Solve.solve_clauses_full ~kvars:(Checker.prepared_kvars pr)
-                     (Checker.prepared_clauses pr))))
-    | _ -> None
-  in
-  {
-    Checker.rp_fns = List.filter_map check (Flux_syntax.Ast.program_fns prog);
-    rp_time = 0.;
-  }
-
 (** Run the whole checker pipeline under one schedule, rendered;
     exceptions are outcomes too (both schedules must raise alike). *)
 let run_rendered ~(incremental : bool) (src : string) : string =
@@ -60,7 +35,7 @@ let run_rendered ~(incremental : bool) (src : string) : string =
     if incremental then
       Engine.report_of_run
         (Engine.check_source { Engine.jobs = 1; cache_dir = None } src)
-    else reference_check_source src
+    else Reference.check_source src
   with
   | r -> String.concat "\n" (List.map render_fn r.Checker.rp_fns)
   | exception e -> "raised " ^ Printexc.to_string e
@@ -154,7 +129,7 @@ let memo_case ~qualifiers ~kvars clauses ~queries ~weaken_checks ~discharged =
     | Solve.Unsat (fs, sol) ->
         Format.asprintf "unsat %d %a" (List.length fs) Solve.pp_solution sol
   in
-  let reference = render (Solve.solve_clauses_full ~qualifiers ~kvars clauses) in
+  let reference = render (Reference.solve_clauses ~qualifiers ~kvars clauses) in
   Profile.reset ();
   let got = render (Solve.solve_clauses_incremental ~qualifiers ~kvars clauses) in
   let count k =
