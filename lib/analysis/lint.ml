@@ -107,16 +107,12 @@ let lint_programs ?cancel ?(config = Flux_smt.Config.default) (cfg : config)
       { lr_fns = fns; lr_hits = hits; lr_misses = misses; lr_time = time })
     progs
 
-let lint_program_ast ?cancel ?config (cfg : config) (prog : Ast.program) :
-    run =
-  match lint_programs ?cancel ?config cfg [ prog ] with
-  | [ r ] -> r
-  | _ -> assert false
-
 let lint_source ?cancel ?config (cfg : config) (src : string) : run =
   let prog = Flux_syntax.Parser.parse_program src in
   Flux_syntax.Typeck.check_program prog;
-  lint_program_ast ?cancel ?config cfg prog
+  match lint_programs ?cancel ?config cfg [ prog ] with
+  | [ r ] -> r
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

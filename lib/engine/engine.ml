@@ -155,22 +155,16 @@ let run_ok (r : run) = List.for_all (fun o -> Checker.fn_ok o.fo_report) r.run_f
 (* The cached-run driver                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A per-function slot is either replayed from the cache or an index
-   into the batch of misses. *)
 type 'o slot = Hit of 'o | Todo of int
 
-(** The driver check, verify and lint share. [tasks] gives each
-    program's (task, cache key) pairs in declaration order. Every keyed
-    function is probed in [cache_dir]: a loaded entry is a hit if [hit]
-    turns it into an outcome, and a miss otherwise ([hit] returns [None]
-    to demote it). The misses of all programs run as one batch ([run]
-    gets them in probe order and returns their results in that order),
-    [store] is offered each keyed miss's result, and [assemble] builds
-    each program's record from its outcomes in declaration order (a
-    miss's from [fresh]), its hit and miss counts and the wall-clock of
-    the whole call. [counters] names the profile counters of hits and
-    of misses; a function without a key counts as neither. Without a
-    [cache_dir] nothing is probed or stored. *)
+(** The driver check, verify and lint share. Each keyed function of
+    [tasks prog] is probed in [cache_dir]; a loaded entry is a hit when
+    [hit] makes it an outcome ([None] demotes it to a miss). The misses
+    of all programs run as one batch ([run], results in task order),
+    [store] is offered each keyed miss's result, and [assemble] gets
+    each program's outcomes in declaration order ([fresh] for misses),
+    its hit and miss counts ([counters] names their profile counters;
+    an unkeyed function counts as neither) and the call's wall-clock. *)
 let cached_run ~(cache_dir : string option) ~(counters : string * string)
     ~(tasks : Ast.program -> ('t * string option) list)
     ~(hit : dir:string -> string -> 't -> Cache.entry -> 'o option)
@@ -530,12 +524,6 @@ type wp_run = {
   wr_misses : int;
   wr_time : float;
 }
-
-let wp_report_of_run (r : wp_run) : Wp.report =
-  {
-    Wp.rp_fns = List.map (fun o -> o.wo_report) r.wr_fns;
-    rp_time = r.wr_time;
-  }
 
 let wp_run_ok (r : wp_run) = List.for_all (fun o -> Wp.fn_ok o.wo_report) r.wr_fns
 

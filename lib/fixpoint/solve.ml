@@ -475,8 +475,6 @@ let prepare ?(config = Config.default) ?(qualifiers = Qualifier.default)
 let slice_count (p : prep) : int = Array.length p.p_graph.Kgraph.slices
 let slice_level (p : prep) (i : int) : int =
   p.p_graph.Kgraph.slices.(i).Kgraph.sl_level
-let slice_kvars (p : prep) (i : int) : string list =
-  p.p_graph.Kgraph.slices.(i).Kgraph.sl_kvars
 
 (** Rough work estimate for pool scheduling: conjuncts to weaken plus
     concrete heads to check. *)

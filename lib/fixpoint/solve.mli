@@ -110,7 +110,6 @@ val prepare :
 
 val slice_count : prep -> int
 val slice_level : prep -> int -> int
-val slice_kvars : prep -> int -> string list
 
 val slice_size : prep -> int -> int
 (** Rough work estimate (conjuncts to weaken + concrete heads to

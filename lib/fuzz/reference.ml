@@ -1,16 +1,11 @@
 (** The reference fixpoint schedule, and the checker pipeline over it:
-    the baseline that the schedule verification runs
-    ({!Flux_fixpoint.Solve}) is compared against by the fuzzer's
-    [incremental] oracle, the differential tests and
-    [bench/main.exe table1]'s incremental row.
-
-    {!solve_clauses} sweeps every κ-headed clause, knocking out the
-    head κ's conjuncts its hypotheses do not imply, until no solution
-    changes; then it checks every concrete head. It has no memo, no
-    dependency graph and no skipping: it shares with the solver only
-    the initial system, the sliced hypotheses and the final check, so
-    the two schedules agree only if the solver's bookkeeping is
-    exact. *)
+    the baseline the fuzzer's [incremental] oracle, the differential
+    tests and [bench/main.exe table1] compare the schedule verification
+    runs ({!Flux_fixpoint.Solve}) against. {!solve_clauses} sweeps every
+    κ-headed clause until no solution changes, then checks the concrete
+    heads. It has no memo, no dependency graph and no skipping: it
+    shares only the initial system, the sliced hypotheses and the final
+    check with the solver. *)
 
 open Flux_smt
 open Flux_fixpoint

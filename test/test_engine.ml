@@ -554,14 +554,10 @@ let clause_systems (src : string) : (Horn.kvar list * Horn.clause list) list =
     κ shrinks. *)
 let iter_evaluations ~(kvars : Horn.kvar list) (clauses : Horn.clause list)
     (f : Term.t list -> Term.t list -> unit) : unit =
-  let kenv = Hashtbl.create 16 and sol = Hashtbl.create 16 in
-  List.iter
-    (fun kv ->
-      Hashtbl.replace kenv kv.Horn.kname kv;
-      Hashtbl.replace sol kv.Horn.kname
-        (Qualifier.instantiate_all ~values:kv.Horn.kvalues Qualifier.default
-           kv.Horn.kparams))
-    kvars;
+  let kenv, sol =
+    Flux_fixpoint.Solve.init_system ~qualifiers:Qualifier.default ~kvars
+      clauses
+  in
   let actuals k args =
     List.map2 (fun (x, _) a -> (x, a)) (Hashtbl.find kenv k).Horn.kparams args
   in
