@@ -21,10 +21,12 @@ type 'a outcome = Done of 'a | Failed of exn * Printexc.raw_backtrace
 
 (** [run_spawning ~spawn ~jobs tasks]: execute every task and return
     the results in task order, starting each worker domain with
-    [spawn]; {!run} passes {!Domain.spawn}, tests pass one that fails.
-    A failed spawn is not an error: the tasks run on fewer domains. [jobs <= 0] selects {!default_jobs}; [jobs <= 1] (or a
-    single task) runs inline on the calling domain, so sequential mode
-    has no domain overhead and shares the caller's domain-local state.
+    [spawn] ({!run} passes {!Domain.spawn}; a test passes one that
+    fails). A failed spawn is not an error: the tasks run on the
+    domains that did start. [jobs <= 0] selects {!default_jobs};
+    [jobs <= 1] (or a single task) runs inline on the calling domain,
+    so sequential mode has no domain overhead and shares the caller's
+    domain-local state.
     Requested jobs are clamped to the physical core count: verification
     is CPU-bound and the minor GC is a stop-the-world barrier across
     all domains, so domains beyond cores only add synchronization
@@ -36,9 +38,9 @@ type 'a outcome = Done of 'a | Failed of exn * Printexc.raw_backtrace
 
     [cancel] is polled before every task claim — on the calling domain
     when sequential (or draining beside too few workers), on each
-    worker domain when parallel, so it must be
-    safe to call concurrently (the daemon's deadline/disconnect checks
-    are plain syscalls). Once it reports [true], {!Cancelled} is raised
+    worker domain when parallel, so it must be safe to call
+    concurrently (the daemon's deadline/disconnect checks are plain
+    syscalls). Once it reports [true], {!Cancelled} is raised
     after the in-flight tasks finish. *)
 let run_spawning (type a) ~(spawn : (unit -> unit) -> unit Domain.t)
     ?(cancel = fun () -> false) ~(jobs : int) (tasks : (unit -> a) array) :
@@ -102,4 +104,5 @@ let run_spawning (type a) ~(spawn : (unit -> unit) -> unit Domain.t)
       | None -> assert false)
 
 (** [run_spawning] with the runtime's own {!Domain.spawn}. *)
-let run ?cancel ~jobs tasks = run_spawning ~spawn:Domain.spawn ?cancel ~jobs tasks
+let run ?cancel ~jobs tasks =
+  run_spawning ~spawn:Domain.spawn ?cancel ~jobs tasks
