@@ -11,8 +11,9 @@
       congruence constraints); [Ite] is lifted out of terms; atoms
       mentioning reals are abstracted as opaque boolean atoms (floats
       are never refined, only branched on).
-    + {b DPLL}: the boolean skeleton is searched by splitting on atoms,
-      with the theory consulted at (partially) complete assignments.
+    + {b DPLL(T)}: one search ({!search}) for [valid], [model] and
+      [certify] forces conjunction literals, consults the theory, then
+      splits on an atom.
     + {b Theory}: conjunctions of linear integer literals go to
       {!Lia.sat_literals} (Fourier–Motzkin with integer tightening).
 
@@ -503,13 +504,15 @@ let rec first_lit = function
   | BAnd fs | BOr fs -> List.find_map first_lit fs
   | BTrue | BFalse -> None
 
-(** Literals forced by the top-level conjunctive structure. *)
-let unit_literals (f : bform) : (int * bool) list =
+(** The literals reached from the root of [f] through [BAnd] nodes
+    alone, in structure order, before [acc]. Every model of [f] gives
+    each this polarity: the opposite value falsifies each conjunction
+    on the way up, so [f] simplifies to [BFalse] propositionally. *)
+let rec forced_literals f acc =
   match f with
-  | BLit (i, pol) -> [ (i, pol) ]
-  | BAnd fs ->
-      List.filter_map (function BLit (i, pol) -> Some (i, pol) | _ -> None) fs
-  | _ -> []
+  | BLit (i, pol) -> (i, pol) :: acc
+  | BAnd fs -> List.fold_right forced_literals fs acc
+  | BOr _ | BTrue | BFalse -> acc
 
 (** [f i v l acc] folded over the atoms [i] that [assign] gives a value
     [v] and that have a theory literal [l], in ascending id order. Each
@@ -525,85 +528,11 @@ let fold_assigned (atom_arr : Term.t array) (assign : int array) f acc =
     assign;
   !acc
 
-(** The theory literals of the assigned atoms, highest id first. *)
-let assigned_literals atom_arr assign =
-  fold_assigned atom_arr assign (fun _ _ l acc -> l :: acc) []
-
-(** The DPLL search of [f] over [n] atoms: unit propagation, then a
-    split on the first unassigned atom. [consistent] is asked about the
-    assignment before each split (DPLL(T)-style early pruning: if the
-    literals forced so far are already theory-inconsistent, the whole
-    subtree is unsatisfiable) and at each complete leaf; [accept] sees
-    the assignment of the first leaf found consistent. *)
-let dpll n (f : bform) ~(consistent : int array -> bool)
-    ~(accept : int array -> unit) : bool =
-  let assign = Array.make n 0 in
-  let leaf () =
-    consistent assign
-    && begin
-         accept assign;
-         true
-       end
-  in
-  (* [undo] records assignments made at this decision level *)
-  let rec go f (undo : int list ref) =
-    match simplify assign f with
-    | BFalse -> false
-    | BTrue -> leaf ()
-    | f' -> (
-        match unit_literals f' with
-        | _ :: _ as forced ->
-            let ok =
-              List.for_all
-                (fun (i, pol) ->
-                  let v = if pol then 1 else 2 in
-                  if assign.(i) = 0 then begin
-                    assign.(i) <- v;
-                    undo := i :: !undo;
-                    true
-                  end
-                  else assign.(i) = v)
-                forced
-            in
-            if ok then go f' undo else false
-        | [] -> (
-            match first_lit f' with
-            | None -> leaf ()
-            | Some i ->
-                if not (consistent assign) then false
-                else
-                  let try_value v =
-                    assign.(i) <- v;
-                    let undo' = ref [] in
-                    let r = go f' undo' in
-                    List.iter (fun j -> assign.(j) <- 0) !undo';
-                    assign.(i) <- 0;
-                    r
-                  in
-                  try_value 1 || try_value 2))
-  in
-  go f (ref [])
-
-(** Satisfiability of [f]; each theory consultation counts as a theory
-    check. *)
-let dpll_sat (atom_arr : Term.t array) (f : bform) : bool =
-  let stats = stats () in
-  dpll (Array.length atom_arr) f ~accept:ignore ~consistent:(fun assign ->
-      stats.theory_checks <- stats.theory_checks + 1;
-      Lia.sat_literals (assigned_literals atom_arr assign))
-
-(* ------------------------------------------------------------------ *)
-(* Certifying refutation and model-producing search                    *)
-(* ------------------------------------------------------------------ *)
-
-(** The first literal reached from the root of [f] through [BAnd]
-    nodes alone. Every model of [f] gives it this polarity: the opposite
-    value falsifies each conjunction on the way up, so [f] simplifies to
-    [BFalse] propositionally. *)
-let rec forced_literal = function
-  | BLit (i, pol) -> Some (i, pol)
-  | BAnd fs -> List.find_map forced_literal fs
-  | BOr _ | BTrue | BFalse -> None
+(** The theory step of {!valid}'s and {!model}'s search: are the theory
+    literals of the atoms [assign] gives a value feasible? They are
+    listed highest id first, whatever order they were assigned in. *)
+let theory_sat (atom_arr : Term.t array) (assign : int array) : bool =
+  Lia.sat_literals (fold_assigned atom_arr assign (fun _ _ l acc -> l :: acc) [])
 
 (** The theory step of the certifying search: the theory literals of the
     atoms [assign] gives a value are infeasible, with a {!Farkas.refute}
@@ -627,74 +556,111 @@ let theory_refute (atom_arr : Term.t array) (assign : int array) :
         Profile.incr "cert.farkas_gap";
         None
 
-(** A refutation of the skeleton [f] as a {!Proof.tree}. Every literal
-    forced by the conjunctive structure ({!forced_literal}), however
-    deeply nested in conjunctions, becomes a [Unit] node with no theory
-    check; once none is left, the literals assigned so far are asked
-    for a theory refutation, and only when there is none does the
-    search split on the first unassigned atom. Closed paths carry a
-    propositional [BoolLeaf] or a {!theory_refute} certificate. Unlike
-    {!dpll}, a hypothesis of n literals costs one theory check, not
-    one per literal. Returns [None] when the skeleton is satisfiable
-    {e or} when some infeasible path cannot be certified — never a
-    wrong tree (the replay checker re-validates everything anyway). *)
-let dpll_refute (atom_arr : Term.t array) (f : bform) : Proof.tree option =
-  let assign = Array.make (Array.length atom_arr) 0 in
-  let theory_leaf () =
-    Option.map (fun tr -> Proof.TheoryLeaf tr) (theory_refute atom_arr assign)
+(** Where {!search} ends: every path closed, with the tree of its
+    closing steps, or the assignment at the first open leaf. *)
+type outcome = Closed of Proof.tree | Open of int array
+
+exception Open_leaf
+
+(** The DPLL(T) search of [f] over [n] atoms. Every literal the
+    conjunctive structure forces ({!forced_literals}), however deeply
+    nested in conjunctions, is assigned as a [Unit] with no theory step,
+    and the skeleton is simplified once for them all; an atom forced
+    both ways takes its first polarity, and the path closes. With
+    [shortest], such a path keeps only the [Unit]s up to the first that
+    closes it, as assigning one literal at a time would. Once none is
+    forced, [theory] is asked about the assigned literals: it returns
+    the leaf of a path it closes, [None] for one it leaves open. Only an
+    open path that is not complete is split, on its first unassigned
+    atom, true first. The first open complete path ends the search. A
+    hypothesis of n literals thus costs one theory step, not one per
+    literal. *)
+let search ?(shortest = false) ~(theory : int array -> Proof.tree option)
+    (n : int) (f : bform) : outcome =
+  let assign = Array.make n 0 in
+  let value pol = if pol then 1 else 2 in
+  (* the literals of [set] up to the first that closes [f], assigned
+     again one by one *)
+  let first_closing f set =
+    List.iter (fun (i, _) -> assign.(i) <- 0) set;
+    let rec take acc = function
+      | [] -> List.rev acc
+      | (i, pol) :: rest ->
+          assign.(i) <- value pol;
+          if simplify assign f = BFalse then List.rev ((i, pol) :: acc)
+          else take ((i, pol) :: acc) rest
+    in
+    take [] set
   in
-  let rec go f : Proof.tree option =
+  let rec go f =
     match simplify assign f with
-    | BFalse -> Some Proof.BoolLeaf
-    | BTrue -> theory_leaf ()
+    | BFalse -> Proof.BoolLeaf
     | f' -> (
-        match forced_literal f' with
-        | Some (i, pol) ->
-            assign.(i) <- (if pol then 1 else 2);
+        match forced_literals f' [] with
+        | _ :: _ as forced ->
+            (* assigned in order: a repeated atom keeps its first
+               polarity *)
+            let set =
+              List.filter
+                (fun (i, pol) ->
+                  assign.(i) = 0 && (assign.(i) <- value pol; true))
+                forced
+            in
+            let set =
+              if shortest && simplify assign f' = BFalse then
+                first_closing f' set
+              else set
+            in
             let sub = go f' in
-            assign.(i) <- 0;
-            Option.map (fun t -> Proof.Unit (i, pol, t)) sub
-        | None -> (
-            (* early pruning: a path already infeasible closes here if
-               Farkas can certify it; if not, branching deeper adds
-               literals and may still succeed *)
-            match theory_leaf () with
-            | Some _ as leaf -> leaf
+            List.iter (fun (i, _) -> assign.(i) <- 0) set;
+            List.fold_right (fun (i, pol) t -> Proof.Unit (i, pol, t)) set sub
+        | [] -> (
+            match theory assign with
+            | Some leaf -> leaf
             | None -> (
                 match first_lit f' with
-                | None -> None
-                | Some i -> (
+                | None -> raise Open_leaf
+                | Some i ->
                     assign.(i) <- 1;
                     let l = go f' in
+                    assign.(i) <- 2;
+                    let r = go f' in
                     assign.(i) <- 0;
-                    match l with
-                    | None -> None
-                    | Some lt -> (
-                        assign.(i) <- 2;
-                        let r = go f' in
-                        assign.(i) <- 0;
-                        match r with
-                        | None -> None
-                        | Some rt -> Some (Proof.Split (i, lt, rt)))))))
+                    Proof.Split (i, l, r))))
   in
-  go f
+  (* an open leaf leaves its path's assignment in [assign] *)
+  match go f with t -> Closed t | exception Open_leaf -> Open assign
 
-(** Like {!dpll_sat}, but on success returns the satisfying atom
-    assignment found at the accepting leaf. Its theory consultations are
-    not theory checks. *)
-let dpll_model (atom_arr : Term.t array) (f : bform) :
+(** The assignment at the first open leaf of [f]'s satisfiability
+    search, atom ids ascending, or [None] when every path closes.
+    [count]: each theory step is one [solver.theory_checks]. *)
+let sat_search ~count (atom_arr : Term.t array) (f : bform) :
     (int * bool) list option =
-  let result = ref None in
-  let capture assign =
-    let m = ref [] in
-    Array.iteri (fun i v -> if v <> 0 then m := (i, v = 1) :: !m) assign;
-    result := Some (List.rev !m)
+  let stats = stats () in
+  let theory assign =
+    if count then stats.theory_checks <- stats.theory_checks + 1;
+    (* the tree is dropped: any leaf closes the path *)
+    if theory_sat atom_arr assign then None else Some Proof.BoolLeaf
   in
-  if
-    dpll (Array.length atom_arr) f ~accept:capture ~consistent:(fun assign ->
-        Lia.sat_literals (assigned_literals atom_arr assign))
-  then !result
-  else None
+  match search ~theory (Array.length atom_arr) f with
+  | Closed _ -> None
+  | Open assign ->
+      let m = ref [] in
+      Array.iteri (fun i v -> if v <> 0 then m := (i, v = 1) :: !m) assign;
+      Some (List.rev !m)
+
+(** A refutation of [f] as a {!Proof.tree}: closed paths carry a
+    propositional [BoolLeaf] or a {!theory_refute} certificate. [None]
+    when the skeleton is satisfiable {e or} when some infeasible path
+    cannot be certified — never a wrong tree (the replay checker
+    re-validates everything anyway). *)
+let refute (atom_arr : Term.t array) (f : bform) : Proof.tree option =
+  let theory assign =
+    Option.map (fun tr -> Proof.TheoryLeaf tr) (theory_refute atom_arr assign)
+  in
+  match search ~shortest:true ~theory (Array.length atom_arr) f with
+  | Closed t -> Some t
+  | Open _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Public API                                                          *)
@@ -715,26 +681,37 @@ let timed_search (search : stats -> 'a) : 'a =
 
 let note_atoms stats n = if n > stats.max_atoms then stats.max_atoms <- n
 
-(** Decide an elaborated query: boolean skeleton, then DPLL. *)
-let decide (full : Term.t) : bool =
+(** The atom table of an elaborated query [full] and its NNF over it. *)
+let skeleton (full : Term.t) : Term.t array * bform =
+  let atoms = { table = SmallTbl.create 64; list = []; n = 0 } in
+  let f = to_bform atoms true full in
+  (Array.of_list (List.rev atoms.list), f)
+
+(** Decide an elaborated query: boolean skeleton, then [search atoms
+    full skeleton], which finds an assignment or [None]. *)
+let decide ?(search = fun atom_arr _ f -> sat_search ~count:true atom_arr f)
+    (full : Term.t) : bool =
   match full with
   | Bool b -> b
   | _ ->
-      let atoms = { table = SmallTbl.create 64; list = []; n = 0 } in
-      let f = to_bform atoms true full in
-      let atom_arr = Array.of_list (List.rev atoms.list) in
+      let atom_arr, f = skeleton full in
       note_atoms (stats ()) (Array.length atom_arr);
-      timed_search (fun _ -> dpll_sat atom_arr f)
+      timed_search (fun _ -> Option.is_some (search atom_arr full f))
+
+(** [t] elaborated, with its definitions: the sign bounds of its
+    divisions follow [t]'s unit facts. *)
+let elab_query (t : Term.t) : Term.t =
+  let st = new_state ~sign:(sign_under (lazy (unit_facts [] true t))) () in
+  let t' = elab_pred st t in
+  Term.mk_and (t' :: st.defs)
 
 (** [sat t]: is [t] satisfiable over the integers? May over-approximate
     (answer [true] for an unsatisfiable [t]) but [false] is definite. *)
-let sat_raw (t : Term.t) : bool =
-  let st = new_state ~sign:(sign_under (lazy (unit_facts [] true t))) () in
+let sat_raw ?search (t : Term.t) : bool =
   let t_elab = Unix.gettimeofday () in
-  let t' = elab_pred st t in
-  let full = Term.mk_and (t' :: st.defs) in
+  let full = elab_query t in
   Profile.add_time "solver.elab_s" (Unix.gettimeofday () -. t_elab);
-  decide full
+  decide ?search full
 
 let count_query () =
   let stats = stats () in
@@ -755,14 +732,17 @@ let solve_valid (solve : unit -> bool) : bool =
 
 (** [valid t]: does [t] hold for all integer assignments? [true] is
     definite; [false] may be incompleteness. *)
-let valid (t : Term.t) : bool =
+let valid_gen ?search (t : Term.t) : bool =
   match t with
   | Bool b ->
       (* trivial goals still count as queries *)
       count_query ();
       Profile.incr "solver.trivial";
       b
-  | _ -> solve_valid (fun () -> not (sat_raw (Term.mk_not t)))
+  | _ -> solve_valid (fun () -> not (sat_raw ?search (Term.mk_not t)))
+
+let valid t = valid_gen t
+let valid_by search = valid_gen ~search:(fun atom_arr full _ -> search atom_arr full)
 
 (* ------------------------------------------------------------------ *)
 (* Hypotheses prepared for many goals                                  *)
@@ -817,10 +797,9 @@ let rec atom_literal (t : Term.t) : (Term.t * bool) option =
    for DPLL(T). For a goal [g] that is one literal, the query
    [¬(lhs ⇒ g) ∧ defs] is [BAnd [BAnd [lhs's literals; ¬g]; defs]]:
    [to_bform] numbers [g]'s atom 0, then [lhs]'s atoms in order, then
-   the definitions', and the search assigns every literal by unit
-   propagation, then makes one theory check of the literals listed
-   highest id first — unless an atom is forced both ways, which closes
-   the search with no check. Prepared queries add to peak memory, so
+   the definitions', and the search forces every literal, then makes
+   one theory check of the literals listed highest id first — unless an
+   atom is forced both ways, which closes the search with no check. Prepared queries add to peak memory, so
    they are kept small: atoms by their number in the shared table, the
    theory's split in flat arrays. *)
 type prepared = {
@@ -879,7 +858,7 @@ type context = {
 
 let conjuncts (t : Term.t) = match t with Term.And ts -> ts | t -> [ t ]
 
-(** [dpll_sat] on [¬(lhs ⇒ g) ∧ defs] for the goal literal [(atom,
+(** {!decide} on [¬(lhs ⇒ g) ∧ defs] for the goal literal [(atom,
     pol)], from the query [prep] prepares without the goal; [None] when
     the query already holds the literal [¬g], which the prepared order
     does not place (the goal's atom, numbered 0, would list it last). *)
@@ -1234,9 +1213,7 @@ let certify_gen search (goal : Term.t) : Proof.t option =
             }
       | Term.Bool true -> None
       | _ -> (
-          let atoms = { table = SmallTbl.create 64; list = []; n = 0 } in
-          let f = to_bform atoms true full in
-          let atom_arr = Array.of_list (List.rev atoms.list) in
+          let atom_arr, f = skeleton full in
           match search atom_arr full f with
           | None -> None
           | Some tree ->
@@ -1250,29 +1227,25 @@ let certify_gen search (goal : Term.t) : Proof.t option =
   Profile.add_time "cert.certify_s" (Unix.gettimeofday () -. t0);
   result
 
-let certify = certify_gen (fun atom_arr _ f -> dpll_refute atom_arr f)
+let certify = certify_gen (fun atom_arr _ f -> refute atom_arr f)
 let certify_by search = certify_gen (fun atom_arr full _ -> search atom_arr full)
 
-(** A satisfying assignment for [t] over its free variables, verified
-    by ground evaluation before being returned — [Some env] is
-    definite. [None] means "no model found": unsatisfiable, or the
-    model search / extraction / evaluation lost the witness (opaque
-    abstraction, reals, interpreted applications). *)
-let model (t : Term.t) : (string * Eval.value) list option =
+(** A satisfying assignment for [t] over its free variables, from the
+    assignment [search] finds, verified by ground evaluation before
+    being returned — [Some env] is definite. [None] means "no model
+    found": unsatisfiable, or the model search / extraction /
+    evaluation lost the witness (opaque abstraction, reals, interpreted
+    applications). *)
+let model_gen search (t : Term.t) :
+    (string * Eval.value) list option =
   match
-    let st = new_state ~sign:(sign_under (lazy (unit_facts [] true t))) () in
-    let t' = elab_pred st t in
-    let full = Term.mk_and (t' :: st.defs) in
+    let full = elab_query t in
     match full with
     | Term.Bool false -> None
     | Term.Bool true -> Some ([||], [])
-    | _ -> (
-        let atoms = { table = SmallTbl.create 64; list = []; n = 0 } in
-        let f = to_bform atoms true full in
-        let atom_arr = Array.of_list (List.rev atoms.list) in
-        match dpll_model atom_arr f with
-        | None -> None
-        | Some asn -> Some (atom_arr, asn))
+    | _ ->
+        let atom_arr, f = skeleton full in
+        Option.map (fun asn -> (atom_arr, asn)) (search atom_arr full f)
   with
   | exception Term.Ill_sorted _ -> None
   | None -> None
@@ -1320,7 +1293,12 @@ let model (t : Term.t) : (string * Eval.value) list option =
           | exception Eval.Unsupported _ -> None
           | exception Division_by_zero -> None))
 
+let model = model_gen (fun atom_arr _ f -> sat_search ~count:false atom_arr f)
+
 (** A verified falsifying assignment for [t]: a model of [¬t]. The
     witness behind an [invalid] verdict. *)
 let counterexample (t : Term.t) : (string * Eval.value) list option =
   model (Term.mk_not t)
+
+let counterexample_by search t =
+  model_gen (fun atom_arr full _ -> search atom_arr full) (Term.mk_not t)

@@ -19,7 +19,9 @@ type stats = {
   mutable queries : int;
       (** [valid]/[sat] calls, including trivially constant ([Bool _])
           goals *)
-  mutable theory_checks : int;  (** DPLL leaf/branch theory consultations *)
+  mutable theory_checks : int;
+      (** theory steps of the search: one per path once no literal is
+          forced, on a complete path or before a split *)
   mutable max_atoms : int;  (** largest boolean skeleton seen *)
 }
 
@@ -44,6 +46,16 @@ val sat : Term.t -> bool
 val valid : Term.t -> bool
 (** [valid t]: does [t] hold for all integer assignments? [true] is
     definite; [false] may be incompleteness. *)
+
+val valid_by :
+  (Term.t array -> Term.t -> (int * bool) list option) -> Term.t -> bool
+(** {!valid} with another search, for holding the search to a reference:
+    [search atoms conj] returns the assignment of an open complete path
+    of the elaborated query [conj], atoms ascending, or [None]. *)
+
+val theory_sat : Term.t array -> int array -> bool
+(** The theory step of {!valid}'s search, as {!theory_refute} is
+    {!certify}'s, without a certificate and counting nothing. *)
 
 type literals
 (** A table of theory literals, each atom converted at most once per
@@ -171,3 +183,8 @@ val model : Term.t -> (string * Eval.value) list option
 val counterexample : Term.t -> (string * Eval.value) list option
 (** A verified falsifying assignment for [t] — a model of [¬t]. The
     executable witness behind an [invalid] verdict. *)
+
+val counterexample_by :
+  (Term.t array -> Term.t -> (int * bool) list option) ->
+  Term.t -> (string * Eval.value) list option
+(** {!counterexample} with another search, as for {!valid_by}. *)

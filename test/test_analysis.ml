@@ -27,18 +27,6 @@ let read_file path =
 
 let seed name = read_file (Filename.concat "../examples/lint" name)
 
-let tmp_counter = ref 0
-
-let fresh_cache_dir () =
-  incr tmp_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "flux-lint-cache-%d-%d" (Unix.getpid ()) !tmp_counter)
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  dir
-
 let lint ?(jobs = 1) ?(cache_dir = None) ?(passes = Passes.all_passes) src =
   Lint.lint_source { Lint.jobs; cache_dir; passes } src
 
@@ -98,7 +86,7 @@ let workloads_clean_and_warm =
   Alcotest.test_case
     "workloads lint clean; warm lint all-hit with zero queries" `Slow
     (fun () ->
-      let dir = fresh_cache_dir () in
+      let dir = Tmp_dirs.dir "flux-lint-cache" in
       List.iter
         (fun (b : Workloads.benchmark) ->
           let r = lint ~cache_dir:(Some dir) b.Workloads.bm_flux in

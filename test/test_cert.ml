@@ -282,6 +282,20 @@ let bform_of (atoms : Term.t array) (conj : Term.t) : Replay.bform =
     atoms;
   Replay.to_bform ids true conj
 
+let rec first_lit = function
+  | Replay.BLit (i, _) -> Some i
+  | Replay.BAnd fs | Replay.BOr fs -> List.find_map first_lit fs
+  | Replay.BTrue | Replay.BFalse -> None
+
+(** The literals forced by the top-level conjunctive structure alone. *)
+let unit_literals = function
+  | Replay.BLit (i, pol) -> [ (i, pol) ]
+  | Replay.BAnd fs ->
+      List.filter_map
+        (function Replay.BLit (i, pol) -> Some (i, pol) | _ -> None)
+        fs
+  | _ -> []
+
 (** The certifying search before literals were forced through
     conjunctions: a unit only from a top-level literal, and every other
     literal a decision, each preceded by a theory check. Its trees are
@@ -289,19 +303,6 @@ let bform_of (atoms : Term.t array) (conj : Term.t) : Replay.bform =
 let reference_search (atoms : Term.t array) (conj : Term.t) :
     Proof.tree option =
   let assign = Array.make (Array.length atoms) 0 in
-  let rec first_lit = function
-    | Replay.BLit (i, _) -> Some i
-    | Replay.BAnd fs | Replay.BOr fs -> List.find_map first_lit fs
-    | Replay.BTrue | Replay.BFalse -> None
-  in
-  let unit_literals = function
-    | Replay.BLit (i, pol) -> [ (i, pol) ]
-    | Replay.BAnd fs ->
-        List.filter_map
-          (function Replay.BLit (i, pol) -> Some (i, pol) | _ -> None)
-          fs
-    | _ -> []
-  in
   let theory_leaf () =
     Option.map
       (fun tr -> Proof.TheoryLeaf tr)
@@ -337,6 +338,68 @@ let reference_search (atoms : Term.t array) (conj : Term.t) :
                         Option.map (fun rt -> Proof.Split (i, lt, rt)) r)))))
   in
   go (bform_of atoms conj)
+
+(** The satisfiability search before literals were forced through
+    conjunctions, for {!Solver.valid_by} and {!Solver.counterexample_by}:
+    units only from the root's literal children, undone per decision
+    level, and a theory step ({!Solver.theory_sat}) before every split
+    and at every complete path, each counted in [checks]. Returns the
+    assignment of the first consistent complete path, atoms ascending. *)
+let reference_sat ?(checks = ref 0) (atoms : Term.t array) (conj : Term.t) :
+    (int * bool) list option =
+  let assign = Array.make (Array.length atoms) 0 in
+  let consistent () =
+    incr checks;
+    Solver.theory_sat atoms assign
+  in
+  let found = ref None in
+  let leaf () =
+    consistent ()
+    && begin
+         let m = ref [] in
+         Array.iteri (fun i v -> if v <> 0 then m := (i, v = 1) :: !m) assign;
+         found := Some (List.rev !m);
+         true
+       end
+  in
+  (* [undo] records assignments made at this decision level *)
+  let rec go f (undo : int list ref) =
+    match Replay.simplify assign f with
+    | Replay.BFalse -> false
+    | Replay.BTrue -> leaf ()
+    | f' -> (
+        match unit_literals f' with
+        | _ :: _ as forced ->
+            let ok =
+              List.for_all
+                (fun (i, pol) ->
+                  let v = if pol then 1 else 2 in
+                  if assign.(i) = 0 then begin
+                    assign.(i) <- v;
+                    undo := i :: !undo;
+                    true
+                  end
+                  else assign.(i) = v)
+                forced
+            in
+            ok && go f' undo
+        | [] -> (
+            match first_lit f' with
+            | None -> leaf ()
+            | Some i ->
+                consistent ()
+                &&
+                let try_value v =
+                  assign.(i) <- v;
+                  let undo' = ref [] in
+                  let r = go f' undo' in
+                  List.iter (fun j -> assign.(j) <- 0) !undo';
+                  assign.(i) <- 0;
+                  r
+                in
+                try_value 1 || try_value 2))
+  in
+  if go (bform_of atoms conj) (ref []) then !found else None
 
 (* The s-expression printer certificates were written with before the
    direct printer: build the tree, then print it. *)
@@ -437,36 +500,37 @@ let sexp_cert_to_string entries =
                       sexp_of_proof p ])
        entries)
 
-(** Every clause query of the Table-1 programs and RMat, under the
-    solution the fixpoint solver finds for its function. *)
+(** Every clause query of the program [src], under the solution the
+    fixpoint solver finds for its function. *)
+let clause_queries (src : string) : Term.t list =
+  let module Solve = Flux_fixpoint.Solve in
+  let prog = Flux_syntax.Parser.parse_program src in
+  Flux_syntax.Typeck.check_program prog;
+  let genv = Flux_check.Genv.build prog in
+  List.concat_map
+    (fun (fd : Flux_syntax.Ast.fn_def) ->
+      match Flux_check.Genv.find_body genv fd.fn_name with
+      | Some body when not fd.fn_trusted ->
+          let module C = Flux_check.Checker in
+          let pr = C.prepare genv fd body in
+          if C.prepared_early pr then []
+          else
+            let kvars = C.prepared_kvars pr in
+            let clauses = C.prepared_clauses pr in
+            let sol =
+              match Solve.solve_clauses_incremental ~kvars clauses with
+              | Solve.Sat sol | Solve.Unsat (_, sol) -> sol
+            in
+            List.map (Solve.clause_query ~kvars sol) clauses
+      | _ -> [])
+    (Flux_syntax.Ast.program_fns prog)
+
+(** Every clause query of the Table-1 programs and RMat. *)
 let table1_goals : Term.t list Lazy.t =
   lazy
     (let module W = Flux_workloads.Workloads in
-     let module Solve = Flux_fixpoint.Solve in
-     let srcs = List.map (fun b -> b.W.bm_flux) W.all @ [ W.rmat_flux ] in
-     List.concat_map
-       (fun src ->
-         let prog = Flux_syntax.Parser.parse_program src in
-         Flux_syntax.Typeck.check_program prog;
-         let genv = Flux_check.Genv.build prog in
-         List.concat_map
-           (fun (fd : Flux_syntax.Ast.fn_def) ->
-             match Flux_check.Genv.find_body genv fd.fn_name with
-             | Some body when not fd.fn_trusted ->
-                 let module C = Flux_check.Checker in
-                 let pr = C.prepare genv fd body in
-                 if C.prepared_early pr then []
-                 else
-                   let kvars = C.prepared_kvars pr in
-                   let clauses = C.prepared_clauses pr in
-                   let sol =
-                     match Solve.solve_clauses_incremental ~kvars clauses with
-                     | Solve.Sat sol | Solve.Unsat (_, sol) -> sol
-                   in
-                   List.map (Solve.clause_query ~kvars sol) clauses
-             | _ -> [])
-           (Flux_syntax.Ast.program_fns prog))
-       srcs)
+     List.concat_map clause_queries
+       (List.map (fun b -> b.W.bm_flux) W.all @ [ W.rmat_flux ]))
 
 (** Terms of the certificate fuzz oracle ([flux fuzz --oracle cert]). *)
 let fuzz_goals n =
@@ -722,7 +786,139 @@ let store_tests =
           ());
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The satisfiability search against its previous form                 *)
+(* ------------------------------------------------------------------ *)
+
+(** Terms of the solver fuzz oracle ([flux fuzz --oracle solver --seed
+    1]). *)
+let solver_fuzz_terms n =
+  let root = Flux_fuzz.Rng.make 1 in
+  List.init n (fun case -> Flux_fuzz.Tgen.gen (Flux_fuzz.Rng.split root case))
+
+(** [f ()] and the [solver.theory_checks] it made. *)
+let counting_checks f =
+  let stats = Solver.stats () in
+  let n0 = stats.Solver.theory_checks in
+  let r = f () in
+  (r, stats.Solver.theory_checks - n0)
+
+(** [valid] and the reference search agree on every goal of [goals];
+    returns the theory checks each made in all. *)
+let valid_agrees name goals =
+  List.fold_left
+    (fun (n, n_ref) (i, goal) ->
+      let r, k = counting_checks (fun () -> Solver.valid goal) in
+      let checks = ref 0 in
+      let r_ref = Solver.valid_by (reference_sat ~checks) goal in
+      if r <> r_ref then
+        Alcotest.failf "%s %d: valid %b, the reference %b on %s" name i r
+          r_ref (Term.to_string goal);
+      (n + k, n_ref + !checks))
+    (0, 0)
+    (List.mapi (fun i goal -> (i, goal)) goals)
+
+(** [counterexample] and the reference search find a counterexample to
+    the same goals of [goals], and with [same_model] the same one;
+    returns how many had one. *)
+let counterexamples_agree ~same_model name goals =
+  List.fold_left
+    (fun found (i, goal) ->
+      let c = Solver.counterexample goal in
+      let c_ref = Solver.counterexample_by reference_sat goal in
+      if
+        if same_model then c <> c_ref
+        else Option.is_some c <> Option.is_some c_ref
+      then
+        Alcotest.failf "%s %d: the counterexamples differ on %s" name i
+          (Term.to_string goal);
+      if Option.is_some c then found + 1 else found)
+    0
+    (List.mapi (fun i goal -> (i, goal)) goals)
+
+(** The clause queries of the off-by-one mutants in [test/golden] that
+    [valid] rejects. *)
+let mutant_failing_clauses =
+  lazy
+    (List.concat_map
+       (fun (name, src) ->
+         if Filename.check_suffix name "-mutant" then
+           List.filter (fun q -> not (Solver.valid q)) (clause_queries src)
+         else [])
+       Test_golden.library_sources)
+
+(** [l1 ∧ … ∧ ln ⇒ g1 ∧ g2] over the chain [x0 ≤ x1 ≤ … ≤ xn]. *)
+let chain_goal n =
+  let x i = Term.var (Printf.sprintf "x%d" i) in
+  Term.(
+    mk_imp
+      (mk_and (List.init n (fun i -> le (x i) (x (i + 1)))))
+      (mk_and [ le (x 0) (x n); lt (x 0) (add (x n) (int 1)) ]))
+
+let sat_search_tests =
+  [
+    Alcotest.test_case "hypothesis literals cost O(1) theory checks" `Quick
+      (fun () ->
+        (* the goal's negation is a disjunction beside the hypothesis,
+           so no literal sits at the root: forcing the n literals under
+           the conjunctions leaves a check before the split on the goal
+           and one on each side *)
+        List.iter
+          (fun n ->
+            let r, k = counting_checks (fun () -> Solver.valid (chain_goal n)) in
+            Alcotest.(check bool) (Printf.sprintf "n = %d: valid" n) true r;
+            Alcotest.(check int) (Printf.sprintf "n = %d: theory checks" n) 3 k)
+          [ 2; 10; 40 ]);
+    Alcotest.test_case "valid agrees with the reference search on fuzz terms"
+      `Quick (fun () ->
+        let terms = solver_fuzz_terms 1000 in
+        let n, n_ref =
+          valid_agrees "solver fuzz term"
+            (terms @ List.map Term.mk_not terms)
+        in
+        let n', n_ref' = valid_agrees "cert fuzz term" (fuzz_goals 500) in
+        Alcotest.(check bool)
+          (Printf.sprintf "no more theory checks (%d vs %d)" (n + n')
+             (n_ref + n_ref'))
+          true
+          (n + n' <= n_ref + n_ref');
+        (* a decision the old search made before a literal it forced
+           later stays in its model, which then differs in value (2 of
+           the first 5,000 terms): only whether there is one must agree *)
+        Alcotest.(check bool) "some counterexamples" true
+          (counterexamples_agree ~same_model:false "solver fuzz term" terms
+          > 100));
+    Alcotest.test_case "counterexamples agree with the reference on the mutants"
+      `Slow (fun () ->
+        let goals = Lazy.force mutant_failing_clauses in
+        Alcotest.(check bool) "failing clauses found" true (goals <> []);
+        Alcotest.(check int) "every failing clause has a counterexample"
+          (List.length goals)
+          (counterexamples_agree ~same_model:true "mutant clause" goals));
+    Alcotest.test_case "valid agrees with the reference search on Table 1"
+      `Slow (fun () ->
+        let goals = Lazy.force table1_goals in
+        Alcotest.(check bool) "clauses found" true (List.length goals > 900);
+        let n, n_ref = valid_agrees "clause" goals in
+        Alcotest.(check bool)
+          (Printf.sprintf "no more theory checks (%d vs %d)" n n_ref)
+          true (n <= n_ref));
+    Alcotest.test_case "a propositional conflict keeps the units up to it"
+      `Quick (fun () ->
+        (* the goal's atom is numbered 0 and held first: the path
+           closes once it is assigned, before [y] and [z] are *)
+        let goal =
+          Term.(
+            mk_imp
+              (mk_and [ ge x (int 0); ge y (int 0); ge z (int 0) ])
+              (ge x (int 0)))
+        in
+        let p = certify_exn "conflict" goal in
+        Alcotest.(check bool) "one unit over a propositional leaf" true
+          (p.Proof.tree = Proof.Unit (0, true, Proof.BoolLeaf)));
+  ]
+
 let tests =
   ( "cert",
     roundtrip_tests @ no_cert_tests @ tamper_tests @ model_tests
-    @ search_tests @ printer_tests @ store_tests )
+    @ search_tests @ printer_tests @ store_tests @ sat_search_tests )

@@ -14,22 +14,6 @@ module Lint = Flux_analysis.Lint
 module Passes = Flux_analysis.Passes
 module Workloads = Flux_workloads.Workloads
 
-let tmp_counter = ref 0
-
-(** A fresh empty cache directory per test. *)
-let fresh_cache_dir () =
-  incr tmp_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "flux-test-cache-%d-%d" (Unix.getpid ()) !tmp_counter)
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||]);
-  dir
-
 (** The observable result of one function's check, time excluded (time
     is inherently nondeterministic; everything else must be exact). *)
 let fingerprint (fr : Checker.fn_report) : string =
@@ -189,7 +173,7 @@ let check_with dir src =
 
 let cache_warm_hits =
   Alcotest.test_case "warm rerun is 100% cache hits" `Quick (fun () ->
-      let dir = fresh_cache_dir () in
+      let dir = Tmp_dirs.dir "flux-test-cache" in
       let cold = check_with dir cache_src_v1 in
       Alcotest.(check bool) "cold run verifies" true (Engine.run_ok cold);
       Alcotest.(check flags) "cold run misses everything"
@@ -206,7 +190,7 @@ let cache_warm_hits =
 let cache_sig_invalidation =
   Alcotest.test_case "sig edit re-verifies exactly callee + callers" `Quick
     (fun () ->
-      let dir = fresh_cache_dir () in
+      let dir = Tmp_dirs.dir "flux-test-cache" in
       let _ = check_with dir cache_src_v1 in
       let edited = check_with dir cache_src_sig_edit in
       Alcotest.(check bool) "edited program verifies" true (Engine.run_ok edited);
@@ -218,7 +202,7 @@ let cache_sig_invalidation =
 let cache_body_invalidation =
   Alcotest.test_case "body edit re-verifies exactly that function" `Quick
     (fun () ->
-      let dir = fresh_cache_dir () in
+      let dir = Tmp_dirs.dir "flux-test-cache" in
       let _ = check_with dir cache_src_v1 in
       let edited = check_with dir cache_src_body_edit in
       Alcotest.(check bool) "edited program verifies" true (Engine.run_ok edited);
@@ -229,7 +213,7 @@ let cache_body_invalidation =
 
 let cache_span_insensitive =
   Alcotest.test_case "moving code invalidates nothing" `Quick (fun () ->
-      let dir = fresh_cache_dir () in
+      let dir = Tmp_dirs.dir "flux-test-cache" in
       let _ = check_with dir cache_src_v1 in
       let shifted = check_with dir cache_src_shifted in
       Alcotest.(check flags) "shifted program hits everything"
@@ -242,7 +226,7 @@ let cache_fresh_state =
       (* Approximates a cross-process rerun in-process: drop every piece
          of domain-local verifier state a new executable would lack (the
          CI smoke job exercises the real two-process case). *)
-      let dir = fresh_cache_dir () in
+      let dir = Tmp_dirs.dir "flux-test-cache" in
       let cold = check_with dir cache_src_v1 in
       Alcotest.(check bool) "cold run verifies" true (Engine.run_ok cold);
       Flux_smt.Term.reset_intern ();
@@ -278,7 +262,7 @@ let config_variants =
 let cache_config_salt name (tool : dir:string -> Config.t -> int * int) =
   Alcotest.test_case (name ^ ": any Config.t field change re-keys") `Quick
     (fun () ->
-      let dir = fresh_cache_dir () in
+      let dir = Tmp_dirs.dir "flux-test-cache" in
       let hits, fns = tool ~dir Config.default in
       Alcotest.(check int) "cold run misses everything" 0 hits;
       List.iter
@@ -326,7 +310,7 @@ let cache_disabled =
 
 let cache_failing_not_stored =
   Alcotest.test_case "failing functions are never cached" `Quick (fun () ->
-      let dir = fresh_cache_dir () in
+      let dir = Tmp_dirs.dir "flux-test-cache" in
       let r1 = check_with dir failing_src in
       Alcotest.(check bool) "program fails" false (Engine.run_ok r1);
       let r2 = check_with dir failing_src in
@@ -386,7 +370,7 @@ let cache_slice_reuse =
          function-level entry misses (sig changed) but the first loop's
          SCC is untouched and must replay from the slice cache, so the
          edited run re-weakens strictly less than from scratch *)
-      let dir = fresh_cache_dir () in
+      let dir = Tmp_dirs.dir "flux-test-cache" in
       let _ = check_with dir v1 in
       Profile.reset ();
       let warm = check_with dir v2 in
@@ -708,7 +692,7 @@ let cache_pinned_keys =
         pinned_keys;
       (* and a check stores its verdict under exactly that key *)
       let src, expected = List.hd pinned_keys in
-      let dir = fresh_cache_dir () in
+      let dir = Tmp_dirs.dir "flux-test-cache" in
       let r = check_with dir (src ()) in
       Alcotest.(check bool) "verifies" true (Engine.run_ok r);
       Alcotest.(check (list string)) "entries written"
@@ -759,7 +743,7 @@ let certify_wp ~dir =
 let certify_demotion name (tool : dir:string -> (string * bool) list) =
   Alcotest.test_case (name ^ ": --certify demotes hits that do not replay")
     `Quick (fun () ->
-      let dir = fresh_cache_dir () in
+      let dir = Tmp_dirs.dir "flux-test-cache" in
       let count k =
         match List.assoc_opt k (Profile.snapshot ()) with
         | Some (n, _, _) -> n

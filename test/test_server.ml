@@ -27,19 +27,6 @@ let read_file path =
   close_in ic;
   s
 
-let tmp_counter = ref 0
-
-let fresh_tmp prefix =
-  incr tmp_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) !tmp_counter)
-
-let fresh_dir prefix =
-  let dir = fresh_tmp prefix in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  dir
-
 let run_cmd exe args =
   let out = Filename.temp_file "flux-test" ".out" in
   let err = Filename.temp_file "flux-test" ".err" in
@@ -72,7 +59,7 @@ let wait_until ?(timeout = 10.) f =
     the daemon down (graceful stop, then SIGKILL as a last resort so a
     failing test cannot leak a process into later tests). *)
 let with_daemon f =
-  let sock = fresh_tmp "fluxd-test" ^ ".sock" in
+  let sock = Tmp_dirs.path ~suffix:".sock" "fluxd-test" in
   let pidfile = sock ^ ".pid" in
   Fun.protect
     ~finally:(fun () ->
@@ -422,7 +409,7 @@ let counter key =
   | None -> 0
 
 let memory_tier_layering () =
-  let dir = fresh_dir "flux-server-cache" in
+  let dir = Tmp_dirs.dir "flux-server-cache" in
   Fun.protect
     ~finally:(fun () -> Cache.set_memory_tier None)
     (fun () ->
@@ -455,7 +442,7 @@ let memory_tier_layering () =
 
 let ensure_dir_diagnostics () =
   (* parents are created *)
-  let base = fresh_dir "flux-server-ensure" in
+  let base = Tmp_dirs.dir "flux-server-ensure" in
   let nested = Filename.concat (Filename.concat base "a") "b" in
   (match Cache.ensure_dir nested with
   | Ok () -> Alcotest.(check bool) "nested dir created" true (Sys.is_directory nested)
@@ -497,7 +484,7 @@ let ensure_dir_diagnostics () =
             find 0))
 
 let cli_bad_cache_dir () =
-  let base = fresh_dir "flux-server-badcache" in
+  let base = Tmp_dirs.dir "flux-server-badcache" in
   let file = Filename.concat base "plainfile" in
   let oc = open_out file in
   output_string oc "x";
@@ -529,7 +516,7 @@ let contains sub s =
   go 0
 
 let lifecycle_start_status_stop () =
-  let sock = fresh_tmp "fluxd-life" ^ ".sock" in
+  let sock = Tmp_dirs.path ~suffix:".sock" "fluxd-life" in
   Fun.protect
     ~finally:(fun () ->
       ignore (run_flux ("daemon stop --socket " ^ sq sock));
@@ -570,7 +557,7 @@ let lifecycle_start_status_stop () =
     started, never take it for an older one ("already running"), and
     [daemon stop] must leave neither file behind. *)
 let lifecycle_start_stop_loop () =
-  let sock = fresh_tmp "fluxd-loop" ^ ".sock" in
+  let sock = Tmp_dirs.path ~suffix:".sock" "fluxd-loop" in
   let pidfile = sock ^ ".pid" in
   Fun.protect
     ~finally:(fun () ->
@@ -636,7 +623,7 @@ let byte_identity_cold_and_warm () =
          (the warm daemon answer comes from the memory tier, the warm
          local answer from disk — same bytes, including the footer's
          cache count) *)
-      let dl = fresh_dir "flux-idl" and dd = fresh_dir "flux-idd" in
+      let dl = Tmp_dirs.dir "flux-idl" and dd = Tmp_dirs.dir "flux-idd" in
       let l1 = run_flux (Printf.sprintf "check --cache-dir %s %s" (sq dl) f) in
       let d1 = run_flux (Printf.sprintf "check --daemon --socket %s --cache-dir %s %s" (sq sock) (sq dd) f) in
       Alcotest.(check (triple int string string)) "check, cold cached pass" l1 d1;
@@ -803,7 +790,7 @@ let sigterm_drain () =
         (wait_until (fun () -> not (Sys.file_exists (sock ^ ".pid")))))
 
 let stale_socket_recovery () =
-  let sock = fresh_tmp "fluxd-stale" ^ ".sock" in
+  let sock = Tmp_dirs.path ~suffix:".sock" "fluxd-stale" in
   Fun.protect
     ~finally:(fun () ->
       ignore (run_flux ("daemon stop --socket " ^ sq sock));
@@ -824,7 +811,7 @@ let stale_socket_recovery () =
       Alcotest.(check int) "status after recovery" 0 code)
 
 let auto_spawn_and_fallback () =
-  let sock = fresh_tmp "fluxd-auto" ^ ".sock" in
+  let sock = Tmp_dirs.path ~suffix:".sock" "fluxd-auto" in
   Fun.protect
     ~finally:(fun () ->
       ignore (run_flux ("daemon stop --socket " ^ sq sock));
@@ -843,7 +830,7 @@ let auto_spawn_and_fallback () =
       Alcotest.(check int) "daemon is now running" 0 code;
       (* library-level fallback: an unreachable socket with spawning
          disabled returns None (the CLI then checks in-process) *)
-      let nowhere = fresh_tmp "fluxd-nowhere" ^ ".sock" in
+      let nowhere = Tmp_dirs.path ~suffix:".sock" "fluxd-nowhere" in
       Alcotest.(check bool) "unreachable daemon falls back" true
         (Client.run ~spawn:Client.Never ~socket:nowhere
            (Exec.default_opts Exec.Flux_check)
@@ -853,7 +840,7 @@ let auto_spawn_and_fallback () =
 let warm_daemon_zero_smt () =
   with_daemon (fun sock ->
       let f = "../examples/programs/init_zeros.rs" in
-      let dir = fresh_dir "flux-warm" in
+      let dir = Tmp_dirs.dir "flux-warm" in
       let queries () =
         let _, m, _ = run_flux ("daemon metrics --socket " ^ sq sock) in
         match Json.parse m with
