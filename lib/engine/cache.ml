@@ -59,12 +59,19 @@ type slice_entry = { se_sols : (string * Term.t list) list }
 type tier = {
   t_load : string -> entry option;
   t_store : string -> entry -> unit;
+  t_keys_load : string -> (string * string) list option;
+  t_keys_store : string -> (string * string) list -> unit;
 }
 (** A second cache tier consulted before the disk store. Keys are the
     same content-addressed MD5s, so an entry is valid independently of
     which directory it was first written under. The daemon installs a
     mutex-protected hashtable here ({!Flux_server.Memcache}) so warm
     requests skip even the disk probe; CLI processes leave it unset.
+
+    The tier also holds the source memo ([t_keys_*]): a source's
+    {!source_digest} mapped to the [(fn name, key)] list
+    {!program_keys} returned for it, so a warm request can probe its
+    verdicts without parsing (see {!Flux_engine.Engine.check_memo}).
 
     The tier is installed once at process/daemon start, before any
     requests run, and is then only read — so plain [ref] access is safe
@@ -233,6 +240,18 @@ let program_keys ~(keyed : bool) ~(config : string) (genv : Genv.t)
           (Genv.find_body genv fd.Ast.fn_name))
     (Ast.program_fns prog)
 
+(** The digest a source's key list is memoised under: the MD5 of the
+    source text, salted with everything else {!program_keys} reads — the
+    [tool], the [config] salt, [keyed = true] and {!version} (the
+    qualifier set is {!Flux_fixpoint.Qualifier.default} in every
+    request). The source is hashed on its own, so no salted copy of it
+    is allocated. *)
+let source_digest ~(tool : string) ~(config : string) (src : string) : string
+    =
+  hex
+    (String.concat "\n"
+       [ version; "source"; tool; config; "keyed"; Digest.string src ])
+
 (** Cache key for one WP (Prusti-baseline) per-function check. *)
 let wp_key ~(config : string) ~(lookup : string -> Ast.fn_def option)
     (fd : Ast.fn_def) (body : Ir.body) : string =
@@ -372,6 +391,16 @@ let store ~(dir : string) (key : string) (e : entry) : unit =
   (match !memory_tier with Some m -> m.t_store key e | None -> ());
   (try mkdir_p dir with Unix.Unix_error _ -> ());
   write_marshalled (path dir key) e
+
+(** The key list memoised under a {!source_digest}; [None] without a
+    memory tier (CLI runs keep no memo). *)
+let keys_load (digest : string) : (string * string) list option =
+  match !memory_tier with Some m -> m.t_keys_load digest | None -> None
+
+let keys_store (digest : string) (keys : (string * string) list) : unit =
+  match !memory_tier with Some m -> m.t_keys_store digest keys | None -> ()
+
+let memoising () = Option.is_some !memory_tier
 
 (* ------------------------------------------------------------------ *)
 (* The per-slice store                                                 *)

@@ -158,21 +158,21 @@ let run_ok (r : run) = List.for_all (fun o -> Checker.fn_ok o.fo_report) r.run_f
 type 'o slot = Hit of 'o | Todo of int
 
 (** The driver check, verify and lint share. Each keyed function of
-    [tasks prog] is probed in [cache_dir]; a loaded entry is a hit when
+    [tasks input] is probed in [cache_dir]; a loaded entry is a hit when
     [hit] makes it an outcome ([None] demotes it to a miss). The misses
-    of all programs run as one batch ([run], results in task order),
+    of all inputs run as one batch ([run], results in task order),
     [store] is offered each keyed miss's result, and [assemble] gets
-    each program's outcomes in declaration order ([fresh] for misses),
+    each input's outcomes in declaration order ([fresh] for misses),
     its hit and miss counts ([counters] names their profile counters;
     an unkeyed function counts as neither) and the call's wall-clock. *)
 let cached_run ~(cache_dir : string option) ~(counters : string * string)
-    ~(tasks : Ast.program -> ('t * string option) list)
+    ~(tasks : 'p -> ('t * string option) list)
     ~(hit : dir:string -> string -> 't -> Cache.entry -> 'o option)
     ~(run : 't array -> 'r array)
     ~(store : dir:string -> string -> 't -> 'r -> unit)
     ~(fresh : 't -> 'r -> 'o)
     ~(assemble : 'o list -> hits:int -> misses:int -> time:float -> 'run)
-    (progs : Ast.program list) : 'run list =
+    (progs : 'p list) : 'run list =
   let t0 = Unix.gettimeofday () in
   let hit_counter, miss_counter = counters in
   let todo = ref [] and n_todo = ref 0 in
@@ -307,7 +307,7 @@ let emit_wp_cert ~dir key (goals : (int * Term.t) list) : unit =
     order. *)
 let check_split ?cancel ~(certify : bool) (cfg : config) ~(config : Config.t)
     ~(quals_fp : string) ~(sizes : int array)
-    (task_arr : (Genv.t * Ast.fn_def * Ir.body * string option) array) :
+    (task_arr : (Genv.t * Ast.fn_def * Ir.body) array) :
     (Checker.fn_report * (Horn.kvar list * Horn.clause list) option) array =
   let n = Array.length task_arr in
   let salt = Config.fingerprint config in
@@ -319,7 +319,7 @@ let check_split ?cancel ~(certify : bool) (cfg : config) ~(config : Config.t)
   let preps =
     run_pool ?cancel ~jobs:cfg.jobs ~sizes
       (Array.map
-         (fun (genv, fd, body, _) () ->
+         (fun (genv, fd, body) () ->
            let p = Checker.prepare genv fd body in
            if Checker.prepared_early p then (p, None, 0.0)
            else
@@ -405,7 +405,7 @@ let check_split ?cancel ~(certify : bool) (cfg : config) ~(config : Config.t)
       Array.map
         (fun j () ->
           let i, p, s = items.(j) in
-          let _, fd, _, _ = task_arr.(i) in
+          let _, fd, _ = task_arr.(i) in
           let t0 = Unix.gettimeofday () in
           let r =
             Profile.with_fn fd.Ast.fn_name @@ fun () -> Solve.run_slice p s
@@ -442,23 +442,66 @@ let check_split ?cancel ~(certify : bool) (cfg : config) ~(config : Config.t)
               (Some (Solve.finish sprep)),
             Some (Checker.prepared_kvars p, Checker.prepared_clauses p) ))
 
-(** Check several programs through one shared schedule
-    ({!cached_run}). Genvs are built sequentially on the calling domain
-    and are read-only afterwards, so worker domains may read them
-    concurrently. Under [certify] a hit stands only if its certificate
-    replays ({!cert_replay_ok}), and each verified miss emits one. *)
-let check_programs ?cancel ?(certify = false) ?(config = Config.default)
-    (cfg : config) (progs : Ast.program list) : run list =
+(** What one program is checked from. *)
+type source =
+  | Parsed of Ast.program * string option
+      (** the program, keyed now; its key list is memoised under the
+          digest, if one is given and the run is keyed *)
+  | Memoised of (string * string) list * Ast.program Lazy.t
+      (** a memoised key list — every checkable function's name and
+          key, in declaration order — and the frontend, forced only
+          when a key misses *)
+
+(** Check several sources through one shared schedule ({!cached_run}).
+    Genvs are built sequentially on the calling domain and are
+    read-only afterwards, so worker domains may read them concurrently.
+    Under [certify] a hit stands only if its certificate replays
+    ({!cert_replay_ok}), and each verified miss emits one. *)
+let check_sources ?cancel ?(certify = false) ?(config = Config.default)
+    (cfg : config) (srcs : source list) : run list =
   let salt = Config.fingerprint config in
+  let keyed = cfg.cache_dir <> None in
+  (* a task is a function's name and its frontend result *)
+  let parsed prog memo =
+    let genv = Genv.build prog in
+    let keys = Cache.program_keys ~keyed ~config:salt genv prog in
+    (match memo with
+    | Some digest when keyed ->
+        Profile.incr "cache.source_misses";
+        Cache.keys_store digest
+          (List.map
+             (fun ((fd : Ast.fn_def), _, k) -> (fd.Ast.fn_name, Option.get k))
+             keys)
+    | _ -> ());
+    List.map
+      (fun ((fd : Ast.fn_def), body, key) ->
+        ((fd.Ast.fn_name, Lazy.from_val (genv, fd, body)), key))
+      keys
+  in
+  let memoised keys prog =
+    Profile.incr "cache.source_hits";
+    let frontend =
+      lazy
+        (let prog = Lazy.force prog in
+         (prog, Genv.build prog))
+    in
+    List.map
+      (fun (name, key) ->
+        ( ( name,
+            lazy
+              (let prog, genv = Lazy.force frontend in
+               match (Ast.find_fn prog name, Genv.find_body genv name) with
+               | Some fd, Some body -> (genv, fd, body)
+               | _ -> invalid_arg ("Engine: no memoised function " ^ name)) ),
+          Some key ))
+      keys
+  in
   cached_run ~cache_dir:cfg.cache_dir
     ~counters:("engine.cache_hits", "engine.cache_misses")
-    ~tasks:(fun prog ->
-      let genv = Genv.build prog in
-      List.map
-        (fun (fd, body, key) -> ((genv, fd, body, key), key))
-        (Cache.program_keys ~keyed:(cfg.cache_dir <> None) ~config:salt genv
-           prog))
-    ~hit:(fun ~dir k (_, (fd : Ast.fn_def), _, _) (e : Cache.entry) ->
+    ~tasks:(function
+      | Parsed (prog, memo) -> parsed prog memo
+      | Memoised (keys, prog) -> memoised keys prog)
+    ~hit:(fun ~dir k (name, _) (e : Cache.entry) ->
       (* a verdict whose certificate is missing or does not replay is
          demoted to a miss, so the re-check re-emits it *)
       if certify && not (cert_replay_ok ~dir k) then None
@@ -467,7 +510,7 @@ let check_programs ?cancel ?(certify = false) ?(config = Config.default)
           {
             fo_report =
               {
-                Checker.fr_name = fd.Ast.fn_name;
+                Checker.fr_name = name;
                 fr_errors = [];
                 fr_solution = None;
                 fr_kvars = e.Cache.e_kvars;
@@ -477,9 +520,11 @@ let check_programs ?cancel ?(certify = false) ?(config = Config.default)
             fo_cached = true;
           })
     ~run:(fun tasks ->
+      (* the misses' frontends, forced on the calling domain *)
+      let tasks = Array.map (fun (_, t) -> Lazy.force t) tasks in
       check_split ?cancel ~certify cfg ~config
         ~quals_fp:(Cache.qualifiers_fingerprint Qualifier.default)
-        ~sizes:(Array.map (fun (_, _, body, _) -> body_size body) tasks)
+        ~sizes:(Array.map (fun (_, _, body) -> body_size body) tasks)
         tasks)
     ~store:(fun ~dir k _ (r, payload) ->
       if Checker.fn_ok r then begin
@@ -498,7 +543,12 @@ let check_programs ?cancel ?(certify = false) ?(config = Config.default)
     ~fresh:(fun _ (r, _) -> { fo_report = r; fo_cached = false })
     ~assemble:(fun fns ~hits ~misses ~time ->
       { run_fns = fns; run_hits = hits; run_misses = misses; run_time = time })
-    progs
+    srcs
+
+let check_programs ?cancel ?certify ?config (cfg : config)
+    (progs : Ast.program list) : run list =
+  check_sources ?cancel ?certify ?config cfg
+    (List.map (fun p -> Parsed (p, None)) progs)
 
 let check_program_ast ?cancel ?certify ?config (cfg : config)
     (prog : Ast.program) : run =
@@ -511,6 +561,46 @@ let check_source ?cancel ?certify ?config (cfg : config) (src : string) : run
   let prog = Flux_syntax.Parser.parse_program src in
   Flux_syntax.Typeck.check_program prog;
   check_program_ast ?cancel ?certify ?config cfg prog
+
+(* ------------------------------------------------------------------ *)
+(* The source memo                                                     *)
+(* ------------------------------------------------------------------ *)
+
+type memo = {
+  m_digest : string;  (** the source's {!Cache.source_digest} *)
+  m_keys : (string * string) list option;  (** its memoised key list *)
+}
+
+(** Look source text [src] up in the installed memory tier's source
+    memo, for a [check] under [config]; [None] without a tier. *)
+let memo_lookup ~(config : Config.t) (src : string) : memo option =
+  if not (Cache.memoising ()) then None
+  else
+    let digest =
+      Cache.source_digest ~tool:"check" ~config:(Config.fingerprint config) src
+    in
+    Some { m_digest = digest; m_keys = Cache.keys_load digest }
+
+(** Check the program [prog] forces from source text, the daemon's warm
+    path. With a memoised key list for that source ([memo], from
+    {!memo_lookup}) and a cache directory, the keys are probed first and
+    [prog] is forced only if one misses; without one, [prog] is keyed
+    as {!check_program_ast} keys it, and its key list is memoised.
+    Every key still goes through {!Cache.load}, so the tiers and their
+    counters see what they see without the memo. Counts
+    [cache.source_hits] and [cache.source_misses]. *)
+let check_memo ?cancel ?certify ?config ?memo (cfg : config)
+    (prog : Ast.program Lazy.t) : run =
+  let src =
+    match (memo, cfg.cache_dir) with
+    | Some { m_keys = Some keys; _ }, Some _ -> Memoised (keys, prog)
+    | Some { m_digest; m_keys = None }, Some _ ->
+        Parsed (Lazy.force prog, Some m_digest)
+    | _ -> Parsed (Lazy.force prog, None)
+  in
+  match check_sources ?cancel ?certify ?config cfg [ src ] with
+  | [ r ] -> r
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* WP (Prusti baseline)                                                *)

@@ -135,7 +135,28 @@ let parse (s : string) : (t, string) result =
   in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
+    (* The raw span up to the closing quote bounds the decoded length
+       (every escape decodes to fewer bytes than it is spelled with): a
+       span without escapes is the string itself, any other sizes the
+       buffer once. A protocol frame carries a whole source file in one
+       string, which doubling a 16-byte buffer would copy about nine
+       times. *)
+    let rec span i escaped =
+      if i >= n then (n, true)
+      else
+        match s.[i] with
+        | '"' -> (i, escaped)
+        | '\\' -> span (i + 2) true
+        | _ -> span (i + 1) escaped
+    in
+    let stop, escaped = span !pos false in
+    if not escaped then begin
+      let v = String.sub s !pos (stop - !pos) in
+      pos := stop + 1;
+      v
+    end
+    else
+    let buf = Buffer.create (max 16 (stop - !pos)) in
     let rec go () =
       if !pos >= n then fail "unterminated string";
       let c = s.[!pos] in

@@ -3,9 +3,10 @@
     One process listens on a Unix-domain socket; each accepted
     connection becomes a session on its own domain, handling a stream
     of framed requests ({!Protocol}). Work requests run through
-    {!Exec.run} with the shared in-memory verdict tier ({!Memcache})
-    installed, so a warm re-check of unchanged code replays entirely
-    from memory — zero SMT queries, zero disk probes.
+    {!Exec.run} with the shared in-memory tier ({!Memcache}) installed,
+    so a warm re-check of unchanged code replays entirely from memory —
+    zero SMT queries, zero disk probes, and, for a source it has keyed
+    before, no parsing.
 
     Lifecycle invariants:
 
@@ -95,6 +96,7 @@ let status_info (st : state) : Json.t =
       ("draining", Json.Bool (Atomic.get st.draining));
       ("requests_served", Json.Int (Metrics.served st.metrics));
       ("memcache_entries", Json.Int (Memcache.size st.mem));
+      ("memcache_sources", Json.Int (Memcache.sources st.mem));
     ]
 
 let metrics_info (st : state) : Json.t =
@@ -106,6 +108,7 @@ let metrics_info (st : state) : Json.t =
             ("pid", Json.Int (Unix.getpid ()));
             ("uptime_s", Json.Float (Unix.gettimeofday () -. st.started));
             ("memcache_entries", Json.Int (Memcache.size st.mem));
+            ("memcache_sources", Json.Int (Memcache.sources st.mem));
           ])
   | j -> j
 

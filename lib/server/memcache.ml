@@ -1,33 +1,77 @@
-(** The daemon's in-memory verdict-cache tier.
+(** The daemon's in-memory cache tier: verdicts and the source memo.
 
-    A mutex-protected hashtable over the engine's content-addressed MD5
-    keys, installed into {!Flux_engine.Cache.memory_tier} at daemon
-    start. The keys are the same as the disk tier's, so the layering is
-    trivially sound: memory is probed first, a disk hit is promoted
-    into memory, and a fresh verdict is written to both. A warm request
-    therefore replays entirely out of this table — zero SMT queries and
-    zero disk I/O per function.
+    Two mutex-protected hashtables, installed into
+    {!Flux_engine.Cache.memory_tier} at daemon start:
 
-    Sessions run on separate domains, so every access takes the mutex;
-    entries are small immutable records and the table only grows (no
-    eviction — a verdict entry is ~tens of bytes and a daemon serving
-    even millions of functions stays modest; restart the daemon to
-    drop it). *)
+    - verdicts, over the engine's content-addressed MD5 keys. The keys
+      are the same as the disk tier's, so the layering is trivially
+      sound: memory is probed first, a disk hit is promoted into
+      memory, and a fresh verdict is written to both. A warm request
+      therefore replays entirely out of this table — zero SMT queries
+      and zero disk I/O per function;
+    - key lists, by {!Flux_engine.Cache.source_digest}: the
+      [(fn name, key)] list a request's source was keyed to, so a
+      request re-sending that source probes its verdicts without
+      parsing. A key list is a pure function of its digest's material,
+      so it stays valid whatever happens to the verdicts it names.
+
+    Both share one entry cap. Once it is reached, each new entry evicts
+    the oldest one, verdict or key list alike; an evicted verdict
+    degrades to the disk tier, an evicted key list to keying the source
+    afresh. The default cap of {!default_cap} entries keeps a full
+    table to a few tens of MB (a verdict is about 100 bytes, a key list
+    about 100 bytes per function). Sessions run on separate domains, so
+    every access takes the mutex. *)
 
 module Cache = Flux_engine.Cache
 
-type t = { mu : Mutex.t; tbl : (string, Cache.entry) Hashtbl.t }
+(* The entry each insertion added, oldest first. *)
+type slot = Verdict of string | Keys of string
 
-let create () : t = { mu = Mutex.create (); tbl = Hashtbl.create 1024 }
+type t = {
+  mu : Mutex.t;
+  cap : int;
+  tbl : (string, Cache.entry) Hashtbl.t;
+  keys : (string, (string * string) list) Hashtbl.t;
+  order : slot Queue.t;
+}
+
+let default_cap = 32768
+
+(** A fresh, empty tier. [cap] (default {!default_cap}) is for tests,
+    which need eviction to happen after a few entries. *)
+let create ?(cap = default_cap) () : t =
+  if cap < 1 then invalid_arg "Memcache.create: cap < 1";
+  {
+    mu = Mutex.create ();
+    cap;
+    tbl = Hashtbl.create 1024;
+    keys = Hashtbl.create 64;
+    order = Queue.create ();
+  }
 
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
+(* Under the mutex. Replacing an entry keeps its place in the order. *)
+let insert t tbl slot k v =
+  if not (Hashtbl.mem tbl k) then begin
+    if Queue.length t.order >= t.cap then (
+      match Queue.pop t.order with
+      | Verdict k' -> Hashtbl.remove t.tbl k'
+      | Keys k' -> Hashtbl.remove t.keys k');
+    Queue.push slot t.order
+  end;
+  Hashtbl.replace tbl k v
+
 let tier (t : t) : Cache.tier =
   {
     Cache.t_load = (fun k -> locked t (fun () -> Hashtbl.find_opt t.tbl k));
-    t_store = (fun k e -> locked t (fun () -> Hashtbl.replace t.tbl k e));
+    t_store = (fun k e -> locked t (fun () -> insert t t.tbl (Verdict k) k e));
+    t_keys_load = (fun d -> locked t (fun () -> Hashtbl.find_opt t.keys d));
+    t_keys_store =
+      (fun d ks -> locked t (fun () -> insert t t.keys (Keys d) d ks));
   }
 
 (** Install this table as the process-wide memory tier. Call once,
@@ -35,5 +79,14 @@ let tier (t : t) : Cache.tier =
     read — see {!Flux_engine.Cache.memory_tier}). *)
 let install (t : t) : unit = Cache.set_memory_tier (Some (tier t))
 
+(** Verdicts held. *)
 let size (t : t) : int = locked t (fun () -> Hashtbl.length t.tbl)
-let clear (t : t) : unit = locked t (fun () -> Hashtbl.reset t.tbl)
+
+(** Key lists held. *)
+let sources (t : t) : int = locked t (fun () -> Hashtbl.length t.keys)
+
+let clear (t : t) : unit =
+  locked t (fun () ->
+      Hashtbl.reset t.tbl;
+      Hashtbl.reset t.keys;
+      Queue.clear t.order)

@@ -10,8 +10,9 @@
     - verifier counters absorbed from {!Flux_smt.Profile}: each session
       resets its domain-local profile per request and feeds the
       snapshot here, so totals like [solver.queries],
-      [engine.cache_hits], [cache.mem_hits] and [cache.disk_hits]
-      accumulate across every request the daemon ever served. CI's
+      [engine.cache_hits], [cache.mem_hits], [cache.disk_hits],
+      [cache.source_hits] and [cache.source_misses] accumulate across
+      every request the daemon ever served. CI's
       zero-SMT-on-warm assertion is a delta of [solver.queries]
       between two [metrics] calls;
     - [daemon.conn_errors], among the counters: sessions that ended on

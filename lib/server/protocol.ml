@@ -226,25 +226,24 @@ let decode_response (s : string) : (response, string) result =
 (* Framing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let rec write_all fd bytes off len =
+let rec write_all fd s off len =
   if len > 0 then begin
     let n =
-      try Unix.write fd bytes off len
+      try Unix.write_substring fd s off len
       with Unix.Unix_error (Unix.EINTR, _, _) -> 0
     in
-    write_all fd bytes (off + n) (len - n)
+    write_all fd s (off + n) (len - n)
   end
 
 let write_frame (fd : Unix.file_descr) (payload : string) : unit =
   let n = String.length payload in
   if n > max_frame then invalid_arg "Protocol.write_frame: oversized frame";
-  let hdr = Bytes.create 4 in
-  Bytes.set_uint8 hdr 0 ((n lsr 24) land 0xff);
-  Bytes.set_uint8 hdr 1 ((n lsr 16) land 0xff);
-  Bytes.set_uint8 hdr 2 ((n lsr 8) land 0xff);
-  Bytes.set_uint8 hdr 3 (n land 0xff);
-  write_all fd hdr 0 4;
-  write_all fd (Bytes.of_string payload) 0 n
+  write_all fd
+    (String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff)))
+    0 4;
+  (* straight from the string: a reply is often larger than a minor
+     heap block, so a copy would go to the major heap every time *)
+  write_all fd payload 0 n
 
 type read_outcome =
   | Eof  (** clean close before any header byte *)

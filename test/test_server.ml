@@ -17,6 +17,7 @@ module Metrics = Flux_server.Metrics
 module Daemon = Flux_server.Daemon
 module Client = Flux_server.Client
 module Cache = Flux_engine.Cache
+module Engine = Flux_engine.Engine
 module Diag = Flux_engine.Diag
 module Profile = Flux_smt.Profile
 
@@ -957,6 +958,248 @@ let metrics_percentiles () =
         | _ -> false)
   | _ -> Alcotest.fail "metrics JSON is not an object"
 
+(* ------------------------------------------------------------------ *)
+(* The source memo                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Four functions over a refined struct, one calling two others. *)
+let dot_matrix_row =
+  (Option.get (Flux_workloads.Wl_extra.find "dot_matrix_row"))
+    .Flux_workloads.Wl_extra.ex_src
+
+let memo_opts dir =
+  { (Exec.default_opts Exec.Flux_check) with Exec.jobs = 1; cache_dir = dir }
+
+let render (o : Exec.opts) src =
+  let r = Exec.run o ~file:"prog.rs" ~read:(fun () -> src) in
+  (r.Exec.code, r.Exec.out, r.Exec.err)
+
+let reply = Alcotest.(triple int string string)
+
+(* [f mem] with a fresh tier of [cap] entries installed as the memory
+   tier. *)
+let with_memcache ?cap f =
+  let mem = Memcache.create ?cap () in
+  Memcache.install mem;
+  Fun.protect ~finally:(fun () -> Cache.set_memory_tier None) (fun () -> f mem)
+
+(* [f ()] with no memory tier, as a CLI run has it. *)
+let untiered mem f =
+  Cache.set_memory_tier None;
+  Fun.protect ~finally:(fun () -> Memcache.install mem) f
+
+(* The change in counter [key] over [f ()], with [f]'s result. *)
+let delta key f =
+  let before = counter key in
+  let r = f () in
+  (r, counter key - before)
+
+(* [lockstep mem]: a renderer that sends each request with the tier over
+   one cache directory and without it over a twin directory, checks the
+   two replies are the same bytes, and returns the tiered one. Both
+   directories see the same requests in the same order, so they hold
+   the same keys, and the tier holds only keys of the first. *)
+let lockstep mem =
+  let dir = Tmp_dirs.dir "flux-memo" and twin = Tmp_dirs.dir "flux-memo-twin" in
+  fun ?(opts = fun o -> o) what src ->
+    let t = render (opts (memo_opts dir)) src in
+    let u = untiered mem (fun () -> render (opts (memo_opts twin)) src) in
+    Alcotest.check reply (what ^ ": the same bytes with and without the memo") u t;
+    t
+
+let memo_hit_identity () =
+  with_memcache (fun mem ->
+      let send = lockstep mem in
+      let _, misses = delta "cache.source_misses" (fun () -> send "cold" dot_matrix_row) in
+      Alcotest.(check int) "a new source misses the memo" 1 misses;
+      Alcotest.(check int) "its key list is memoised" 1 (Memcache.sources mem);
+      let ((_, out, _), hits), mem_hits =
+        delta "cache.mem_hits" (fun () ->
+            delta "cache.source_hits" (fun () -> send "warm text" dot_matrix_row))
+      in
+      Alcotest.(check int) "the same source hits the memo" 1 hits;
+      Alcotest.(check int) "every verdict from memory" 4 mem_hits;
+      Alcotest.(check bool) ("all from cache: " ^ out) true
+        (contains "4 function(s) verified (4 from cache)" out);
+      let json o = { o with Exec.format_json = true } in
+      let (_, hits), _ =
+        delta "cache.mem_hits" (fun () ->
+            delta "cache.source_hits" (fun () ->
+                send ~opts:json "warm json" dot_matrix_row))
+      in
+      Alcotest.(check int) "--format json hits the memo too" 1 hits;
+      (* a source the frontend rejects is reported as before and not
+         memoised *)
+      let _, misses =
+        delta "cache.source_misses" (fun () -> send "parse error" "fn broken(")
+      in
+      Alcotest.(check (pair int int)) "nothing memoised for it" (0, 1)
+        (misses, Memcache.sources mem);
+      (* an all-hit memoised run never reaches the frontend *)
+      let config = Flux_smt.Config.default in
+      let memo = Engine.memo_lookup ~config dot_matrix_row in
+      let r =
+        Engine.check_memo ?memo ~config
+          { Engine.jobs = 1; cache_dir = Some (Tmp_dirs.dir "flux-memo-dir") }
+          (lazy (Alcotest.fail "the frontend ran on a memo hit"))
+      in
+      Alcotest.(check int) "a run from the key list alone" 4 r.Engine.run_hits)
+
+let memo_spec_edit () =
+  with_memcache (fun mem ->
+      let send = lockstep mem in
+      ignore (send "original" dot_matrix_row);
+      let edited =
+        Option.get
+          (Str_replace.first dot_matrix_row "usize{v: v < m}) -> &RVec"
+             "usize{v: v < m && 0 <= v}) -> &RVec")
+      in
+      let (_, source_misses), misses =
+        delta "engine.cache_misses" (fun () ->
+            delta "cache.source_misses" (fun () -> send "edited" edited))
+      in
+      Alcotest.(check int) "the edited source misses the memo" 1 source_misses;
+      (* two in each directory of the lockstep *)
+      Alcotest.(check int) "RMat::row and its caller are re-keyed" 4 misses;
+      let _, hits = delta "cache.source_hits" (fun () -> send "original again" dot_matrix_row) in
+      Alcotest.(check int) "the original's key list is still memoised" 1 hits)
+
+let memo_per_config () =
+  with_memcache (fun mem ->
+      let send = lockstep mem in
+      ignore (send "default" dot_matrix_row);
+      let no_absint o = { o with Exec.absint = false } in
+      let (_, hits), misses =
+        delta "cache.source_misses" (fun () ->
+            delta "cache.source_hits" (fun () ->
+                send ~opts:no_absint "--no-absint" dot_matrix_row))
+      in
+      Alcotest.(check (pair int int)) "--no-absint keys the source afresh" (0, 1)
+        (hits, misses);
+      let _, hits =
+        delta "cache.source_hits" (fun () ->
+            send ~opts:no_absint "--no-absint again" dot_matrix_row)
+      in
+      Alcotest.(check int) "under its own key list" 1 hits)
+
+(* A fresh directory and no tier: the reply of a cold run. *)
+let cold mem src =
+  untiered mem (fun () -> render (memo_opts (Tmp_dirs.dir "flux-memo-cold")) src)
+
+let memo_clear_and_evict () =
+  with_memcache (fun mem ->
+      let dir = Tmp_dirs.dir "flux-memo" in
+      ignore (render (memo_opts dir) dot_matrix_row);
+      Memcache.clear mem;
+      Alcotest.(check (pair int int)) "clear drops verdicts and key lists" (0, 0)
+        (Memcache.size mem, Memcache.sources mem);
+      let r, misses =
+        delta "cache.source_misses" (fun () ->
+            render (memo_opts (Tmp_dirs.dir "flux-memo-fresh")) dot_matrix_row)
+      in
+      Alcotest.(check int) "the memo starts over" 1 misses;
+      Alcotest.check reply "after clear" (cold mem dot_matrix_row) r);
+  (* Room for one source's four verdicts and two key lists. *)
+  with_memcache ~cap:6 (fun mem ->
+      let dir = Tmp_dirs.dir "flux-memo" in
+      (* a comment changes the digest but no key: the verdicts are
+         stored before the original source's key list *)
+      ignore (render (memo_opts dir) (dot_matrix_row ^ "// edited\n"));
+      ignore (render (memo_opts dir) dot_matrix_row);
+      Alcotest.(check (pair int int)) "full" (4, 2)
+        (Memcache.size mem, Memcache.sources mem);
+      (* five new verdicts evict the five oldest entries: the first key
+         list and all four verdicts *)
+      let junk = Tmp_dirs.dir "flux-memo-junk" in
+      for i = 1 to 5 do
+        Cache.store ~dir:junk (Printf.sprintf "junk%d" i) entry
+      done;
+      Alcotest.(check (pair int int)) "evicted oldest first" (5, 1)
+        (Memcache.size mem, Memcache.sources mem);
+      let (r, hits), misses =
+        delta "engine.cache_misses" (fun () ->
+            delta "cache.source_hits" (fun () ->
+                render (memo_opts (Tmp_dirs.dir "flux-memo-fresh")) dot_matrix_row))
+      in
+      Alcotest.(check int) "the key list outlived its verdicts" 1 hits;
+      Alcotest.(check int) "every function re-checked" 4 misses;
+      Alcotest.check reply "after eviction" (cold mem dot_matrix_row) r)
+
+let memo_bypass () =
+  let bad = Filename.concat (Tmp_dirs.dir "flux-memo-bad") "plainfile" in
+  Out_channel.with_open_bin bad (fun oc -> output_string oc "x");
+  with_memcache (fun mem ->
+      let send = lockstep mem in
+      ignore (send "prime" dot_matrix_row);
+      List.iter
+        (fun (what, opts) ->
+          let (_, hits), misses =
+            delta "cache.source_misses" (fun () ->
+                delta "cache.source_hits" (fun () -> send ~opts what dot_matrix_row))
+          in
+          Alcotest.(check (pair int int)) (what ^ " bypasses the memo") (0, 0)
+            (hits, misses))
+        [
+          ("--certify", fun o -> { o with Exec.certify = true });
+          ("--dump-mir", fun o -> { o with Exec.dump_mir = true });
+          ("--dump-solution", fun o -> { o with Exec.dump_solution = true });
+          ("--no-cache", fun o -> { o with Exec.cache = false });
+          ( "a bad cache directory",
+            fun o -> { o with Exec.cache_dir = Filename.concat bad "sub" } );
+        ])
+
+let memcache_fifo () =
+  let mem = Memcache.create ~cap:3 () in
+  let t = Memcache.tier mem in
+  t.Cache.t_store "a" entry;
+  t.Cache.t_keys_store "s" [ ("f", "a") ];
+  t.Cache.t_store "b" entry;
+  (* replacing an entry keeps its place *)
+  t.Cache.t_store "a" { entry with Cache.e_kvars = 9 };
+  t.Cache.t_store "c" entry;
+  Alcotest.(check (list bool)) "the oldest went first"
+    [ false; true; true; true ]
+    (List.map (fun k -> t.Cache.t_load k <> None) [ "a"; "b"; "c" ]
+    @ [ t.Cache.t_keys_load "s" <> None ]);
+  t.Cache.t_store "d" entry;
+  Alcotest.(check (pair int int)) "key lists share the cap" (3, 0)
+    (Memcache.size mem, Memcache.sources mem)
+
+let memo_concurrent_sessions () =
+  with_daemon (fun sock ->
+      let f = "../examples/programs/init_zeros.rs" in
+      let dir = Tmp_dirs.dir "flux-memo-daemon" in
+      let check = Printf.sprintf "check --daemon --socket %s --cache-dir %s %s" (sq sock) (sq dir) f in
+      let code, _, _ = run_flux check in
+      Alcotest.(check int) "priming request" 0 code;
+      let outs = List.init 2 (fun i -> Filename.temp_file "flux-memo" (string_of_int i)) in
+      let cmd =
+        String.concat " & "
+          (List.map (fun out -> Printf.sprintf "( ../bin/flux.exe %s > %s 2>&1 )" check (sq out)) outs)
+        ^ " & wait"
+      in
+      Alcotest.(check int) "shell wait" 0 (Sys.command cmd);
+      let _, lo, le = run_flux (Printf.sprintf "check --cache-dir %s %s" (sq dir) f) in
+      List.iter
+        (fun out ->
+          Alcotest.(check string) "a concurrent memo hit, byte-identical to the CLI"
+            (lo ^ le) (read_file out);
+          Sys.remove out)
+        outs;
+      let _, m, _ = run_flux ("daemon metrics --socket " ^ sq sock) in
+      match Json.parse m with
+      | Ok j ->
+          let count k =
+            match Option.bind (Json.member "counters" j) (Json.member k) with
+            | Some (Json.Int n) -> n
+            | _ -> 0
+          in
+          Alcotest.(check (pair int int)) "source hits and misses" (2, 1)
+            (count "cache.source_hits", count "cache.source_misses");
+          Alcotest.(check (option int)) "one key list held" (Some 1)
+            (Option.bind (Json.member "memcache_sources" j) Json.get_int)
+      | Error e -> Alcotest.fail ("metrics JSON: " ^ e))
+
 let tests =
   ( "server",
     [
@@ -994,4 +1237,11 @@ let tests =
         client_reset_mid_request;
       Alcotest.test_case "daemon start/stop loop reports each fresh pid" `Quick
         lifecycle_start_stop_loop;
+      Alcotest.test_case "memo: a hit is byte-identical to Exec.run" `Quick memo_hit_identity;
+      Alcotest.test_case "memo: a spec edit re-keys the program" `Quick memo_spec_edit;
+      Alcotest.test_case "memo: no key list shared across configs" `Quick memo_per_config;
+      Alcotest.test_case "memo: clear and eviction fall back to a cold run" `Quick memo_clear_and_evict;
+      Alcotest.test_case "memo: --certify, --dump-* and --no-cache bypass it" `Quick memo_bypass;
+      Alcotest.test_case "memcache: one cap, oldest entry evicted first" `Quick memcache_fifo;
+      Alcotest.test_case "memo: concurrent sessions get identical replies" `Quick memo_concurrent_sessions;
     ] )
