@@ -30,6 +30,10 @@
     --no-cache --dump-solution] transcript of 24 inputs under the three
     absint modes, for [diff -r] between two checkouts.
 
+    [bench/main.exe memo] reads fluxd's source-memo counters over
+    perfbench's daemon request mix and its resident size with a full
+    memory tier (see {!memo_bench}).
+
     [bench/main.exe all] runs [table1], then [ablations].
 
     [table1] additionally writes [BENCH_table1.json]: the same rows in
@@ -1139,6 +1143,287 @@ let sweep out =
   Printf.printf "sweep: %d inputs x %d modes written to %s\n"
     (List.length inputs) (List.length modes) out
 
+(* ------------------------------------------------------------------ *)
+(* memo: fluxd's source memo and memory-tier cap                       *)
+(* ------------------------------------------------------------------ *)
+
+module Memcache = Flux_server.Memcache
+module Protocol = Flux_server.Protocol
+module Client = Flux_server.Client
+module Daemon = Flux_server.Daemon
+module Exec = Flux_server.Exec
+
+(* [field] of /proc/[pid]/status in MB (VmRSS, VmHWM). *)
+let proc_mb pid field =
+  let s =
+    In_channel.with_open_bin (Printf.sprintf "/proc/%d/status" pid)
+      In_channel.input_all
+  in
+  List.fold_left
+    (fun acc line ->
+      match String.split_on_char ':' line with
+      | [ f; v ] when f = field -> (
+          match String.split_on_char ' ' (String.trim v) with
+          | kb :: _ -> float_of_string kb /. 1024.
+          | [] -> acc)
+      | _ -> acc)
+    nan
+    (String.split_on_char '\n' s)
+
+(* Replace the first occurrence of [a] in [s] by [b]. *)
+let replace_first s a b =
+  let n = String.length s and m = String.length a in
+  let rec find i =
+    if i + m > n then invalid_arg ("replace_first: " ^ a)
+    else if String.sub s i m = a then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ b ^ String.sub s (i + m) (n - i - m)
+
+(** A resident fluxd on a socket and cache directory of its own, for
+    [memo_bench]. *)
+type fluxd = { pid : int; socket : string; cache_dir : string }
+
+let start_fluxd ~flux ~work name : fluxd =
+  let dir = Filename.concat work name in
+  Sys.mkdir dir 0o755;
+  let socket = Filename.concat dir "fluxd.sock" in
+  let log =
+    Unix.openfile (Filename.concat dir "fluxd.log")
+      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o644
+  in
+  let pid =
+    Unix.create_process flux
+      [| flux; "daemon"; "start"; "--foreground"; "--socket"; socket |]
+      Unix.stdin log log
+  in
+  Unix.close log;
+  if not (Daemon.wait_for_socket socket ~timeout_s:10.) then
+    failwith "memo: fluxd did not answer within 10 s";
+  { pid; socket; cache_dir = Filename.concat dir "cache" }
+
+let stop_fluxd d =
+  ignore (Client.roundtrip ~socket:d.socket Protocol.Shutdown);
+  ignore (Unix.waitpid [] d.pid)
+
+(* One [check --jobs 1] of [src]; its exit code. *)
+let fluxd_check d ~file src =
+  let opts =
+    {
+      (Exec.default_opts Exec.Flux_check) with
+      Exec.jobs = 1;
+      cache_dir = d.cache_dir;
+    }
+  in
+  match
+    Client.roundtrip ~socket:d.socket
+      (Protocol.Check { opts; file; source = Some src; deadline_ms = None })
+  with
+  | Ok (Protocol.Result { code; _ }) -> code
+  | _ -> failwith ("memo: no reply for " ^ file)
+
+(* fluxd's [daemon metrics]: its counters and its top-level integers. *)
+let fluxd_metrics d : string -> int =
+  match Client.roundtrip ~socket:d.socket Protocol.Metrics with
+  | Ok (Protocol.Info j) -> (
+      fun k ->
+        let int = function Some (Json.Int n) -> n | _ -> 0 in
+        match Json.member k j with
+        | Some v -> int (Some v)
+        | None -> int (Option.bind (Json.member "counters" j) (Json.member k)))
+  | _ -> failwith "memo: daemon metrics failed"
+
+let memo_counters =
+  [ "requests_served"; "cache.source_hits"; "cache.source_misses";
+    "cache.source_parsed"; "cache.mem_hits"; "cache.disk_hits";
+    "engine.cache_misses"; "solver.queries" ]
+
+(* The counters of [memo_counters] over [f ()]. *)
+let fluxd_delta d f : Json.t =
+  let before = fluxd_metrics d in
+  f ();
+  let after = fluxd_metrics d in
+  Json.Obj (List.map (fun k -> (k, Json.Int (after k - before k))) memo_counters)
+
+(* [n] small verified functions named [prefix]0 ... , each with its own
+   constant, so every function has a key of its own. *)
+let small_fns ~prefix ~from n =
+  String.concat ""
+    (List.init n (fun i ->
+         let c = from + i in
+         Printf.sprintf
+           "#[lr::sig(fn(i32<@a>) -> i32{v: v == a + %d})]\nfn %s%d(x: i32) -> i32 {\n    x + %d\n}\n\n"
+           c prefix c c))
+
+(* Live bytes per slot of a tier holding only verdicts and of one
+   holding only key lists of 64 functions: a tier of [cap] slots filled
+   in-process with entries shaped like fluxd's, measured with
+   [Gc.compact]. *)
+let tier_bytes ~cap =
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let hex i = Digest.to_hex (Digest.string (string_of_int i)) in
+  let measure store =
+    let mem = Memcache.create ~cap () in
+    let t = Memcache.tier mem in
+    let w0 = live () in
+    store t;
+    let w = live () - w0 in
+    assert (Memcache.slots mem = cap);
+    float_of_int (w * (Sys.word_size / 8)) /. float_of_int cap
+  in
+  let entry = { Flux_engine.Cache.e_kvars = 2; e_clauses = 9; e_time = 0.004 } in
+  let verdict =
+    measure (fun t ->
+        for i = 1 to cap do
+          t.Flux_engine.Cache.t_store (hex i) entry
+        done)
+  in
+  let key_slot =
+    measure (fun t ->
+        for l = 1 to cap / 64 do
+          t.Flux_engine.Cache.t_keys_store (hex (-l))
+            (List.init 64 (fun i ->
+                 (Printf.sprintf "fn_%d" i, hex ((64 * l) + i))))
+        done)
+  in
+  (verdict, key_slot)
+
+(** [bench/main.exe memo]: what fluxd's source memo serves and what a
+    full memory tier costs, read from fluxd's own [daemon metrics] and
+    /proc status. Three fresh fluxd processes, each on an empty cache:
+
+    - [traffic]: perfbench's request mix, sequentially on one
+      connection at a time — the 15 read inputs primed once, then 20
+      rounds of them, then 20 rounds of the three failing mutants —
+      with the counter deltas of each block;
+    - [fill]: after priming, sources of 64 distinct functions (a
+      verdict and a key slot per function) until four times the cap's
+      worth of slots was inserted, with fluxd's slots and VmRSS/VmHWM
+      sampled every quarter of the cap;
+    - [edits]: the same with one 200-function source, a comment
+      appended per edit, so that only key lists are inserted.
+
+    It also reports the live bytes per slot of a full tier, measured
+    in-process ({!tier_bytes}). Run from the root of the checkout after
+    [dune build ./bin/flux.exe]; [--flux PATH] runs another build's
+    fluxd (one without the memo reports zeros for its counters and
+    slots). Prints one JSON object. *)
+let memo_bench ~flux () =
+  let flux =
+    match flux with
+    | Some f -> f
+    | None ->
+        Filename.concat
+          (Filename.dirname (Filename.dirname Sys.executable_name))
+          (Filename.concat "bin" "flux.exe")
+  in
+  if not (Sys.file_exists flux && Sys.file_exists "examples/programs") then begin
+    Printf.eprintf
+      "memo: run from the root of the checkout after dune build \
+       ./bin/flux.exe (looked for %s)\n"
+      flux;
+    exit 2
+  end;
+  let work = Filename.temp_dir "flux-memo-bench" "" in
+  let cap = Memcache.default_cap in
+  let table1_src name = (Option.get (Workloads.find name)).Workloads.bm_flux in
+  let reads =
+    List.map
+      (fun (e : Flux_workloads.Wl_extra.extra) ->
+        (e.Flux_workloads.Wl_extra.ex_name, e.Flux_workloads.Wl_extra.ex_src))
+      Flux_workloads.Wl_extra.all
+    @ List.map (fun n -> (n, table1_src n)) [ "bsearch"; "dotprod"; "heapsort" ]
+    @ [ ("rmat", Workloads.rmat_flux);
+        ("init_zeros", Flux_engine.Diag.read_file "examples/programs/init_zeros.rs") ]
+  in
+  let mutants =
+    List.map
+      (fun (n, a, b) -> (n ^ "-mutant", replace_first (table1_src n) a b))
+      [ ("bsearch", "while lo < hi", "while lo <= hi");
+        ("dotprod", "i < x.len()", "i <= x.len()");
+        ("heapsort", "let mut end = len - 1;", "let mut end = len;") ]
+  in
+  let send d ~want (name, src) =
+    let code = fluxd_check d ~file:(name ^ ".rs") src in
+    if code <> want then
+      failwith (Printf.sprintf "memo: %s exited %d, expected %d" name code want)
+  in
+  let prime d = List.iter (send d ~want:0) reads in
+  let rounds d n l ~want =
+    for _ = 1 to n do List.iter (send d ~want) l done
+  in
+  let traffic =
+    let d = start_fluxd ~flux ~work "traffic" in
+    let prime_j = fluxd_delta d (fun () -> prime d) in
+    let reads_j = fluxd_delta d (fun () -> rounds d 20 reads ~want:0) in
+    let writes_j = fluxd_delta d (fun () -> rounds d 20 mutants ~want:1) in
+    stop_fluxd d;
+    Json.Obj [ ("prime", prime_j); ("reads", reads_j); ("writes", writes_j) ]
+  in
+  let rss d = (proc_mb d.pid "VmRSS", proc_mb d.pid "VmHWM") in
+  (* [fill name ~step] primes a fresh fluxd, then sends [step i] until
+   [4 * cap] slots' worth was inserted ([per_request] a request),
+   sampling fluxd's size every [cap / 4] slots *)
+  let fill name ~per_request ~step =
+    let d = start_fluxd ~flux ~work name in
+    prime d;
+    let sample inserted =
+      let m = fluxd_metrics d in
+      let rss, hwm = rss d in
+      Json.Obj
+        [
+          ("inserted", Json.Int inserted);
+          ("slots", Json.Int (m "memcache_slots"));
+          ("entries", Json.Int (m "memcache_entries"));
+          ("sources", Json.Int (m "memcache_sources"));
+          ("rss_mb", Json.Float rss);
+          ("hwm_mb", Json.Float hwm);
+        ]
+    in
+    let samples = ref [ sample 0 ] and i = ref 0 in
+    let t0 = Unix.gettimeofday () in
+    while !i * per_request < 4 * cap do
+      send d ~want:0 (step !i);
+      incr i;
+      if !i * per_request / (cap / 4) > (!i - 1) * per_request / (cap / 4) then
+        samples := sample (!i * per_request) :: !samples
+    done;
+    let secs = Unix.gettimeofday () -. t0 in
+    stop_fluxd d;
+    Json.Obj
+      [
+        ("requests", Json.Int !i);
+        ("seconds", Json.Float secs);
+        ("samples", Json.List (List.rev !samples));
+      ]
+  in
+  let fill_j =
+    fill "fill" ~per_request:128 ~step:(fun i ->
+        (Printf.sprintf "fill%d" i, small_fns ~prefix:"f" ~from:(64 * i) 64))
+  in
+  let edits_j =
+    let src = small_fns ~prefix:"e" ~from:0 200 in
+    fill "edits" ~per_request:200 ~step:(fun i ->
+        ("edited", Printf.sprintf "%s// edit %d\n" src i))
+  in
+  ignore (Sys.command ("rm -rf " ^ Filename.quote work));
+  let verdict_b, key_b = tier_bytes ~cap in
+  print_endline
+    (Json.to_string ~pretty:true
+       (Json.Obj
+          [
+            ("cap_slots", Json.Int cap);
+            ("live_bytes_per_verdict", Json.Float verdict_b);
+            ("live_bytes_per_key_slot", Json.Float key_b);
+            ("traffic", traffic);
+            ("fill", fill_j);
+            ("edits", edits_j);
+          ]))
+
 let () =
   let args = Array.to_list Sys.argv in
   let jobs =
@@ -1161,6 +1446,13 @@ let () =
   | "certify" -> certify_bench ~jobs ()
   | "absint" -> absint_bench ~jobs ()
   | "ablations" -> ablations ()
+  | "memo" ->
+      let rec flux = function
+        | "--flux" :: f :: _ -> Some f
+        | _ :: rest -> flux rest
+        | [] -> None
+      in
+      memo_bench ~flux:(flux args) ()
   | "sweep" ->
       let rec out = function
         | "--out" :: d :: _ -> d
@@ -1175,6 +1467,6 @@ let () =
   | m ->
       Printf.eprintf
         "unknown mode %s (expected table1 | smoke | fuzz | lint | certify | \
-         absint | ablations | sweep | all)\n"
+         absint | ablations | memo | sweep | all)\n"
         m;
       exit 2

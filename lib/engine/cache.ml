@@ -71,7 +71,7 @@ type tier = {
     The tier also holds the source memo ([t_keys_*]): a source's
     {!source_digest} mapped to the [(fn name, key)] list
     {!program_keys} returned for it, so a warm request can probe its
-    verdicts without parsing (see {!Flux_engine.Engine.check_memo}).
+    verdicts without parsing (see {!Flux_engine.Engine.prepare}).
 
     The tier is installed once at process/daemon start, before any
     requests run, and is then only read — so plain [ref] access is safe

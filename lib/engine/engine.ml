@@ -442,7 +442,7 @@ let check_split ?cancel ~(certify : bool) (cfg : config) ~(config : Config.t)
               (Some (Solve.finish sprep)),
             Some (Checker.prepared_kvars p, Checker.prepared_clauses p) ))
 
-(** What one program is checked from. *)
+(** What one program is checked from ({!prepare}). *)
 type source =
   | Parsed of Ast.program * string option
       (** the program, keyed now; its key list is memoised under the
@@ -450,22 +450,25 @@ type source =
   | Memoised of (string * string) list * Ast.program Lazy.t
       (** a memoised key list — every checkable function's name and
           key, in declaration order — and the frontend, forced only
-          when a key misses *)
+          when a key misses (or the run is unkeyed) *)
 
 (** Check several sources through one shared schedule ({!cached_run}).
     Genvs are built sequentially on the calling domain and are
     read-only afterwards, so worker domains may read them concurrently.
     Under [certify] a hit stands only if its certificate replays
-    ({!cert_replay_ok}), and each verified miss emits one. *)
+    ({!cert_replay_ok}), and each verified miss emits one. A keyed run
+    counts [cache.source_hits] and [cache.source_misses] for the
+    sources {!prepare} looked up, and [cache.source_parsed] for the
+    hits whose frontend ran all the same. *)
 let check_sources ?cancel ?(certify = false) ?(config = Config.default)
     (cfg : config) (srcs : source list) : run list =
   let salt = Config.fingerprint config in
   let keyed = cfg.cache_dir <> None in
   (* a task is a function's name and its frontend result *)
-  let parsed prog memo =
+  let parsed prog digest =
     let genv = Genv.build prog in
     let keys = Cache.program_keys ~keyed ~config:salt genv prog in
-    (match memo with
+    (match digest with
     | Some digest when keyed ->
         Profile.incr "cache.source_misses";
         Cache.keys_store digest
@@ -482,7 +485,8 @@ let check_sources ?cancel ?(certify = false) ?(config = Config.default)
     Profile.incr "cache.source_hits";
     let frontend =
       lazy
-        (let prog = Lazy.force prog in
+        (Profile.incr "cache.source_parsed";
+         let prog = Lazy.force prog in
          (prog, Genv.build prog))
     in
     List.map
@@ -499,8 +503,9 @@ let check_sources ?cancel ?(certify = false) ?(config = Config.default)
   cached_run ~cache_dir:cfg.cache_dir
     ~counters:("engine.cache_hits", "engine.cache_misses")
     ~tasks:(function
-      | Parsed (prog, memo) -> parsed prog memo
-      | Memoised (keys, prog) -> memoised keys prog)
+      | Parsed (prog, digest) -> parsed prog digest
+      | Memoised (keys, prog) when keyed -> memoised keys prog
+      | Memoised (_, prog) -> parsed (Lazy.force prog) None)
     ~hit:(fun ~dir k (name, _) (e : Cache.entry) ->
       (* a verdict whose certificate is missing or does not replay is
          demoted to a miss, so the re-check re-emits it *)
@@ -550,55 +555,32 @@ let check_programs ?cancel ?certify ?config (cfg : config)
   check_sources ?cancel ?certify ?config cfg
     (List.map (fun p -> Parsed (p, None)) progs)
 
-let check_program_ast ?cancel ?certify ?config (cfg : config)
-    (prog : Ast.program) : run =
-  match check_programs ?cancel ?certify ?config cfg [ prog ] with
-  | [ r ] -> r
-  | _ -> assert false
+(** What a check of source text [src] starts from. With [memo] (the
+    daemon's warm path), a key list the installed memory tier holds for
+    [src] under [config] stands in for the frontend [prog], which
+    {!check_sources} then forces only if a key misses: the list was
+    memoised from a run whose frontend succeeded on [src]. Otherwise
+    [prog] is forced now, so a frontend error is raised before anything
+    else, and with [memo] and a memory tier its key list is memoised
+    under [src]'s {!Cache.source_digest}. Every key still goes through
+    {!Cache.load}, so the tiers and their counters see what they see
+    without the memo. *)
+let prepare ?(memo = false) ?(config = Config.default)
+    ~(prog : Ast.program Lazy.t) (src : string) : source =
+  if not (memo && Cache.memoising ()) then Parsed (Lazy.force prog, None)
+  else
+    let digest =
+      Cache.source_digest ~tool:"check" ~config:(Config.fingerprint config) src
+    in
+    match Cache.keys_load digest with
+    | Some keys -> Memoised (keys, prog)
+    | None -> Parsed (Lazy.force prog, Some digest)
 
 let check_source ?cancel ?certify ?config (cfg : config) (src : string) : run
     =
   let prog = Flux_syntax.Parser.parse_program src in
   Flux_syntax.Typeck.check_program prog;
-  check_program_ast ?cancel ?certify ?config cfg prog
-
-(* ------------------------------------------------------------------ *)
-(* The source memo                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type memo = {
-  m_digest : string;  (** the source's {!Cache.source_digest} *)
-  m_keys : (string * string) list option;  (** its memoised key list *)
-}
-
-(** Look source text [src] up in the installed memory tier's source
-    memo, for a [check] under [config]; [None] without a tier. *)
-let memo_lookup ~(config : Config.t) (src : string) : memo option =
-  if not (Cache.memoising ()) then None
-  else
-    let digest =
-      Cache.source_digest ~tool:"check" ~config:(Config.fingerprint config) src
-    in
-    Some { m_digest = digest; m_keys = Cache.keys_load digest }
-
-(** Check the program [prog] forces from source text, the daemon's warm
-    path. With a memoised key list for that source ([memo], from
-    {!memo_lookup}) and a cache directory, the keys are probed first and
-    [prog] is forced only if one misses; without one, [prog] is keyed
-    as {!check_program_ast} keys it, and its key list is memoised.
-    Every key still goes through {!Cache.load}, so the tiers and their
-    counters see what they see without the memo. Counts
-    [cache.source_hits] and [cache.source_misses]. *)
-let check_memo ?cancel ?certify ?config ?memo (cfg : config)
-    (prog : Ast.program Lazy.t) : run =
-  let src =
-    match (memo, cfg.cache_dir) with
-    | Some { m_keys = Some keys; _ }, Some _ -> Memoised (keys, prog)
-    | Some { m_digest; m_keys = None }, Some _ ->
-        Parsed (Lazy.force prog, Some m_digest)
-    | _ -> Parsed (Lazy.force prog, None)
-  in
-  match check_sources ?cancel ?certify ?config cfg [ src ] with
+  match check_programs ?cancel ?certify ?config cfg [ prog ] with
   | [ r ] -> r
   | _ -> assert false
 

@@ -97,6 +97,7 @@ let status_info (st : state) : Json.t =
       ("requests_served", Json.Int (Metrics.served st.metrics));
       ("memcache_entries", Json.Int (Memcache.size st.mem));
       ("memcache_sources", Json.Int (Memcache.sources st.mem));
+      ("memcache_slots", Json.Int (Memcache.slots st.mem));
     ]
 
 let metrics_info (st : state) : Json.t =
@@ -109,6 +110,7 @@ let metrics_info (st : state) : Json.t =
             ("uptime_s", Json.Float (Unix.gettimeofday () -. st.started));
             ("memcache_entries", Json.Int (Memcache.size st.mem));
             ("memcache_sources", Json.Int (Memcache.sources st.mem));
+            ("memcache_slots", Json.Int (Memcache.slots st.mem));
           ])
   | j -> j
 

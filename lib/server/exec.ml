@@ -159,18 +159,13 @@ let run ?deadline_ms ?(check_alive = fun () -> true) (o : opts)
              Typeck.check_program prog;
              prog)
         in
-        (* A key list memoised for this source (the daemon's warm path,
-           {!Engine.check_memo}) came from a run whose frontend
-           succeeded on it, so the frontend waits until a key misses.
-           Any other source meets the frontend first, as before. *)
-        let memo =
-          if o.cache && not (o.certify || o.dump_mir || o.dump_solution) then
-            Engine.memo_lookup ~config src
-          else None
+        (* the frontend runs here, unless fluxd's source memo holds a key
+           list for this source (see {!Engine.prepare}) *)
+        let source =
+          Engine.prepare
+            ~memo:(not (o.certify || o.dump_mir))
+            ~config ~prog src
         in
-        (match memo with
-        | Some { Engine.m_keys = Some _; _ } -> ()
-        | _ -> ignore (Lazy.force prog));
         if o.dump_mir then
           List.iter
             (fun (_, body) ->
@@ -191,7 +186,12 @@ let run ?deadline_ms ?(check_alive = fun () -> true) (o : opts)
         in
         let before = if o.certify then Profile.snapshot () else [] in
         let run =
-          Engine.check_memo ?memo ~cancel ~certify:o.certify ~config cfg prog
+          match
+            Engine.check_sources ~cancel ~certify:o.certify ~config cfg
+              [ source ]
+          with
+          | [ r ] -> r
+          | _ -> assert false
         in
         (* executable counterexample replay for failures that carry a
            verified model ([--certify] only) *)

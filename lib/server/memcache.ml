@@ -15,28 +15,42 @@
       parsing. A key list is a pure function of its digest's material,
       so it stays valid whatever happens to the verdicts it names.
 
-    Both share one entry cap. Once it is reached, each new entry evicts
-    the oldest one, verdict or key list alike; an evicted verdict
-    degrades to the disk tier, an evicted key list to keying the source
-    afresh. The default cap of {!default_cap} entries keeps a full
-    table to a few tens of MB (a verdict is about 100 bytes, a key list
-    about 100 bytes per function). Sessions run on separate domains, so
-    every access takes the mutex. *)
+    Both share one cap, counted in slots: a verdict takes one slot, a
+    key list one per function it names (at least one), so the cap bounds
+    what the table holds however large the sources are. Once a new
+    entry does not fit, entries are evicted oldest first, except that
+    one loaded since it was inserted or last passed over is passed over
+    once more (second chance), so verdicts and key lists that requests
+    keep reading outlive the one-off key lists of edited sources. An
+    evicted verdict degrades to the disk tier, an evicted key list to
+    keying the source afresh; a key list larger than the whole cap is
+    not memoised. Sessions run on separate domains, so every access
+    takes the mutex. *)
 
 module Cache = Flux_engine.Cache
 
-(* The entry each insertion added, oldest first. *)
+(* An entry: its value, its slots, and whether it was loaded since it
+   was inserted or last passed over. *)
+type 'v cell = { v : 'v; slots : int; mutable used : bool }
+
+(* Which table an entry of the eviction order is in. *)
 type slot = Verdict of string | Keys of string
 
 type t = {
   mu : Mutex.t;
   cap : int;
-  tbl : (string, Cache.entry) Hashtbl.t;
-  keys : (string, (string * string) list) Hashtbl.t;
-  order : slot Queue.t;
+  tbl : (string, Cache.entry cell) Hashtbl.t;
+  keys : (string, (string * string) list cell) Hashtbl.t;
+  order : slot Queue.t;  (** every entry once, oldest first *)
+  mutable held : int;  (** slots taken *)
 }
 
-let default_cap = 32768
+(** The default cap in slots: about 4,000 functions' verdicts and key
+    lists, 130 times what perfbench's daemon workloads hold. Measured
+    with [bench/main.exe memo] (EXPERIMENTS.md, "Memory-tier cap"), a
+    fluxd filled to four times this cap stayed near 50 MB resident,
+    where a cap of 32,768 reached 124 MB. *)
+let default_cap = 8192
 
 (** A fresh, empty tier. [cap] (default {!default_cap}) is for tests,
     which need eviction to happen after a few entries. *)
@@ -48,30 +62,60 @@ let create ?(cap = default_cap) () : t =
     tbl = Hashtbl.create 1024;
     keys = Hashtbl.create 64;
     order = Queue.create ();
+    held = 0;
   }
 
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-(* Under the mutex. Replacing an entry keeps its place in the order. *)
-let insert t tbl slot k v =
-  if not (Hashtbl.mem tbl k) then begin
-    if Queue.length t.order >= t.cap then (
-      match Queue.pop t.order with
-      | Verdict k' -> Hashtbl.remove t.tbl k'
-      | Keys k' -> Hashtbl.remove t.keys k');
-    Queue.push slot t.order
-  end;
-  Hashtbl.replace tbl k v
+(* Under the mutex: the front entry of the order, in [tbl], is evicted,
+   or, if it was used, passed over to the back. *)
+let pass_front t tbl k slot =
+  match Hashtbl.find_opt tbl k with
+  | Some c when c.used ->
+      c.used <- false;
+      Queue.push slot t.order
+  | Some c ->
+      Hashtbl.remove tbl k;
+      t.held <- t.held - c.slots
+  | None -> ()
+
+(* Under the mutex. Replacing an entry keeps its place in the order (a
+   key list stored again under its digest is the same list). Each pass
+   over the order clears every [used], so making room ends. *)
+let insert t tbl slot k v ~slots =
+  match Hashtbl.find_opt tbl k with
+  | Some c -> Hashtbl.replace tbl k { c with v }
+  | None when slots > t.cap -> ()
+  | None ->
+      while t.held + slots > t.cap do
+        match Queue.pop t.order with
+        | Verdict k' as s -> pass_front t t.tbl k' s
+        | Keys k' as s -> pass_front t t.keys k' s
+      done;
+      Queue.push slot t.order;
+      Hashtbl.replace tbl k { v; slots; used = false };
+      t.held <- t.held + slots
+
+(* Under the mutex. *)
+let find tbl k =
+  match Hashtbl.find_opt tbl k with
+  | Some c ->
+      c.used <- true;
+      Some c.v
+  | None -> None
 
 let tier (t : t) : Cache.tier =
   {
-    Cache.t_load = (fun k -> locked t (fun () -> Hashtbl.find_opt t.tbl k));
-    t_store = (fun k e -> locked t (fun () -> insert t t.tbl (Verdict k) k e));
-    t_keys_load = (fun d -> locked t (fun () -> Hashtbl.find_opt t.keys d));
+    Cache.t_load = (fun k -> locked t (fun () -> find t.tbl k));
+    t_store =
+      (fun k e -> locked t (fun () -> insert t t.tbl (Verdict k) k e ~slots:1));
+    t_keys_load = (fun d -> locked t (fun () -> find t.keys d));
     t_keys_store =
-      (fun d ks -> locked t (fun () -> insert t t.keys (Keys d) d ks));
+      (fun d ks ->
+        locked t (fun () ->
+            insert t t.keys (Keys d) d ks ~slots:(max 1 (List.length ks))));
   }
 
 (** Install this table as the process-wide memory tier. Call once,
@@ -85,8 +129,12 @@ let size (t : t) : int = locked t (fun () -> Hashtbl.length t.tbl)
 (** Key lists held. *)
 let sources (t : t) : int = locked t (fun () -> Hashtbl.length t.keys)
 
+(** Slots taken, at most the cap. *)
+let slots (t : t) : int = locked t (fun () -> t.held)
+
 let clear (t : t) : unit =
   locked t (fun () ->
       Hashtbl.reset t.tbl;
       Hashtbl.reset t.keys;
-      Queue.clear t.order)
+      Queue.clear t.order;
+      t.held <- 0)

@@ -11,7 +11,8 @@
       resets its domain-local profile per request and feeds the
       snapshot here, so totals like [solver.queries],
       [engine.cache_hits], [cache.mem_hits], [cache.disk_hits],
-      [cache.source_hits] and [cache.source_misses] accumulate across
+      [cache.source_hits], [cache.source_misses] and
+      [cache.source_parsed] accumulate across
       every request the daemon ever served. CI's
       zero-SMT-on-warm assertion is a delta of [solver.queries]
       between two [metrics] calls;

@@ -1037,11 +1037,16 @@ let memo_hit_identity () =
         (misses, Memcache.sources mem);
       (* an all-hit memoised run never reaches the frontend *)
       let config = Flux_smt.Config.default in
-      let memo = Engine.memo_lookup ~config dot_matrix_row in
+      let source =
+        Engine.prepare ~memo:true ~config
+          ~prog:(lazy (Alcotest.fail "the frontend ran on a memo hit"))
+          dot_matrix_row
+      in
       let r =
-        Engine.check_memo ?memo ~config
-          { Engine.jobs = 1; cache_dir = Some (Tmp_dirs.dir "flux-memo-dir") }
-          (lazy (Alcotest.fail "the frontend ran on a memo hit"))
+        List.hd
+          (Engine.check_sources ~config
+             { Engine.jobs = 1; cache_dir = Some (Tmp_dirs.dir "flux-memo-dir") }
+             [ source ])
       in
       Alcotest.(check int) "a run from the key list alone" 4 r.Engine.run_hits)
 
@@ -1062,7 +1067,21 @@ let memo_spec_edit () =
       (* two in each directory of the lockstep *)
       Alcotest.(check int) "RMat::row and its caller are re-keyed" 4 misses;
       let _, hits = delta "cache.source_hits" (fun () -> send "original again" dot_matrix_row) in
-      Alcotest.(check int) "the original's key list is still memoised" 1 hits)
+      Alcotest.(check int) "the original's key list is still memoised" 1 hits;
+      (* a failing verdict is never stored, so a failing source hits the
+         memo and still runs the frontend *)
+      let failing =
+        Option.get
+          (Str_replace.first
+             (Option.get (Flux_workloads.Workloads.find "bsearch")).Flux_workloads.Workloads.bm_flux
+             "while lo < hi" "while lo <= hi")
+      in
+      ignore (send "failing" failing);
+      let (_, hits), parsed =
+        delta "cache.source_parsed" (fun () ->
+            delta "cache.source_hits" (fun () -> send "failing again" failing))
+      in
+      Alcotest.(check (pair int int)) "a hit that parses" (1, 1) (hits, parsed))
 
 let memo_per_config () =
   with_memcache (fun mem ->
@@ -1099,23 +1118,24 @@ let memo_clear_and_evict () =
       in
       Alcotest.(check int) "the memo starts over" 1 misses;
       Alcotest.check reply "after clear" (cold mem dot_matrix_row) r);
-  (* Room for one source's four verdicts and two key lists. *)
-  with_memcache ~cap:6 (fun mem ->
+  (* Room for one source's four verdicts and one key list of four. *)
+  with_memcache ~cap:8 (fun mem ->
       let dir = Tmp_dirs.dir "flux-memo" in
-      (* a comment changes the digest but no key: the verdicts are
-         stored before the original source's key list *)
+      (* a comment changes the digest but no key *)
       ignore (render (memo_opts dir) (dot_matrix_row ^ "// edited\n"));
       ignore (render (memo_opts dir) dot_matrix_row);
-      Alcotest.(check (pair int int)) "full" (4, 2)
-        (Memcache.size mem, Memcache.sources mem);
-      (* five new verdicts evict the five oldest entries: the first key
-         list and all four verdicts *)
+      Alcotest.(check (triple int int int)) "the unread key list went first"
+        (4, 1, 8)
+        (Memcache.size mem, Memcache.sources mem, Memcache.slots mem);
+      (* a memo hit reads the key list and its verdicts, which are then
+         passed over once; four new verdicts evict the four oldest *)
+      ignore (render (memo_opts dir) dot_matrix_row);
       let junk = Tmp_dirs.dir "flux-memo-junk" in
-      for i = 1 to 5 do
+      for i = 1 to 4 do
         Cache.store ~dir:junk (Printf.sprintf "junk%d" i) entry
       done;
-      Alcotest.(check (pair int int)) "evicted oldest first" (5, 1)
-        (Memcache.size mem, Memcache.sources mem);
+      Alcotest.(check (triple int int int)) "full" (4, 1, 8)
+        (Memcache.size mem, Memcache.sources mem, Memcache.slots mem);
       let (r, hits), misses =
         delta "engine.cache_misses" (fun () ->
             delta "cache.source_hits" (fun () ->
@@ -1124,6 +1144,40 @@ let memo_clear_and_evict () =
       Alcotest.(check int) "the key list outlived its verdicts" 1 hits;
       Alcotest.(check int) "every function re-checked" 4 misses;
       Alcotest.check reply "after eviction" (cold mem dot_matrix_row) r)
+
+(* [n] small verified functions. *)
+let many_fns n =
+  String.concat ""
+    (List.init n (fun i ->
+         Printf.sprintf
+           "#[lr::sig(fn(i32<@a>) -> i32{v: v == a + %d})]\nfn f%d(x: i32) -> i32 {\n    x + %d\n}\n\n"
+           i i i))
+
+(* An edit-check loop: each edit is a new source whose key list names
+   every function, and is never asked for again. *)
+let memo_edit_loop_bounded () =
+  let n = 12 in
+  with_memcache ~cap:30 (fun mem ->
+      let dir = Tmp_dirs.dir "flux-memo" in
+      let src = many_fns n in
+      let code, _, _ = render (memo_opts dir) src in
+      Alcotest.(check int) "the source verifies" 0 code;
+      for i = 1 to 8 do
+        let edited = Printf.sprintf "%s// edit %d\n" src i in
+        let (r, mem_hits), misses =
+          delta "cache.source_misses" (fun () ->
+              delta "cache.mem_hits" (fun () -> render (memo_opts dir) edited))
+        in
+        Alcotest.(check int) "each edit misses the memo" 1 misses;
+        Alcotest.(check int) "the verdicts stay in memory" n mem_hits;
+        Alcotest.(check (triple int int int)) "within the cap: the verdicts and one list"
+          (n, 1, 2 * n)
+          (Memcache.size mem, Memcache.sources mem, Memcache.slots mem);
+        if i = 8 then
+          Alcotest.check reply "the reply without the tier"
+            (untiered mem (fun () -> render (memo_opts dir) edited))
+            r
+      done)
 
 let memo_bypass () =
   let bad = Filename.concat (Tmp_dirs.dir "flux-memo-bad") "plainfile" in
@@ -1148,22 +1202,27 @@ let memo_bypass () =
             fun o -> { o with Exec.cache_dir = Filename.concat bad "sub" } );
         ])
 
-let memcache_fifo () =
-  let mem = Memcache.create ~cap:3 () in
+let memcache_bound () =
+  let mem = Memcache.create ~cap:4 () in
   let t = Memcache.tier mem in
   t.Cache.t_store "a" entry;
-  t.Cache.t_keys_store "s" [ ("f", "a") ];
+  t.Cache.t_keys_store "s" [ ("f", "a"); ("g", "b") ];
   t.Cache.t_store "b" entry;
-  (* replacing an entry keeps its place *)
+  Alcotest.(check int) "a key list takes a slot per function" 4 (Memcache.slots mem);
+  (* replacing an entry keeps its place; a read one is passed over once *)
   t.Cache.t_store "a" { entry with Cache.e_kvars = 9 };
+  ignore (t.Cache.t_load "b");
   t.Cache.t_store "c" entry;
-  Alcotest.(check (list bool)) "the oldest went first"
-    [ false; true; true; true ]
-    (List.map (fun k -> t.Cache.t_load k <> None) [ "a"; "b"; "c" ]
-    @ [ t.Cache.t_keys_load "s" <> None ]);
   t.Cache.t_store "d" entry;
-  Alcotest.(check (pair int int)) "key lists share the cap" (3, 0)
-    (Memcache.size mem, Memcache.sources mem)
+  t.Cache.t_store "e" entry;
+  t.Cache.t_store "f" entry;
+  (* a key list larger than the cap is not memoised *)
+  t.Cache.t_keys_store "big" (List.init 5 (fun i -> (string_of_int i, "k")));
+  Alcotest.(check (triple int int int)) "held" (4, 0, 4)
+    (Memcache.size mem, Memcache.sources mem, Memcache.slots mem);
+  Alcotest.(check (list string)) "oldest unread first: a, the list, then c"
+    [ "b"; "d"; "e"; "f" ]
+    (List.filter (fun k -> t.Cache.t_load k <> None) [ "a"; "b"; "c"; "d"; "e"; "f" ])
 
 let memo_concurrent_sessions () =
   with_daemon (fun sock ->
@@ -1242,6 +1301,9 @@ let tests =
       Alcotest.test_case "memo: no key list shared across configs" `Quick memo_per_config;
       Alcotest.test_case "memo: clear and eviction fall back to a cold run" `Quick memo_clear_and_evict;
       Alcotest.test_case "memo: --certify, --dump-* and --no-cache bypass it" `Quick memo_bypass;
-      Alcotest.test_case "memcache: one cap, oldest entry evicted first" `Quick memcache_fifo;
+      Alcotest.test_case "memcache: one cap in slots, oldest unread entry evicted first" `Quick
+        memcache_bound;
+      Alcotest.test_case "memo: an edit-check loop stays within the cap" `Quick
+        memo_edit_loop_bounded;
       Alcotest.test_case "memo: concurrent sessions get identical replies" `Quick memo_concurrent_sessions;
     ] )
