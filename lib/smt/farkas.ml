@@ -58,9 +58,11 @@ let tighten_lin (l : Lia.lin) : Lia.lin =
     }
 
 (** Pick the elimination variable minimizing the pos × neg occurrence
-    product (the classic FM pivot heuristic, as in {!Lia}). *)
+    product (the classic FM pivot heuristic, as in {!Lia}). Ties go by
+    the fold order of an unseeded table, so a certificate does not
+    depend on [OCAMLRUNPARAM=R]. *)
 let choose_var (cs : Lia.lin list) : string option =
-  let tbl : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
+  let tbl : (string, int * int) Hashtbl.t = Hashtbl.create ~random:false 16 in
   List.iter
     (fun (l : Lia.lin) ->
       SMap.iter

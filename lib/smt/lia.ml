@@ -20,9 +20,13 @@
     of copies of it the textbook procedure would hold, and build each
     distinct (positive, negative) pair of entries once: a weakening
     hypothesis repeats a handful of rows many times, and the copies
-    multiply round after round. The rounds take the textbook
-    procedure's decisions exactly (see [fm]); the test suite keeps that
-    procedure as the reference. *)
+    multiply round after round. A round's rows are dense: two int
+    arrays (variable numbers and coefficients) over the system's
+    variables numbered in name order, the order [SMap] iterates, so
+    [choose_var] reads the textbook procedure's tie-break from each
+    name's [Hashtbl.hash] and its first occurrence. The rounds take
+    that procedure's decisions exactly (see [rounds]), whatever the
+    hash-table seed; the test suite keeps it as the reference. *)
 
 module SMap = Map.Make (String)
 
@@ -135,69 +139,192 @@ let solvable_eq (e : lin) : (string * lin) option =
     answer "maybe satisfiable" (sound for the validity checker). *)
 let fm_limit = 20_000
 
+(** A system's variables, numbered in name order (the order [SMap]
+    iterates), each with its [Hashtbl.hash]. *)
+type numbering = { names : string array; hashes : int array }
+
+let numbering_of_names names = { names; hashes = Array.map Hashtbl.hash names }
+
+(** The numbering of the variables of [rows]. *)
+let numbering (rows : lin list) : numbering =
+  let all =
+    List.fold_left
+      (fun acc l -> SMap.union (fun _ c _ -> Some c) acc l.coeffs)
+      SMap.empty rows
+  in
+  let names = Array.make (SMap.cardinal all) "" in
+  ignore (SMap.fold (fun x _ i -> names.(i) <- x; i + 1) all 0);
+  numbering_of_names names
+
+(** A row [Σ cs.(j)·x(vs.(j)) + k ≤ 0] over a numbering: [vs]
+    ascending, so in name order, and no coefficient zero. *)
+type row = { vs : int array; cs : int array; k : int }
+
+(** A row names a variable its numbering lacks. *)
+exception Unnumbered
+
+(** [x]'s number, searched from [lo] on. *)
+let number_of (nb : numbering) x lo =
+  let rec search lo hi =
+    if lo >= hi then raise Unnumbered
+    else
+      let mid = (lo + hi) lsr 1 in
+      let o = String.compare x nb.names.(mid) in
+      if o = 0 then mid else if o < 0 then search lo mid else search (mid + 1) hi
+  in
+  search lo (Array.length nb.names)
+
+(** [l] over [nb]. Raises [Unnumbered]. *)
+let row_of (nb : numbering) (l : lin) : row =
+  let n = SMap.cardinal l.coeffs in
+  let vs = Array.make n 0 and cs = Array.make n 0 in
+  ignore
+    (SMap.fold
+       (fun x c j ->
+         let v = number_of nb x (if j = 0 then 0 else vs.(j - 1) + 1) in
+         vs.(j) <- v;
+         cs.(j) <- c;
+         j + 1)
+       l.coeffs 0);
+  { vs; cs; k = l.const }
+
+let lin_of_row (nb : numbering) (r : row) : lin =
+  let coeffs = ref SMap.empty in
+  Array.iteri (fun j v -> coeffs := SMap.add nb.names.(v) r.cs.(j) !coeffs) r.vs;
+  { coeffs = !coeffs; const = r.k }
+
+let row_equal a b =
+  a.k = b.k
+  && Array.length a.vs = Array.length b.vs
+  &&
+  let rec same j =
+    j < 0 || (a.vs.(j) = b.vs.(j) && a.cs.(j) = b.cs.(j) && same (j - 1))
+  in
+  same (Array.length a.vs - 1)
+
+module Rows = Hashtbl.Make (struct
+  type t = row
+
+  let equal = row_equal
+
+  let hash r =
+    let h = ref r.k in
+    for j = 0 to Array.length r.vs - 1 do
+      h := (!h * 65599) + (r.vs.(j) * 31) + r.cs.(j)
+    done;
+    !h land max_int
+end)
+
+(** [x]'s coefficient in [r], zero when it has none. *)
+let coeff (r : row) x =
+  let rec find j =
+    if j >= Array.length r.vs then 0
+    else if r.vs.(j) = x then r.cs.(j)
+    else if r.vs.(j) > x then 0
+    else find (j + 1)
+  in
+  find 0
+
+(** {!tighten} on a row. *)
+let tighten_row (r : row) : row option =
+  if Array.length r.vs = 0 then if r.k > 0 then raise Infeasible else None
+  else
+    let g = Array.fold_left (fun acc c -> gcd c acc) 0 r.cs in
+    if g <= 1 then Some r
+    else Some { r with cs = Array.map (fun c -> c / g) r.cs; k = -fdiv (-r.k) g }
+
+(** [b·p + a·q], with [x] (positive in [p], negative in [q]) cancelled
+    and every other zero sum dropped. *)
+let combine (p : row) b (q : row) a : row =
+  let lp = Array.length p.vs and lq = Array.length q.vs in
+  let vs = Array.make (lp + lq) 0 and cs = Array.make (lp + lq) 0 in
+  let rec merge i j m =
+    if i < lp && (j >= lq || p.vs.(i) < q.vs.(j)) then begin
+      vs.(m) <- p.vs.(i);
+      cs.(m) <- b * p.cs.(i);
+      merge (i + 1) j (m + 1)
+    end
+    else if j < lq && (i >= lp || q.vs.(j) < p.vs.(i)) then begin
+      vs.(m) <- q.vs.(j);
+      cs.(m) <- a * q.cs.(j);
+      merge i (j + 1) (m + 1)
+    end
+    else if i < lp then begin
+      let c = (b * p.cs.(i)) + (a * q.cs.(j)) in
+      if c = 0 then merge (i + 1) (j + 1) m
+      else begin
+        vs.(m) <- p.vs.(i);
+        cs.(m) <- c;
+        merge (i + 1) (j + 1) (m + 1)
+      end
+    end
+    else m
+  in
+  let m = merge 0 0 0 in
+  { vs = Array.sub vs 0 m; cs = Array.sub cs 0 m; k = (b * p.k) + (a * q.k) }
+
 (** One distinct row of an elimination round. It stands for [mult]
     copies of [row] in the row list the textbook procedure would hold
     at this point. A round keeps its entries in the order of their
     first copies in that list; [last] orders the entries by the
     position of their last copies. *)
-type entry = { row : lin; mutable mult : int; mutable last : int }
-
-(** Rows compared by their bindings: equal maps may differ in shape. *)
-let row_equal a b = a.const = b.const && SMap.equal Int.equal a.coeffs b.coeffs
-
-module Rows = Hashtbl.Make (struct
-  type t = lin
-
-  let equal = row_equal
-
-  let hash a =
-    SMap.fold
-      (fun x c h -> (h * 65599) + (Hashtbl.hash x * 31) + c)
-      a.coeffs a.const
-    land max_int
-end)
-
-(** A variable's tally: the row copies it occurs in with a positive and
-    with a negative coefficient. *)
-type tally = { mutable pos : int; mutable neg : int }
+type entry = { row : row; mutable mult : int; mutable last : int }
 
 (** Pick the variable minimizing (#positive × #negative) occurrences,
-    counted over row copies, to keep the FM blowup small. Entries come
-    in the order of their first copies, so variables enter the tally in
-    the order they first occur in the row list, and [Hashtbl.fold]
-    meets them, and breaks ties, as it would over the list. Each
-    variable is added once, with a cell the later copies update in
-    place: the same keys in the same order as one [replace] per copy. *)
-let choose_var (es : entry list) : string option =
-  let tally = Hashtbl.create 16 in
+    counted over row copies, to keep the FM blowup small, or [-1] when
+    no row has a variable.
+
+    The textbook procedure tallies the variables in a [Hashtbl] created
+    with 16 buckets, one [replace] per copy, and breaks ties by the
+    order of [Hashtbl.fold]: buckets in index order, each listing its
+    keys newest first, which resizing keeps. An unseeded table puts a
+    key in bucket [Hashtbl.hash x land (size - 1)], and after [n] keys
+    its size is the least [16·2^i] with [n ≤ 2·size]. Entries come in
+    the order of their first copies and a row's variables in name
+    order, so a variable's [rank] (when it first occurs) is its
+    insertion order there, and the tie-break is read off [(bucket,
+    -rank)] without a table — and without the seed [OCAMLRUNPARAM=R]
+    would give one. *)
+let choose_var (nb : numbering) (es : entry list) : int =
+  let n = Array.length nb.names in
+  let pos = Array.make n 0 and neg = Array.make n 0 in
+  let rank = Array.make n (-1) and seen = ref 0 in
   List.iter
     (fun e ->
-      SMap.iter
-        (fun x k ->
-          let t =
-            match Hashtbl.find_opt tally x with
-            | Some t -> t
-            | None ->
-                let t = { pos = 0; neg = 0 } in
-                Hashtbl.add tally x t;
-                t
-          in
-          if k > 0 then t.pos <- t.pos + e.mult else t.neg <- t.neg + e.mult)
-        e.row.coeffs)
+      let r = e.row in
+      for j = 0 to Array.length r.vs - 1 do
+        let v = r.vs.(j) in
+        if rank.(v) < 0 then begin
+          rank.(v) <- !seen;
+          incr seen
+        end;
+        if r.cs.(j) > 0 then pos.(v) <- pos.(v) + e.mult
+        else neg.(v) <- neg.(v) + e.mult
+      done)
     es;
-  Hashtbl.fold
-    (fun x t best ->
-      let cost = t.pos * t.neg in
-      match best with
-      | Some (_, bcost) when bcost <= cost -> best
-      | _ -> Some (x, cost))
-    tally None
-  |> Option.map fst
+  let rec size s = if !seen > 2 * s then size (2 * s) else s in
+  let mask = size 16 - 1 in
+  let best = ref (-1) and bcost = ref 0 and bbucket = ref 0 in
+  for v = 0 to n - 1 do
+    if rank.(v) >= 0 then begin
+      let cost = pos.(v) * neg.(v) and bucket = nb.hashes.(v) land mask in
+      if
+        !best < 0 || cost < !bcost
+        || cost = !bcost
+           && (bucket < !bbucket || (bucket = !bbucket && rank.(v) > rank.(!best)))
+      then begin
+        best := v;
+        bcost := cost;
+        bbucket := bucket
+      end
+    end
+  done;
+  !best
 
 (** The entries of the rows [emit] produces, in the order it first
     produces each: equal rows merge, adding their multiplicities and
     keeping the larger [last]. *)
-let entries (emit : (lin -> int -> int -> unit) -> unit) : entry list =
+let entries (emit : (row -> int -> int -> unit) -> unit) : entry list =
   let table = Rows.create 16 in
   let order = ref [] in
   emit (fun row mult last ->
@@ -213,12 +340,12 @@ let entries (emit : (lin -> int -> int -> unit) -> unit) : entry list =
 
 (** The first round's entries of the row list [rows]: a copy's [last]
     is its position. *)
-let list_entries (rows : lin list) : entry list =
-  entries (fun add -> List.iteri (fun i row -> add row 1 i) rows)
+let list_entries (nb : numbering) (rows : lin list) : entry list =
+  entries (fun add -> List.iteri (fun i row -> add (row_of nb row) 1 i) rows)
 
-(** Phase 2 of {!feasible_conn} from the first round's entries [es]:
-    eliminate the variables one a round. Raises [Infeasible] on a
-    constant contradiction. A round builds new entries and never
+(** Phase 2 of {!feasible_conn} from the first round's entries [es]
+    over [nb]: eliminate the variables one a round. Raises [Infeasible]
+    on a constant contradiction. A round builds new entries and never
     mutates the ones it is given.
 
     A round holds entries, not the row list, yet takes the list
@@ -226,78 +353,85 @@ let list_entries (rows : lin list) : entry list =
     and the order in which variables first occur in the list (the
     tie-break of [choose_var]), and the entries keep both. DESIGN.md
     ("Fourier–Motzkin on row multisets") gives the argument. *)
-let rounds (es : entry list) : bool =
+let rounds (nb : numbering) (es : entry list) : bool =
   let rec round (es : entry list) =
     let es =
       List.filter_map
-        (fun e -> Option.map (fun row -> { e with row }) (tighten e.row))
+        (fun e ->
+          match tighten_row e.row with
+          | None -> None
+          | Some row -> Some (if row == e.row then e else { e with row }))
         es
     in
     if List.fold_left (fun n e -> n + e.mult) 0 es > fm_limit then true
       (* give up: maybe SAT *)
     else
-      match choose_var es with
-      | None -> true (* only constants left, all satisfied *)
-      | Some x ->
-          (* One pass in first-copy order, prepending as the list code
-             does; [f] is an entry's first-copy rank. *)
-          let _, pos, neg, rest =
-            List.fold_left
-              (fun (f, p, n, r) e ->
-                match SMap.find_opt x e.row.coeffs with
-                | Some k when k > 0 -> (f + 1, (f, e) :: p, n, r)
-                | Some _ -> (f + 1, p, (f, e) :: n, r)
-                | None -> (f + 1, p, n, (f, e) :: r))
-              (0, [], [], []) es
-          in
-          (* The list code walks each part reversed, so the part's first
-             copies come in descending order of last copies. *)
-          let rec descending = function
-            | (_, a) :: ((_, b) :: _ as tl) -> a.last > b.last && descending tl
-            | _ -> true
-          in
-          let reversed part =
-            if descending part then part
-            else List.sort (fun (_, a) (_, b) -> compare b.last a.last) part
-          in
-          (* The next list holds, in order, each pair's copies, then
-             the other rows. A pair's last copy pairs the last copies in
-             the reversed parts, which are the entries' first copies:
-             the keys below order those positions. *)
-          let d = List.length es in
-          let w = d + 1 in
-          let pos = reversed pos and neg = reversed neg in
-          let next =
-            entries (fun add ->
-                List.iter
-                  (fun (fp, ep) ->
-                    let a = SMap.find x ep.row.coeffs in
-                    List.iter
-                      (fun (fn, en) ->
-                        let b = -SMap.find x en.row.coeffs in
-                        (* b·cp + a·cn eliminates x (a>0, b>0). *)
-                        add
-                          (lin_add (lin_scale b ep.row) (lin_scale a en.row))
-                          (ep.mult * en.mult)
-                          (((d - fp) * w) + (d - fn)))
-                      neg)
-                  pos;
-                List.iter
-                  (fun (f, e) -> add e.row e.mult ((w * w) + (d - f)))
-                  (reversed rest))
-          in
-          let copies l = List.fold_left (fun n (_, e) -> n + e.mult) 0 l in
-          Profile.add "lia.fm_rows" (List.length pos * List.length neg);
-          Profile.add "lia.fm_row_copies" (copies pos * copies neg);
-          round next
+      let x = choose_var nb es in
+      if x < 0 then true (* only constants left, all satisfied *)
+      else
+        (* One pass in first-copy order, prepending as the list code
+           does; [f] is an entry's first-copy rank. *)
+        let _, pos, neg, rest =
+          List.fold_left
+            (fun (f, p, n, r) e ->
+              let k = coeff e.row x in
+              if k > 0 then (f + 1, (f, e) :: p, n, r)
+              else if k < 0 then (f + 1, p, (f, e) :: n, r)
+              else (f + 1, p, n, (f, e) :: r))
+            (0, [], [], []) es
+        in
+        (* The list code walks each part reversed, so the part's first
+           copies come in descending order of last copies. *)
+        let rec descending = function
+          | (_, a) :: ((_, b) :: _ as tl) -> a.last > b.last && descending tl
+          | _ -> true
+        in
+        let reversed part =
+          if descending part then part
+          else List.sort (fun (_, a) (_, b) -> compare b.last a.last) part
+        in
+        (* The next list holds, in order, each pair's copies, then the
+           other rows. A pair's last copy pairs the last copies in the
+           reversed parts, which are the entries' first copies: the keys
+           below order those positions. *)
+        let d = List.length es in
+        let w = d + 1 in
+        let pos = reversed pos and neg = reversed neg in
+        let next =
+          entries (fun add ->
+              List.iter
+                (fun (fp, ep) ->
+                  let a = coeff ep.row x in
+                  List.iter
+                    (fun (fn, en) ->
+                      let b = -coeff en.row x in
+                      (* b·cp + a·cn eliminates x (a>0, b>0). *)
+                      add
+                        (combine ep.row b en.row a)
+                        (ep.mult * en.mult)
+                        (((d - fp) * w) + (d - fn)))
+                    neg)
+                pos;
+              List.iter
+                (fun (f, e) -> add e.row e.mult ((w * w) + (d - f)))
+                (reversed rest))
+        in
+        let copies l = List.fold_left (fun n (_, e) -> n + e.mult) 0 l in
+        Profile.add "lia.fm_rows" (List.length pos * List.length neg);
+        Profile.add "lia.fm_row_copies" (copies pos * copies neg);
+        round next
   in
   round es
 
-let fm (rows : lin list) : bool = rounds (list_entries rows)
+let fm (rows : lin list) : bool =
+  let nb = numbering rows in
+  rounds nb (list_entries nb rows)
 
 (** The first round's entries of [splits @ rows], a component's Phase 1,
-    kept for the checks that add rows to it (see {!kept_entries}). *)
+    kept for the checks that add rows to it (see {!kept_entries}), over
+    the numbering of its variables. *)
 type kept = {
+  k_vars : numbering;
   k_entries : entry array;  (** first-copy order; never mutated *)
   k_index : int Rows.t;  (** row → its entry's position in [k_entries] *)
   k_nsplit : int;  (** how many entries were first seen among [splits] *)
@@ -306,11 +440,16 @@ type kept = {
 }
 
 let keep (splits : lin list) (rows : lin list) : kept =
+  let nb = numbering (splits @ rows) in
   let s = List.length splits and r = List.length rows in
   let index = Rows.create 16 in
-  let es = Array.make (s + r) { row = lin_zero; mult = 0; last = 0 } in
+  let es =
+    Array.make (s + r)
+      { row = { vs = [||]; cs = [||]; k = 0 }; mult = 0; last = 0 }
+  in
   let n = ref 0 in
-  let add pos row =
+  let add pos l =
+    let row = row_of nb l in
     match Rows.find_opt index row with
     | Some k ->
         let e = es.(k) in
@@ -325,6 +464,7 @@ let keep (splits : lin list) (rows : lin list) : kept =
   let nsplit = !n in
   List.iteri (fun i row -> add (s + i) row) rows;
   {
+    k_vars = nb;
     k_entries = Array.sub es 0 !n;
     k_index = index;
     k_nsplit = nsplit;
@@ -332,10 +472,53 @@ let keep (splits : lin list) (rows : lin list) : kept =
     k_rows = r;
   }
 
+(** [k] over a numbering that also holds the variables of [extra]: its
+    rows renumbered, in the same order and at the same positions. *)
+let renumber (k : kept) (extra : lin list) : kept =
+  let old = k.k_vars.names in
+  let added =
+    List.fold_left
+      (fun acc l ->
+        SMap.fold
+          (fun x _ acc ->
+            match number_of k.k_vars x 0 with
+            | _ -> acc
+            | exception Unnumbered -> SMap.add x () acc)
+          l.coeffs acc)
+      SMap.empty extra
+  in
+  let names =
+    Array.of_list
+      (List.merge String.compare (Array.to_list old) (List.map fst (SMap.bindings added)))
+  in
+  let nb = numbering_of_names names in
+  (* both ascending: old number → new number *)
+  let remap = Array.make (Array.length old) 0 in
+  let j = ref 0 in
+  Array.iteri
+    (fun i x ->
+      while not (String.equal names.(!j) x) do
+        incr j
+      done;
+      remap.(i) <- !j)
+    old;
+  let index = Rows.create 16 in
+  let es =
+    Array.mapi
+      (fun i e ->
+        let row = { e.row with vs = Array.map (Array.get remap) e.row.vs } in
+        Rows.add index row i;
+        { e with row })
+      k.k_entries
+  in
+  { k with k_vars = nb; k_entries = es; k_index = index }
+
 (** The first round's entries of [splits @ (g :: rows @ extra)] ([g]
-    when present), for [k] kept from [splits @ rows]: [list_entries] of
-    that list, built from a copy of the kept entries, hashing only [g]
-    and [extra].
+    when present), for [k] kept from [splits @ rows], and their
+    numbering: [list_entries] of that list, built from a copy of the
+    kept entries, converting and hashing only [g] and [extra]. When
+    one of those brings a variable [k] lacks, the kept entries are
+    renumbered first ({!renumber}).
 
     [g], present, stands at position [s] (the length of [splits]), so
     every copy from [rows] moves up by one. It merges into its entry,
@@ -346,8 +529,12 @@ let keep (splits : lin list) (rows : lin list) : kept =
     entries themselves are the answer: the rounds do not mutate them. *)
 let kept_entries (k : kept) (g : lin option) (extra : lin list) =
   match (g, extra) with
-  | None, [] -> Array.to_list k.k_entries
+  | None, [] -> (k.k_vars, Array.to_list k.k_entries)
   | _ ->
+      let k, g, extra =
+        let conv k = (k, Option.map (row_of k.k_vars) g, List.map (row_of k.k_vars) extra) in
+        try conv k with Unnumbered -> conv (renumber k (Option.to_list g @ extra))
+      in
       let s = k.k_splits in
       let es = Array.map (fun e -> { e with mult = e.mult }) k.k_entries in
       let shift = if Option.is_some g then 1 else 0 in
@@ -393,13 +580,19 @@ let kept_entries (k : kept) (g : lin option) (extra : lin list) =
       for i = k.k_nsplit - 1 downto 0 do
         acc := es.(i) :: !acc
       done;
-      !acc
+      (k.k_vars, !acc)
 
 let fm_kept (k : kept) (g : lin option) (extra : lin list) : bool =
-  rounds (kept_entries k g extra)
+  let nb, es = kept_entries k g extra in
+  rounds nb es
 
-let entry_triples = List.map (fun e -> (e.row, e.mult, e.last))
-let first_round rows = entry_triples (list_entries rows)
+let entry_triples (nb, es) =
+  List.map (fun e -> (lin_of_row nb e.row, e.mult, e.last)) es
+
+let first_round rows =
+  let nb = numbering rows in
+  entry_triples (nb, list_entries nb rows)
+
 let kept_first_round k g extra = entry_triples (kept_entries k g extra)
 
 (** A composed substitution: each eliminated variable's value, over

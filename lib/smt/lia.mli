@@ -61,7 +61,10 @@ val fm : lin list -> bool
     A round keeps one entry per distinct row with its multiplicity and
     builds each distinct pair of entries once, yet takes the same
     decisions (variable, size limit, verdict) as the procedure on the
-    plain row list. Counts the pairs built in the profile counter
+    plain row list, ties broken as an unseeded [Hashtbl] of the
+    variables would fold (so not by [OCAMLRUNPARAM=R]'s seed). Rows are
+    converted once to int arrays over the system's variables numbered
+    in name order. Counts the pairs built in the profile counter
     [lia.fm_rows] and the rows the list procedure builds in
     [lia.fm_row_copies]. Raises [Infeasible].
 
@@ -77,9 +80,9 @@ val first_round : lin list -> (lin * int * int) list
 
 type kept
 (** The first round's entries of [splits @ rows], kept: the distinct
-    rows with their multiplicities and last positions, an index from
-    each row to its entry, and how many entries were first seen among
-    [splits]. *)
+    rows, over the numbering of their variables, with their
+    multiplicities and last positions, an index from each row to its
+    entry, and how many entries were first seen among [splits]. *)
 
 val keep : lin list -> lin list -> kept
 (** [keep splits rows]. *)
@@ -87,7 +90,9 @@ val keep : lin list -> lin list -> kept
 val kept_first_round : kept -> lin option -> lin list -> (lin * int * int) list
 (** [kept_first_round (keep splits rows) g extra] is [first_round
     (splits @ Option.to_list g @ rows @ extra)], built from a copy of
-    the kept entries: only [g] and [extra] are hashed. *)
+    the kept entries: only [g] and [extra] are converted and hashed,
+    unless one of them names a variable the kept rows lack, and the
+    kept entries are renumbered. *)
 
 val fm_kept : kept -> lin option -> lin list -> bool
 (** [fm_kept (keep splits rows) g extra] is [fm (splits @

@@ -580,10 +580,14 @@ let prop_feasible_split =
 (* ------------------------------------------------------------------ *)
 
 (** The reference for [Lia.fm]: the elimination on the plain row list,
-    every copy of every row held and combined. Returns its verdict and
-    the number of rows its rounds built. *)
-let list_fm (rows : Lia.lin list) : bool * int =
-  let built = ref 0 in
+    every copy of every row held and combined. Returns its verdict, the
+    number of distinct pairs its rounds combined (in each round, the
+    distinct rows, equal by bindings before tightening, with a positive
+    coefficient on the eliminated variable, times those with a negative
+    one) and the number of rows they built: [Lia.fm]'s verdict,
+    [lia.fm_rows] and [lia.fm_row_copies]. *)
+let list_fm (rows : Lia.lin list) : bool * int * int =
+  let built = ref 0 and pairs = ref 0 in
   let choose_var (cs : Lia.lin list) : string option =
     let tally = Hashtbl.create 16 in
     List.iter
@@ -604,22 +608,38 @@ let list_fm (rows : Lia.lin list) : bool * int =
       tally None
     |> Option.map fst
   in
-  let rec fm (cs : Lia.lin list) =
-    let cs = List.filter_map Lia.tighten cs in
+  let distinct (cs : Lia.lin list) =
+    let seen = Hashtbl.create 16 in
+    List.iter
+      (fun (c : Lia.lin) ->
+        Hashtbl.replace seen (c.const, Lia.SMap.bindings c.coeffs) ())
+      cs;
+    Hashtbl.length seen
+  in
+  let rec fm (raw : Lia.lin list) =
+    let cs = List.filter_map Lia.tighten raw in
     if List.length cs > Lia.fm_limit then true
     else
       match choose_var cs with
       | None -> true
       | Some x ->
+          let sign (c : Lia.lin) =
+            match Lia.SMap.find_opt x c.coeffs with
+            | Some k -> compare k 0
+            | None -> 0
+          in
           let pos, neg, rest =
             List.fold_left
               (fun (p, n, r) (c : Lia.lin) ->
-                match Lia.SMap.find_opt x c.coeffs with
-                | Some k when k > 0 -> (c :: p, n, r)
-                | Some _ -> (p, c :: n, r)
-                | None -> (p, n, c :: r))
+                match sign c with
+                | 1 -> (c :: p, n, r)
+                | -1 -> (p, c :: n, r)
+                | _ -> (p, n, c :: r))
               ([], [], []) cs
           in
+          (* tightening keeps the sign, and drops only constants *)
+          let part s = List.filter (fun c -> sign c = s) raw in
+          pairs := !pairs + (distinct (part 1) * distinct (part (-1)));
           let combined =
             List.concat_map
               (fun (cp : Lia.lin) ->
@@ -635,7 +655,27 @@ let list_fm (rows : Lia.lin list) : bool * int =
           fm (combined @ rest)
   in
   let verdict = try fm rows with Lia.Infeasible -> false in
-  (verdict, !built)
+  (verdict, !pairs, !built)
+
+(** The reference for [Lia.first_round]: each distinct row of the list
+    (equal by bindings), in the order of its first copy, with its
+    number of copies and the position of its last copy. *)
+let list_first_round (rows : Lia.lin list) : (Lia.lin * int * int) list =
+  let key (r : Lia.lin) = (r.const, Lia.SMap.bindings r.coeffs) in
+  let firsts = ref [] and seen = Hashtbl.create 16 in
+  List.iteri
+    (fun i r ->
+      match Hashtbl.find_opt seen (key r) with
+      | Some (m, _) -> Hashtbl.replace seen (key r) (m + 1, i)
+      | None ->
+          Hashtbl.replace seen (key r) (1, i);
+          firsts := r :: !firsts)
+    rows;
+  List.rev_map
+    (fun r ->
+      let m, last = Hashtbl.find seen (key r) in
+      (r, m, last))
+    !firsts
 
 (** A theory call's verdict with its [lia.fm_rows] and
     [lia.fm_row_copies] deltas. *)
@@ -652,14 +692,11 @@ let theory_counts f =
 let multiset_fm (rows : Lia.lin list) : bool * int * int =
   theory_counts (fun () -> try Lia.fm rows with Lia.Infeasible -> false)
 
-(** Same verdict, and the row copies the list procedure built are the
-    ones [Lia.fm] accounted for, round by round: a different variable
-    choice or size-limit decision would almost surely change that
-    count. [Lia.fm] never builds more rows than the copies. *)
-let fm_agrees rows =
-  let verdict, built = list_fm rows in
-  let verdict', pairs, copies = multiset_fm rows in
-  verdict = verdict' && built = copies && pairs <= copies
+(** Same verdict, and the distinct pairs and row copies the list
+    procedure built are the ones [Lia.fm] counted, round by round: a
+    different variable choice or size-limit decision would almost surely
+    change those counts. *)
+let fm_agrees rows = list_fm rows = multiset_fm rows
 
 let lin_of (k, cs) =
   List.fold_left
@@ -870,6 +907,16 @@ let gen_kept_case :
     List.filter (fun r -> not (List.exists (same_row r) splits)) rows
   in
   let pick l = if l = [] then fresh else oneofl l in
+  (* a row over names the kept rows may lack, sorting before, between
+     and after theirs: the check renumbers the kept entries *)
+  let outside =
+    let* k = int_range (-3) 3 in
+    let* cs =
+      list_size (int_range 1 3)
+        (pair (oneofl [ "a0"; "b"; "bb"; "d"; "0" ]) (oneofl [ -2; -1; 1; 2 ]))
+    in
+    return (lin_of (k, cs))
+  in
   let check =
     let* g =
       frequency
@@ -879,6 +926,7 @@ let gen_kept_case :
           (2, map Option.some (pick first_in_rows));
           (1, map Option.some (pick rows));
           (1, map Option.some fresh);
+          (1, map Option.some outside);
         ]
     in
     let* n = int_range 0 4 in
@@ -892,6 +940,7 @@ let gen_kept_case :
               (2, pick (splits @ rows));
               (2, pick acc);
               (1, fresh);
+              (1, outside);
             ]
         in
         extras (r :: acc) (n - 1)
@@ -931,14 +980,148 @@ let prop_kept_reference =
       let agrees (g, extra) =
         let list = splits @ Option.to_list g @ rows @ extra in
         let decide f () = try f () with Lia.Infeasible -> false in
-        let verdict, built = list_fm list in
-        let ((verdict', _, copies) as want) = multiset_fm list in
-        List.equal same_entry (Lia.first_round list)
+        let want = list_fm list in
+        List.equal same_entry (list_first_round list)
           (Lia.kept_first_round k g extra)
+        && List.equal same_entry (list_first_round list) (Lia.first_round list)
         && theory_counts (decide (fun () -> Lia.fm_kept k g extra)) = want
-        && verdict = verdict' && built = copies
+        && multiset_fm list = want
       in
       List.for_all agrees checks && agrees (List.hd checks))
+
+(** Names whose [Hashtbl.hash] agree on their low 7 bits: they share a
+    bucket of the tally's table at every size up to 128 buckets, so
+    only their order of first occurrence breaks a tie between them. *)
+let shared_bucket_names =
+  lazy
+    (let bucket x = Hashtbl.hash x land 127 in
+     Seq.ints 0
+     |> Seq.map (Printf.sprintf "w%d")
+     |> Seq.filter (fun x -> bucket x = bucket "w0")
+     |> Seq.take 24 |> Array.of_seq)
+
+(** Systems over 12 to 80 distinct names, so that the tally's table
+    holds more than 32 and more than 64 names in the first rounds and
+    fewer later (its size and fold order change across resizes), some
+    of the names sharing one bucket. Each name has one or two
+    one-variable rows, so that many names tie, and pooled rows over two
+    or three names, repeated and mirrored, make the order of
+    elimination show in the counts. *)
+let gen_wide_rows : Lia.lin list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* size = oneofl [ 12; 31; 33; 40; 63; 65; 80 ] in
+  let* shared = int_range 0 (min size 24) in
+  let wide = Lazy.force shared_bucket_names in
+  let names =
+    Array.init size (fun i ->
+        if i < shared then wide.(i) else Printf.sprintf "u%d" i)
+  in
+  let* singles =
+    flatten_l
+      (Array.to_list
+         (Array.map
+            (fun x ->
+              let* k = int_range (-2) 1 and* k' = int_range (-1) 2 in
+              oneofl
+                [
+                  [ lin_of (k, [ (x, 1) ]) ];
+                  [ lin_of (k, [ (x, 1) ]); lin_of (k', [ (x, -1) ]) ];
+                  [ lin_of (k, [ (x, 2) ]); lin_of (k', [ (x, -1) ]) ];
+                ])
+            names))
+  in
+  let singles = List.concat singles in
+  let var = map (Array.get names) (int_bound (size - 1)) in
+  let pooled =
+    let* k = int_range (-2) 2 in
+    let* cs = list_size (int_range 2 3) (pair var (oneofl [ -2; -1; 1; 2 ])) in
+    let r = lin_of (k, cs) in
+    oneofl [ [ r ]; [ r; r ]; [ r; { (Lia.lin_scale (-1) r) with const = k } ] ]
+  in
+  let* pool = map List.concat (list_size (int_range 0 16) pooled) in
+  let* rows = shuffle_l (singles @ pool) in
+  let* repeats = list_size (int_range 0 10) (oneofl rows) in
+  return (rows @ repeats)
+
+let prop_fm_wide =
+  QCheck.Test.make
+    ~name:"FM over many names: the list procedure's verdict, counts and entries"
+    ~count:400
+    (QCheck.make ~print:(Format.asprintf "[%a]" pp_rows) gen_wide_rows)
+    (fun rows ->
+      let same_entry (r, m, l) (r', m', l') = same_row r r' && m = m' && l = l' in
+      fm_agrees rows
+      && List.equal same_entry (list_first_round rows) (Lia.first_round rows))
+
+(** A wide system split into kept rows and checks: [g] and extra rows
+    drawn from the system, or over names the kept rows lack. *)
+let prop_kept_wide =
+  let gen =
+    let open QCheck.Gen in
+    let* rows = gen_wide_rows in
+    let* cut = int_bound (List.length rows) in
+    let kept = List.filteri (fun i _ -> i < cut) rows
+    and rest = List.filteri (fun i _ -> i >= cut) rows in
+    let* nsplit = int_bound (List.length kept) in
+    let splits = List.filteri (fun i _ -> i < nsplit) kept
+    and kept_rows = List.filteri (fun i _ -> i >= nsplit) kept in
+    let row = if rest = [] then oneofl rows else oneofl rest in
+    let outside =
+      let* x = oneofl [ "a"; "u1x"; "u40x"; "w0x"; "z" ] and* c = oneofl [ -1; 1 ] in
+      let* r = oneofl rows in
+      return (Lia.lin_add r (Lia.lin_scale c (Lia.lin_var x)))
+    in
+    let one = frequency [ (3, row); (1, outside) ] in
+    let check =
+      let* g = opt one and* extra = list_size (int_range 0 3) one in
+      return (g, extra)
+    in
+    let* checks = list_size (int_range 1 3) check in
+    return (splits, kept_rows, checks)
+  in
+  QCheck.Test.make
+    ~name:"kept FM over many names, checks adding names: the list's counts"
+    ~count:300 (QCheck.make ~print:pp_kept_case gen)
+    (fun (splits, rows, checks) ->
+      let k = Lia.keep splits rows in
+      let same_entry (r, m, l) (r', m', l') = same_row r r' && m = m' && l = l' in
+      List.for_all
+        (fun (g, extra) ->
+          let list = splits @ Option.to_list g @ rows @ extra in
+          let decide () = try Lia.fm_kept k g extra with Lia.Infeasible -> false in
+          List.equal same_entry (list_first_round list)
+            (Lia.kept_first_round k g extra)
+          && theory_counts decide = list_fm list)
+        checks)
+
+(** At [fm_limit] through a kept component: kept rows of 19,999 copies,
+    and a check whose [g] and extra rows bring the copies to 20,000
+    (refuted) or past it (given up on), with and without a name the
+    kept rows lack. *)
+let fm_limit_kept_case () =
+  let copies k row = List.init k (fun _ -> lin_of row) in
+  let splits = copies 2 (1, [ ("b", 1) ]) in
+  let rows = copies 19_997 (0, [ ("b", -1) ]) in
+  let k = Lia.keep splits rows in
+  List.iter
+    (fun (what, g, extra, expected) ->
+      let list = splits @ Option.to_list g @ rows @ extra in
+      let got =
+        theory_counts (fun () ->
+            try Lia.fm_kept k g extra with Lia.Infeasible -> false)
+      in
+      Alcotest.(check (triple bool int int)) (what ^ ": as the list") (list_fm list) got;
+      let verdict, _, _ = got in
+      Alcotest.(check bool) (what ^ ": verdict") expected verdict)
+    [
+      ("19,999 copies", None, [], false);
+      ("g brings 20,000", Some (lin_of (0, [ ("b", -1) ])), [], false);
+      ("g and a row bring 20,001", Some (lin_of (0, [ ("b", -1) ])),
+        [ lin_of (0, [ ("b", -1) ]) ], true);
+      ("a new name brings 20,000", Some (lin_of (0, [ ("a", 1); ("b", -1) ])), [], false);
+      ("new names bring 20,001", Some (lin_of (0, [ ("a", 1) ])),
+        [ lin_of (0, [ ("c", -1) ]) ], true);
+    ]
 
 (** Fixed systems: two splits that later equalities substitute into
     (the later split's rows come first), a substitution chain, a
@@ -1363,7 +1546,7 @@ let rmat_order =
 let fm_rmat_case () =
   let rows = List.map (fun i -> lin_of rmat_rows.(i)) rmat_order in
   Alcotest.(check bool) "agrees" true (fm_agrees rows);
-  let _, built = list_fm rows in
+  let _, _, built = list_fm rows in
   let verdict, pairs, copies = multiset_fm rows in
   Alcotest.(check bool) "refuted" false verdict;
   Alcotest.(check bool) "the list procedure builds > 80k rows" true
@@ -1520,11 +1703,14 @@ let tests =
           prop_subst_ground;
           prop_feasible_split;
           prop_fm_multiset;
+          prop_fm_wide;
+          prop_kept_wide;
           prop_elim_eqs_reference;
           prop_context_reference;
         ]
     @ [
         Alcotest.test_case "multiset FM at the size limit" `Quick fm_limit_case;
+        Alcotest.test_case "kept FM at the size limit" `Quick fm_limit_kept_case;
         Alcotest.test_case "multiset FM on an RMat hypothesis" `Quick
           fm_rmat_case;
         Alcotest.test_case "composed Phase 1 on fixed systems" `Quick
