@@ -245,14 +245,15 @@ let implications (t : Term.t) : Term.t * Term.t list =
 (** A context mismatch for [t], if any: [valid_under lhs] (one
     hypothesis, asked every goal in turn) must give [Solver.valid
     (lhs ⇒ g)]'s answers with the same query and theory-check counts,
-    the same largest skeleton, and the same Fourier–Motzkin work of the
+    the same largest skeleton, and no more Fourier–Motzkin work of the
     theory checks ([lia.fm_rows], [lia.fm_row_copies], less the div/mod
     sign checks' share, which a context may decide once for many
-    goals), which pins the lists and the component order the theory
-    received. Both sides decide disequality cases through [Lia]'s one
-    prepared split, so this compares the prepared query path with the
-    rebuilt one; the case split itself is pinned against the list
-    procedure kept in the smt tests. *)
+    goals): the context decides the same systems in the same order, and
+    a component no goal touches once for all goals. Both sides decide
+    disequality cases through [Lia]'s one prepared split, so this
+    compares the prepared query path with the rebuilt one; the case
+    split itself is pinned against the list procedure kept in the smt
+    tests. *)
 let context_mismatch ~(valid_under : Term.t -> Term.t -> bool) (t : Term.t) :
     string option =
   let lhs, goals = implications t in
@@ -285,7 +286,9 @@ let context_mismatch ~(valid_under : Term.t -> Term.t -> bool) (t : Term.t) :
       Some
         (Format.asprintf "context verdict differs from valid on goal %a"
            Term.pp g)
-  | [] when got_stats <> want_stats ->
+  | [] when List.filteri (fun i _ -> i < 3) got_stats
+            <> List.filteri (fun i _ -> i < 3) want_stats
+            || not (List.for_all2 ( <= ) got_stats want_stats) ->
       Some "context statistics differ from valid's"
   | [] -> None
 

@@ -26,7 +26,14 @@
     [choose_var] reads the textbook procedure's tie-break from each
     name's [Hashtbl.hash] and its first occurrence. The rounds take
     that procedure's decisions exactly (see [rounds]), whatever the
-    hash-table seed; the test suite keeps it as the reference. *)
+    hash-table seed; the test suite keeps it as the reference.
+
+    A system is decided one connected component at a time, and is
+    infeasible exactly when one of its components is. A {!context} (a
+    weakening hypothesis asked many goals) keeps, per component, its
+    Phase 1, its first round, and its verdict alone: a check pays for
+    the component its new rows touch, and reads the verdict of every
+    other one (see [decide_split]). *)
 
 module SMap = Map.Make (String)
 
@@ -867,11 +874,15 @@ let decide_phase1 (p : phase1) (g : lin option) (extra : lin list) =
         | None -> fm (splits @ Option.to_list g @ rows @ extra)
       with Infeasible -> false)
 
+(** A component of a context: its Phase 1, and its verdict alone. *)
+type component = { phase1 : phase1 Lazy.t; verdict : bool Lazy.t }
+
 (* Prepared weakening hypotheses add to peak memory, so the split is
    kept flat: beside the variable table, each constraint's variable
    numbers and each variable's component root, in arrays. Each
    component's Phase 1 is done the first time a query decides that
-   component, from lists grouped out of those arrays. *)
+   component, from lists grouped out of those arrays, and so is its
+   verdict alone. *)
 type context = {
   c_eqs : lin array;  (** input order *)
   c_ineqs : lin array;
@@ -879,7 +890,7 @@ type context = {
   c_bad : bool;  (** a constant equality or inequality is false *)
   c_split : components;  (** of [c_eqs] and [c_ineqs] *)
   c_roots : int array;  (** the components' roots, ascending *)
-  c_phase1 : phase1 Lazy.t array Lazy.t;  (** by position in [c_roots] *)
+  c_comps : component array Lazy.t;  (** by position in [c_roots] *)
 }
 
 let context_of ~eqs ~ineqs ~diseqs : context =
@@ -896,7 +907,7 @@ let context_of ~eqs ~ineqs ~diseqs : context =
   let c_roots =
     Array.of_list (List.filter (Array.get used) (List.init n Fun.id))
   in
-  let c_phase1 =
+  let c_comps =
     lazy
       (let geqs = Array.make n [] and gineqs = Array.make n [] in
        collect geqs ~slot:Fun.id c_eqs s.eq_vars s.root;
@@ -904,7 +915,8 @@ let context_of ~eqs ~ineqs ~diseqs : context =
        Array.map
          (fun r ->
            let eqs = geqs.(r) and ineqs = gineqs.(r) in
-           lazy (phase1 ~eqs ~ineqs))
+           let phase1 = lazy (phase1 ~eqs ~ineqs) in
+           { phase1; verdict = lazy (decide_phase1 (Lazy.force phase1) None []) })
          c_roots)
   in
   {
@@ -914,7 +926,7 @@ let context_of ~eqs ~ineqs ~diseqs : context =
     c_bad = constant_contradiction ~eqs ~ineqs;
     c_split = s;
     c_roots;
-    c_phase1;
+    c_comps;
   }
 
 let context (lits : literal list) : context =
@@ -942,31 +954,54 @@ type group = {
   mutable g_final : bool;
 }
 
-(** [feasible ~eqs:(lead @ eqs) ~ineqs:(cs @ ineqs @ g)] for the
-    context's equalities [eqs] and inequalities [ineqs], from the
-    context's split: the same components, decided from the same rows in
-    the same order. [lead] (an equality to check), [cs] (the rows of a
-    disequality case) and [g] (a final inequality) add rows, none of
-    them constant; a context component that none touches is decided
-    from its Phase 1.
+(** Decide [gr], a group of {!decide_split}'s system: from the Phase 1 of
+    the context component it holds, extended by [lead] and with [g] and
+    its case rows added, or, when it merges two or more, by Phase 1
+    anew. [early] says the system has a leading equality or case rows. *)
+let decide_group (c : context) (comps : component array) ~early ?lead
+    (g : lin option) (gr : group) : bool =
+  let s = c.c_split in
+  let g = if gr.g_final then g else None in
+  let lead = if gr.g_lead then lead else None in
+  match gr.g_comps with
+  | ([] | [ _ ]) as roots ->
+      if not early then Profile.incr "lia.phase1_prepared";
+      let p =
+        match roots with
+        | r :: _ -> Lazy.force comps.(root_index c r).phase1
+        | [] ->
+            Solved { sigma = SMap.empty; splits = []; rows = []; kept = None }
+      in
+      let p = Option.fold ~none:p ~some:(extend_phase1 p) lead in
+      decide_phase1 p g gr.g_rows
+  | roots ->
+      if not early then Profile.incr "lia.phase1_rebuilt";
+      let geqs = [| [] |] and gineqs = [| [] |] in
+      let slot r = if List.mem r roots then 0 else -1 in
+      collect geqs ~slot c.c_eqs s.eq_vars s.root;
+      collect gineqs ~slot c.c_ineqs s.ineq_vars s.root;
+      decide_component
+        ~eqs:(geqs.(0) @ Option.to_list lead)
+        ~ineqs:(Option.to_list g @ gineqs.(0) @ gr.g_rows)
+
+(** The groups of [lead] (an equality to check), [cs] (the rows of a
+    disequality case) and [g] (a final inequality) as {!components}
+    would root them in [feasible ~eqs:(lead @ eqs) ~ineqs:(cs @ ineqs @
+    g)], in the order of their ranks; the context components they touch;
+    and the rank of a root.
 
     The new rows are numbered as {!components} would: [lead]'s
     variables first, then the equalities', then those of [cs] in order
     of first occurrence, then the inequalities', then [g]'s fresh ones.
-    A component is ranked by its root under that numbering ([key]).
-    Roots come from the union-find. A component that neither [lead] nor
-    [cs] touches keeps its context root, and [g] joins last. The joins
-    of the components [lead] or [cs] touches are replayed in the
-    reference order — [lead], equalities, [cs], inequalities, [g] —
-    since theirs come before the inequalities' and can move a root;
-    with one context component and no fresh variable there is no order
-    to find, and no replay.
-
-    A group holding at most one context component is decided from its
-    Phase 1, extended by [lead] (the last of the group's equalities, as
-    they are listed in reverse input order), as [splits @ (σ g :: rows
-    @ σ (rev cs_K))]; one merging two or more runs Phase 1 anew. *)
-let decide_split ?lead (c : context) (cs : lin list) (g : lin option) : bool =
+    A component is ranked by its root under that numbering. Roots come
+    from the union-find. A component that neither [lead] nor [cs]
+    touches keeps its context root, and [g] joins last. The joins of the
+    components [lead] or [cs] touches are replayed in the reference
+    order — [lead], equalities, [cs], inequalities, [g] — since theirs
+    come before the inequalities' and can move a root; with one context
+    component and no fresh variable there is no order to find, and no
+    replay. *)
+let joined_groups ?lead (c : context) (cs : lin list) (g : lin option) =
   let s = c.c_split in
   let n = Array.length s.root in
   (* a fresh variable gets the next number; [early] ranks the variables
@@ -1001,8 +1036,7 @@ let decide_split ?lead (c : context) (cs : lin list) (g : lin option) : bool =
         else acc)
       acc vs
   in
-  let early_rows = Option.to_list lead_vars @ cs_vars in
-  let by_early = List.fold_left roots [] early_rows in
+  let by_early = List.fold_left roots [] (Option.to_list lead_vars @ cs_vars) in
   let touched = Option.fold ~none:by_early ~some:(roots by_early) g_vars in
   let replay = by_early <> [] && (Array.length c.c_roots > 1 || !next > n) in
   let parent =
@@ -1032,13 +1066,7 @@ let decide_split ?lead (c : context) (cs : lin list) (g : lin option) : bool =
     | Some gr -> gr
     | None ->
         let gr =
-          {
-            g_root = r;
-            g_comps = [];
-            g_rows = [];
-            g_lead = false;
-            g_final = false;
-          }
+          { g_root = r; g_comps = []; g_rows = []; g_lead = false; g_final = false }
         in
         groups := gr :: !groups;
         gr
@@ -1056,7 +1084,7 @@ let decide_split ?lead (c : context) (cs : lin list) (g : lin option) : bool =
     cs cs_vars;
   Option.iter (fun vs -> (group vs.(0)).g_final <- true) g_vars;
   let l = List.length !early and e = s.eq_nvars and k = List.length !first in
-  let key v =
+  let rank v =
     match List.assoc_opt v !early with
     | Some i -> i
     | None -> (
@@ -1067,48 +1095,79 @@ let decide_split ?lead (c : context) (cs : lin list) (g : lin option) : bool =
           | None -> l + e + k + v)
   in
   let groups =
-    List.sort (fun a b -> compare (key a.g_root) (key b.g_root)) !groups
+    List.sort (fun a b -> compare (rank a.g_root) (rank b.g_root)) !groups
+  in
+  (groups, touched, rank)
+
+(** [g]'s group when it is the only new row, and the context roots it
+    touches. [g] joins last, so its group's root is the one {!join}
+    leaves: [join] meets [g]'s variables largest name first (a fresh
+    one numbered after the context's, in name order), and the merged
+    set keeps the root of the last set to join. Roots rank in their
+    order. *)
+let final_group (s : components) (g : lin) : group * int list =
+  let n = Array.length s.root in
+  let fresh = ref n in
+  let roots =
+    SMap.fold
+      (fun x _ acc ->
+        match Hashtbl.find_opt s.ids x with
+        | Some v -> s.root.(v) :: acc
+        | None ->
+            let v = !fresh in
+            incr fresh;
+            v :: acc)
+      g.coeffs []
+  in
+  let last, seen =
+    List.fold_left
+      (fun (last, seen) r ->
+        if List.mem r seen then (last, seen) else (r, r :: seen))
+      (-1, []) roots
+  in
+  let touched = List.filter (fun r -> r < n) seen in
+  ( { g_root = last; g_comps = touched; g_rows = []; g_lead = false; g_final = true },
+    touched )
+
+(** [feasible ~eqs:(lead @ eqs) ~ineqs:(cs @ ineqs @ g)] for the
+    context's equalities [eqs] and inequalities [ineqs], from the
+    context's split: the same components, decided from the same rows in
+    the same order, up to the first infeasible one. [lead], [cs] and [g]
+    add rows, none of them constant. A context component that none
+    touches is decided alone, from its kept verdict: its first check
+    decides it, and every later one reads the verdict, since the
+    component's rows do not change.
+
+    A group of new rows holding at most one context component is decided
+    from that component's Phase 1, extended by [lead] (the last of the
+    group's equalities, as they are listed in reverse input order), as
+    [splits @ (σ g :: rows @ σ (rev cs_K))]; one merging two or more runs
+    Phase 1 anew ({!decide_group}). A check with only [g] (the common
+    case) has one group, ranked by the root {!final_group} computes: it
+    builds no union-find and replays no joins ({!joined_groups}). *)
+let decide_split ?lead (c : context) (cs : lin list) (g : lin option) : bool =
+  let comps = Lazy.force c.c_comps in
+  let early = Option.is_some lead || cs <> [] in
+  let groups, touched, rank =
+    match g with
+    | Some l when not early ->
+        let gr, touched = final_group c.c_split l in
+        ([ gr ], touched, Fun.id)
+    | _ -> if early then joined_groups ?lead c cs g else ([], [], Fun.id)
   in
   let merges gr = List.compare_length_with gr.g_comps 1 > 0 in
-  if early_rows <> [] then
+  if early then
     Profile.incr
       (if List.exists merges groups then "lia.split_rebuilt"
        else "lia.split_prepared");
-  let phase1 = Lazy.force c.c_phase1 in
-  let decide_group gr =
-    let g = if gr.g_final then g else None in
-    let lead = if gr.g_lead then lead else None in
-    match gr.g_comps with
-    | ([] | [ _ ]) as comps ->
-        if early_rows = [] then Profile.incr "lia.phase1_prepared";
-        let p =
-          match comps with
-          | r :: _ -> Lazy.force phase1.(root_index c r)
-          | [] ->
-              Solved { sigma = SMap.empty; splits = []; rows = []; kept = None }
-        in
-        let p = Option.fold ~none:p ~some:(extend_phase1 p) lead in
-        decide_phase1 p g gr.g_rows
-    | comps ->
-        if early_rows = [] then Profile.incr "lia.phase1_rebuilt";
-        let geqs = [| [] |] and gineqs = [| [] |] in
-        let slot r = if List.mem r comps then 0 else -1 in
-        collect geqs ~slot c.c_eqs s.eq_vars s.root;
-        collect gineqs ~slot c.c_ineqs s.ineq_vars s.root;
-        decide_component
-          ~eqs:(geqs.(0) @ Option.to_list lead)
-          ~ineqs:(Option.to_list g @ gineqs.(0) @ gr.g_rows)
-  in
   let m = Array.length c.c_roots in
   let rec go i gs =
     if i < m && List.mem c.c_roots.(i) touched then go (i + 1) gs
     else
       match gs with
-      | gr :: rest when i >= m || key gr.g_root < key c.c_roots.(i) ->
-          decide_group gr && go i rest
-      | _ ->
-          i >= m
-          || decide_phase1 (Lazy.force phase1.(i)) None [] && go (i + 1) gs
+      | gr :: rest when i >= m || rank gr.g_root < rank c.c_roots.(i) ->
+          decide_group c comps ~early ?lead g gr && go i rest
+      | _ -> i >= m || (Lazy.force comps.(i).verdict && go (i + 1) gs)
   in
   go 0 groups
 

@@ -129,16 +129,23 @@ type context
     the first time a query decides that component, and kept, and so are
     the first round's entries of its rows ({!kept}) the first time a
     query runs {!fm} on them: every later check of the component starts
-    from a copy of those entries and hashes only the rows it adds. *)
+    from a copy of those entries and hashes only the rows it adds. So is
+    the component's verdict alone, the first time a check leaves the
+    component untouched: a system is infeasible exactly when one of its
+    components is, and those rows never change, so every later check
+    that leaves it untouched reads the verdict. *)
 
 val context : literal list -> context
 
 val sat_with : context -> literal option -> bool
 (** [sat_with (context ls) l] is [sat_literals (ls @ Option.to_list l)],
     and decides the same components, from the same rows, in the same
-    order, with the same [lia.fm_rows]. An equality [l], numbered before
-    every inequality, splits the system anew; every other system is
-    decided from the context's split.
+    order, except that a component no new row touches is decided at
+    most once per context (its verdict is kept): [lia.fm_rows] is never
+    more than [sat_literals]'s, and equal on a fresh context without
+    disequalities. An equality [l], numbered before every inequality,
+    splits the system anew; every other system is decided from the
+    context's split.
 
     A final inequality [g] only merges the components it shares a
     variable with: a component it does not touch is decided from its
@@ -159,5 +166,6 @@ val sat_with : context -> literal option -> bool
     inequalities); a group merging two or more anew. The profile
     counters [lia.split_prepared] and [lia.split_rebuilt] count the
     cases and relevance checks decided each way ([rebuilt] when one of
-    their groups merges two or more components). Verdicts are not kept:
-    every query runs {!fm}. *)
+    their groups merges two or more components). A check with only a
+    final inequality has one group and needs no union-find: its root is
+    read off [g]'s variables. *)

@@ -90,9 +90,9 @@ let () =
     [
       ( "randomized hash tables",
         [
-          program "bsearch" (flux "bsearch") (4900, 30066);
-          program "heapsort" (flux "heapsort") (9990, 34227);
-          program "RMat" Workloads.rmat_flux (5079, 784201);
+          program "bsearch" (flux "bsearch") (3996, 23067);
+          program "heapsort" (flux "heapsort") (9122, 32612);
+          program "RMat" Workloads.rmat_flux (4594, 781747);
         ]
         @ List.map system_case systems );
     ]

@@ -303,8 +303,11 @@ let fresh_run f =
 
 (** Ask every goal under one [hyp] (so later goals reuse the context
     the first one built), and each goal through [valid] from scratch:
-    same answers, same statistics and Fourier–Motzkin work (which pins
-    the theory's lists and component order). [theory_checks], when
+    same answers and the same statistics, and no more Fourier–Motzkin
+    work: each theory check decides the same systems in the same order,
+    but the context decides a component no goal touches once, for all
+    its goals (["context: component verdicts once per context"] pins
+    those counts exactly). [theory_checks], when
     given, is the number of theory checks each goal must take;
     [reused], whether each goal takes the prepared path (else the
     rebuilt one), so a silent fallback fails the case. *)
@@ -320,9 +323,16 @@ let context_agrees ?theory_checks ?reused name lhs goals =
           in
           let want, want_stats, _ = fresh_run (fun () -> Solver.valid imp) in
           Alcotest.(check (result bool string)) what want got;
+          let exact = List.filteri (fun i _ -> i < 3) in
           Alcotest.(check (list int))
-            (what ^ ": queries, theory checks, max atoms, FM rows")
-            want_stats got_stats;
+            (what ^ ": queries, theory checks, max atoms")
+            (exact want_stats) (exact got_stats);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: FM rows and copies %s within valid's %s" what
+               (String.concat "/" (List.map string_of_int got_stats))
+               (String.concat "/" (List.map string_of_int want_stats)))
+            true
+            (List.for_all2 ( <= ) got_stats want_stats);
           Option.iter
             (fun checks ->
               Alcotest.(check int)
@@ -518,9 +528,9 @@ let prepared_context_tests =
       [ le x z; lt z x; mk_or [ le x z; eq x n ] ];
     (* {a, b}, {x, y} and {z, n} are components (rooted in that order)
        until a goal joins some of them; the components are decided in
-       root order up to the first infeasible one, so the FM counts pin
-       where the merged one goes. A conjunction goal takes the rebuilt
-       skeleton. *)
+       root order up to the first infeasible one, the merged one at its
+       root, and one no goal touches once for all goals. A conjunction
+       goal takes the rebuilt skeleton. *)
     context_agrees "context: goal merging two hypothesis components"
       (let a = v "a" and b = v "b" in
        mk_and
@@ -1224,7 +1234,8 @@ let list_sat_literals (lits : Lia.literal list) : bool =
 
 (** Literal systems of up to three variable-disjoint groups, each with
     equalities as {!gen_equality} draws them (now and then a
-    contradictory pair), inequalities and up to three disequalities,
+    contradictory pair), inequalities (now and then a pair infeasible
+    on its own) and up to three disequalities,
     shuffled together, most groups' equalities and inequalities holding
     at a point; now and then disequalities over variables no
     equality or inequality holds, or bridging two groups, or a burst of
@@ -1276,10 +1287,20 @@ let gen_context_case : (Lia.literal list * Lia.literal option list) QCheck.Gen.t
     let* ineqs =
       list_size (int_range 0 5) (map on_ineq (gen_inequality vars))
     in
+    (* now and then the inequalities alone are infeasible: x ≤ -1, x ≥ 0 *)
+    let* empty =
+      frequency
+        [
+          (8, return []);
+          ( 1,
+            let* x = oneofl vars in
+            return [ lin_of (1, [ (x, 1) ]); lin_of (0, [ (x, -1) ]) ] );
+        ]
+    in
     let* diseqs = list_size (int_range 0 3) (gen_inequality vars) in
     return
       (List.map (fun e -> Lia.Eq0 e) (eqs @ contra)
-      @ List.map (fun l -> Lia.Le0 l) ineqs
+      @ List.map (fun l -> Lia.Le0 l) (ineqs @ empty)
       @ List.map (fun l -> Lia.Ne0 l) diseqs)
   in
   let bridge =
@@ -1331,13 +1352,22 @@ let gen_context_case : (Lia.literal list * Lia.literal option list) QCheck.Gen.t
         (2, return (Some (Lia.Ne0 form)));
       ]
   in
-  let* goals = list_size (int_range 1 4) goal in
+  let* goals = list_size (int_range 1 10) goal in
   return (ls, goals)
 
+(** Many goals on one context, asked in order and then again in
+    reverse: each decides as the reference on [ls @ [g]] and as
+    [sat_literals], building no more FM rows than the reference; on a
+    fresh context without disequalities, exactly its rows. Every
+    theory check decides the reference's systems in its order; the
+    context only skips a component no goal touches once its verdict is
+    known (["context: component verdicts once per context"] pins the
+    counts), so a component infeasible alone refutes every goal that
+    leaves it untouched. *)
 let prop_context_reference =
   QCheck.Test.make
     ~name:"sat_with on a context decides as sat_literals, with its FM rows"
-    ~count:10000
+    ~count:6000
     (QCheck.make
        ~print:(fun (ls, goals) ->
          let pp_goal fmt = function
@@ -1352,13 +1382,75 @@ let prop_context_reference =
        gen_context_case)
     (fun (ls, goals) ->
       let c = Lia.context ls in
-      List.for_all
-        (fun g ->
-          let ls = ls @ Option.to_list g in
-          let want = theory_counts (fun () -> list_sat_literals ls) in
-          theory_counts (fun () -> Lia.sat_with c g) = want
-          && theory_counts (fun () -> Lia.sat_literals ls) = want)
-        goals)
+      let within (v, r, p) (v', r', p') = v = v' && r <= r' && p <= p' in
+      let agrees g =
+        let ls = ls @ Option.to_list g in
+        let want = theory_counts (fun () -> list_sat_literals ls) in
+        within (theory_counts (fun () -> Lia.sat_with c g)) want
+        && within (theory_counts (fun () -> Lia.sat_literals ls)) want
+      in
+      (* without disequalities a check is one system: on a fresh context
+         it decides every component the reference does, in its order *)
+      let no_diseq = List.filter (function Lia.Ne0 _ -> false | _ -> true) in
+      let fresh g =
+        let g = match g with Some (Lia.Ne0 _) -> None | g -> g in
+        let ls = no_diseq ls in
+        theory_counts (fun () -> Lia.sat_with (Lia.context ls) g)
+        = theory_counts (fun () -> list_sat_literals (ls @ Option.to_list g))
+      in
+      List.for_all agrees goals
+      && List.for_all agrees (List.rev goals)
+      && List.for_all fresh goals)
+
+(** The FM work of a context's checks, exactly: a component no goal
+    touches is decided once per context, in root order, and not at all
+    while a goal's group refutes the system first. Each count is that of
+    deciding the same rows alone ([Lia.feasible] on one component). *)
+let context_verdict_cases () =
+  let le k cs = Lia.Le0 (lin_of (k, cs)) in
+  (* {x, y}; {a, b}, with FM rows of its own; {p}, infeasible alone *)
+  let b =
+    [ le 0 [ ("x", 1); ("y", -1) ]; le (-3) [ ("y", 1) ]; le 0 [ ("x", -1) ] ]
+  in
+  let a =
+    [ le 0 [ ("a", 1); ("b", -1) ]; le (-1) [ ("a", -1); ("b", 1) ];
+      le (-5) [ ("a", 1) ]; le 0 [ ("b", -1) ] ]
+  in
+  let z = [ le 1 [ ("p", 1) ]; le 0 [ ("p", -1) ] ] in
+  let alone ls = theory_counts (fun () -> Lia.sat_literals ls) in
+  let plus (v, r, p) (v', r', p') = (v && v', r + r', p + p') in
+  let refuted (_, r, p) = (false, r, p) in
+  let g1 = le (-2) [ ("x", 1) ] and g2 = le (-1) [ ("x", 1) ] in
+  let g3 = le 10 [ ("x", -1) ] and gp = le (-5) [ ("p", 1) ] in
+  let (_, ra, _) as fa = alone a in
+  let _, rb, _ = alone (b @ [ g2 ]) in
+  Alcotest.(check bool) "{a, b} and {x, y} alone build FM rows" true
+    (ra > 0 && rb > 0);
+  List.iter
+    (fun (what, ls, checks) ->
+      let c = Lia.context ls in
+      List.iteri
+        (fun i (g, want) ->
+          let what = Printf.sprintf "%s, goal %d" what i in
+          let got = theory_counts (fun () -> Lia.sat_with c (Some g)) in
+          Alcotest.(check (triple bool int int)) what want got;
+          let verdict, _, _ = got in
+          Alcotest.(check bool) (what ^ ": as sat_literals")
+            (Lia.sat_literals (ls @ [ g ])) verdict)
+        checks)
+    [
+      ( "{a, b} rooted first", a @ b,
+        [ (g1, plus fa (alone (b @ [ g1 ]))); (g2, alone (b @ [ g2 ]));
+          (g3, alone (b @ [ g3 ])) ] );
+      ( "{x, y} rooted first", b @ a,
+        [ (g3, alone (b @ [ g3 ])); (g1, plus (alone (b @ [ g1 ])) fa);
+          (g2, alone (b @ [ g2 ])) ] );
+      ( "a component infeasible alone", b @ a @ z,
+        [ (g1, plus (plus (alone (b @ [ g1 ])) fa) (alone z));
+          (g2, refuted (alone (b @ [ g2 ])));
+          (* {x, y}, touched by every goal so far, is decided alone now *)
+          (gp, plus (alone b) (alone (z @ [ gp ]))) ] );
+    ]
 
 (** Which path decides the merged component: a goal joining one
     component, or none, takes the component's Phase 1; one merging two
@@ -1717,6 +1809,8 @@ let tests =
           elim_eqs_cases;
         Alcotest.test_case "context: Phase 1 once per component" `Quick
           context_phase1_cases;
+        Alcotest.test_case "context: component verdicts once per context"
+          `Quick context_verdict_cases;
       ]
     @ prepared_context_tests @ division_context_tests
     @ [
