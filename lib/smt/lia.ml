@@ -361,6 +361,8 @@ let list_entries (nb : numbering) (rows : lin list) : entry list =
     tie-break of [choose_var]), and the entries keep both. DESIGN.md
     ("Fourier–Motzkin on row multisets") gives the argument. *)
 let rounds (nb : numbering) (es : entry list) : bool =
+  (* the pairs and copies built, added to the profile once per call *)
+  let pairs = ref 0 and built = ref 0 in
   let rec round (es : entry list) =
     let es =
       List.filter_map
@@ -424,11 +426,21 @@ let rounds (nb : numbering) (es : entry list) : bool =
                 (reversed rest))
         in
         let copies l = List.fold_left (fun n (_, e) -> n + e.mult) 0 l in
-        Profile.add "lia.fm_rows" (List.length pos * List.length neg);
-        Profile.add "lia.fm_row_copies" (copies pos * copies neg);
+        pairs := !pairs + (List.length pos * List.length neg);
+        built := !built + (copies pos * copies neg);
         round next
   in
-  round es
+  let count () =
+    Profile.add "lia.fm_rows" !pairs;
+    Profile.add "lia.fm_row_copies" !built
+  in
+  match round es with
+  | v ->
+      count ();
+      v
+  | exception Infeasible ->
+      count ();
+      raise Infeasible
 
 let fm (rows : lin list) : bool =
   let nb = numbering rows in
