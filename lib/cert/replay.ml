@@ -319,6 +319,17 @@ let rec simplify (assign : int array) (f : bform) : bform =
         | fs -> BOr fs
       end
 
+(** [simplify assign f = BFalse], without building the simplified
+    formula: a conjunction is false when a conjunct is, a disjunction
+    when every disjunct is. *)
+let rec is_false (assign : int array) (f : bform) : bool =
+  match f with
+  | BFalse -> true
+  | BTrue -> false
+  | BLit (i, pol) -> assign.(i) = if pol then 2 else 1
+  | BAnd fs -> List.exists (is_false assign) fs
+  | BOr fs -> List.for_all (is_false assign) fs
+
 (* ------------------------------------------------------------------ *)
 (* Theory refutations                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -545,10 +556,14 @@ let check ?goal (p : Proof.t) : (unit, error) result =
         let bf = to_bform ids true conj in
         let n = Array.length p.Proof.atoms in
         let assign = Array.make n 0 in
-        let rec walk (t : Proof.tree) : unit =
+        (* [f] is [bf] simplified under the path's assignment: a child
+           simplifies its parent's [f] under the one atom it assigns,
+           which gives the same formula as simplifying [bf] under the
+           whole path *)
+        let rec walk (f : bform) (t : Proof.tree) : unit =
           match t with
           | Proof.BoolLeaf ->
-              if simplify assign bf <> BFalse then
+              if f <> BFalse then
                 reject (Bad_tree "open path at propositional leaf")
           | Proof.TheoryLeaf tr -> check_trefut p.Proof.atoms assign tr
           | Proof.Unit (i, pol, sub) ->
@@ -559,13 +574,13 @@ let check ?goal (p : Proof.t) : (unit, error) result =
               (* the opposite branch must close propositionally — that
                  is what makes covering only one side complete *)
               assign.(i) <- (if pol then 2 else 1);
-              let closed = simplify assign bf = BFalse in
+              let closed = is_false assign f in
               assign.(i) <- 0;
               if not closed then reject (Bad_tree "unit literal not forced");
               assign.(i) <- (if pol then 1 else 2);
               Fun.protect
                 ~finally:(fun () -> assign.(i) <- 0)
-                (fun () -> walk sub)
+                (fun () -> walk (simplify assign f) sub)
           | Proof.Split (i, l, r) ->
               if i < 0 || i >= n then
                 reject (Bad_tree "split atom out of range");
@@ -574,13 +589,13 @@ let check ?goal (p : Proof.t) : (unit, error) result =
               assign.(i) <- 1;
               Fun.protect
                 ~finally:(fun () -> assign.(i) <- 0)
-                (fun () -> walk l);
+                (fun () -> walk (simplify assign f) l);
               assign.(i) <- 2;
               Fun.protect
                 ~finally:(fun () -> assign.(i) <- 0)
-                (fun () -> walk r)
+                (fun () -> walk (simplify assign f) r)
         in
-        walk p.Proof.tree);
+        walk (simplify assign bf) p.Proof.tree);
     spot_check p.Proof.goal;
     Ok ()
   with
