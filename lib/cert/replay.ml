@@ -556,14 +556,57 @@ let check ?goal (p : Proof.t) : (unit, error) result =
         let bf = to_bform ids true conj in
         let n = Array.length p.Proof.atoms in
         let assign = Array.make n 0 in
-        (* [f] is [bf] simplified under the path's assignment: a child
-           simplifies its parent's [f] under the one atom it assigns,
-           which gives the same formula as simplifying [bf] under the
-           whole path *)
-        let rec walk (f : bform) (t : Proof.tree) : unit =
+        (* The skeleton is a conjunction: it simplifies to false
+           exactly when one of its conjuncts does, nested conjunctions
+           flattened. [cur] holds each conjunct simplified under the
+           path's assignment, and [nfalse] counts those that are false.
+           Assigning an atom re-simplifies only the conjuncts it occurs
+           in ([occ]); the others keep their value, and simplifying a
+           simplified conjunct under more atoms gives what simplifying
+           the original would. So each check reads what simplifying the
+           whole skeleton under the path would give, without doing it. *)
+        let rec conjuncts acc = function
+          | BAnd fs -> List.fold_left conjuncts acc fs
+          | f -> f :: acc
+        in
+        let cur = Array.of_list (List.rev (conjuncts [] (simplify assign bf))) in
+        let occ = Array.make n [] in
+        let rec note j = function
+          | BTrue | BFalse -> ()
+          | BLit (i, _) -> (
+              match occ.(i) with
+              | j' :: _ when j' = j -> ()
+              | l -> occ.(i) <- j :: l)
+          | BAnd fs | BOr fs -> List.iter (note j) fs
+        in
+        Array.iteri note cur;
+        let nfalse =
+          ref (Array.fold_left (fun k f -> if f = BFalse then k + 1 else k) 0 cur)
+        in
+        (* assign [i], returning the conjuncts it changed as they were *)
+        let set i v =
+          assign.(i) <- v;
+          List.map
+            (fun j ->
+              let old = cur.(j) in
+              let f = simplify assign old in
+              if f = BFalse && old <> BFalse then incr nfalse;
+              cur.(j) <- f;
+              (j, old))
+            occ.(i)
+        in
+        let unset i saved =
+          assign.(i) <- 0;
+          List.iter
+            (fun (j, old) ->
+              if cur.(j) = BFalse && old <> BFalse then decr nfalse;
+              cur.(j) <- old)
+            saved
+        in
+        let rec walk (t : Proof.tree) : unit =
           match t with
           | Proof.BoolLeaf ->
-              if f <> BFalse then
+              if !nfalse = 0 then
                 reject (Bad_tree "open path at propositional leaf")
           | Proof.TheoryLeaf tr -> check_trefut p.Proof.atoms assign tr
           | Proof.Unit (i, pol, sub) ->
@@ -574,28 +617,24 @@ let check ?goal (p : Proof.t) : (unit, error) result =
               (* the opposite branch must close propositionally — that
                  is what makes covering only one side complete *)
               assign.(i) <- (if pol then 2 else 1);
-              let closed = is_false assign f in
+              let closed =
+                !nfalse > 0 || List.exists (fun j -> is_false assign cur.(j)) occ.(i)
+              in
               assign.(i) <- 0;
               if not closed then reject (Bad_tree "unit literal not forced");
-              assign.(i) <- (if pol then 1 else 2);
-              Fun.protect
-                ~finally:(fun () -> assign.(i) <- 0)
-                (fun () -> walk (simplify assign f) sub)
+              let saved = set i (if pol then 1 else 2) in
+              Fun.protect ~finally:(fun () -> unset i saved) (fun () -> walk sub)
           | Proof.Split (i, l, r) ->
               if i < 0 || i >= n then
                 reject (Bad_tree "split atom out of range");
               if assign.(i) <> 0 then
                 reject (Bad_tree "split on assigned atom");
-              assign.(i) <- 1;
-              Fun.protect
-                ~finally:(fun () -> assign.(i) <- 0)
-                (fun () -> walk (simplify assign f) l);
-              assign.(i) <- 2;
-              Fun.protect
-                ~finally:(fun () -> assign.(i) <- 0)
-                (fun () -> walk (simplify assign f) r)
+              let saved = set i 1 in
+              Fun.protect ~finally:(fun () -> unset i saved) (fun () -> walk l);
+              let saved = set i 2 in
+              Fun.protect ~finally:(fun () -> unset i saved) (fun () -> walk r)
         in
-        walk (simplify assign bf) p.Proof.tree);
+        walk p.Proof.tree);
     spot_check p.Proof.goal;
     Ok ()
   with

@@ -125,6 +125,22 @@ let flip_multiplier (p : Proof.t) : Proof.t option =
   let t = tree p.Proof.tree in
   if !hit then Some { p with Proof.tree = t } else None
 
+(** Every tree that flips one [Unit]'s polarity in [p]'s tree, or cuts
+    the tree at a [Unit] with the assignment so far. *)
+let unit_mutants (p : Proof.t) : (string * Proof.t) list =
+  let rec go (t : Proof.tree) : (string * Proof.tree) list =
+    match t with
+    | Proof.Unit (i, pol, sub) ->
+        (Printf.sprintf "unit %d flipped" i, Proof.Unit (i, not pol, sub))
+        :: (Printf.sprintf "cut at unit %d" i, Proof.BoolLeaf)
+        :: List.map (fun (w, s) -> (w, Proof.Unit (i, pol, s))) (go sub)
+    | Proof.Split (i, l, r) ->
+        List.map (fun (w, l) -> (w, Proof.Split (i, l, r))) (go l)
+        @ List.map (fun (w, r) -> (w, Proof.Split (i, l, r))) (go r)
+    | Proof.BoolLeaf | Proof.TheoryLeaf _ -> []
+  in
+  List.map (fun (w, tree) -> (w, { p with Proof.tree })) (go p.Proof.tree)
+
 let transitivity = Term.(mk_imp (mk_and [ lt x y; le y z ]) (lt x z))
 let divgoal = Term.(mk_imp (ge x (int 0)) (ge (div x (int 2)) (int 0)))
 
@@ -209,6 +225,30 @@ let tamper_tests =
           (Printf.sprintf "rejected (%s)" (result_str r))
           true
           (match r with Error (Replay.Bad_tree _) -> true | _ -> false));
+    Alcotest.test_case "flipped or cut unit literals" `Quick (fun () ->
+        (* replay decides each unit from the conjuncts its atom occurs
+           in: a unit on its unforced side, or a path cut before the
+           skeleton is false, must not close (the outcomes are those of
+           simplifying the whole skeleton at every node) *)
+        let mutants =
+          List.concat_map
+            (fun (name, t) ->
+              List.map
+                (fun (w, p) -> (name ^ ", " ^ w, p))
+                (unit_mutants (certify_exn name t)))
+            valid_pool
+        in
+        Alcotest.(check bool) "the pool's trees have units" true
+          (List.length mutants > 10);
+        (* in these two the unit's atom closes the path either way, so
+           the flipped tree is still a refutation *)
+        let both_sides = [ "congruence, unit 0 flipped"; "mod range, unit 0 flipped" ] in
+        List.iter
+          (fun (what, p) ->
+            Alcotest.(check string) what
+              (if List.mem what both_sides then "ok" else "bad-tree")
+              (result_str (Replay.check p)))
+          mutants);
     Alcotest.test_case "captured fresh name" `Quick (fun () ->
         let p = certify_exn "div" divgoal in
         let rename = function
