@@ -345,10 +345,53 @@ let entries (emit : (row -> int -> int -> unit) -> unit) : entry list =
           order := e :: !order);
   List.rev !order
 
-(** The first round's entries of the row list [rows]: a copy's [last]
-    is its position. *)
-let list_entries (nb : numbering) (rows : lin list) : entry list =
-  entries (fun add -> List.iteri (fun i row -> add (row_of nb row) 1 i) rows)
+(** A distinct row of a row list, by bindings, with its number of
+    copies and the position of its last copy. *)
+type copies = { lin : lin; mutable copies : int; mutable at : int }
+
+(** Rows compared by their bindings: equal maps may differ in shape. *)
+module Lins = Hashtbl.Make (struct
+  type t = lin
+
+  let equal a b = a.const = b.const && SMap.equal Int.equal a.coeffs b.coeffs
+
+  let hash a =
+    SMap.fold
+      (fun x c h -> (h * 65599) + (Hashtbl.hash x * 31) + c)
+      a.coeffs a.const
+    land max_int
+end)
+
+(** [acc] with the rows of [rows] that [table] does not hold yet
+    prepended, the copy at position [from + i] counted in its row's
+    entry. A weakening hypothesis repeats a few rows many times, so a
+    list is merged before it is converted: only its distinct rows
+    become dense rows. *)
+let add_copies table acc from (rows : lin list) : copies list =
+  let acc = ref acc in
+  List.iteri
+    (fun i l ->
+      match Lins.find_opt table l with
+      | Some c ->
+          c.copies <- c.copies + 1;
+          c.at <- from + i
+      | None ->
+          let c = { lin = l; copies = 1; at = from + i } in
+          Lins.add table l c;
+          acc := c :: !acc)
+    rows;
+  !acc
+
+(** The entries of distinct rows, in their order, over the numbering
+    of their variables. *)
+let dense (cs : copies list) : numbering * entry list =
+  let nb = numbering (List.map (fun c -> c.lin) cs) in
+  (nb, List.map (fun c -> { row = row_of nb c.lin; mult = c.copies; last = c.at }) cs)
+
+(** The first round's entries of the row list [rows] (a copy's [last]
+    is its position), and their numbering. *)
+let list_entries (rows : lin list) : numbering * entry list =
+  dense (List.rev (add_copies (Lins.create 16) [] 0 rows))
 
 (** Phase 2 of {!feasible_conn} from the first round's entries [es]
     over [nb]: eliminate the variables one a round. Raises [Infeasible]
@@ -443,8 +486,8 @@ let rounds (nb : numbering) (es : entry list) : bool =
       raise Infeasible
 
 let fm (rows : lin list) : bool =
-  let nb = numbering rows in
-  rounds nb (list_entries nb rows)
+  let nb, es = list_entries rows in
+  rounds nb es
 
 (** The first round's entries of [splits @ rows], a component's Phase 1,
     kept for the checks that add rows to it (see {!kept_entries}), over
@@ -459,36 +502,19 @@ type kept = {
 }
 
 let keep (splits : lin list) (rows : lin list) : kept =
-  let nb = numbering (splits @ rows) in
-  let s = List.length splits and r = List.length rows in
+  let table = Lins.create 16 and s = List.length splits in
+  let firsts = add_copies table [] 0 splits in
+  let nb, es = dense (List.rev (add_copies table firsts s rows)) in
+  let es = Array.of_list es in
   let index = Rows.create 16 in
-  let es =
-    Array.make (s + r)
-      { row = { vs = [||]; cs = [||]; k = 0 }; mult = 0; last = 0 }
-  in
-  let n = ref 0 in
-  let add pos l =
-    let row = row_of nb l in
-    match Rows.find_opt index row with
-    | Some k ->
-        let e = es.(k) in
-        e.mult <- e.mult + 1;
-        e.last <- pos
-    | None ->
-        Rows.add index row !n;
-        es.(!n) <- { row; mult = 1; last = pos };
-        incr n
-  in
-  List.iteri add splits;
-  let nsplit = !n in
-  List.iteri (fun i row -> add (s + i) row) rows;
+  Array.iteri (fun i e -> Rows.add index e.row i) es;
   {
     k_vars = nb;
-    k_entries = Array.sub es 0 !n;
+    k_entries = es;
     k_index = index;
-    k_nsplit = nsplit;
+    k_nsplit = List.length firsts;
     k_splits = s;
-    k_rows = r;
+    k_rows = List.length rows;
   }
 
 (** [k] over a numbering that also holds the variables of [extra]: its
@@ -608,9 +634,7 @@ let fm_kept (k : kept) (g : lin option) (extra : lin list) : bool =
 let entry_triples (nb, es) =
   List.map (fun e -> (lin_of_row nb e.row, e.mult, e.last)) es
 
-let first_round rows =
-  let nb = numbering rows in
-  entry_triples (nb, list_entries nb rows)
+let first_round rows = entry_triples (list_entries rows)
 
 let kept_first_round k g extra = entry_triples (kept_entries k g extra)
 
