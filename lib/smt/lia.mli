@@ -62,9 +62,10 @@ val fm : lin list -> bool
     builds each distinct pair of entries once, yet takes the same
     decisions (variable, size limit, verdict) as the procedure on the
     plain row list, ties broken as an unseeded [Hashtbl] of the
-    variables would fold (so not by [OCAMLRUNPARAM=R]'s seed). Rows are
-    converted once to int arrays over the system's variables numbered
-    in name order. Counts the pairs built in the profile counter
+    variables would fold (so not by [OCAMLRUNPARAM=R]'s seed). The rows
+    are merged by bindings, and the distinct ones converted to int
+    arrays over the system's variables numbered in name order. Counts
+    the pairs built in the profile counter
     [lia.fm_rows] and the rows the list procedure builds in
     [lia.fm_row_copies]. Raises [Infeasible].
 

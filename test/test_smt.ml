@@ -1795,22 +1795,17 @@ let tests =
           prop_subst_ground;
           prop_feasible_split;
           prop_fm_multiset;
-          prop_fm_wide;
-          prop_kept_wide;
           prop_elim_eqs_reference;
           prop_context_reference;
         ]
     @ [
         Alcotest.test_case "multiset FM at the size limit" `Quick fm_limit_case;
-        Alcotest.test_case "kept FM at the size limit" `Quick fm_limit_kept_case;
         Alcotest.test_case "multiset FM on an RMat hypothesis" `Quick
           fm_rmat_case;
         Alcotest.test_case "composed Phase 1 on fixed systems" `Quick
           elim_eqs_cases;
         Alcotest.test_case "context: Phase 1 once per component" `Quick
           context_phase1_cases;
-        Alcotest.test_case "context: component verdicts once per context"
-          `Quick context_verdict_cases;
       ]
     @ prepared_context_tests @ division_context_tests
     @ [
@@ -1824,4 +1819,11 @@ let tests =
         QCheck_alcotest.to_alcotest
           ~rand:(Random.State.make [| qcheck_seed |])
           prop_kept_reference;
-      ] )
+        Alcotest.test_case "context: component verdicts once per context"
+          `Quick context_verdict_cases;
+        Alcotest.test_case "kept FM at the size limit" `Quick fm_limit_kept_case;
+      ]
+    @ List.map
+        (QCheck_alcotest.to_alcotest
+           ~rand:(Random.State.make [| qcheck_seed |]))
+        [ prop_fm_wide; prop_kept_wide ] )
