@@ -803,6 +803,23 @@ let collect groups ~slot (cs : lin array) (vars : int array array) root =
 let decide_component ~eqs ~ineqs =
   match (eqs, ineqs) with [], [] -> true | _ -> feasible_conn ~eqs ~ineqs
 
+(** The connected components of [eqs] and [ineqs], in the order of
+    their roots: each one's equalities and inequalities, in reverse
+    input order. A constant belongs to none. *)
+let grouped ~(eqs : lin list) ~(ineqs : lin list) =
+  let eqs = Array.of_list eqs and ineqs = Array.of_list ineqs in
+  let c = components ~eqs ~ineqs in
+  let n = Array.length c.root in
+  let geqs = Array.make n [] and gineqs = Array.make n [] in
+  collect geqs ~slot:Fun.id eqs c.eq_vars c.root;
+  collect gineqs ~slot:Fun.id ineqs c.ineq_vars c.root;
+  List.filter_map
+    (fun r ->
+      match (geqs.(r), gineqs.(r)) with
+      | [], [] -> None
+      | e, i -> Some (e, i))
+    (List.init n Fun.id)
+
 (** Split the constraint system into connected components and decide
     each independently, in the order of their roots — the conjunction
     is infeasible iff some component is. This keeps Fourier–Motzkin
@@ -813,18 +830,12 @@ let decide_component ~eqs ~ineqs =
 let feasible ~(eqs : lin list) ~(ineqs : lin list) : bool =
   (* constant constraints are decided immediately *)
   (not (constant_contradiction ~eqs ~ineqs))
-  &&
-  let eqs = Array.of_list eqs and ineqs = Array.of_list ineqs in
-  let c = components ~eqs ~ineqs in
-  let n = Array.length c.root in
-  let geqs = Array.make n [] and gineqs = Array.make n [] in
-  collect geqs ~slot:Fun.id eqs c.eq_vars c.root;
-  collect gineqs ~slot:Fun.id ineqs c.ineq_vars c.root;
-  let rec decide r =
-    r >= n
-    || decide_component ~eqs:geqs.(r) ~ineqs:gineqs.(r) && decide (r + 1)
-  in
-  decide 0
+  && List.for_all
+       (fun (eqs, ineqs) -> decide_component ~eqs ~ineqs)
+       (grouped ~eqs ~ineqs)
+
+let split ~eqs ~ineqs =
+  List.map (fun (e, i) -> (List.rev e, List.rev i)) (grouped ~eqs ~ineqs)
 
 (* ------------------------------------------------------------------ *)
 (* Literal interface                                                   *)
@@ -1135,36 +1146,6 @@ let joined_groups ?lead (c : context) (cs : lin list) (g : lin option) =
   in
   (groups, touched, rank)
 
-(** [g]'s group when it is the only new row, and the context roots it
-    touches. [g] joins last, so its group's root is the one {!join}
-    leaves: [join] meets [g]'s variables largest name first (a fresh
-    one numbered after the context's, in name order), and the merged
-    set keeps the root of the last set to join. Roots rank in their
-    order. *)
-let final_group (s : components) (g : lin) : group * int list =
-  let n = Array.length s.root in
-  let fresh = ref n in
-  let roots =
-    SMap.fold
-      (fun x _ acc ->
-        match Hashtbl.find_opt s.ids x with
-        | Some v -> s.root.(v) :: acc
-        | None ->
-            let v = !fresh in
-            incr fresh;
-            v :: acc)
-      g.coeffs []
-  in
-  let last, seen =
-    List.fold_left
-      (fun (last, seen) r ->
-        if List.mem r seen then (last, seen) else (r, r :: seen))
-      (-1, []) roots
-  in
-  let touched = List.filter (fun r -> r < n) seen in
-  ( { g_root = last; g_comps = touched; g_rows = []; g_lead = false; g_final = true },
-    touched )
-
 (** [feasible ~eqs:(lead @ eqs) ~ineqs:(cs @ ineqs @ g)] for the
     context's equalities [eqs] and inequalities [ineqs], from the
     context's split: the same components, decided from the same rows in
@@ -1178,18 +1159,14 @@ let final_group (s : components) (g : lin) : group * int list =
     from that component's Phase 1, extended by [lead] (the last of the
     group's equalities, as they are listed in reverse input order), as
     [splits @ (σ g :: rows @ σ (rev cs_K))]; one merging two or more runs
-    Phase 1 anew ({!decide_group}). A check with only [g] (the common
-    case) has one group, ranked by the root {!final_group} computes: it
-    builds no union-find and replays no joins ({!joined_groups}). *)
+    Phase 1 anew ({!decide_group}). The groups and their ranks come
+    from {!joined_groups}. *)
 let decide_split ?lead (c : context) (cs : lin list) (g : lin option) : bool =
   let comps = Lazy.force c.c_comps in
   let early = Option.is_some lead || cs <> [] in
   let groups, touched, rank =
-    match g with
-    | Some l when not early ->
-        let gr, touched = final_group c.c_split l in
-        ([ gr ], touched, Fun.id)
-    | _ -> if early then joined_groups ?lead c cs g else ([], [], Fun.id)
+    if early || Option.is_some g then joined_groups ?lead c cs g
+    else ([], [], Fun.id)
   in
   let merges gr = List.compare_length_with gr.g_comps 1 > 0 in
   if early then

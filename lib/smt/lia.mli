@@ -25,6 +25,13 @@ val feasible : eqs:lin list -> ineqs:lin list -> bool
 (** Feasibility of [⋀ eqs = 0 ∧ ⋀ ineqs ≤ 0] over the integers
     ([false] is definite). *)
 
+val split : eqs:lin list -> ineqs:lin list -> (lin list * lin list) list
+(** The connected components [feasible] decides, in its order: each
+    one's equalities and inequalities, in input order (constants belong
+    to none). Without a false constant, [feasible ~eqs ~ineqs] decides
+    [feasible] of each in turn, with the same FM work, up to the first
+    infeasible one. Exposed for the tests' reference of a context. *)
+
 (** {2 The two phases of one component}
 
     [feasible] decides each connected component as
@@ -167,6 +174,4 @@ val sat_with : context -> literal option -> bool
     inequalities); a group merging two or more anew. The profile
     counters [lia.split_prepared] and [lia.split_rebuilt] count the
     cases and relevance checks decided each way ([rebuilt] when one of
-    their groups merges two or more components). A check with only a
-    final inequality has one group and needs no union-find: its root is
-    read off [g]'s variables. *)
+    their groups merges two or more components). *)

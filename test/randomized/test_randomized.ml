@@ -4,8 +4,9 @@
     would fold over the variables. With randomized tables
     ([OCAMLRUNPARAM=R], or [Hashtbl.randomize]) that order must not
     change: this process randomizes every table it creates, then checks
-    the FM counters of Table-1 programs and of tie-heavy systems against
-    their values in an unrandomized process. *)
+    the FM counters of heapsort (a Table-1 program whose counters a
+    randomized tie-break moves) and of tie-heavy systems against their
+    values in an unrandomized process. *)
 
 let () = Hashtbl.randomize ()
 
@@ -90,9 +91,7 @@ let () =
     [
       ( "randomized hash tables",
         [
-          program "bsearch" (flux "bsearch") (3996, 23067);
           program "heapsort" (flux "heapsort") (9122, 32612);
-          program "RMat" Workloads.rmat_flux (4594, 781747);
         ]
         @ List.map system_case systems );
     ]

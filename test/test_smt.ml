@@ -1192,12 +1192,13 @@ let one_bucket_names n =
     disequalities only the critical ones (those whose equality is
     consistent) are split, and past [diseq_limit] (12) of those each is
     refuted on its own. *)
-let list_sat_literals (lits : Lia.literal list) : bool =
+let list_sat_literals ?(decide = Lia.feasible) (lits : Lia.literal list) :
+    bool =
   let pick f = List.filter_map f lits in
   let eqs = pick (function Lia.Eq0 l -> Some l | _ -> None)
   and ineqs = pick (function Lia.Le0 l -> Some l | _ -> None)
   and diseqs = pick (function Lia.Ne0 l -> Some l | _ -> None) in
-  let feasible ineqs = Lia.feasible ~eqs ~ineqs in
+  let feasible ineqs = decide ~eqs ~ineqs in
   let is_zero (l : Lia.lin) = Lia.lin_is_const l && l.const = 0 in
   if List.exists is_zero diseqs then false
   else
@@ -1221,7 +1222,7 @@ let list_sat_literals (lits : Lia.literal list) : bool =
         feasible ineqs
         &&
         let critical =
-          List.filter (fun d -> Lia.feasible ~eqs:(d :: eqs) ~ineqs) diseqs
+          List.filter (fun d -> decide ~eqs:(d :: eqs) ~ineqs) diseqs
         in
         if List.length critical <= 12 then split [] critical
         else
@@ -1231,6 +1232,47 @@ let list_sat_literals (lits : Lia.literal list) : bool =
                  (not (feasible (le_neg1 d :: ineqs)))
                  && not (feasible (ge_1 d :: ineqs)))
                critical)
+
+(** The reference for the checks of a context of [ls]: each goal [g]
+    decided as [list_sat_literals (ls @ [g])], except that a component
+    of [ls]'s own system that a check reaches untouched by its new rows
+    is decided by [Lia.feasible] the first time, and its verdict read
+    every later time, with no FM work. A goal equality splits the
+    system anew, as a context of its own. *)
+let context_reference (ls : Lia.literal list) : Lia.literal option -> bool =
+  let memo ls =
+    let pick f = List.filter_map f ls in
+    let eqs = pick (function Lia.Eq0 l -> Some l | _ -> None)
+    and ineqs = pick (function Lia.Le0 l -> Some l | _ -> None) in
+    let rows =
+      List.map (fun (l : Lia.lin) -> (Lia.SMap.bindings l.coeffs, l.const))
+    in
+    let key (eqs, ineqs) = (rows eqs, rows ineqs) in
+    let verdicts = Hashtbl.create 16 in
+    List.iter
+      (fun comp -> Hashtbl.replace verdicts (key comp) None)
+      (Lia.split ~eqs ~ineqs);
+    let decide ~eqs ~ineqs =
+      let bad_eq (l : Lia.lin) = Lia.lin_is_const l && l.const <> 0
+      and bad_ineq (l : Lia.lin) = Lia.lin_is_const l && l.const > 0 in
+      (not (List.exists bad_eq eqs || List.exists bad_ineq ineqs))
+      && List.for_all
+           (fun ((eqs, ineqs) as comp) ->
+             match Hashtbl.find_opt verdicts (key comp) with
+             | Some (Some v) -> v
+             | Some None ->
+                 let v = Lia.feasible ~eqs ~ineqs in
+                 Hashtbl.replace verdicts (key comp) (Some v);
+                 v
+             | None -> Lia.feasible ~eqs ~ineqs)
+           (Lia.split ~eqs ~ineqs)
+    in
+    fun g -> list_sat_literals ~decide (ls @ Option.to_list g)
+  in
+  let shared = memo ls in
+  function
+  | Some (Lia.Eq0 _) as g -> memo (ls @ Option.to_list g) None
+  | g -> shared g
 
 (** Literal systems of up to three variable-disjoint groups, each with
     equalities as {!gen_equality} draws them (now and then a
@@ -1356,18 +1398,14 @@ let gen_context_case : (Lia.literal list * Lia.literal option list) QCheck.Gen.t
   return (ls, goals)
 
 (** Many goals on one context, asked in order and then again in
-    reverse: each decides as the reference on [ls @ [g]] and as
-    [sat_literals], building no more FM rows than the reference; on a
-    fresh context without disequalities, exactly its rows. Every
-    theory check decides the reference's systems in its order; the
-    context only skips a component no goal touches once its verdict is
-    known (["context: component verdicts once per context"] pins the
-    counts), so a component infeasible alone refutes every goal that
-    leaves it untouched. *)
+    reverse: each decides as {!context_reference}, with exactly its FM
+    rows and copies, and [sat_literals] on [ls @ [g]] as the reference
+    on a context of its own. A component infeasible alone refutes every
+    later goal that leaves it untouched, with no FM work. *)
 let prop_context_reference =
   QCheck.Test.make
-    ~name:"sat_with on a context decides as sat_literals, with its FM rows"
-    ~count:6000
+    ~name:"sat_with on a context decides as the reference, with its FM rows"
+    ~count:10000
     (QCheck.make
        ~print:(fun (ls, goals) ->
          let pp_goal fmt = function
@@ -1381,26 +1419,15 @@ let prop_context_reference =
            goals)
        gen_context_case)
     (fun (ls, goals) ->
-      let c = Lia.context ls in
-      let within (v, r, p) (v', r', p') = v = v' && r <= r' && p <= p' in
+      let c = Lia.context ls and reference = context_reference ls in
       let agrees g =
-        let ls = ls @ Option.to_list g in
-        let want = theory_counts (fun () -> list_sat_literals ls) in
-        within (theory_counts (fun () -> Lia.sat_with c g)) want
-        && within (theory_counts (fun () -> Lia.sat_literals ls)) want
+        let ls' = ls @ Option.to_list g in
+        theory_counts (fun () -> Lia.sat_with c g)
+        = theory_counts (fun () -> reference g)
+        && theory_counts (fun () -> Lia.sat_literals ls')
+           = theory_counts (fun () -> context_reference ls' None)
       in
-      (* without disequalities a check is one system: on a fresh context
-         it decides every component the reference does, in its order *)
-      let no_diseq = List.filter (function Lia.Ne0 _ -> false | _ -> true) in
-      let fresh g =
-        let g = match g with Some (Lia.Ne0 _) -> None | g -> g in
-        let ls = no_diseq ls in
-        theory_counts (fun () -> Lia.sat_with (Lia.context ls) g)
-        = theory_counts (fun () -> list_sat_literals (ls @ Option.to_list g))
-      in
-      List.for_all agrees goals
-      && List.for_all agrees (List.rev goals)
-      && List.for_all fresh goals)
+      List.for_all agrees goals && List.for_all agrees (List.rev goals))
 
 (** The FM work of a context's checks, exactly: a component no goal
     touches is decided once per context, in root order, and not at all
